@@ -29,8 +29,9 @@ from .lie_core import (
     GroupElement,
     RepTangent,
     RepVector,
+    _trusted,
+    ad,
     check_same_group,
-    combine_atol,
     frobenius,
     rep_act,
     rep_algebra_matrix,
@@ -66,10 +67,10 @@ def act_jet_matter(jet: Jet1Gauge, jm: JetMatter) -> JetMatter:
     check_same_group(jet, jm)
     if jet.n_axes != jm.n_axes:
         raise DimensionError("jet and matter jet have different base dimensions")
-    r = rep_matrix(GroupElement(jet.spec, jet.g, atol=jet.atol))
+    r = rep_matrix(jet.group_element())
     phi = np.einsum("...ij,...j->...i", r, jm.phi)
     moved = np.einsum("...ij,...mj->...mi", r, jm.dphi)
-    ra = rep_algebra_matrix(AlgebraElement(jet.spec, jet.a, atol=jet.atol))
+    ra = rep_algebra_matrix(_trusted(AlgebraElement, jet.spec, jet.a))
     drift = np.einsum("...mij,...j->...mi", ra, phi)
     return JetMatter(jm.spec, phi, moved + drift)
 
@@ -79,9 +80,7 @@ def act_connection(jet: Jet1Gauge, A: AlgebraElement) -> AlgebraElement:
     check_same_group(jet, A)
     if A.entries.ndim < 3 or A.entries.shape[-3] != jet.n_axes:
         raise DimensionError("gauge potential must stack components on axis -3")
-    g = jet.g[..., None, :, :]
-    moved = g @ A.entries @ np.conj(np.swapaxes(g, -1, -2))
-    return AlgebraElement(A.spec, moved - jet.a, atol=combine_atol(jet, A))
+    return _trusted(AlgebraElement, A.spec, ad(jet.g, A.entries) - jet.a)
 
 
 def act_jet_connection(jet: Jet2Gauge, jc: JetConnection) -> JetConnection:
@@ -93,25 +92,20 @@ def act_jet_connection(jet: Jet2Gauge, jc: JetConnection) -> JetConnection:
     check_same_group(jet, jc)
     if jet.n_axes != jc.n_axes:
         raise DimensionError("jet and connection jet have different base dimensions")
-    g = jet.g[..., None, :, :]
-    gdag = np.conj(np.swapaxes(g, -1, -2))
-    adA = g @ jc.A @ gdag
+    adA = ad(jet.g, jc.A)
     A_out = adA - jet.a
-    g2 = jet.g[..., None, None, :, :]
-    addA = g2 @ jc.dA @ np.conj(np.swapaxes(g2, -1, -2))
+    addA = ad(jet.g, jc.dA)
     cross = np.einsum("...mij,...njk->...mnik", jet.a, adA) - np.einsum(
         "...nij,...mjk->...mnik", adA, jet.a
     )
     dA_out = addA + cross - jet.da()
-    return JetConnection(jc.spec, A_out, dA_out, atol=combine_atol(jet, jc))
+    return _trusted(JetConnection, jc.spec, A_out, dA_out)
 
 
 def act_curvature(g: GroupElement, f: Curvature) -> Curvature:
     """Field strength transforms by conjugation, componentwise."""
     check_same_group(g, f)
-    gg = g.entries[..., None, :, :]
-    comps = gg @ f.comps @ np.conj(np.swapaxes(gg, -1, -2))
-    return Curvature(f.spec, f.n_axes, comps, atol=combine_atol(g, f))
+    return _trusted(Curvature, f.spec, f.n_axes, ad(g.entries, f.comps))
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +140,7 @@ def gauge_to_zero_jet1(A: AlgebraElement) -> TransitivityWitness:
         np.eye(A.spec.n, dtype=np.complex128),
         A.entries.shape[:-3] + (A.spec.n, A.spec.n),
     ).copy()
-    jet = Jet1Gauge(A.spec, eye, A.entries, atol=A.atol)
+    jet = _trusted(Jet1Gauge, A.spec, eye, A.entries)
     transformed = act_connection(jet, A)
     residual = np.sum(frobenius(transformed.entries), axis=-1)
     return TransitivityWitness(jet=jet, residual=residual)
@@ -164,7 +158,7 @@ def gauge_to_zero_jet2(jc: JetConnection) -> TransitivityWitness:
         np.eye(jc.spec.n, dtype=np.complex128),
         jc.batch_shape + (jc.spec.n, jc.spec.n),
     ).copy()
-    jet = Jet2Gauge(jc.spec, eye, jc.A, sym, atol=jc.atol)
+    jet = _trusted(Jet2Gauge, jc.spec, eye, jc.A, sym)
     transformed = act_jet_connection(jet, jc)
     sym_out, _ = split_jet_connection(transformed)
     residual = np.sum(frobenius(transformed.A), axis=-1) + np.sum(
@@ -176,7 +170,7 @@ def gauge_to_zero_jet2(jc: JetConnection) -> TransitivityWitness:
 def curvature_equivariance_defect(jet: Jet2Gauge, jc: JetConnection) -> np.ndarray:
     """Per-sample norm of curvature(jet . jc) - g . curvature(jc)."""
     left = curvature(act_jet_connection(jet, jc))
-    right = act_curvature(GroupElement(jet.spec, jet.g, atol=jet.atol), curvature(jc))
+    right = act_curvature(jet.group_element(), curvature(jc))
     if not curvature_pairs(jc.n_axes):
         return np.zeros(jc.batch_shape)
     return np.max(frobenius(left.comps - right.comps), axis=-1)

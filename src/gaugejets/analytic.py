@@ -27,6 +27,7 @@ from .lie_core import (
     GroupElement,
     GroupSpec,
     RepVector,
+    _trusted,
     exp,
     random_algebra_entries,
 )
@@ -106,21 +107,22 @@ class GaugeSample:
 
 
 def _sample_factor_jet2(patch: Patch, spec: GroupSpec, factor) -> Jet2Gauge:
+    # the descriptor's (N, N) matrix is checked; the grid inherits its structure
     n = patch.dim
     nn = spec.n
     if isinstance(factor, ConstantGauge):
-        g0 = np.asarray(factor.g0, dtype=np.complex128)
+        g0 = GroupElement(spec, factor.g0).entries
         g = np.broadcast_to(g0, patch.extent + (nn, nn)).copy()
         a = np.zeros(patch.extent + (n, nn, nn), dtype=np.complex128)
         s = np.zeros(patch.extent + (n, n, nn, nn), dtype=np.complex128)
-        return Jet2Gauge(spec, g, a, s)
+        return _trusted(Jet2Gauge, spec, g, a, s)
     if isinstance(factor, SingleGenerator):
-        gen = np.asarray(factor.generator, dtype=np.complex128)
+        gen = AlgebraElement(spec, factor.generator).entries
         value, grad, hess = factor.fn.evaluate(patch.coords())
-        g = exp(AlgebraElement(spec, value[..., None, None] * gen)).entries
+        g = exp(_trusted(AlgebraElement, spec, value[..., None, None] * gen)).entries
         a = grad[..., :, None, None] * gen
         s = hess[..., :, :, None, None] * gen
-        return Jet2Gauge(spec, g, a, s)
+        return _trusted(Jet2Gauge, spec, g, a, s)
     raise UnknownFamilyError(f"unknown gauge factor {type(factor).__name__}")
 
 
@@ -137,7 +139,7 @@ def sample_gauge(patch: Patch, spec: GroupSpec, family) -> GaugeSample:
     jet = _sample_factor_jet2(patch, spec, factors[0])
     for factor in factors[1:]:
         jet = jet2_mul(jet, _sample_factor_jet2(patch, spec, factor))
-    gfield = Field(patch, GroupElement(spec, jet.g))
+    gfield = Field(patch, jet.group_element())
     j1 = Field(patch, jet.truncate())
     j2 = Field(patch, jet)
     return GaugeSample(values=gfield, jet1=j1, jet2=j2)
@@ -211,9 +213,8 @@ def sample_connection(patch: Patch, spec: GroupSpec, family: CoefficientConnecti
             value, grad, _ = family.fns[nu][a_idx].evaluate(x)
             A[..., nu, :, :] += value[..., None, None] * basis[a_idx]
             dA[..., :, nu, :, :] += grad[..., :, None, None] * basis[a_idx]
-    values = Field(patch, AlgebraElement(spec, A))
-    jet = Field(patch, JetConnection(spec, A, dA))
-    return ConnectionSample(values=values, jet=jet)
+    jet = JetConnection(spec, A, dA)
+    return ConnectionSample(values=Field(patch, jet.potential()), jet=Field(patch, jet))
 
 
 # ---------------------------------------------------------------------------

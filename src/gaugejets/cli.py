@@ -34,8 +34,6 @@ def _load_config(args) -> SuiteConfig:
         overrides["suites"] = tuple(args.suite)
     if getattr(args, "out", None):
         overrides["output"] = args.out
-    if args.threads is not None:
-        overrides["threads"] = args.threads
     if overrides:
         from dataclasses import replace
 
@@ -139,7 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"suite to run (repeatable); known: {', '.join(sorted(SUITES))}",
         )
         p.add_argument("--out", default=out_default, help="report/field output path")
-        p.add_argument("--threads", type=int, help="number of worker threads for suites")
 
     p_run = sub.add_parser("run", help="run verification suites")
     common(p_run)

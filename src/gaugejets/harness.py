@@ -10,16 +10,16 @@ for every suite.  Positive suites whose negative sub-check fails report
 
 Determinism: all randomness derives from the config seed through named
 sub-streams, quadrature uses an exact compensated sum, and suites are
-independent, so reports are byte-identical across runs and thread counts
-(modulo the runtime_ms fields).
+independent, so reports are byte-identical across runs (modulo the
+runtime_ms fields).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 from typing import Callable
@@ -68,6 +68,7 @@ from .lagrangians import (
     MatterKind,
     MatterLagrangianSpec,
     _curvature_quadratic,
+    _metric_signs,
     covariant_derivative,
     free_velocity_density,
     gauge_density,
@@ -78,7 +79,6 @@ from .lagrangians import (
 )
 from .lie_core import (
     AlgebraElement,
-    GroupElement,
     GroupFamily,
     GroupSpec,
     RepTangent,
@@ -86,6 +86,7 @@ from .lie_core import (
     exp,
     frobenius,
     group_spec,
+    multiply,
     random_algebra_entries,
     rep_act,
     rep_matrix,
@@ -121,16 +122,25 @@ class SuiteConfig:
     h_levels: tuple[float, ...] = (0.04, 0.02, 0.01)
     tolerances: dict = dc_field(default_factory=dict)
     output: str | None = None
-    threads: int = 1
     metric: str = "euclidean"
 
     def __post_init__(self):
         object.__setattr__(self, "suites", tuple(self.suites))
+        try:
+            object.__setattr__(self, "seed", operator.index(self.seed))
+        except TypeError:
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}") from None
+        try:
+            _metric_signs(1, self.metric)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         levels = tuple(float(h) for h in self.h_levels)
         if any(b >= a for a, b in zip(levels, levels[1:])):
             raise ConfigError("h_levels must be strictly decreasing")
         object.__setattr__(self, "h_levels", levels)
         for name, tol in self.tolerances.items():
+            if name not in SUITES:
+                raise UnknownSuiteError(f"tolerance given for unknown suite {name!r}")
             if tol <= 0:
                 raise ConfigError(f"tolerance for {name} must be positive")
         for name in self.suites:
@@ -151,11 +161,11 @@ class SuiteConfig:
                 kwargs["patch"] = Patch(
                     tuple(p["extent"]), p.get("spacing", 0.05), p.get("origin", 0.0)
                 )
-            for key in ("seed", "suites", "h_levels", "tolerances", "output", "threads", "metric"):
+            for key in ("seed", "suites", "h_levels", "tolerances", "output", "metric"):
                 if key in data:
                     kwargs[key] = data[key]
             return SuiteConfig(**kwargs)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"malformed config: {exc}") from exc
@@ -177,20 +187,18 @@ class SuiteConfig:
             "h_levels": list(self.h_levels),
             "tolerances": dict(sorted(self.tolerances.items())),
             "output": self.output,
-            "threads": self.threads,
             "metric": self.metric,
         }
 
     def config_hash(self) -> str:
         """Hash of the numerically relevant config fields.
 
-        The output path and thread count cannot affect any computed
-        number, so they are excluded: reports from the same numerical
-        setup share provenance wherever they are written.
+        The output path cannot affect any computed number, so it is
+        excluded: reports from the same numerical setup share provenance
+        wherever they are written.
         """
         data = self.to_dict()
         data.pop("output")
-        data.pop("threads")
         canon = json.dumps(data, sort_keys=True).encode()
         return hashlib.sha256(canon).hexdigest()[:16]
 
@@ -331,7 +339,7 @@ def _functoriality_errors(cfg: SuiteConfig, patch: Patch):
     fam2 = analytic.random_gauge_family(rng, spec, patch.dim, factors=2, scale=0.6, wave_scale=0.6)
     s1 = analytic.sample_gauge(patch, spec, fam1)
     s2 = analytic.sample_gauge(patch, spec, fam2)
-    prod = Field(patch, GroupElement(spec, s1.values.value.entries @ s2.values.value.entries))
+    prod = Field(patch, multiply(s1.values.value, s2.values.value))
     lhs1 = jet1_of(prod)
     rhs1 = jet1_mul(jet1_of(s1.values).value, jet1_of(s2.values).value)
     err1 = _interior_max(jet1_distance(lhs1.value, rhs1), patch, 1)
@@ -353,9 +361,9 @@ def _suite_action_axioms(cfg: SuiteConfig, patch: Patch):
     b = AXIOM_BATCH
     j1, k1 = _random_jet1(rng, spec, n, b), _random_jet1(rng, spec, n, b)
     j2, k2 = _random_jet2(rng, spec, n, b), _random_jet2(rng, spec, n, b)
-    g = GroupElement(spec, j1.g)
-    h = GroupElement(spec, k1.g)
-    gh = GroupElement(spec, g.entries @ h.entries)
+    g = j1.group_element()
+    h = k1.group_element()
+    gh = multiply(g, h)
     unit1 = jet1_unit(spec, n, (b,))
     unit2 = jet2_unit(spec, n, (b,))
     jm = _random_jet_matter(rng, spec, n, b)
@@ -364,7 +372,7 @@ def _suite_action_axioms(cfg: SuiteConfig, patch: Patch):
     var = Variation(spec, jm.dphi[:, 0, :])
     A = jc.potential()
     f = curvature(jc)
-    eye = GroupElement(spec, np.broadcast_to(np.eye(spec.n, dtype=complex), g.entries.shape).copy())
+    eye = unit1.group_element()
 
     errs = {}
     errs["matter_unit"] = _max(np.abs(act_matter(eye, phi).entries - phi.entries))
@@ -491,7 +499,7 @@ def _suite_minimal_coupling_invariance(cfg: SuiteConfig, patch: Patch):
     jets = _random_jet1(rng, spec, n, b)
     jm = _random_jet_matter(rng, spec, n, b)
     A = AlgebraElement(spec, random_algebra_entries(rng, spec, (b, n)))
-    g = GroupElement(spec, jets.g)
+    g = jets.group_element()
 
     phi, dphi = covariant_derivative(A, jm)
     moved_A = act_connection(jets, A)
@@ -842,12 +850,7 @@ def run_suite(cfg: SuiteConfig, name: str) -> SuiteResult:
 
 def run(cfg: SuiteConfig) -> Report:
     """Execute the configured suites deterministically and build a report."""
-    names = list(cfg.suites)
-    if cfg.threads > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(lambda n: run_suite(cfg, n), names))
-    else:
-        results = [run_suite(cfg, n) for n in names]
+    results = [run_suite(cfg, n) for n in cfg.suites]
     overall = "pass" if all(r.status == "pass" for r in results) else "fail"
     report = Report(seed=cfg.seed, config_hash=cfg.config_hash(), suites=results, overall=overall)
     if cfg.output:

@@ -24,7 +24,7 @@ is stored on the strict upper triangle (empty when n = 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,10 +36,11 @@ from .lie_core import (
     GroupSpec,
     InvariantError,
     RepVector,
+    _trusted,
+    ad,
     assert_antihermitian,
     assert_unitary,
     check_same_group,
-    combine_atol,
     dagger,
     frobenius,
 )
@@ -49,12 +50,6 @@ from .patch import Field, central_diff
 def _check_finite(arr: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(arr)):
         raise InvariantError(f"{what} contains non-finite entries")
-
-
-def _ad(g: np.ndarray, x: np.ndarray, stack_axes: int) -> np.ndarray:
-    """Ad(g) applied to x carrying ``stack_axes`` extra axes before (N, N)."""
-    gg = g.reshape(g.shape[:-2] + (1,) * stack_axes + g.shape[-2:])
-    return gg @ x @ dagger(gg)
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +62,6 @@ class Jet1Gauge:
     spec: GroupSpec
     g: np.ndarray
     a: np.ndarray
-    atol: float | None = field(default=ATOL, compare=False, repr=False)
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=np.complex128)
@@ -81,9 +75,8 @@ class Jet1Gauge:
             raise DimensionError("jet value and derivative have mismatched batch shapes")
         _check_finite(g, "jet value")
         _check_finite(a, "jet derivative")
-        if self.atol is not None:
-            assert_unitary(g, self.atol, self.spec.is_special)
-            assert_antihermitian(a, self.atol, self.spec.is_special)
+        assert_unitary(g, ATOL, self.spec.is_special)
+        assert_antihermitian(a, ATOL, self.spec.is_special)
 
     @property
     def n_axes(self) -> int:
@@ -94,7 +87,7 @@ class Jet1Gauge:
         return self.g.shape[:-2]
 
     def group_element(self) -> GroupElement:
-        return GroupElement(self.spec, self.g, atol=self.atol)
+        return _trusted(GroupElement, self.spec, self.g)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,7 +98,6 @@ class Jet2Gauge:
     g: np.ndarray
     a: np.ndarray
     s: np.ndarray
-    atol: float | None = field(default=ATOL, compare=False, repr=False)
 
     def __post_init__(self):
         g = np.asarray(self.g, dtype=np.complex128)
@@ -123,10 +115,9 @@ class Jet2Gauge:
             _check_finite(arr, f"jet component {name}")
         if np.any(s != np.swapaxes(s, -4, -3)):
             raise InvariantError("second-order component must be stored exactly symmetric")
-        if self.atol is not None:
-            assert_unitary(g, self.atol, self.spec.is_special)
-            assert_antihermitian(a, self.atol, self.spec.is_special)
-            assert_antihermitian(s, self.atol, self.spec.is_special)
+        assert_unitary(g, ATOL, self.spec.is_special)
+        assert_antihermitian(a, ATOL, self.spec.is_special)
+        assert_antihermitian(s, ATOL, self.spec.is_special)
 
     @property
     def n_axes(self) -> int:
@@ -137,10 +128,10 @@ class Jet2Gauge:
         return self.g.shape[:-2]
 
     def truncate(self) -> Jet1Gauge:
-        return Jet1Gauge(self.spec, self.g, self.a, atol=self.atol)
+        return _trusted(Jet1Gauge, self.spec, self.g, self.a)
 
     def group_element(self) -> GroupElement:
-        return GroupElement(self.spec, self.g, atol=self.atol)
+        return _trusted(GroupElement, self.spec, self.g)
 
     def da(self) -> np.ndarray:
         """Full derivative of a, recovered from the flatness identity:
@@ -212,7 +203,6 @@ class JetConnection:
     spec: GroupSpec
     A: np.ndarray
     dA: np.ndarray
-    atol: float | None = field(default=ATOL, compare=False, repr=False)
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=np.complex128)
@@ -227,9 +217,8 @@ class JetConnection:
             raise DimensionError("connection jet components have mismatched batch shapes")
         _check_finite(A, "gauge potential")
         _check_finite(dA, "gauge potential derivative")
-        if self.atol is not None:
-            assert_antihermitian(A, self.atol, self.spec.is_special)
-            assert_antihermitian(dA, self.atol, self.spec.is_special)
+        assert_antihermitian(A, ATOL, self.spec.is_special)
+        assert_antihermitian(dA, ATOL, self.spec.is_special)
 
     @property
     def n_axes(self) -> int:
@@ -240,7 +229,7 @@ class JetConnection:
         return self.A.shape[:-3]
 
     def potential(self) -> AlgebraElement:
-        return AlgebraElement(self.spec, self.A, atol=self.atol)
+        return _trusted(AlgebraElement, self.spec, self.A)
 
 
 def curvature_pairs(n: int) -> list[tuple[int, int]]:
@@ -259,7 +248,6 @@ class Curvature:
     spec: GroupSpec
     n_axes: int
     comps: np.ndarray
-    atol: float | None = field(default=ATOL, compare=False, repr=False)
 
     def __post_init__(self):
         comps = np.asarray(self.comps, dtype=np.complex128)
@@ -271,8 +259,7 @@ class Curvature:
                 f"curvature needs trailing shape ({p}, {n}, {n}), got {comps.shape}"
             )
         _check_finite(comps, "curvature")
-        if self.atol is not None and p:
-            assert_antihermitian(comps, self.atol, self.spec.is_special)
+        assert_antihermitian(comps, ATOL, self.spec.is_special)
 
     @property
     def batch_shape(self) -> tuple[int, ...]:
@@ -301,14 +288,14 @@ def jet1_of(gfield: Field) -> Field:
     """First-order jet of a group-valued field via central differences.
 
     The derivative slot a_mu = (D_mu g) g^dag is off the algebra by O(h^2),
-    so the result is flagged numerical and skips the structural check.
+    so the result is flagged numerical and built without structural checks.
     """
     v = _require_field(gfield, GroupElement, "jet1_of")
     p = gfield.patch
     g = v.entries
     dg = np.stack([central_diff(g, mu, p.spacing[mu]) for mu in range(p.dim)], axis=-3)
     a = dg @ dagger(g)[..., None, :, :]
-    jet = Jet1Gauge(v.spec, g, a, atol=None)
+    jet = _trusted(Jet1Gauge, v.spec, g, a)
     return Field(p, jet, margin=gfield.margin + 1, numerical=True, h=max(p.spacing))
 
 
@@ -321,7 +308,7 @@ def jet2_of(gfield: Field) -> Field:
         [central_diff(jet1.a, mu, p.spacing[mu]) for mu in range(p.dim)], axis=-4
     )
     s = 0.5 * (da + np.swapaxes(da, -4, -3))
-    jet = Jet2Gauge(jet1.spec, jet1.g, jet1.a, s, atol=None)
+    jet = _trusted(Jet2Gauge, jet1.spec, jet1.g, jet1.a, s)
     return Field(p, jet, margin=gfield.margin + 2, numerical=True, h=max(p.spacing))
 
 
@@ -340,8 +327,8 @@ def jet_connection_of(afield: Field) -> Field:
     """First-order jet (A, dA) of a sampled gauge potential.
 
     Differencing algebra-valued data stays in the algebra up to roundoff,
-    but the division by 2h amplifies that roundoff, so the derivative slot
-    skips the strict structural check like every finite-difference jet.
+    but the division by 2h amplifies that roundoff, so the jet is built
+    without structural checks like every finite-difference jet.
     """
     v = _require_field(afield, AlgebraElement, "jet_connection_of")
     p = afield.patch
@@ -350,7 +337,7 @@ def jet_connection_of(afield: Field) -> Field:
     dA = np.stack(
         [central_diff(v.entries, mu, p.spacing[mu]) for mu in range(p.dim)], axis=-4
     )
-    jet = JetConnection(v.spec, v.entries, dA, atol=None)
+    jet = _trusted(JetConnection, v.spec, v.entries, dA)
     return Field(p, jet, margin=afield.margin + 1, numerical=True, h=max(p.spacing))
 
 
@@ -360,13 +347,13 @@ def jet_connection_of(afield: Field) -> Field:
 def jet1_unit(spec: GroupSpec, n_axes: int, batch_shape: tuple[int, ...] = ()) -> Jet1Gauge:
     g = np.broadcast_to(np.eye(spec.n, dtype=np.complex128), batch_shape + (spec.n, spec.n)).copy()
     a = np.zeros(batch_shape + (n_axes, spec.n, spec.n), dtype=np.complex128)
-    return Jet1Gauge(spec, g, a)
+    return _trusted(Jet1Gauge, spec, g, a)
 
 
 def jet2_unit(spec: GroupSpec, n_axes: int, batch_shape: tuple[int, ...] = ()) -> Jet2Gauge:
     j1 = jet1_unit(spec, n_axes, batch_shape)
     s = np.zeros(batch_shape + (n_axes, n_axes, spec.n, spec.n), dtype=np.complex128)
-    return Jet2Gauge(spec, j1.g, j1.a, s)
+    return _trusted(Jet2Gauge, spec, j1.g, j1.a, s)
 
 
 def _check_jets(left, right) -> None:
@@ -379,35 +366,33 @@ def jet1_mul(left: Jet1Gauge, right: Jet1Gauge) -> Jet1Gauge:
     """(g, a) (h, b) = (g h, a + Ad(g) b)."""
     _check_jets(left, right)
     g = left.g @ right.g
-    a = left.a + _ad(left.g, right.a, 1)
-    return Jet1Gauge(left.spec, g, a, atol=combine_atol(left, right))
+    a = left.a + ad(left.g, right.a)
+    return _trusted(Jet1Gauge, left.spec, g, a)
 
 
 def jet1_inv(jet: Jet1Gauge) -> Jet1Gauge:
     """(g, a)^{-1} = (g^{-1}, -Ad(g^{-1}) a)."""
     ginv = dagger(jet.g)
-    return Jet1Gauge(jet.spec, ginv, -_ad(ginv, jet.a, 1), atol=jet.atol)
+    return _trusted(Jet1Gauge, jet.spec, ginv, -ad(ginv, jet.a))
 
 
 def jet2_mul(left: Jet2Gauge, right: Jet2Gauge) -> Jet2Gauge:
     """Second-order product; see the module docstring for the closed form."""
     _check_jets(left, right)
     g = left.g @ right.g
-    adb = _ad(left.g, right.a, 1)
+    adb = ad(left.g, right.a)
     a = left.a + adb
     cross = np.einsum("...mij,...njk->...mnik", left.a, adb) - np.einsum(
         "...nij,...mjk->...mnik", adb, left.a
     )
-    s = left.s + _ad(left.g, right.s, 2) + 0.5 * (cross + np.swapaxes(cross, -4, -3))
-    return Jet2Gauge(left.spec, g, a, s, atol=combine_atol(left, right))
+    s = left.s + ad(left.g, right.s) + 0.5 * (cross + np.swapaxes(cross, -4, -3))
+    return _trusted(Jet2Gauge, left.spec, g, a, s)
 
 
 def jet2_inv(jet: Jet2Gauge) -> Jet2Gauge:
     """(g, a, s)^{-1} = (g^{-1}, -Ad(g^{-1}) a, -Ad(g^{-1}) s)."""
     ginv = dagger(jet.g)
-    return Jet2Gauge(
-        jet.spec, ginv, -_ad(ginv, jet.a, 1), -_ad(ginv, jet.s, 2), atol=jet.atol
-    )
+    return _trusted(Jet2Gauge, jet.spec, ginv, -ad(ginv, jet.a), -ad(ginv, jet.s))
 
 
 def jet1_distance(x: Jet1Gauge, y: Jet1Gauge) -> np.ndarray:
@@ -431,9 +416,9 @@ def split_jet_connection(jc: JetConnection) -> tuple[np.ndarray, np.ndarray]:
 
 
 def merge_jet_connection(
-    spec: GroupSpec, A: np.ndarray, sym: np.ndarray, antisym: np.ndarray, atol: float | None = ATOL
+    spec: GroupSpec, A: np.ndarray, sym: np.ndarray, antisym: np.ndarray
 ) -> JetConnection:
-    return JetConnection(spec, A, sym + antisym, atol=atol)
+    return JetConnection(spec, A, sym + antisym)
 
 
 def curvature(jc: JetConnection) -> Curvature:
@@ -448,7 +433,7 @@ def curvature(jc: JetConnection) -> Curvature:
         comps[..., idx, :, :] = (
             jc.dA[..., mu, nu, :, :] - jc.dA[..., nu, mu, :, :] + amu @ anu - anu @ amu
         )
-    return Curvature(jc.spec, n, comps, atol=jc.atol)
+    return _trusted(Curvature, jc.spec, n, comps)
 
 
 def maurer_cartan_defect(j1field: Field) -> Field:

@@ -50,7 +50,7 @@ from .jets import (
     JetMatter,
     curvature_pairs,
 )
-from .lie_core import AlgebraElement, GroupElement, GroupFamily, GroupSpec, RepVector
+from .lie_core import AlgebraElement, GroupElement, GroupFamily, GroupSpec, RepVector, _trusted
 from .patch import Field, Patch
 
 
@@ -191,13 +191,22 @@ _MATRIX_COUNT = {
 def read_field(path: str | Path) -> Field:
     """Reconstruct a field from a JGF1 file on an origin-zero patch.
 
-    Jet-gauge kinds are reconstructed without the structural algebra check
-    (finite-difference jets sit off the algebra by O(h^2)); everything else
-    is validated strictly.
+    Any malformed header value or payload raises FormatError.  The payload
+    is checked for finiteness once; the group, algebra and connection
+    kinds then go through their strict public constructors, while jet
+    kinds and curvature are taken as stored (finite-difference jets sit
+    off the algebra by O(h^2)).
     """
     with open(path, "rb") as fh:
-        hdr = _read_header(fh)
-        payload = fh.read()
+        try:
+            return _decode(_read_header(fh), fh.read())
+        except FormatError:
+            raise
+        except ValueError as exc:  # bad header values, or payloads off the group or algebra
+            raise FormatError(f"invalid JGF1 field: {exc}") from exc
+
+
+def _decode(hdr: dict, payload: bytes) -> Field:
     family_tokens = hdr["family"].split()
     family = GroupFamily(family_tokens[0])
     n_mat = int(family_tokens[1]) if len(family_tokens) > 1 else 0
@@ -212,6 +221,8 @@ def read_field(path: str | Path) -> Field:
     patch = Patch(extent, spacing)
     npts = patch.npoints
     data = np.frombuffer(payload, dtype="<c16")
+    if not np.all(np.isfinite(data)):
+        raise FormatError("payload contains non-finite entries")
 
     def reshape(entries_per_point: int) -> np.ndarray:
         if data.size != npts * entries_per_point:
@@ -240,7 +251,7 @@ def read_field(path: str | Path) -> Field:
     if kind == "connection":
         return Field(patch, AlgebraElement(spec, flat))
     if kind == "jet1-gauge":
-        return Field(patch, Jet1Gauge(spec, flat[..., 0, :, :], flat[..., 1:, :, :], atol=None))
+        return Field(patch, _trusted(Jet1Gauge, spec, flat[..., 0, :, :], flat[..., 1:, :, :]))
     if kind == "jet2-gauge":
         g = flat[..., 0, :, :]
         a = flat[..., 1 : 1 + n, :, :]
@@ -248,14 +259,13 @@ def read_field(path: str | Path) -> Field:
         for idx, (mu, nu) in enumerate(_sym_pairs(n)):
             s[..., mu, nu, :, :] = flat[..., 1 + n + idx, :, :]
             s[..., nu, mu, :, :] = flat[..., 1 + n + idx, :, :]
-        return Field(patch, Jet2Gauge(spec, g, a, s, atol=None))
+        return Field(patch, _trusted(Jet2Gauge, spec, g, a, s))
     if kind == "jet-connection":
         A = flat[..., :n, :, :]
         dA = flat[..., n:, :, :].reshape(extent + (n, n, nn, nn))
-        return Field(patch, JetConnection(spec, A, dA, atol=None))
-    if kind == "curvature":
-        return Field(patch, Curvature(spec, n, flat, atol=None))
-    raise FormatError(f"unknown value kind {kind!r}")  # pragma: no cover
+        return Field(patch, _trusted(JetConnection, spec, A, dA))
+    # curvature: the only kind left in _MATRIX_COUNT
+    return Field(patch, _trusted(Curvature, spec, n, flat))
 
 
 def describe(path: str | Path) -> str:

@@ -212,14 +212,14 @@ def utiyama_factor(
     """
     from .actions import act_curvature
     from .jets import curvature_pairs
-    from .lie_core import GroupElement, exp as lie_exp
+    from .lie_core import exp as lie_exp
 
     n_pairs = len(curvature_pairs(n_axes))
     rng = seeded_rng(seed, "utiyama-probe", spec.label(), n_axes)
     comps = random_algebra_entries(rng, spec, (probes, max(n_pairs, 0)))
     f = Curvature(spec, n_axes, comps)
     g = lie_exp(AlgebraElement(spec, random_algebra_entries(rng, spec, (probes,))))
-    moved = act_curvature(GroupElement(spec, g.entries), f)
+    moved = act_curvature(g, f)
     defect = np.max(np.abs(np.asarray(curvature_density(moved)) - np.asarray(curvature_density(f))))
     if defect > tol:
         raise ValueError(

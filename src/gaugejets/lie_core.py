@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -158,14 +158,12 @@ class GroupElement:
 
     spec: GroupSpec
     entries: np.ndarray
-    atol: float | None = field(default=ATOL, compare=False, repr=False)
 
     def __post_init__(self):
         entries = _c128(self.entries)
         object.__setattr__(self, "entries", entries)
         _check_matrix_shape(entries, self.spec.n, "group element")
-        if self.atol is not None:
-            assert_unitary(entries, self.atol, self.spec.is_special)
+        assert_unitary(entries, ATOL, self.spec.is_special)
 
     @property
     def batch_shape(self) -> tuple[int, ...]:
@@ -173,7 +171,7 @@ class GroupElement:
 
     def inverse(self) -> "GroupElement":
         # unitarity makes the conjugate transpose the exact inverse
-        return GroupElement(self.spec, dagger(self.entries), atol=self.atol)
+        return _trusted(GroupElement, self.spec, dagger(self.entries))
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,20 +179,17 @@ class AlgebraElement:
     """One or more algebra elements; entries shaped (..., N, N).
 
     Connection components A_mu are stored as a single AlgebraElement whose
-    axis -3 indexes mu.  ``atol=None`` skips the structural check, used for
-    finite-difference data that sits off the algebra by O(h^2).
+    axis -3 indexes mu.
     """
 
     spec: GroupSpec
     entries: np.ndarray
-    atol: float | None = field(default=ATOL, compare=False, repr=False)
 
     def __post_init__(self):
         entries = _c128(self.entries)
         object.__setattr__(self, "entries", entries)
         _check_matrix_shape(entries, self.spec.n, "algebra element")
-        if self.atol is not None:
-            assert_antihermitian(entries, self.atol, self.spec.is_special)
+        assert_antihermitian(entries, ATOL, self.spec.is_special)
 
     @property
     def batch_shape(self) -> tuple[int, ...]:
@@ -250,10 +245,17 @@ def check_same_group(a, b) -> None:
         raise DimensionError(f"group mismatch: {a.spec.label()} vs {b.spec.label()}")
 
 
-def combine_atol(*objs) -> float | None:
-    """None (no structural check) wins; carried by finite-difference data."""
-    atols = [getattr(o, "atol", ATOL) for o in objs]
-    return None if any(a is None for a in atols) else ATOL
+def _trusted(cls, *values):
+    """Build a fiber value from its fields (complex128 arrays) without checks.
+
+    Only for values that keep their structure by construction from checked
+    inputs, and for finite-difference jets, which sit off the group and
+    algebra by O(h^2).  Public constructors always check.
+    """
+    obj = object.__new__(cls)
+    for f, value in zip(fields(cls), values):
+        object.__setattr__(obj, f.name, value)
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +324,12 @@ def exp(x: AlgebraElement) -> GroupElement:
     lam, v = np.linalg.eigh(-1j * x.entries)
     phases = np.exp(1j * lam)
     entries = np.einsum("...ij,...j,...kj->...ik", v, phases, np.conj(v))
-    return GroupElement(x.spec, entries)
+    return _trusted(GroupElement, x.spec, entries)
 
 
 def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
     check_same_group(g, h)
-    return GroupElement(g.spec, g.entries @ h.entries, atol=combine_atol(g, h))
+    return _trusted(GroupElement, g.spec, g.entries @ h.entries)
 
 
 def inverse(g: GroupElement) -> GroupElement:
@@ -338,21 +340,24 @@ def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Commutator [X, Y] = XY - YX."""
     check_same_group(x, y)
     entries = x.entries @ y.entries - y.entries @ x.entries
-    return AlgebraElement(x.spec, entries, atol=combine_atol(x, y))
+    return _trusted(AlgebraElement, x.spec, entries)
+
+
+def ad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Conjugation g X g^dag on raw arrays, evaluated as (g X) g^dag.
+
+    ``x`` may carry extra stack axes between the batch axes it shares with
+    ``g`` and its trailing (N, N); g broadcasts over them.
+    """
+    extra = x.ndim - g.ndim
+    gg = g.reshape(g.shape[:-2] + (1,) * extra + g.shape[-2:]) if extra > 0 else g
+    return gg @ x @ dagger(gg)
 
 
 def adjoint(g: GroupElement, x: AlgebraElement) -> AlgebraElement:
     """Ad(g) X = g X g^{-1}, with g^{-1} = g^dag."""
     check_same_group(g, x)
-    entries = g.entries @ x.entries @ dagger(g.entries)
-    return AlgebraElement(x.spec, entries, atol=combine_atol(g, x))
-
-
-def adjoint_raw(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Conjugation on raw arrays; x may carry extra stack axes before (N, N)."""
-    extra = x.ndim - g.ndim
-    gg = g.reshape(g.shape[:-2] + (1,) * extra + g.shape[-2:]) if extra > 0 else g
-    return gg @ x @ dagger(gg)
+    return _trusted(AlgebraElement, x.spec, ad(g.entries, x.entries))
 
 
 def rep_matrix(g: GroupElement) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from .lie_core import AlgebraElement, DimensionError, GroupElement, RepTangent, RepVector
+from .lie_core import AlgebraElement, DimensionError, GroupElement, RepTangent, RepVector, _trusted
 
 MAX_DIM = 4
 
@@ -202,7 +202,7 @@ def partial(f: Field, mu: int) -> Field:
     if isinstance(v, np.ndarray):
         out = central_diff(v, mu, h)
     elif isinstance(v, AlgebraElement):
-        out = AlgebraElement(v.spec, central_diff(v.entries, mu, h), atol=v.atol)
+        out = _trusted(AlgebraElement, v.spec, central_diff(v.entries, mu, h))
     elif isinstance(v, RepVector):
         out = RepTangent(v.spec, central_diff(v.entries, mu, h))
     elif isinstance(v, RepTangent):

@@ -11,6 +11,7 @@ from gaugejets.analytic import (
     sample_gauge,
     sample_matter,
 )
+from gaugejets.cli import main as cli_main
 from gaugejets.jets import curvature, jet2_of
 from gaugejets.jgf import FormatError, describe, read_field, value_kind, write_field
 from gaugejets.lie_core import group_spec, seeded_rng
@@ -157,6 +158,32 @@ def test_truncated_payload_rejected(tmp_path, patch):
     path.write_bytes(raw[:-16])
     with pytest.raises(FormatError):
         read_field(path)
+
+
+def _set_first_entry(raw: bytes, value: complex) -> bytes:
+    start = raw.index(b"value_kind group\n") + len(b"value_kind group\n")
+    return raw[:start] + np.array([value], dtype="<c16").tobytes() + raw[start + 16 :]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda raw: _set_first_entry(raw, 2.0),
+        lambda raw: _set_first_entry(raw, complex("nan")),
+        lambda raw: raw.replace(b"family su2", b"family xyz", 1),
+        lambda raw: raw.replace(b"dim 2", b"dim x", 1),
+    ],
+    ids=["non-unitary", "nan", "family", "dim"],
+)
+def test_corrupt_file_is_format_error(tmp_path, patch, capsys, corrupt):
+    path = tmp_path / "bad.jgf1"
+    write_field(gauge_sample(patch, seed=12).values, path)
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(FormatError):
+        read_field(path)
+    assert cli_main(["inspect", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_describe_mentions_kind_and_extent(tmp_path, patch):
