@@ -116,13 +116,11 @@ class TransitivityWitness:
     """A jet that gauges connection data to the normal form at a fiber.
 
     ``residual`` is the per-point Frobenius norm (summed over components)
-    of the parts the jet is supposed to kill; ``point`` optionally records
-    a grid multi-index when the witness was extracted at a single fiber.
+    of the parts the jet is supposed to kill.
     """
 
     jet: Jet1Gauge | Jet2Gauge
     residual: np.ndarray
-    point: tuple[int, ...] | None = None
     transformed: JetConnection | None = field(default=None, repr=False)
 
     def __post_init__(self):

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import analytic, jgf
-from .harness import ConfigError, Report, SUITES, SuiteConfig, convergence_study, run
+from .harness import ConfigError, Report, SUITES, SuiteConfig, converge, run
 from .jets import jet1_of, jet2_of, jet_connection_of, jet_matter_of
 from .lie_core import seeded_rng
 
@@ -63,20 +63,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    cfg = _load_config(args)
-    names = list(cfg.suites) or [n for n, s in SUITES.items() if s.fd]
-    results = [convergence_study(cfg, name) for name in names]
-    report = Report(
-        seed=cfg.seed,
-        config_hash=cfg.config_hash(),
-        suites=results,
-        overall="pass" if all(r.status == "pass" for r in results) else "fail",
-    )
-    if cfg.output:
-        report.write(cfg.output)
+    report = converge(_load_config(args))
     if args.csv:
         lines = ["suite,h,error"]
-        for res in results:
+        for res in report.suites:
             for h, e in zip(res.details["h_levels"], res.details["errors"]):
                 lines.append(f"{res.name},{h!r},{e!r}")
         Path(args.csv).write_text("\n".join(lines) + "\n")

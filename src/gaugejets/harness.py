@@ -1,12 +1,21 @@
 """Configuration-driven verification suites with machine-readable reports.
 
 Every suite checks one invariance/transitivity claim of the jet-gauge
-machinery and reports a single max_error against a pinned tolerance.
+machinery: it samples fields from seeded substreams, transforms them, and
+reports a single max_error.  A suite is a function of the config alone
+(its patch is ``cfg.patch``), registered in ``SUITES`` with a claim and a
+tolerance bound: the bound itself for algebraic suites, ``bound * h^2``
+for finite-difference (``fd``) suites at grid spacing h.
+
 Negative-control suites (broken densities) must *violate* invariance by a
 stated margin; they report ``max(0, margin - observed_violation)`` against
 tolerance 0, so the uniform rule "pass iff max_error <= tolerance" holds
 for every suite.  Positive suites whose negative sub-check fails report
 ``inf``.
+
+``run`` checks each configured suite once on the configured patch;
+``converge`` repeats each across ``cfg.h_levels`` and judges the error
+ratios.  Both build the same ``Report`` and write it to ``cfg.output``.
 
 Determinism: all randomness derives from the config seed through named
 sub-streams, quadrature uses an exact compensated sum, and suites are
@@ -20,9 +29,9 @@ import hashlib
 import json
 import operator
 import time
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -39,7 +48,6 @@ from .actions import (
     gauge_to_zero_jet2,
 )
 from .jets import (
-    Curvature,
     Jet1Gauge,
     Jet2Gauge,
     JetConnection,
@@ -60,7 +68,6 @@ from .jets import (
     jet_connection_of,
     jet_matter_of,
     maurer_cartan_defect,
-    split_jet_connection,
 )
 from .lagrangians import (
     GaugeKind,
@@ -72,7 +79,6 @@ from .lagrangians import (
     covariant_derivative,
     free_velocity_density,
     gauge_density,
-    matter_density_vec,
     mechanics_action,
     minimal_coupling,
     utiyama_factor,
@@ -81,14 +87,12 @@ from .lie_core import (
     AlgebraElement,
     GroupFamily,
     GroupSpec,
-    RepTangent,
     RepVector,
     exp,
     frobenius,
     group_spec,
     multiply,
     random_algebra_entries,
-    rep_act,
     rep_matrix,
     seeded_rng,
 )
@@ -149,6 +153,8 @@ class SuiteConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "SuiteConfig":
+        if not isinstance(data, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
         try:
             kwargs = {}
             if "group" in data:
@@ -216,17 +222,7 @@ class SuiteResult:
     details: dict = dc_field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "max_error": self.max_error,
-            "tolerance": self.tolerance,
-            "convergence_ratios": self.convergence_ratios,
-            "runtime_ms": self.runtime_ms,
-            "claim": self.claim,
-            "mode": self.mode,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -237,12 +233,7 @@ class Report:
     overall: str
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "overall": self.overall,
-            "suites": [s.to_dict() for s in self.suites],
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -256,7 +247,7 @@ class Report:
 
 
 # ---------------------------------------------------------------------------
-# random fiber batches
+# random fiber batches and sampled fields
 
 def _random_group_batch(rng, spec: GroupSpec, shape) -> np.ndarray:
     return exp(AlgebraElement(spec, random_algebra_entries(rng, spec, shape))).entries
@@ -289,6 +280,37 @@ def _random_jet_matter(rng, spec: GroupSpec, n: int, batch: int) -> JetMatter:
     return JetMatter(spec, phi, dphi)
 
 
+def _gauge(rng, spec: GroupSpec, patch: Patch, scale: float = 1.0):
+    """A two-factor gauge family on ``patch``; only building the family draws from ``rng``."""
+    fam = analytic.random_gauge_family(
+        rng, spec, patch.dim, factors=2, scale=scale, wave_scale=scale
+    )
+    return analytic.sample_gauge(patch, spec, fam)
+
+
+def _connection(rng, spec: GroupSpec, patch: Patch, scale: float = 1.0):
+    """A connection family on ``patch``; only building the family draws from ``rng``."""
+    fam = analytic.random_connection_family(rng, spec, patch.dim, scale=scale, wave_scale=scale)
+    return analytic.sample_connection(patch, spec, fam)
+
+
+def _invariant_densities(metric: str) -> dict:
+    """The gauge invariant minimally coupled matter densities, by name."""
+    return {
+        "free": minimal_coupling(MatterLagrangianSpec(MatterKind.FREE), metric=metric),
+        "phi4": minimal_coupling(
+            MatterLagrangianSpec(MatterKind.PHI4, lam=0.5, v=1.0), metric=metric
+        ),
+    }
+
+
+def _broken_density(metric: str):
+    """The minimally coupled negative control: its matter term breaks the symmetry."""
+    return minimal_coupling(
+        MatterLagrangianSpec(MatterKind.BROKEN, c=1.0), metric=metric, allow_noninvariant=True
+    )
+
+
 def _max(arr) -> float:
     arr = np.asarray(arr)
     return float(np.max(arr)) if arr.size else 0.0
@@ -300,45 +322,40 @@ def _interior_max(err_grid: np.ndarray, patch: Patch, margin: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# suite implementations (each returns (max_error, details))
+# suite implementations (each takes the config and returns (max_error, details))
 
-def _suite_jet_group_axioms(cfg: SuiteConfig, patch: Patch):
-    n = patch.dim
+def _suite_jet_group_axioms(cfg: SuiteConfig):
+    n = cfg.patch.dim
+    laws = (
+        ("order1", _random_jet1, jet1_mul, jet1_inv, jet1_unit, jet1_distance),
+        ("order2", _random_jet2, jet2_mul, jet2_inv, jet2_unit, jet2_distance),
+    )
     worst = 0.0
     details = {}
     for fam in ("u1", "su2", "su3"):
         spec = group_spec(fam)
         rng = seeded_rng(cfg.seed, "jet_group_axioms", fam)
-        j, k, l = (_random_jet1(rng, spec, n, AXIOM_BATCH) for _ in range(3))
-        unit = jet1_unit(spec, n, (AXIOM_BATCH,))
-        err1 = max(
-            _max(jet1_distance(jet1_mul(jet1_mul(j, k), l), jet1_mul(j, jet1_mul(k, l)))),
-            _max(jet1_distance(jet1_mul(unit, j), j)),
-            _max(jet1_distance(jet1_mul(j, unit), j)),
-            _max(jet1_distance(jet1_mul(j, jet1_inv(j)), unit)),
-            _max(jet1_distance(jet1_mul(jet1_inv(j), j), unit)),
-        )
-        j2, k2, l2 = (_random_jet2(rng, spec, n, AXIOM_BATCH) for _ in range(3))
-        unit2 = jet2_unit(spec, n, (AXIOM_BATCH,))
-        err2 = max(
-            _max(jet2_distance(jet2_mul(jet2_mul(j2, k2), l2), jet2_mul(j2, jet2_mul(k2, l2)))),
-            _max(jet2_distance(jet2_mul(unit2, j2), j2)),
-            _max(jet2_distance(jet2_mul(j2, unit2), j2)),
-            _max(jet2_distance(jet2_mul(j2, jet2_inv(j2)), unit2)),
-            _max(jet2_distance(jet2_mul(jet2_inv(j2), j2), unit2)),
-        )
-        details[fam] = {"order1": err1, "order2": err2}
-        worst = max(worst, err1, err2)
+        details[fam] = {}
+        for order, random_jet, mul, inv, unit_of, distance in laws:
+            j, k, l = (random_jet(rng, spec, n, AXIOM_BATCH) for _ in range(3))
+            unit = unit_of(spec, n, (AXIOM_BATCH,))
+            err = max(
+                _max(distance(mul(mul(j, k), l), mul(j, mul(k, l)))),
+                _max(distance(mul(unit, j), j)),
+                _max(distance(mul(j, unit), j)),
+                _max(distance(mul(j, inv(j)), unit)),
+                _max(distance(mul(inv(j), j), unit)),
+            )
+            details[fam][order] = err
+            worst = max(worst, err)
     return worst, details
 
 
-def _functoriality_errors(cfg: SuiteConfig, patch: Patch):
-    spec = cfg.group
+def _suite_jet_functoriality(cfg: SuiteConfig):
+    spec, patch = cfg.group, cfg.patch
     rng = seeded_rng(cfg.seed, "jet_functoriality", spec.label())
-    fam1 = analytic.random_gauge_family(rng, spec, patch.dim, factors=2, scale=0.6, wave_scale=0.6)
-    fam2 = analytic.random_gauge_family(rng, spec, patch.dim, factors=2, scale=0.6, wave_scale=0.6)
-    s1 = analytic.sample_gauge(patch, spec, fam1)
-    s2 = analytic.sample_gauge(patch, spec, fam2)
+    s1 = _gauge(rng, spec, patch, scale=0.6)
+    s2 = _gauge(rng, spec, patch, scale=0.6)
     prod = Field(patch, multiply(s1.values.value, s2.values.value))
     lhs1 = jet1_of(prod)
     rhs1 = jet1_mul(jet1_of(s1.values).value, jet1_of(s2.values).value)
@@ -346,17 +363,12 @@ def _functoriality_errors(cfg: SuiteConfig, patch: Patch):
     lhs2 = jet2_of(prod)
     rhs2 = jet2_mul(jet2_of(s1.values).value, jet2_of(s2.values).value)
     err2 = _interior_max(jet2_distance(lhs2.value, rhs2), patch, 2)
-    return err1, err2
-
-
-def _suite_jet_functoriality(cfg: SuiteConfig, patch: Patch):
-    err1, err2 = _functoriality_errors(cfg, patch)
     return max(err1, err2), {"order1": err1, "order2": err2}
 
 
-def _suite_action_axioms(cfg: SuiteConfig, patch: Patch):
+def _suite_action_axioms(cfg: SuiteConfig):
     spec = cfg.group
-    n = patch.dim
+    n = cfg.patch.dim
     rng = seeded_rng(cfg.seed, "action_axioms", spec.label())
     b = AXIOM_BATCH
     j1, k1 = _random_jet1(rng, spec, n, b), _random_jet1(rng, spec, n, b)
@@ -415,12 +427,11 @@ def _suite_action_axioms(cfg: SuiteConfig, patch: Patch):
     return max(errs.values()), errs
 
 
-def _suite_chain_rule_matter(cfg: SuiteConfig, patch: Patch):
-    spec = cfg.group
+def _suite_chain_rule_matter(cfg: SuiteConfig):
+    spec, patch = cfg.group, cfg.patch
     rng = seeded_rng(cfg.seed, "chain_rule_matter", spec.label())
-    gfam = analytic.random_gauge_family(rng, spec, patch.dim, factors=2, scale=0.5, wave_scale=0.5)
+    gs = _gauge(rng, spec, patch, scale=0.5)
     mfam = analytic.random_matter_family(rng, spec, patch.dim, scale=0.8, wave_scale=0.6)
-    gs = analytic.sample_gauge(patch, spec, gfam)
     ms = analytic.sample_matter(patch, spec, mfam)
     r = rep_matrix(gs.values.value)
     moved = Field(
@@ -432,13 +443,11 @@ def _suite_chain_rule_matter(cfg: SuiteConfig, patch: Patch):
     return _interior_max(err_grid, patch, 1), {}
 
 
-def _suite_chain_rule_connection(cfg: SuiteConfig, patch: Patch):
-    spec = cfg.group
+def _suite_chain_rule_connection(cfg: SuiteConfig):
+    spec, patch = cfg.group, cfg.patch
     rng = seeded_rng(cfg.seed, "chain_rule_connection", spec.label())
-    gfam = analytic.random_gauge_family(rng, spec, patch.dim, factors=2, scale=0.4, wave_scale=0.4)
-    cfam = analytic.random_connection_family(rng, spec, patch.dim, scale=0.5, wave_scale=0.5)
-    gs = analytic.sample_gauge(patch, spec, gfam)
-    cs = analytic.sample_connection(patch, spec, cfam)
+    gs = _gauge(rng, spec, patch, scale=0.4)
+    cs = _connection(rng, spec, patch, scale=0.5)
     moved = act_connection(gs.jet1.value, cs.values.value)
     lhs = jet_connection_of(Field(patch, moved))
     rhs = act_jet_connection(jet2_of(gs.values).value, jet_connection_of(cs.values).value)
@@ -449,9 +458,9 @@ def _suite_chain_rule_connection(cfg: SuiteConfig, patch: Patch):
     return _interior_max(err_grid, patch, 2), {}
 
 
-def _suite_curvature_equivariance(cfg: SuiteConfig, patch: Patch):
+def _suite_curvature_equivariance(cfg: SuiteConfig):
     spec = cfg.group
-    n = patch.dim
+    n = cfg.patch.dim
     rng = seeded_rng(cfg.seed, "curvature_equivariance", spec.label(), n)
     jets = _random_jet2(rng, spec, n, EQUIVARIANCE_BATCH)
     jcs = _random_jet_connection(rng, spec, n, EQUIVARIANCE_BATCH)
@@ -459,88 +468,74 @@ def _suite_curvature_equivariance(cfg: SuiteConfig, patch: Patch):
     return _max(defect), {"samples": EQUIVARIANCE_BATCH}
 
 
-def _suite_gauge_to_zero_1(cfg: SuiteConfig, patch: Patch):
+def _suite_gauge_to_zero_1(cfg: SuiteConfig):
     spec = cfg.group
     rng = seeded_rng(cfg.seed, "gauge_to_zero_1", spec.label())
-    cs = analytic.sample_connection(
-        patch, spec, analytic.random_connection_family(rng, spec, patch.dim)
-    )
-    witness = gauge_to_zero_jet1(cs.values.value)
+    A = _connection(rng, spec, cfg.patch).values.value
+    witness = gauge_to_zero_jet1(A)
     err = _max(witness.residual)
-    back = act_connection(jet1_inv(witness.jet), act_connection(witness.jet, cs.values.value))
-    round_trip = _max(frobenius(back.entries - cs.values.value.entries))
-    return max(err, round_trip), {"round_trip": round_trip, "points": patch.npoints}
+    back = act_connection(jet1_inv(witness.jet), act_connection(witness.jet, A))
+    round_trip = _max(frobenius(back.entries - A.entries))
+    return max(err, round_trip), {"round_trip": round_trip, "points": cfg.patch.npoints}
 
 
-def _suite_gauge_to_zero_2(cfg: SuiteConfig, patch: Patch):
+def _suite_gauge_to_zero_2(cfg: SuiteConfig):
     spec = cfg.group
     rng = seeded_rng(cfg.seed, "gauge_to_zero_2", spec.label())
-    cs = analytic.sample_connection(
-        patch, spec, analytic.random_connection_family(rng, spec, patch.dim)
-    )
-    jc: JetConnection = cs.jet.value
+    jc: JetConnection = _connection(rng, spec, cfg.patch).jet.value
     witness = gauge_to_zero_jet2(jc)
     err = _max(witness.residual)
     transformed = witness.transformed
     f = curvature(jc)
-    pairs = curvature_pairs(patch.dim)
     curv_err = 0.0
-    for idx, (mu, nu) in enumerate(pairs):
+    for idx, (mu, nu) in enumerate(curvature_pairs(cfg.patch.dim)):
         anti = transformed.dA[..., mu, nu, :, :] - transformed.dA[..., nu, mu, :, :]
         curv_err = max(curv_err, _max(frobenius(anti - f.comps[..., idx, :, :])))
     return max(err, curv_err), {"residual": err, "antisym_vs_curvature": curv_err}
 
 
-def _suite_minimal_coupling_invariance(cfg: SuiteConfig, patch: Patch):
+def _coupling_data(cfg: SuiteConfig):
+    """Jets, matter jets and potentials shared by the two minimal-coupling suites."""
     spec = cfg.group
-    n = patch.dim
+    n = cfg.patch.dim
     rng = seeded_rng(cfg.seed, "minimal_coupling", spec.label())
     b = COUPLING_BATCH
     jets = _random_jet1(rng, spec, n, b)
     jm = _random_jet_matter(rng, spec, n, b)
     A = AlgebraElement(spec, random_algebra_entries(rng, spec, (b, n)))
-    g = jets.group_element()
+    return jets, jm, A
 
+
+def _suite_minimal_coupling_invariance(cfg: SuiteConfig):
+    jets, jm, A = _coupling_data(cfg)
     phi, dphi = covariant_derivative(A, jm)
     moved_A = act_connection(jets, A)
     moved_jm = act_jet_matter(jets, jm)
     phi2, dphi2 = covariant_derivative(moved_A, moved_jm)
-    r = rep_matrix(g)
+    r = rep_matrix(jets.group_element())
     expect_phi = np.einsum("...ij,...j->...i", r, phi.entries)
     expect_dphi = np.einsum("...ij,...mj->...mi", r, dphi.entries)
     equiv = max(
         _max(np.abs(phi2.entries - expect_phi)), _max(np.abs(dphi2.entries - expect_dphi))
     )
     errs = {"equivariance": equiv}
-    for kind, mspec in (
-        ("free", MatterLagrangianSpec(MatterKind.FREE)),
-        ("phi4", MatterLagrangianSpec(MatterKind.PHI4, lam=0.5, v=1.0)),
-    ):
-        density = minimal_coupling(mspec, metric=cfg.metric)
+    for kind, density in _invariant_densities(cfg.metric).items():
         errs[kind] = _max(np.abs(density(moved_A, moved_jm) - density(A, jm)))
     return max(errs.values()), errs
 
 
-def _suite_minimal_coupling_negative(cfg: SuiteConfig, patch: Patch):
-    spec = cfg.group
-    n = patch.dim
-    rng = seeded_rng(cfg.seed, "minimal_coupling", spec.label())  # same data as positive
-    b = COUPLING_BATCH
-    jets = _random_jet1(rng, spec, n, b)
-    jm = _random_jet_matter(rng, spec, n, b)
-    A = AlgebraElement(spec, random_algebra_entries(rng, spec, (b, n)))
-    density = minimal_coupling(
-        MatterLagrangianSpec(MatterKind.BROKEN, c=1.0), metric=cfg.metric, allow_noninvariant=True
-    )
+def _suite_minimal_coupling_negative(cfg: SuiteConfig):
+    jets, jm, A = _coupling_data(cfg)
+    density = _broken_density(cfg.metric)
     moved = density(act_connection(jets, A), act_jet_matter(jets, jm))
     violation = _max(np.abs(moved - density(A, jm)))
     shortfall = max(0.0, MATTER_VIOLATION - violation)
     return shortfall, {"violation": violation, "required": MATTER_VIOLATION}
 
 
-def _utiyama_pairs(cfg: SuiteConfig, patch: Patch):
+def _utiyama_pairs(cfg: SuiteConfig):
     spec = cfg.group
-    n = patch.dim
+    n = cfg.patch.dim
     rng = seeded_rng(cfg.seed, "utiyama", spec.label())
     jc = _random_jet_connection(rng, spec, n, UTIYAMA_PAIRS)
     shift = random_algebra_entries(rng, spec, (UTIYAMA_PAIRS, n, n))
@@ -549,12 +544,11 @@ def _utiyama_pairs(cfg: SuiteConfig, patch: Patch):
     return jc, jc_shifted
 
 
-def _suite_utiyama_level_sets(cfg: SuiteConfig, patch: Patch):
-    spec = cfg.group
-    n = patch.dim
-    jc, jc_shifted = _utiyama_pairs(cfg, patch)
+def _suite_utiyama_level_sets(cfg: SuiteConfig):
+    n = cfg.patch.dim
+    jc, jc_shifted = _utiyama_pairs(cfg)
     factored = utiyama_factor(
-        lambda f: _curvature_quadratic(f, n, cfg.metric), spec, n, seed=cfg.seed
+        lambda f: _curvature_quadratic(f, n, cfg.metric), cfg.group, n, seed=cfg.seed
     )
     gap = _max(np.abs(factored(jc) - factored(jc_shifted)))
     same_f = _max(
@@ -565,8 +559,8 @@ def _suite_utiyama_level_sets(cfg: SuiteConfig, patch: Patch):
     return max(gap, same_f), {"level_set_gap": gap, "curvature_match": same_f}
 
 
-def _suite_utiyama_negative(cfg: SuiteConfig, patch: Patch):
-    jc, jc_shifted = _utiyama_pairs(cfg, patch)
+def _suite_utiyama_negative(cfg: SuiteConfig):
+    jc, jc_shifted = _utiyama_pairs(cfg)
     spec = GaugeLagrangianSpec(GaugeKind.BROKEN_GAUGE)
     violation = float(
         np.min(np.abs(gauge_density(spec, jc, cfg.metric) - gauge_density(spec, jc_shifted, cfg.metric)))
@@ -575,43 +569,28 @@ def _suite_utiyama_negative(cfg: SuiteConfig, patch: Patch):
     return shortfall, {"min_violation": violation, "required": GAUGE_VIOLATION}
 
 
-def _suite_theorem_ginv1(cfg: SuiteConfig, patch: Patch):
-    spec = cfg.group
+def _suite_theorem_ginv1(cfg: SuiteConfig):
+    spec, patch = cfg.group, cfg.patch
     rng = seeded_rng(cfg.seed, "theorem_ginv1", spec.label())
-    cs = analytic.sample_connection(
-        patch, spec, analytic.random_connection_family(rng, spec, patch.dim)
-    )
+    A = _connection(rng, spec, patch).values.value
     ms = analytic.sample_matter(patch, spec, analytic.random_matter_family(rng, spec, patch.dim))
+    jm = ms.jet.value
     region = patch.interior(1)
     npts = region.npoints
-    A = cs.values.value
-    jm = ms.jet.value
-    densities = {
-        "free": minimal_coupling(MatterLagrangianSpec(MatterKind.FREE), metric=cfg.metric),
-        "phi4": minimal_coupling(
-            MatterLagrangianSpec(MatterKind.PHI4, lam=0.5, v=1.0), metric=cfg.metric
-        ),
-    }
-    broken = minimal_coupling(
-        MatterLagrangianSpec(MatterKind.BROKEN, c=1.0), metric=cfg.metric, allow_noninvariant=True
-    )
-    base_actions = {
-        k: integrate(Field(patch, d(A, jm)), region) for k, d in densities.items()
-    }
+    densities = _invariant_densities(cfg.metric)
+    broken = _broken_density(cfg.metric)
+    base = {k: d(A, jm) for k, d in densities.items()}
+    base_actions = {k: integrate(Field(patch, vals), region) for k, vals in base.items()}
     base_broken = integrate(Field(patch, broken(A, jm)), region)
-    pointwise = 0.0
-    action_err = 0.0
-    broken_violation = 0.0
-    for t in range(GINV_TRANSFORMS):
-        fam = analytic.random_gauge_family(rng, spec, patch.dim, factors=2)
-        gs = analytic.sample_gauge(patch, spec, fam)
-        jet = gs.jet1.value
+    pointwise = action_err = broken_violation = 0.0
+    for _ in range(GINV_TRANSFORMS):
+        jet = _gauge(rng, spec, patch).jet1.value
         A2 = act_connection(jet, A)
         jm2 = act_jet_matter(jet, jm)
         for k, d in densities.items():
-            vals = d(A2, jm2) - densities[k](A, jm)
-            pointwise = max(pointwise, _interior_max(np.abs(vals), patch, 1))
-            s2 = integrate(Field(patch, d(A2, jm2)), region)
+            vals = d(A2, jm2)
+            pointwise = max(pointwise, _interior_max(np.abs(vals - base[k]), patch, 1))
+            s2 = integrate(Field(patch, vals), region)
             action_err = max(action_err, abs(s2 - base_actions[k]))
         sb = integrate(Field(patch, broken(A2, jm2)), region)
         broken_violation = max(broken_violation, abs(sb - base_broken))
@@ -627,30 +606,22 @@ def _suite_theorem_ginv1(cfg: SuiteConfig, patch: Patch):
     }
 
 
-def _suite_theorem_ginv2(cfg: SuiteConfig, patch: Patch):
-    spec = cfg.group
+def _suite_theorem_ginv2(cfg: SuiteConfig):
+    spec, patch = cfg.group, cfg.patch
     rng = seeded_rng(cfg.seed, "theorem_ginv2", spec.label())
-    cs = analytic.sample_connection(
-        patch, spec, analytic.random_connection_family(rng, spec, patch.dim)
-    )
-    jc: JetConnection = cs.jet.value
+    jc: JetConnection = _connection(rng, spec, patch).jet.value
     region = patch.interior(1)
     npts = region.npoints
     ym = GaugeLagrangianSpec(GaugeKind.YANG_MILLS, coupling=1.0)
     broken = GaugeLagrangianSpec(GaugeKind.BROKEN_GAUGE, coupling=1.0)
-    s_base = integrate(Field(patch, gauge_density(ym, jc, cfg.metric)), region)
+    base = gauge_density(ym, jc, cfg.metric)
+    s_base = integrate(Field(patch, base), region)
     s_broken = integrate(Field(patch, gauge_density(broken, jc, cfg.metric)), region)
-    pointwise = 0.0
-    action_err = 0.0
-    broken_violation = 0.0
-    for t in range(GINV_TRANSFORMS):
-        fam = analytic.random_gauge_family(rng, spec, patch.dim, factors=2)
-        gs = analytic.sample_gauge(patch, spec, fam)
-        jc2 = act_jet_connection(gs.jet2.value, jc)
+    pointwise = action_err = broken_violation = 0.0
+    for _ in range(GINV_TRANSFORMS):
+        jc2 = act_jet_connection(_gauge(rng, spec, patch).jet2.value, jc)
         vals = gauge_density(ym, jc2, cfg.metric)
-        pointwise = max(
-            pointwise, _interior_max(np.abs(vals - gauge_density(ym, jc, cfg.metric)), patch, 1)
-        )
+        pointwise = max(pointwise, _interior_max(np.abs(vals - base), patch, 1))
         action_err = max(action_err, abs(integrate(Field(patch, vals), region) - s_base))
         sb = integrate(Field(patch, gauge_density(broken, jc2, cfg.metric)), region)
         broken_violation = max(broken_violation, abs(sb - s_broken))
@@ -667,31 +638,25 @@ def _suite_theorem_ginv2(cfg: SuiteConfig, patch: Patch):
     }
 
 
-def _suite_mechanics_reduction(cfg: SuiteConfig, patch: Patch):
+def _suite_mechanics_reduction(cfg: SuiteConfig):
     spec = cfg.group
-    line = patch if patch.dim == 1 else default_patch(1)
+    line = cfg.patch if cfg.patch.dim == 1 else default_patch(1)
     rng = seeded_rng(cfg.seed, "mechanics", spec.label())
     jc = _random_jet_connection(rng, spec, 1, 8)
     if curvature(jc).comps.size != 0:
         return float("inf"), {"curvature_components": int(curvature(jc).comps.size)}
     ms = analytic.sample_matter(line, spec, analytic.random_matter_family(rng, spec, 1))
-    gs = analytic.sample_gauge(
-        line, spec, analytic.random_gauge_family(rng, spec, 1, factors=2)
-    )
-    cs = analytic.sample_connection(
-        line, spec, analytic.random_connection_family(rng, spec, 1)
-    )
+    jet = _gauge(rng, spec, line).jet1.value
+    A = _connection(rng, spec, line).values.value
     interval = line.interior(1)
     jm = ms.jet.value
-    jet = gs.jet1.value
     jm_moved = act_jet_matter(jet, jm)
 
     s_plain = mechanics_action(free_velocity_density, ms.jet, interval)
     s_plain_moved = mechanics_action(free_velocity_density, ms.jet.with_value(jm_moved), interval)
     violation = abs(s_plain_moved - s_plain)
 
-    coupled = minimal_coupling(MatterLagrangianSpec(MatterKind.FREE), metric=cfg.metric)
-    A = cs.values.value
+    coupled = _invariant_densities(cfg.metric)["free"]
     A_moved = act_connection(jet, A)
     s_cov = integrate(Field(line, coupled(A, jm)), interval)
     s_cov_moved = integrate(Field(line, coupled(A_moved, jm_moved)), interval)
@@ -704,158 +669,164 @@ def _suite_mechanics_reduction(cfg: SuiteConfig, patch: Patch):
     }
 
 
-def _suite_maurer_cartan(cfg: SuiteConfig, patch: Patch):
-    spec = cfg.group
+def _suite_maurer_cartan(cfg: SuiteConfig):
+    spec, patch = cfg.group, cfg.patch
     rng = seeded_rng(cfg.seed, "maurer_cartan", spec.label())
-    fam = analytic.random_gauge_family(rng, spec, patch.dim, factors=2, scale=0.6, wave_scale=0.6)
-    gs = analytic.sample_gauge(patch, spec, fam)
+    gs = _gauge(rng, spec, patch, scale=0.6)
     defect = maurer_cartan_defect(jet1_of(gs.values))
     return _interior_max(defect.value, patch, 2), {}
 
 
 @dataclass(frozen=True)
 class SuiteDef:
-    fn: Callable
+    fn: Callable[[SuiteConfig], tuple[float, dict]]
     claim: str
-    tol: Callable[[float], float]  # default tolerance given the grid spacing h
+    bound: float  # the tolerance, or its h^2 coefficient for fd suites
     fd: bool = False  # error scales as O(h^2)
 
-
-def _const(x: float) -> Callable[[float], float]:
-    return lambda h: x
+    def tol(self, h: float) -> float:
+        """Default tolerance at grid spacing h."""
+        return self.bound * h * h if self.fd else self.bound
 
 
 SUITES: dict[str, SuiteDef] = {
     "jet_group_axioms": SuiteDef(
         _suite_jet_group_axioms,
         "first- and second-order gauge jets form groups: associativity, unit, inverses",
-        _const(1e-12),
+        1e-12,
     ),
     "jet_functoriality": SuiteDef(
         _suite_jet_functoriality,
         "the jet of a pointwise product of group-valued fields is the product of their jets",
-        lambda h: 50 * h * h,
+        50.0,
         fd=True,
     ),
     "action_axioms": SuiteDef(
         _suite_action_axioms,
         "unit jets act trivially and jet products act by composition on every carrier",
-        _const(1e-12),
+        1e-12,
     ),
     "chain_rule_matter": SuiteDef(
         _suite_chain_rule_matter,
         "the jet-level matter action matches derivatives of the pointwise-transformed field",
-        lambda h: 10 * h * h,
+        10.0,
         fd=True,
     ),
     "chain_rule_connection": SuiteDef(
         _suite_chain_rule_connection,
         "the jet-level potential action matches derivatives of the transformed potential",
-        lambda h: 50 * h * h,
+        50.0,
         fd=True,
     ),
     "curvature_equivariance": SuiteDef(
         _suite_curvature_equivariance,
         "the curvature of a transformed connection jet is the conjugated curvature",
-        _const(1e-10),
+        1e-10,
     ),
     "gauge_to_zero_1": SuiteDef(
         _suite_gauge_to_zero_1,
         "a first-order jet gauges any potential value to zero at every fiber",
-        _const(1e-12),
+        1e-12,
     ),
     "gauge_to_zero_2": SuiteDef(
         _suite_gauge_to_zero_2,
         "a second-order jet kills the potential and symmetric derivative, leaving half the "
         "field strength in the antisymmetric slot",
-        _const(1e-12),
+        1e-12,
     ),
     "minimal_coupling_invariance": SuiteDef(
         _suite_minimal_coupling_invariance,
         "covariant derivatives are equivariant, so minimally coupled densities are pointwise "
         "gauge invariant",
-        _const(1e-12),
+        1e-12,
     ),
     "minimal_coupling_negative": SuiteDef(
         _suite_minimal_coupling_negative,
         "a non-invariant matter term breaks gauge invariance of the coupled density "
         "(negative control)",
-        _const(1e-15),
+        1e-15,
     ),
     "utiyama_level_sets": SuiteDef(
         _suite_utiyama_level_sets,
         "densities factored through the curvature map are constant on equal-curvature jets",
-        _const(1e-12),
+        1e-12,
     ),
     "utiyama_negative": SuiteDef(
         _suite_utiyama_negative,
         "a density reading the symmetric derivative separates equal-curvature jets "
         "(negative control)",
-        _const(1e-15),
+        1e-15,
     ),
     "theorem_ginv1": SuiteDef(
         _suite_theorem_ginv1,
         "matter action integrals over compact regions are invariant under sampled gauge "
         "transformations exactly when the density is jet-invariant",
-        _const(1e-12),
+        1e-12,
     ),
     "theorem_ginv2": SuiteDef(
         _suite_theorem_ginv2,
         "gauge-field action integrals are invariant under second-order jet transformations "
         "exactly when the density is jet-invariant",
-        _const(1e-12),
+        1e-12,
     ),
     "mechanics_reduction": SuiteDef(
         _suite_mechanics_reduction,
         "on a one-dimensional base the field strength is empty and only the covariantized "
         "action survives time-dependent transformations",
-        _const(1e-10),
+        1e-10,
     ),
     "maurer_cartan": SuiteDef(
         _suite_maurer_cartan,
         "right-trivialized derivatives of sampled group fields satisfy the flatness identity",
-        lambda h: 50 * h * h,
+        50.0,
         fd=True,
     ),
 }
 
 
-def _tolerance(cfg: SuiteConfig, name: str, patch: Patch) -> float:
-    if name in cfg.tolerances:
-        return float(cfg.tolerances[name])
-    return SUITES[name].tol(max(patch.spacing))
-
-
-def run_suite(cfg: SuiteConfig, name: str) -> SuiteResult:
+def _lookup(name: str) -> SuiteDef:
     if name not in SUITES:
         raise UnknownSuiteError(f"unknown suite {name!r}")
-    suite = SUITES[name]
-    patch = cfg.patch
-    tol = _tolerance(cfg, name, patch)
-    start = time.perf_counter()
-    err, details = suite.fn(cfg, patch)
+    return SUITES[name]
+
+
+def _result(
+    cfg: SuiteConfig,
+    name: str,
+    h: float,
+    start: float,
+    max_error: float,
+    details: dict,
+    ok: bool = True,
+    mode: str = "check",
+    ratios: Sequence[float] = (),
+) -> SuiteResult:
+    """Judge ``max_error`` against the suite's tolerance at spacing ``h``.
+
+    A suite passes when its ratio study (if any) is ``ok`` and either it is
+    exact at machine epsilon or ``max_error`` is within the tolerance.
+    """
     runtime = (time.perf_counter() - start) * 1000.0
-    status = "pass" if err <= tol else "fail"
+    tol = float(cfg.tolerances[name]) if name in cfg.tolerances else SUITES[name].tol(h)
+    passed = ok and (mode == "exact" or max_error <= tol)
     return SuiteResult(
         name=name,
-        status=status,
-        max_error=float(err),
+        status="pass" if passed else "fail",
+        max_error=max_error,
         tolerance=tol,
-        convergence_ratios=[],
+        convergence_ratios=list(ratios),
         runtime_ms=runtime,
-        claim=suite.claim,
+        claim=SUITES[name].claim,
+        mode=mode,
         details=details,
     )
 
 
-def run(cfg: SuiteConfig) -> Report:
-    """Execute the configured suites deterministically and build a report."""
-    results = [run_suite(cfg, n) for n in cfg.suites]
-    overall = "pass" if all(r.status == "pass" for r in results) else "fail"
-    report = Report(seed=cfg.seed, config_hash=cfg.config_hash(), suites=results, overall=overall)
-    if cfg.output:
-        report.write(cfg.output)
-    return report
+def run_suite(cfg: SuiteConfig, name: str) -> SuiteResult:
+    suite = _lookup(name)
+    start = time.perf_counter()
+    err, details = suite.fn(cfg)
+    return _result(cfg, name, max(cfg.patch.spacing), start, float(err), details)
 
 
 def ratio_study(errors: list[float]) -> tuple[str, list[float], bool]:
@@ -881,34 +852,38 @@ def convergence_study(cfg: SuiteConfig, name: str) -> SuiteResult:
 
     The configured patch defines the domain at its own spacing; each level
     resamples it at spacing h.  Pass requires every error ratio per halving
-    inside [3.5, 4.5], unless the suite is exact at machine epsilon.
+    inside [3.5, 4.5], unless the suite is exact at machine epsilon.  In
+    ratio mode the errors then fall, so the largest, at the first level, is
+    judged against the tolerance at that level's spacing.
     """
-    if name not in SUITES:
-        raise UnknownSuiteError(f"unknown suite {name!r}")
+    suite = _lookup(name)
     if len(cfg.h_levels) < 2:
         raise ConfigError("convergence studies need at least two h levels")
-    suite = SUITES[name]
     start = time.perf_counter()
-    errors = []
-    for h in cfg.h_levels:
-        patch = cfg.patch.refined(h)
-        err, _ = suite.fn(replace(cfg, patch=patch), patch)
-        errors.append(float(err))
-    runtime = (time.perf_counter() - start) * 1000.0
+    errors = [float(suite.fn(replace(cfg, patch=cfg.patch.refined(h)))[0])
+              for h in cfg.h_levels]
     mode, ratios, ok = ratio_study(errors)
-    tol = _tolerance(cfg, name, cfg.patch.refined(cfg.h_levels[0]))
-    status = "pass" if (ok and (mode == "exact" or errors[0] <= tol)) else "fail"
-    return SuiteResult(
-        name=name,
-        status=status,
-        max_error=max(errors),
-        tolerance=tol,
-        convergence_ratios=ratios,
-        runtime_ms=runtime,
-        claim=suite.claim,
-        mode=mode,
-        details={"errors": errors, "h_levels": list(cfg.h_levels)},
-    )
+    details = {"errors": errors, "h_levels": list(cfg.h_levels)}
+    return _result(cfg, name, cfg.h_levels[0], start, max(errors), details, ok, mode, ratios)
+
+
+def _report(cfg: SuiteConfig, results: list[SuiteResult]) -> Report:
+    overall = "pass" if all(r.status == "pass" for r in results) else "fail"
+    report = Report(seed=cfg.seed, config_hash=cfg.config_hash(), suites=results, overall=overall)
+    if cfg.output:
+        report.write(cfg.output)
+    return report
+
+
+def run(cfg: SuiteConfig) -> Report:
+    """Execute the configured suites deterministically and build a report."""
+    return _report(cfg, [run_suite(cfg, n) for n in cfg.suites])
+
+
+def converge(cfg: SuiteConfig) -> Report:
+    """Convergence studies of the configured suites, or of every fd suite if none is set."""
+    names = cfg.suites or tuple(n for n, s in SUITES.items() if s.fd)
+    return _report(cfg, [convergence_study(cfg, n) for n in names])
 
 
 __all__ = [
@@ -922,4 +897,5 @@ __all__ = [
     "run_suite",
     "ratio_study",
     "convergence_study",
+    "converge",
 ]

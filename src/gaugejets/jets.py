@@ -288,7 +288,7 @@ def jet1_of(gfield: Field) -> Field:
     """First-order jet of a group-valued field via central differences.
 
     The derivative slot a_mu = (D_mu g) g^dag is off the algebra by O(h^2),
-    so the result is flagged numerical and built without structural checks.
+    so the result is built without structural checks.
     """
     v = _require_field(gfield, GroupElement, "jet1_of")
     p = gfield.patch
@@ -296,7 +296,7 @@ def jet1_of(gfield: Field) -> Field:
     dg = np.stack([central_diff(g, mu, p.spacing[mu]) for mu in range(p.dim)], axis=-3)
     a = dg @ dagger(g)[..., None, :, :]
     jet = _trusted(Jet1Gauge, v.spec, g, a)
-    return Field(p, jet, margin=gfield.margin + 1, numerical=True, h=max(p.spacing))
+    return Field(p, jet, margin=gfield.margin + 1)
 
 
 def jet2_of(gfield: Field) -> Field:
@@ -309,7 +309,7 @@ def jet2_of(gfield: Field) -> Field:
     )
     s = 0.5 * (da + np.swapaxes(da, -4, -3))
     jet = _trusted(Jet2Gauge, jet1.spec, jet1.g, jet1.a, s)
-    return Field(p, jet, margin=gfield.margin + 2, numerical=True, h=max(p.spacing))
+    return Field(p, jet, margin=gfield.margin + 2)
 
 
 def jet_matter_of(phifield: Field) -> Field:
@@ -320,7 +320,7 @@ def jet_matter_of(phifield: Field) -> Field:
         [central_diff(v.entries, mu, p.spacing[mu]) for mu in range(p.dim)], axis=-2
     )
     jet = JetMatter(v.spec, v.entries, dphi)
-    return Field(p, jet, margin=phifield.margin + 1, numerical=True, h=max(p.spacing))
+    return Field(p, jet, margin=phifield.margin + 1)
 
 
 def jet_connection_of(afield: Field) -> Field:
@@ -338,7 +338,7 @@ def jet_connection_of(afield: Field) -> Field:
         [central_diff(v.entries, mu, p.spacing[mu]) for mu in range(p.dim)], axis=-4
     )
     jet = _trusted(JetConnection, v.spec, v.entries, dA)
-    return Field(p, jet, margin=afield.margin + 1, numerical=True, h=max(p.spacing))
+    return Field(p, jet, margin=afield.margin + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +458,7 @@ def maurer_cartan_defect(j1field: Field) -> Field:
             d = da[..., mu, nu, :, :] - da[..., nu, mu, :, :] - (amu @ anu - anu @ amu)
             norms.append(frobenius(d))
         defect = np.max(np.stack(norms, axis=-1), axis=-1)
-    return Field(p, defect, margin=j1field.margin + 1, numerical=True, h=max(p.spacing))
+    return Field(p, defect, margin=j1field.margin + 1)
 
 
 __all__ = [

@@ -94,39 +94,18 @@ def _flatten(field: Field) -> tuple[np.ndarray, GroupSpec | None]:
     if kind == "scalar":
         return np.asarray(v, dtype=np.complex128).reshape(npts, 1), None
     spec = v.spec
-    n = field.patch.dim
-    if kind == "group":
-        payload = v.entries.reshape(npts, -1)
-    elif kind == "algebra":
-        payload = v.entries.reshape(npts, -1)
-    elif kind == "connection":
-        payload = v.entries.reshape(npts, -1)
-    elif kind == "matter":
-        payload = v.entries.reshape(npts, -1)
-    elif kind == "jet1-gauge":
-        payload = np.concatenate(
-            [v.g.reshape(npts, -1), v.a.reshape(npts, -1)], axis=1
-        )
+    if kind == "jet1-gauge":
+        parts = [v.g, v.a]
     elif kind == "jet2-gauge":
-        s_packed = np.stack(
-            [v.s[..., mu, nu, :, :] for mu, nu in _sym_pairs(n)], axis=-3
-        )
-        payload = np.concatenate(
-            [v.g.reshape(npts, -1), v.a.reshape(npts, -1), s_packed.reshape(npts, -1)],
-            axis=1,
-        )
+        pairs = _sym_pairs(field.patch.dim)
+        parts = [v.g, v.a, np.stack([v.s[..., mu, nu, :, :] for mu, nu in pairs], axis=-3)]
     elif kind == "jet-connection":
-        payload = np.concatenate(
-            [v.A.reshape(npts, -1), v.dA.reshape(npts, -1)], axis=1
-        )
+        parts = [v.A, v.dA]
     elif kind == "jet-matter":
-        payload = np.concatenate(
-            [v.phi.reshape(npts, -1), v.dphi.reshape(npts, -1)], axis=1
-        )
-    elif kind == "curvature":
-        payload = v.comps.reshape(npts, -1)
-    else:  # pragma: no cover - value_kind already rejects unknowns
-        raise FormatError(f"unknown value kind {kind}")
+        parts = [v.phi, v.dphi]
+    else:  # group, algebra, connection, matter and curvature are one array
+        parts = [v.comps if kind == "curvature" else v.entries]
+    payload = np.concatenate([x.reshape(npts, -1) for x in parts], axis=1)
     return np.ascontiguousarray(payload, dtype=np.complex128), spec
 
 

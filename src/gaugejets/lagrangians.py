@@ -35,6 +35,9 @@ from .lie_core import (
 from .jets import Curvature, JetConnection, JetMatter, curvature, split_jet_connection
 from .patch import Field, Region, integrate
 
+UTIYAMA_PROBES = 64  # random curvature samples in the conjugation-invariance probe
+UTIYAMA_TOL = 1e-10  # largest density change under conjugation the probe accepts
+
 
 class MatterKind(str, enum.Enum):
     FREE = "free"
@@ -201,8 +204,6 @@ def utiyama_factor(
     spec: GroupSpec,
     n_axes: int,
     seed: int = 0,
-    probes: int = 64,
-    tol: float = 1e-10,
 ) -> FactoredGaugeDensity:
     """Lift a conjugation-invariant curvature density to the connection jet.
 
@@ -216,14 +217,15 @@ def utiyama_factor(
 
     n_pairs = len(curvature_pairs(n_axes))
     rng = seeded_rng(seed, "utiyama-probe", spec.label(), n_axes)
-    comps = random_algebra_entries(rng, spec, (probes, max(n_pairs, 0)))
+    comps = random_algebra_entries(rng, spec, (UTIYAMA_PROBES, max(n_pairs, 0)))
     f = Curvature(spec, n_axes, comps)
-    g = lie_exp(AlgebraElement(spec, random_algebra_entries(rng, spec, (probes,))))
+    g = lie_exp(AlgebraElement(spec, random_algebra_entries(rng, spec, (UTIYAMA_PROBES,))))
     moved = act_curvature(g, f)
     defect = np.max(np.abs(np.asarray(curvature_density(moved)) - np.asarray(curvature_density(f))))
-    if defect > tol:
+    if defect > UTIYAMA_TOL:
         raise ValueError(
-            f"curvature density is not conjugation invariant (defect {defect:.3e} > {tol:g}); "
+            "curvature density is not conjugation invariant "
+            f"(defect {defect:.3e} > {UTIYAMA_TOL:g}); "
             "it does not define a gauge invariant density on connection jets"
         )
     return FactoredGaugeDensity(curvature_density)

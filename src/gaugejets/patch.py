@@ -3,9 +3,8 @@
 A Patch is an n-dimensional grid (1 <= n <= 4) with per-axis spacing.  A
 Field ties a batched fiber value (grid axes leading) to a patch together
 with a ``margin``: the number of boundary layers whose values are invalid,
-as produced by interior-only central differences.  Finite-difference data
-is flagged ``numerical`` and carries the spacing it was computed at so
-callers can scale tolerances as C * h^2.
+as produced by interior-only central differences.  The spacing a
+finite-difference value was computed at is the patch's own.
 """
 
 from __future__ import annotations
@@ -138,8 +137,6 @@ class Field:
     patch: Patch
     value: Any
     margin: int = 0
-    numerical: bool = False
-    h: float | None = None
 
     def __post_init__(self):
         batch = getattr(self.value, "batch_shape", None)
@@ -154,14 +151,8 @@ class Field:
                 f"field value batch shape {batch} does not match patch extent {self.patch.extent}"
             )
 
-    def with_value(self, value, margin: int | None = None, numerical: bool | None = None) -> "Field":
-        return Field(
-            self.patch,
-            value,
-            self.margin if margin is None else margin,
-            self.numerical if numerical is None else numerical,
-            self.h,
-        )
+    def with_value(self, value) -> "Field":
+        return Field(self.patch, value, self.margin)
 
     def interior(self, extra: int = 0) -> Region:
         return self.patch.interior(max(1, self.margin + extra))
@@ -211,7 +202,7 @@ def partial(f: Field, mu: int) -> Field:
         out = central_diff(v.entries, mu, h)
     else:
         raise TypeError(f"cannot differentiate a field of {type(v).__name__}")
-    return Field(p, out, margin=f.margin + 1, numerical=True, h=max(p.spacing))
+    return Field(p, out, margin=f.margin + 1)
 
 
 def integrate(density: Field, region: Region) -> float:

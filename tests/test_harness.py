@@ -76,8 +76,11 @@ class TestConfig:
             {"tolerances": {"not_a_suite": 1e-12}},
             {"tolerances": [1e-12]},
             {"group": "su2"},
+            [1, 2],
+            "su2",
         ],
-        ids=["metric", "seed", "tolerance-key", "tolerance-list", "group-string"],
+        ids=["metric", "seed", "tolerance-key", "tolerance-list", "group-string",
+             "top-level-list", "top-level-string"],
     )
     def test_bad_values_rejected(self, bad, tmp_path, capsys):
         with pytest.raises(ConfigError):
