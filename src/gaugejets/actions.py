@@ -33,6 +33,7 @@ from .lie_core import (
     ad,
     check_same_group,
     frobenius,
+    mm,
     rep_act,
     rep_algebra_matrix,
     rep_matrix,
@@ -95,9 +96,8 @@ def act_jet_connection(jet: Jet2Gauge, jc: JetConnection) -> JetConnection:
     adA = ad(jet.g, jc.A)
     A_out = adA - jet.a
     addA = ad(jet.g, jc.dA)
-    cross = np.einsum("...mij,...njk->...mnik", jet.a, adA) - np.einsum(
-        "...nij,...mjk->...mnik", adA, jet.a
-    )
+    am, an = jet.a[..., :, None, :, :], adA[..., None, :, :, :]
+    cross = mm(am, an) - mm(an, am)
     dA_out = addA + cross - jet.da()
     return _trusted(JetConnection, jc.spec, A_out, dA_out)
 

@@ -129,7 +129,13 @@ class SuiteConfig:
     metric: str = "euclidean"
 
     def __post_init__(self):
+        if not isinstance(self.suites, (list, tuple)) or not all(
+            isinstance(name, str) for name in self.suites
+        ):
+            raise ConfigError(f"suites must be a list of suite names, got {self.suites!r}")
         object.__setattr__(self, "suites", tuple(self.suites))
+        if self.output is not None and not isinstance(self.output, str):
+            raise ConfigError(f"output must be a path string, got {self.output!r}")
         try:
             object.__setattr__(self, "seed", operator.index(self.seed))
         except TypeError:

@@ -43,6 +43,7 @@ from .lie_core import (
     check_same_group,
     dagger,
     frobenius,
+    mm,
 )
 from .patch import Field, central_diff
 
@@ -136,7 +137,7 @@ class Jet2Gauge:
     def da(self) -> np.ndarray:
         """Full derivative of a, recovered from the flatness identity:
         d_mu a_nu = s_munu + (1/2) [a_mu, a_nu]."""
-        comm = np.einsum("...mij,...njk->...mnik", self.a, self.a)
+        comm = mm(self.a[..., :, None, :, :], self.a[..., None, :, :, :])
         comm = comm - np.swapaxes(comm, -4, -3)
         return self.s + 0.5 * comm
 
@@ -294,7 +295,7 @@ def jet1_of(gfield: Field) -> Field:
     p = gfield.patch
     g = v.entries
     dg = np.stack([central_diff(g, mu, p.spacing[mu]) for mu in range(p.dim)], axis=-3)
-    a = dg @ dagger(g)[..., None, :, :]
+    a = mm(dg, dagger(g)[..., None, :, :])
     jet = _trusted(Jet1Gauge, v.spec, g, a)
     return Field(p, jet, margin=gfield.margin + 1)
 
@@ -365,7 +366,7 @@ def _check_jets(left, right) -> None:
 def jet1_mul(left: Jet1Gauge, right: Jet1Gauge) -> Jet1Gauge:
     """(g, a) (h, b) = (g h, a + Ad(g) b)."""
     _check_jets(left, right)
-    g = left.g @ right.g
+    g = mm(left.g, right.g)
     a = left.a + ad(left.g, right.a)
     return _trusted(Jet1Gauge, left.spec, g, a)
 
@@ -379,13 +380,19 @@ def jet1_inv(jet: Jet1Gauge) -> Jet1Gauge:
 def jet2_mul(left: Jet2Gauge, right: Jet2Gauge) -> Jet2Gauge:
     """Second-order product; see the module docstring for the closed form."""
     _check_jets(left, right)
-    g = left.g @ right.g
+    g = mm(left.g, right.g)
     adb = ad(left.g, right.a)
     a = left.a + adb
-    cross = np.einsum("...mij,...njk->...mnik", left.a, adb) - np.einsum(
-        "...nij,...mjk->...mnik", adb, left.a
-    )
-    s = left.s + ad(left.g, right.s) + 0.5 * (cross + np.swapaxes(cross, -4, -3))
+    # Accumulated in place, so no more than a few s-sized arrays live at
+    # once; symmetrized once, as x + x^T, so s is exactly symmetric in
+    # (mu, nu), as the Jet2Gauge constructor requires.
+    am, bn = left.a[..., :, None, :, :], adb[..., None, :, :, :]
+    s = ad(left.g, right.s)
+    s += left.s
+    s += mm(am, bn)
+    s -= mm(bn, am)
+    s = s + np.swapaxes(s, -4, -3)
+    s *= 0.5
     return _trusted(Jet2Gauge, left.spec, g, a, s)
 
 
@@ -431,7 +438,7 @@ def curvature(jc: JetConnection) -> Curvature:
         amu = jc.A[..., mu, :, :]
         anu = jc.A[..., nu, :, :]
         comps[..., idx, :, :] = (
-            jc.dA[..., mu, nu, :, :] - jc.dA[..., nu, mu, :, :] + amu @ anu - anu @ amu
+            jc.dA[..., mu, nu, :, :] - jc.dA[..., nu, mu, :, :] + mm(amu, anu) - mm(anu, amu)
         )
     return _trusted(Curvature, jc.spec, n, comps)
 
@@ -455,7 +462,7 @@ def maurer_cartan_defect(j1field: Field) -> Field:
         for mu, nu in pairs:
             amu = jet.a[..., mu, :, :]
             anu = jet.a[..., nu, :, :]
-            d = da[..., mu, nu, :, :] - da[..., nu, mu, :, :] - (amu @ anu - anu @ amu)
+            d = da[..., mu, nu, :, :] - da[..., nu, mu, :, :] - (mm(amu, anu) - mm(anu, amu))
             norms.append(frobenius(d))
         defect = np.max(np.stack(norms, axis=-1), axis=-1)
     return Field(p, defect, margin=j1field.margin + 1)

@@ -78,9 +78,11 @@ class TestConfig:
             {"group": "su2"},
             [1, 2],
             "su2",
+            {"output": 5, "suites": ["action_axioms"]},
+            {"suites": "action_axioms"},
         ],
         ids=["metric", "seed", "tolerance-key", "tolerance-list", "group-string",
-             "top-level-list", "top-level-string"],
+             "top-level-list", "top-level-string", "output-number", "suites-string"],
     )
     def test_bad_values_rejected(self, bad, tmp_path, capsys):
         with pytest.raises(ConfigError):
@@ -90,6 +92,11 @@ class TestConfig:
         assert cli_main(["run", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_suites_string_is_not_split(self):
+        # a bare string must not be read as a sequence of one-letter suite names
+        with pytest.raises(ConfigError, match="suites must be a list"):
+            SuiteConfig.from_dict({"suites": "action_axioms"})
 
 
 class TestRun:

@@ -1,4 +1,5 @@
-"""Source hygiene: every module uses each name it imports.
+"""Source hygiene: every module uses each name it imports, and the fiber
+modules multiply matrices through one kernel.
 
 No linter ships with the test dependencies, so this AST scan stands in for
 the unused-import check: a name counts as used when the module reads it
@@ -61,3 +62,15 @@ def test_no_unused_imports(path):
         f"{name} (line {line})" for name, line in _imported(tree).items() if name not in used
     )
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("name", ["lie_core.py", "jets.py", "actions.py"])
+def test_fiber_products_use_mm(name):
+    """Fiber-matrix products go through ``lie_core.mm``, never the ``@`` operator."""
+    tree = ast.parse((SRC / name).read_text(), filename=name)
+    lines = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    )
+    assert not lines, f"{name} uses @ on lines {lines}; use lie_core.mm"

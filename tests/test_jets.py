@@ -1,5 +1,7 @@
 """Jet types, jet group laws, connection-jet decomposition, curvature."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from gaugejets.analytic import (
     ProductGauge,
     SingleGenerator,
     Sinusoid,
+    random_gauge_family,
     sample_gauge,
 )
 from gaugejets.jets import (
@@ -46,6 +49,7 @@ from gaugejets.patch import Field, Patch
 SU2 = group_spec("su2")
 SU3 = group_spec("su3")
 U1 = group_spec("u1")
+SU4 = group_spec("sun", 4)
 
 
 def random_jet1(seed, spec, n, batch=()):
@@ -147,6 +151,30 @@ class TestJetGroupLaws:
         lhs = jet1_inv(jet1_mul(j, k))
         rhs = jet1_mul(jet1_inv(k), jet1_inv(j))
         assert np.max(jet1_distance(lhs, rhs)) < 1e-13
+
+    @given(st.sampled_from([U1, SU2, SU3, SU4]), st.integers(1, 4), st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_second_order_results_exactly_symmetric(self, spec, n, seed):
+        x = random_jet2(seed, spec, n, (8,))
+        y = random_jet2(seed + 1, spec, n, (8,))
+        family = random_gauge_family(seeded_rng(seed, "test-sym", spec.label()), spec, n, factors=3)
+        sampled = sample_gauge(Patch((5,) * n, spacing=0.2), spec, family).jet2.value
+        for jet in (jet2_mul(x, y), jet2_inv(x), sampled):
+            assert np.array_equal(jet.s, np.swapaxes(jet.s, -4, -3))
+            Jet2Gauge(spec, jet.g, jet.a, jet.s)  # the public constructor accepts it
+
+    def test_jet2_mul_peak_memory(self):
+        # su3, n = 4, 1000 points: the product may hold at most four s-sized arrays
+        x = random_jet2(10, SU3, 4, (1000,))
+        y = random_jet2(11, SU3, 4, (1000,))
+        jet2_mul(x, y)
+        tracemalloc.start()
+        try:
+            out = jet2_mul(x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * out.s.nbytes
 
 
 class TestJetsOfSampledFields:

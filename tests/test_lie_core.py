@@ -19,10 +19,12 @@ from gaugejets.lie_core import (
     algebra_from_coords,
     algebra_inner,
     bracket,
+    dagger,
     exp,
     frobenius,
     fundamental_vector_field,
     group_spec,
+    mm,
     multiply,
     random_algebra_element,
     random_group_element,
@@ -36,6 +38,8 @@ from gaugejets.lie_core import (
 SU2 = group_spec("su2")
 SU3 = group_spec("su3")
 U1 = group_spec("u1")
+SU4 = group_spec("sun", 4)
+EPS = np.finfo(np.float64).eps
 
 PAULI = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -179,6 +183,48 @@ class TestAdjoint:
         lhs = adjoint(g, bracket(x, y))
         rhs = bracket(adjoint(g, x), adjoint(g, y))
         assert np.max(np.abs(lhs.entries - rhs.entries)) < 1e-12
+
+
+def random_matrices(seed, shape):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def assert_matches_matmul(got, a, b):
+    """mm against ``@`` under the elementwise roundoff model of a complex
+    N-term inner product: each side is within (N + 2) eps |a||b| of the
+    exact product, so they differ by at most twice that."""
+    n = a.shape[-1]
+    want = a @ b
+    assert got.shape == want.shape
+    bound = 2 * (n + 2) * EPS * (np.abs(a) @ np.abs(b))
+    assert np.all(np.abs(got - want) <= bound)
+
+
+class TestMatrixProduct:
+    @pytest.mark.parametrize("spec", [U1, SU2, SU3, SU4], ids=lambda s: s.label())
+    def test_matches_matmul(self, spec):
+        a = random_matrices(1, (64, spec.n, spec.n))
+        b = random_matrices(2, (64, spec.n, spec.n))
+        assert_matches_matmul(mm(a, b), a, b)
+
+    @pytest.mark.parametrize("spec", [U1, SU2, SU3, SU4], ids=lambda s: s.label())
+    def test_broadcasts_over_stack_axes(self, spec):
+        # g (B, N, N) against x (B, n, n, N, N), as in conjugating second-order jets
+        g = random_matrices(3, (16, spec.n, spec.n))[:, None, None]
+        x = random_matrices(4, (16, 3, 3, spec.n, spec.n))
+        assert_matches_matmul(mm(g, x), g, x)
+        assert_matches_matmul(mm(x, g), x, g)
+
+    @pytest.mark.parametrize("spec", [U1, SU2, SU3, SU4], ids=lambda s: s.label())
+    def test_non_contiguous_inputs(self, spec):
+        m = random_matrices(5, (16, 3, 3, spec.n, spec.n))
+        views = [dagger(m), np.swapaxes(m, -4, -3), m[:, ::2, 1:]]
+        for a in views:
+            assert not a.flags.c_contiguous or spec.n == 1  # a 1 x 1 dagger is contiguous
+            b = random_matrices(6, a.shape)
+            assert_matches_matmul(mm(a, b), a, b)
+            assert_matches_matmul(mm(b, a), b, a)
 
 
 class TestBasis:
