@@ -35,8 +35,7 @@ from .lie_core import (
     frobenius,
     mm,
     rep_act,
-    rep_algebra_matrix,
-    rep_matrix,
+    tangent_act,
 )
 from .jets import (
     Curvature,
@@ -64,16 +63,13 @@ def act_variation(g: GroupElement, v: Variation) -> Variation:
 
 
 def act_jet_matter(jet: Jet1Gauge, jm: JetMatter) -> JetMatter:
-    """Leibniz rule: value g.phi, derivative g.(d_mu phi) + a_mu.(g.phi)."""
+    """Leibniz rule, the tangent-group action of (g, a): g.phi, g.(d_mu phi) + a_mu.(g.phi)."""
     check_same_group(jet, jm)
     if jet.n_axes != jm.n_axes:
         raise DimensionError("jet and matter jet have different base dimensions")
-    r = rep_matrix(jet.group_element())
-    phi = np.einsum("...ij,...j->...i", r, jm.phi)
-    moved = np.einsum("...ij,...mj->...mi", r, jm.dphi)
-    ra = rep_algebra_matrix(_trusted(AlgebraElement, jet.spec, jet.a))
-    drift = np.einsum("...mij,...j->...mi", ra, phi)
-    return JetMatter(jm.spec, phi, moved + drift)
+    a, phi = _trusted(AlgebraElement, jet.spec, jet.a), _trusted(RepVector, jm.spec, jm.phi)
+    q, qdot = tangent_act(jet.group_element(), a, phi, _trusted(RepTangent, jm.spec, jm.dphi))
+    return _trusted(JetMatter, jm.spec, q.entries, qdot.entries)
 
 
 def act_connection(jet: Jet1Gauge, A: AlgebraElement) -> AlgebraElement:

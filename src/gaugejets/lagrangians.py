@@ -27,8 +27,9 @@ from .lie_core import (
     RepTangent,
     RepVector,
     check_same_group,
+    _trusted,
     frobenius,
-    rep_algebra_matrix,
+    fundamental_vector_field,
     random_algebra_entries,
     seeded_rng,
 )
@@ -97,9 +98,8 @@ def covariant_derivative(A: AlgebraElement, jm: JetMatter) -> tuple[RepVector, R
     check_same_group(A, jm)
     if A.entries.ndim < 3 or A.entries.shape[-3] != jm.n_axes:
         raise DimensionError("gauge potential and matter jet have different base dimensions")
-    ra = rep_algebra_matrix(A)
-    coupled = jm.dphi + np.einsum("...mij,...j->...mi", ra, jm.phi)
-    return RepVector(jm.spec, jm.phi), RepTangent(jm.spec, coupled)
+    phi = _trusted(RepVector, jm.spec, jm.phi)
+    return phi, _trusted(RepTangent, jm.spec, jm.dphi + fundamental_vector_field(A, phi).entries)
 
 
 def matter_density_vec(

@@ -16,6 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import enum
+import operator
 import zlib
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -60,13 +61,19 @@ class GroupSpec:
     def __post_init__(self):
         family = GroupFamily(self.family)
         object.__setattr__(self, "family", family)
-        n = self.n or _FIXED_N.get(family, 0)
+        try:
+            n, rep_dim = operator.index(self.n), operator.index(self.rep_dim)
+        except TypeError:
+            raise DimensionError(
+                f"n and rep_dim must be integers, got {self.n!r} and {self.rep_dim!r}"
+            ) from None
+        n = n or _FIXED_N.get(family, 0)
         if family in _FIXED_N and n != _FIXED_N[family]:
             raise DimensionError(f"{family.value} has fixed matrix dimension {_FIXED_N[family]}")
         if family is GroupFamily.SUN and n < 2:
             raise DimensionError("SU(N) requires N >= 2")
         object.__setattr__(self, "n", n)
-        rep_dim = self.rep_dim or n
+        rep_dim = rep_dim or n
         if rep_dim < 1:
             raise DimensionError("rep_dim must be >= 1")
         if rep_dim not in (n, self.algebra_dim):
@@ -313,10 +320,15 @@ def algebra_inner(x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
     return -np.einsum("...ij,...ji->...", x.entries, y.entries).real
 
 
+def _coords(spec: GroupSpec, m: np.ndarray) -> np.ndarray:
+    """Real basis coordinates -tr(T_a M) of (..., N, N) matrices, shape (..., dim)."""
+    basis = algebra_basis(spec)
+    return -np.tensordot(m, np.swapaxes(basis, -1, -2), axes=((-2, -1), (1, 2))).real
+
+
 def algebra_coords(x: AlgebraElement) -> np.ndarray:
     """Real coordinates of X in the orthonormal basis, shape (..., dim)."""
-    basis = algebra_basis(x.spec)
-    return -np.einsum("aij,...ji->...a", basis, x.entries).real
+    return _coords(x.spec, x.entries)
 
 
 def algebra_from_coords(spec: GroupSpec, coords: np.ndarray) -> AlgebraElement:
@@ -375,43 +387,42 @@ def adjoint(g: GroupElement, x: AlgebraElement) -> AlgebraElement:
 
 
 def rep_matrix(g: GroupElement) -> np.ndarray:
-    """Representation matrix R(g), shape (..., k, k)."""
+    """Representation matrix R(g), shape (..., k, k); adjoint column b is Ad(g) T_b."""
     if g.spec.rep_kind == "fundamental":
         return g.entries
-    basis = algebra_basis(g.spec)
-    conj = np.einsum("...ij,bjk,...lk->...bil", g.entries, basis, np.conj(g.entries))
-    return -np.einsum("aij,...bji->...ab", basis, conj).real.astype(np.complex128)
+    cols = ad(g.entries[..., None, :, :], algebra_basis(g.spec))
+    return np.swapaxes(_coords(g.spec, cols), -1, -2)
 
 
 def rep_algebra_matrix(x: AlgebraElement) -> np.ndarray:
-    """Infinitesimal representation matrix r(X) = dR(X), shape (..., k, k)."""
+    """Infinitesimal representation matrix r(X) = dR(X); adjoint column b is [X, T_b]."""
     if x.spec.rep_kind == "fundamental":
         return x.entries
-    basis = algebra_basis(x.spec)
-    ad = np.einsum("...ij,bjk->...bik", x.entries, basis) - np.einsum(
-        "bij,...jk->...bik", basis, x.entries
-    )
-    return -np.einsum("aij,...bji->...ab", basis, ad).real.astype(np.complex128)
+    xx, basis = x.entries[..., None, :, :], algebra_basis(x.spec)
+    return np.swapaxes(_coords(x.spec, mm(xx, basis) - mm(basis, xx)), -1, -2)
 
 
 def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Matrix-vector product; vec may carry extra stack axes before (k,)."""
+    """The one product of a representation matrix and a vector.  Past their
+    shared batch axes, either side may carry stack axes the other broadcasts over."""
     extra = (vec.ndim - 1) - (mat.ndim - 2)
-    m = mat.reshape(mat.shape[:-2] + (1,) * extra + mat.shape[-2:]) if extra > 0 else mat
-    return np.einsum("...ij,...j->...i", m, vec)
+    if extra > 0:
+        mat = mat.reshape(mat.shape[:-2] + (1,) * extra + mat.shape[-2:])
+    elif extra < 0:
+        vec = vec.reshape(vec.shape[:-1] + (1,) * -extra + vec.shape[-1:])
+    return np.einsum("...ij,...j->...i", mat, vec)
 
 
 def rep_act(g: GroupElement, q: RepVector | RepTangent):
     """Linear action of g on the representation space (or its tangent)."""
     check_same_group(g, q)
-    entries = _apply(rep_matrix(g), q.entries)
-    return type(q)(q.spec, entries)
+    return _trusted(type(q), q.spec, _apply(rep_matrix(g), q.entries))
 
 
 def fundamental_vector_field(x: AlgebraElement, q: RepVector) -> RepTangent:
     """Infinitesimal generator at q: d/dt|_0 of exp(tX) acting on q = r(X) q."""
     check_same_group(x, q)
-    return RepTangent(q.spec, _apply(rep_algebra_matrix(x), q.entries))
+    return _trusted(RepTangent, q.spec, _apply(rep_algebra_matrix(x), q.entries))
 
 
 def tangent_act(
@@ -419,13 +430,15 @@ def tangent_act(
 ) -> tuple[RepVector, RepTangent]:
     """Action of the right-trivialized tangent-group pair (g, X) on (q, qdot).
 
-    Returns (g.q, g.qdot + X_Q(g.q)); X is the right-trivialized velocity
-    component of a group curve through g.
+    Returns (g.q, g.qdot + X_Q(g.q)); X is the right-trivialized velocity of
+    a group curve through g.  Stacked X (..., n, N, N) and qdot (..., n, k)
+    give the Leibniz rule of a gauge jet (g, a) on a matter jet.
     """
-    gq = rep_act(g, q)
-    gqdot = rep_act(g, qdot)
-    drift = fundamental_vector_field(x, gq)
-    return gq, RepTangent(q.spec, gqdot.entries + drift.entries)
+    check_same_group(g, q)
+    r = rep_matrix(g)
+    gq = _trusted(RepVector, q.spec, _apply(r, q.entries))
+    moved = _apply(r, qdot.entries) + fundamental_vector_field(x, gq).entries
+    return gq, _trusted(RepTangent, q.spec, moved)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ finite-difference value was computed at is the patch's own.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Any
 
@@ -42,16 +43,21 @@ class Patch:
     origin: tuple[float, ...] = 0.0
 
     def __post_init__(self):
-        extent = tuple(int(e) for e in np.atleast_1d(self.extent))
+        try:
+            extent = tuple(operator.index(e) for e in np.atleast_1d(self.extent))
+        except TypeError:
+            raise DimensionError(f"extent must hold integer point counts, got {self.extent!r}") from None
         n = len(extent)
         if not 1 <= n <= MAX_DIM:
             raise DimensionError(f"patch dimension must be in [1, {MAX_DIM}], got {n}")
         if any(e < 5 for e in extent):
             raise RegionError("each axis needs at least 5 points for interior differences")
         spacing = _tuple_of(self.spacing, n, float)
-        if any(h <= 0 for h in spacing):
-            raise RegionError("spacing must be positive")
+        if not all(0 < h < math.inf for h in spacing):
+            raise RegionError(f"spacing must be positive and finite, got {spacing}")
         origin = _tuple_of(self.origin, n, float)
+        if not all(map(math.isfinite, origin)):
+            raise RegionError(f"origin must be finite, got {origin}")
         object.__setattr__(self, "extent", extent)
         object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "origin", origin)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaugejets.actions import (
     act_connection,
@@ -35,6 +36,7 @@ from gaugejets.jets import (
 from gaugejets.lie_core import (
     AlgebraElement,
     GroupElement,
+    RepTangent,
     RepVector,
     exp,
     frobenius,
@@ -42,12 +44,17 @@ from gaugejets.lie_core import (
     multiply,
     random_algebra_entries,
     seeded_rng,
+    tangent_act,
 )
 from gaugejets.patch import Field, Patch
 
 SU2 = group_spec("su2")
 SU3 = group_spec("su3")
 U1 = group_spec("u1")
+REP_SPECS = [
+    U1, SU2, SU3, group_spec("sun", 4),
+    group_spec("su2", rep_dim=3), group_spec("su3", rep_dim=8), group_spec("sun", 4, rep_dim=15),
+]
 
 
 def rnd(seed, label="x"):
@@ -150,6 +157,26 @@ class TestJetMatterAction:
         out = act_jet_matter(jet, jm)
         assert np.max(np.abs(out.phi - g.entries @ jm.phi)) < 1e-15
         assert np.max(np.abs(out.dphi - jm.dphi @ g.entries.T)) < 1e-15
+
+    @given(st.sampled_from(REP_SPECS), st.integers(1, 4), st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_is_tangent_act_per_axis(self, spec, n, seed):
+        rng = rnd(seed, "per-axis")
+        jet = random_jet1(rng, spec, n, (2, 3))
+        k = spec.rep_dim
+        jm = JetMatter(spec, random_vec(rng, (2, 3, k)), random_vec(rng, (2, 3, n, k)))
+        out = act_jet_matter(jet, jm)
+        # eps per accumulation step of the N-, N^2- and k-term sums, on O(1) data
+        tol = 4 * (2 * spec.n + spec.n**2 + 2 * k) * np.finfo(float).eps
+        for mu in range(n):
+            q, qdot = tangent_act(
+                jet.group_element(),
+                AlgebraElement(spec, jet.a[..., mu, :, :]),
+                RepVector(spec, jm.phi),
+                RepTangent(spec, jm.dphi[..., mu, :]),
+            )
+            assert np.max(np.abs(out.phi - q.entries)) <= tol
+            assert np.max(np.abs(out.dphi[..., mu, :] - qdot.entries)) <= tol
 
     def test_action_property(self):
         rng = rnd(7)

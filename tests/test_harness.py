@@ -80,9 +80,19 @@ class TestConfig:
             "su2",
             {"output": 5, "suites": ["action_axioms"]},
             {"suites": "action_axioms"},
+            {"patch": {"extent": [8, 8], "spacing": float("nan")}},
+            {"patch": {"extent": [8, 8], "spacing": float("inf")}},
+            {"patch": {"extent": [8, 8], "origin": float("nan")}},
+            {"patch": {"extent": [8.7, 8]}},
+            {"group": {"family": "sun", "n": 4.5}},
+            {"group": {"family": "su2", "rep_dim": 2.0}},
+            {"h_levels": [float("nan"), 0.02]},
+            {"tolerances": {"action_axioms": float("nan")}, "suites": ["action_axioms"]},
         ],
         ids=["metric", "seed", "tolerance-key", "tolerance-list", "group-string",
-             "top-level-list", "top-level-string", "output-number", "suites-string"],
+             "top-level-list", "top-level-string", "output-number", "suites-string",
+             "spacing-nan", "spacing-inf", "origin-nan", "extent-fraction", "n-fraction",
+             "rep-dim-float", "h-level-nan", "tolerance-nan"],
     )
     def test_bad_values_rejected(self, bad, tmp_path, capsys):
         with pytest.raises(ConfigError):

@@ -1,5 +1,6 @@
-"""Source hygiene: every module uses each name it imports, and the fiber
-modules multiply matrices through one kernel.
+"""Source hygiene: every module uses each name it imports, the fiber
+modules multiply matrices through one kernel, and only ``lie_core`` builds
+representation matrices.
 
 No linter ships with the test dependencies, so this AST scan stands in for
 the unused-import check: a name counts as used when the module reads it
@@ -74,3 +75,22 @@ def test_fiber_products_use_mm(name):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
     )
     assert not lines, f"{name} uses @ on lines {lines}; use lie_core.mm"
+
+
+REP_BUILDERS = {"rep_matrix", "rep_algebra_matrix"}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != "lie_core.py"], ids=lambda p: p.name
+)
+def test_rep_matrices_stay_in_lie_core(path):
+    """Representation matrices are built and applied in ``lie_core`` alone."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in REP_BUILDERS)
+        or (isinstance(node, ast.Attribute) and node.attr in REP_BUILDERS)
+        or (isinstance(node, ast.alias) and node.name in REP_BUILDERS)
+    )
+    assert not lines, f"{path.name} references rep_matrix/rep_algebra_matrix on lines {lines}"

@@ -172,8 +172,9 @@ def _set_first_entry(raw: bytes, value: complex) -> bytes:
         lambda raw: _set_first_entry(raw, complex("nan")),
         lambda raw: raw.replace(b"family su2", b"family xyz", 1),
         lambda raw: raw.replace(b"dim 2", b"dim x", 1),
+        lambda raw: raw.replace(b"spacing 0.1 0.1", b"spacing nan 0.1", 1),
     ],
-    ids=["non-unitary", "nan", "family", "dim"],
+    ids=["non-unitary", "nan", "family", "dim", "spacing-nan"],
 )
 def test_corrupt_file_is_format_error(tmp_path, patch, capsys, corrupt):
     path = tmp_path / "bad.jgf1"

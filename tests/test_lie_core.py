@@ -284,6 +284,40 @@ class TestRepAction:
         assert np.max(np.abs(r @ r.conj().T - np.eye(8))) < 1e-12
 
 
+REP_SPECS = [
+    U1, SU2, SU3, SU4,
+    group_spec("su2", rep_dim=3), group_spec("su3", rep_dim=8), group_spec("sun", 4, rep_dim=15),
+]
+
+
+def rep_tol(spec):
+    """eps per accumulation step of the N-, N^2- and k-term sums, on O(1) data."""
+    return 4 * (2 * spec.n + spec.n**2 + spec.rep_dim) * EPS
+
+
+class TestRepresentationProperties:
+    """R and r are homomorphisms and, for the adjoint, match Ad and the bracket."""
+
+    @given(st.sampled_from(REP_SPECS), st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_rep_matrix_is_homomorphism(self, spec, seed):
+        g = random_group_element(seed, spec, (2, 3))
+        h = random_group_element(seed + 1, spec, (2, 3))
+        lhs = rep_matrix(multiply(g, h))
+        assert np.max(np.abs(lhs - rep_matrix(g) @ rep_matrix(h))) <= rep_tol(spec)
+
+    @given(st.sampled_from([s for s in REP_SPECS if s.rep_kind == "adjoint"]), st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_adjoint_matrices_match_conjugation_and_bracket(self, spec, seed):
+        g = random_group_element(seed, spec, (2, 3))
+        x = random_algebra_element(seed + 1, spec, (2, 3))
+        y = random_algebra_element(seed + 2, spec, (2, 3))
+        moved = rep_act(g, RepVector(spec, algebra_coords(x))).entries
+        assert np.max(np.abs(moved - algebra_coords(adjoint(g, x)))) <= rep_tol(spec)
+        drift = fundamental_vector_field(x, RepVector(spec, algebra_coords(y))).entries
+        assert np.max(np.abs(drift - algebra_coords(bracket(x, y)))) <= rep_tol(spec)
+
+
 class TestFundamentalVectorField:
     def test_trivial_cases(self):
         q = random_rep_vector(1, SU2)
