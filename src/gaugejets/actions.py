@@ -32,6 +32,7 @@ from .lie_core import (
     _trusted,
     ad,
     check_same_group,
+    distance,
     frobenius,
     mm,
     rep_act,
@@ -45,7 +46,6 @@ from .jets import (
     JetMatter,
     Variation,
     curvature,
-    curvature_pairs,
     split_jet_connection,
 )
 
@@ -165,9 +165,7 @@ def curvature_equivariance_defect(jet: Jet2Gauge, jc: JetConnection) -> np.ndarr
     """Per-sample norm of curvature(jet . jc) - g . curvature(jc)."""
     left = curvature(act_jet_connection(jet, jc))
     right = act_curvature(jet.group_element(), curvature(jc))
-    if not curvature_pairs(jc.n_axes):
-        return np.zeros(jc.batch_shape)
-    return np.max(frobenius(left.comps - right.comps), axis=-1)
+    return distance(left, right)
 
 
 __all__ = [

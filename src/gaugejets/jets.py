@@ -29,17 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lie_core import (
-    ATOL,
     AlgebraElement,
     DimensionError,
+    Fiber,
     GroupElement,
     GroupSpec,
     InvariantError,
     RepVector,
     _trusted,
     ad,
-    assert_antihermitian,
-    assert_unitary,
     check_same_group,
     dagger,
     frobenius,
@@ -48,51 +46,29 @@ from .lie_core import (
 from .patch import Field, central_diff
 
 
-def _check_finite(arr: np.ndarray, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise InvariantError(f"{what} contains non-finite entries")
-
-
 # ---------------------------------------------------------------------------
 # jet fiber types
 
 @dataclass(frozen=True, eq=False)
-class Jet1Gauge:
+class Jet1Gauge(Fiber):
     """First-order gauge jet (g, a); g (..., N, N), a (..., n, N, N)."""
 
     spec: GroupSpec
     g: np.ndarray
     a: np.ndarray
 
-    def __post_init__(self):
-        g = np.asarray(self.g, dtype=np.complex128)
-        a = np.asarray(self.a, dtype=np.complex128)
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "a", a)
-        n = self.spec.n
-        if g.shape[-2:] != (n, n) or a.shape[-2:] != (n, n) or a.ndim < 3:
-            raise DimensionError("jet components must end in (n_axes, N, N) / (N, N)")
-        if a.shape[: -3] != g.shape[: -2]:
-            raise DimensionError("jet value and derivative have mismatched batch shapes")
-        _check_finite(g, "jet value")
-        _check_finite(a, "jet derivative")
-        assert_unitary(g, ATOL, self.spec.is_special)
-        assert_antihermitian(a, ATOL, self.spec.is_special)
+    LAYOUT = {"g": (("N", "N"), "group"), "a": (("n", "N", "N"), "algebra")}
 
     @property
     def n_axes(self) -> int:
         return self.a.shape[-3]
-
-    @property
-    def batch_shape(self) -> tuple[int, ...]:
-        return self.g.shape[:-2]
 
     def group_element(self) -> GroupElement:
         return _trusted(GroupElement, self.spec, self.g)
 
 
 @dataclass(frozen=True, eq=False)
-class Jet2Gauge:
+class Jet2Gauge(Fiber):
     """Second-order gauge jet (g, a, s); s (..., n, n, N, N), s_munu = s_numu."""
 
     spec: GroupSpec
@@ -100,33 +76,20 @@ class Jet2Gauge:
     a: np.ndarray
     s: np.ndarray
 
+    LAYOUT = {
+        "g": (("N", "N"), "group"),
+        "a": (("n", "N", "N"), "algebra"),
+        "s": (("n", "n", "N", "N"), "algebra"),
+    }
+
     def __post_init__(self):
-        g = np.asarray(self.g, dtype=np.complex128)
-        a = np.asarray(self.a, dtype=np.complex128)
-        s = np.asarray(self.s, dtype=np.complex128)
-        for name, arr in (("g", g), ("a", a), ("s", s)):
-            object.__setattr__(self, name, arr)
-        n = self.spec.n
-        na = a.shape[-3] if a.ndim >= 3 else -1
-        if g.shape[-2:] != (n, n) or a.shape[-2:] != (n, n) or s.shape[-4:] != (na, na, n, n):
-            raise DimensionError("second-order jet components have inconsistent shapes")
-        if a.shape[:-3] != g.shape[:-2] or s.shape[:-4] != g.shape[:-2]:
-            raise DimensionError("jet components have mismatched batch shapes")
-        for name, arr in (("g", g), ("a", a), ("s", s)):
-            _check_finite(arr, f"jet component {name}")
-        if np.any(s != np.swapaxes(s, -4, -3)):
+        super().__post_init__()
+        if np.any(self.s != np.swapaxes(self.s, -4, -3)):
             raise InvariantError("second-order component must be stored exactly symmetric")
-        assert_unitary(g, ATOL, self.spec.is_special)
-        assert_antihermitian(a, ATOL, self.spec.is_special)
-        assert_antihermitian(s, ATOL, self.spec.is_special)
 
     @property
     def n_axes(self) -> int:
         return self.a.shape[-3]
-
-    @property
-    def batch_shape(self) -> tuple[int, ...]:
-        return self.g.shape[:-2]
 
     def truncate(self) -> Jet1Gauge:
         return _trusted(Jet1Gauge, self.spec, self.g, self.a)
@@ -143,59 +106,35 @@ class Jet2Gauge:
 
 
 @dataclass(frozen=True, eq=False)
-class JetMatter:
+class JetMatter(Fiber):
     """Matter value with first derivatives: phi (..., k), dphi (..., n, k)."""
 
     spec: GroupSpec
     phi: np.ndarray
     dphi: np.ndarray
 
-    def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=np.complex128)
-        dphi = np.asarray(self.dphi, dtype=np.complex128)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "dphi", dphi)
-        k = self.spec.rep_dim
-        if phi.shape[-1] != k or dphi.shape[-1] != k or dphi.ndim < 2:
-            raise DimensionError("matter jet must end in (n_axes, k) / (k,)")
-        if dphi.shape[:-2] != phi.shape[:-1]:
-            raise DimensionError("matter jet components have mismatched batch shapes")
-        _check_finite(phi, "matter value")
-        _check_finite(dphi, "matter derivative")
+    LAYOUT = {"phi": (("k",), None), "dphi": (("n", "k"), None)}
 
     @property
     def n_axes(self) -> int:
         return self.dphi.shape[-2]
-
-    @property
-    def batch_shape(self) -> tuple[int, ...]:
-        return self.phi.shape[:-1]
 
     def value(self) -> RepVector:
         return RepVector(self.spec, self.phi)
 
 
 @dataclass(frozen=True, eq=False)
-class Variation:
+class Variation(Fiber):
     """Vertical (variation) vector at a matter value; dphi (..., k)."""
 
     spec: GroupSpec
     dphi: np.ndarray
 
-    def __post_init__(self):
-        dphi = np.asarray(self.dphi, dtype=np.complex128)
-        object.__setattr__(self, "dphi", dphi)
-        if dphi.shape[-1] != self.spec.rep_dim:
-            raise DimensionError("variation dimension does not match the representation")
-        _check_finite(dphi, "variation")
-
-    @property
-    def batch_shape(self) -> tuple[int, ...]:
-        return self.dphi.shape[:-1]
+    LAYOUT = {"dphi": (("k",), None)}
 
 
 @dataclass(frozen=True, eq=False)
-class JetConnection:
+class JetConnection(Fiber):
     """Gauge potential with derivatives: A (..., n, N, N), dA (..., n, n, N, N).
 
     dA[..., mu, nu, :, :] holds d_mu A_nu.
@@ -205,29 +144,11 @@ class JetConnection:
     A: np.ndarray
     dA: np.ndarray
 
-    def __post_init__(self):
-        A = np.asarray(self.A, dtype=np.complex128)
-        dA = np.asarray(self.dA, dtype=np.complex128)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "dA", dA)
-        n = self.spec.n
-        na = A.shape[-3] if A.ndim >= 3 else -1
-        if A.shape[-2:] != (n, n) or dA.shape[-4:] != (na, na, n, n):
-            raise DimensionError("connection jet components have inconsistent shapes")
-        if dA.shape[:-4] != A.shape[:-3]:
-            raise DimensionError("connection jet components have mismatched batch shapes")
-        _check_finite(A, "gauge potential")
-        _check_finite(dA, "gauge potential derivative")
-        assert_antihermitian(A, ATOL, self.spec.is_special)
-        assert_antihermitian(dA, ATOL, self.spec.is_special)
+    LAYOUT = {"A": (("n", "N", "N"), "algebra"), "dA": (("n", "n", "N", "N"), "algebra")}
 
     @property
     def n_axes(self) -> int:
         return self.A.shape[-3]
-
-    @property
-    def batch_shape(self) -> tuple[int, ...]:
-        return self.A.shape[:-3]
 
     def potential(self) -> AlgebraElement:
         return _trusted(AlgebraElement, self.spec, self.A)
@@ -239,7 +160,7 @@ def curvature_pairs(n: int) -> list[tuple[int, int]]:
 
 
 @dataclass(frozen=True, eq=False)
-class Curvature:
+class Curvature(Fiber):
     """Field strength 2-form, strict upper triangle: comps (..., P, N, N).
 
     P = n(n-1)/2 with pairs ordered by curvature_pairs(n); antisymmetry
@@ -250,21 +171,10 @@ class Curvature:
     n_axes: int
     comps: np.ndarray
 
-    def __post_init__(self):
-        comps = np.asarray(self.comps, dtype=np.complex128)
-        object.__setattr__(self, "comps", comps)
-        n = self.spec.n
-        p = self.n_axes * (self.n_axes - 1) // 2
-        if comps.shape[-2:] != (n, n) or comps.shape[-3] != p:
-            raise DimensionError(
-                f"curvature needs trailing shape ({p}, {n}, {n}), got {comps.shape}"
-            )
-        _check_finite(comps, "curvature")
-        assert_antihermitian(comps, ATOL, self.spec.is_special)
+    LAYOUT = {"comps": (("P", "N", "N"), "algebra")}
 
-    @property
-    def batch_shape(self) -> tuple[int, ...]:
-        return self.comps.shape[:-3]
+    def _sizes(self) -> dict:
+        return {**super()._sizes(), "P": self.n_axes * (self.n_axes - 1) // 2}
 
     def dense(self) -> np.ndarray:
         """Expand to (..., n, n, N, N) with F_numu = -F_munu."""
@@ -402,17 +312,6 @@ def jet2_inv(jet: Jet2Gauge) -> Jet2Gauge:
     return _trusted(Jet2Gauge, jet.spec, ginv, -ad(ginv, jet.a), -ad(ginv, jet.s))
 
 
-def jet1_distance(x: Jet1Gauge, y: Jet1Gauge) -> np.ndarray:
-    """Max Frobenius deviation over jet components, per batch entry."""
-    return np.maximum(frobenius(x.g - y.g), np.max(frobenius(x.a - y.a), axis=-1))
-
-
-def jet2_distance(x: Jet2Gauge, y: Jet2Gauge) -> np.ndarray:
-    d1 = np.maximum(frobenius(x.g - y.g), np.max(frobenius(x.a - y.a), axis=-1))
-    ds = np.max(frobenius(x.s - y.s), axis=(-2, -1))
-    return np.maximum(d1, ds)
-
-
 # ---------------------------------------------------------------------------
 # connection jets: decomposition and curvature
 
@@ -486,8 +385,6 @@ __all__ = [
     "jet1_inv",
     "jet2_mul",
     "jet2_inv",
-    "jet1_distance",
-    "jet2_distance",
     "split_jet_connection",
     "merge_jet_connection",
     "curvature",

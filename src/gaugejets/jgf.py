@@ -48,7 +48,6 @@ from .jets import (
     Jet2Gauge,
     JetConnection,
     JetMatter,
-    curvature_pairs,
 )
 from .lie_core import AlgebraElement, GroupElement, GroupFamily, GroupSpec, RepVector, _trusted
 from .patch import Field, Patch
@@ -93,20 +92,12 @@ def _flatten(field: Field) -> tuple[np.ndarray, GroupSpec | None]:
     kind = value_kind(field)
     if kind == "scalar":
         return np.asarray(v, dtype=np.complex128).reshape(npts, 1), None
-    spec = v.spec
-    if kind == "jet1-gauge":
-        parts = [v.g, v.a]
-    elif kind == "jet2-gauge":
+    parts = {name: getattr(v, name) for name in v.LAYOUT}
+    if kind == "jet2-gauge":  # s is stored packed, mu <= nu only
         pairs = _sym_pairs(field.patch.dim)
-        parts = [v.g, v.a, np.stack([v.s[..., mu, nu, :, :] for mu, nu in pairs], axis=-3)]
-    elif kind == "jet-connection":
-        parts = [v.A, v.dA]
-    elif kind == "jet-matter":
-        parts = [v.phi, v.dphi]
-    else:  # group, algebra, connection, matter and curvature are one array
-        parts = [v.comps if kind == "curvature" else v.entries]
-    payload = np.concatenate([x.reshape(npts, -1) for x in parts], axis=1)
-    return np.ascontiguousarray(payload, dtype=np.complex128), spec
+        parts["s"] = np.stack([v.s[..., mu, nu, :, :] for mu, nu in pairs], axis=-3)
+    payload = np.concatenate([x.reshape(npts, -1) for x in parts.values()], axis=1)
+    return np.ascontiguousarray(payload, dtype=np.complex128), v.spec
 
 
 def write_field(field: Field, path: str | Path) -> None:
@@ -262,10 +253,8 @@ def describe(path: str | Path) -> str:
         lines.append(f"  scalar range: [{v.min():.6g}, {v.max():.6g}], mean {v.mean():.6g}")
     else:
         lines.append(f"  group: {v.spec.label()}, rep_dim {v.spec.rep_dim}")
-        for name in ("entries", "g", "a", "s", "A", "dA", "phi", "dphi", "comps"):
-            arr = getattr(v, name, None)
-            if arr is None:
-                continue
+        for name in v.LAYOUT:
+            arr = getattr(v, name)
             mag = np.abs(arr)
             if mag.size == 0:
                 lines.append(f"  {name}: empty")
@@ -276,4 +265,4 @@ def describe(path: str | Path) -> str:
     return "\n".join(lines)
 
 
-__all__ = ["FormatError", "value_kind", "write_field", "read_field", "describe", "curvature_pairs"]
+__all__ = ["FormatError", "value_kind", "write_field", "read_field", "describe"]

@@ -163,32 +163,87 @@ def assert_antihermitian(m: np.ndarray, atol: float, traceless: bool) -> None:
             raise InvariantError(f"matrix has trace of magnitude {tr:.3e}")
 
 
-def _check_matrix_shape(entries: np.ndarray, n: int, what: str) -> None:
-    if entries.ndim < 2 or entries.shape[-1] != n or entries.shape[-2] != n:
-        raise DimensionError(f"{what} must have trailing shape ({n}, {n}), got {entries.shape}")
-    if not np.all(np.isfinite(entries)):
-        raise InvariantError(f"{what} contains non-finite entries")
-
-
 # ---------------------------------------------------------------------------
 # fiber value types
 
+class Fiber:
+    """Base of the fiber value types: one layout declaration per type.
+
+    ``LAYOUT`` maps each array field, in field order, to (trailing axes,
+    invariant).  Axis symbols: ``N`` = ``spec.n``, ``k`` = ``spec.rep_dim``,
+    ``n`` = the number of base axes, bound where it first occurs; a type
+    supplies any other symbol through ``_sizes``.  The invariant is
+    ``"group"`` (unitary, special for SU), ``"algebra"`` (anti-hermitian,
+    traceless for SU) or None.  The leading axes are batch axes, shared by
+    every field.  The constructor converts each field to complex128, then
+    checks trailing sizes and batch shape (``DimensionError``), finiteness,
+    and the invariants (``InvariantError``).
+    """
+
+    LAYOUT = {}
+
+    def _sizes(self) -> dict:
+        return {"N": self.spec.n, "k": self.spec.rep_dim}
+
+    def __post_init__(self):
+        sizes, batch, what = self._sizes(), None, type(self).__name__
+        for name, (axes, _) in self.LAYOUT.items():
+            arr = _c128(getattr(self, name))
+            object.__setattr__(self, name, arr)
+            lead = arr.ndim - len(axes)
+            if "n" in axes and "n" not in sizes and lead >= 0:
+                sizes["n"] = arr.shape[lead + axes.index("n")]
+            want = tuple(sizes.get(a) for a in axes)
+            if lead < 0 or arr.shape[lead:] != want:
+                raise DimensionError(f"{what}.{name} must end in {want}, got {arr.shape}")
+            if batch is None:
+                batch = arr.shape[:lead]
+            elif arr.shape[:lead] != batch:
+                raise DimensionError(
+                    f"{what}.{name} has batch shape {arr.shape[:lead]}, expected {batch}"
+                )
+        for name in self.LAYOUT:
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise InvariantError(f"{what}.{name} contains non-finite entries")
+        for name, (_, invariant) in self.LAYOUT.items():
+            if invariant == "group":
+                assert_unitary(getattr(self, name), ATOL, self.spec.is_special)
+            elif invariant == "algebra":
+                assert_antihermitian(getattr(self, name), ATOL, self.spec.is_special)
+
+    @property
+    def batch_shape(self) -> tuple[int, ...]:
+        name, (axes, _) = next(iter(self.LAYOUT.items()))
+        arr = getattr(self, name)
+        return arr.shape[: arr.ndim - len(axes)]
+
+
+def distance(x: Fiber, y: Fiber) -> np.ndarray:
+    """Largest deviation between two values of one fiber type, per batch point.
+
+    Matrix fields contribute the Frobenius norm of each matrix, vector
+    fields the modulus of each entry; the maximum runs over every other
+    trailing axis and every field, and is 0 over empty stacks.
+    """
+    out = np.zeros(x.batch_shape)
+    for name, (axes, _) in x.LAYOUT.items():
+        diff = getattr(x, name) - getattr(y, name)
+        if axes[-2:] == ("N", "N"):
+            diff, axes = frobenius(diff), axes[:-2]
+        else:
+            diff = np.abs(diff)
+        out = np.maximum(out, np.max(diff, axis=tuple(range(-len(axes), 0)), initial=0.0))
+    return out
+
+
 @dataclass(frozen=True, eq=False)
-class GroupElement:
+class GroupElement(Fiber):
     """One or more group elements; entries shaped (..., N, N)."""
 
     spec: GroupSpec
     entries: np.ndarray
 
-    def __post_init__(self):
-        entries = _c128(self.entries)
-        object.__setattr__(self, "entries", entries)
-        _check_matrix_shape(entries, self.spec.n, "group element")
-        assert_unitary(entries, ATOL, self.spec.is_special)
-
-    @property
-    def batch_shape(self) -> tuple[int, ...]:
-        return self.entries.shape[:-2]
+    LAYOUT = {"entries": (("N", "N"), "group")}
 
     def inverse(self) -> "GroupElement":
         # unitarity makes the conjugate transpose the exact inverse
@@ -196,7 +251,7 @@ class GroupElement:
 
 
 @dataclass(frozen=True, eq=False)
-class AlgebraElement:
+class AlgebraElement(Fiber):
     """One or more algebra elements; entries shaped (..., N, N).
 
     Connection components A_mu are stored as a single AlgebraElement whose
@@ -206,43 +261,21 @@ class AlgebraElement:
     spec: GroupSpec
     entries: np.ndarray
 
-    def __post_init__(self):
-        entries = _c128(self.entries)
-        object.__setattr__(self, "entries", entries)
-        _check_matrix_shape(entries, self.spec.n, "algebra element")
-        assert_antihermitian(entries, ATOL, self.spec.is_special)
-
-    @property
-    def batch_shape(self) -> tuple[int, ...]:
-        return self.entries.shape[:-2]
-
-
-def _check_vector(entries: np.ndarray, k: int, what: str) -> None:
-    if entries.ndim < 1 or entries.shape[-1] != k:
-        raise DimensionError(f"{what} must have trailing shape ({k},), got {entries.shape}")
-    if not np.all(np.isfinite(entries)):
-        raise InvariantError(f"{what} contains non-finite entries")
+    LAYOUT = {"entries": (("N", "N"), "algebra")}
 
 
 @dataclass(frozen=True, eq=False)
-class RepVector:
+class RepVector(Fiber):
     """Point of the representation space; entries shaped (..., k)."""
 
     spec: GroupSpec
     entries: np.ndarray
 
-    def __post_init__(self):
-        entries = _c128(self.entries)
-        object.__setattr__(self, "entries", entries)
-        _check_vector(entries, self.spec.rep_dim, "representation vector")
-
-    @property
-    def batch_shape(self) -> tuple[int, ...]:
-        return self.entries.shape[:-1]
+    LAYOUT = {"entries": (("k",), None)}
 
 
 @dataclass(frozen=True, eq=False)
-class RepTangent:
+class RepTangent(Fiber):
     """Tangent vector at a point of the (linear) representation space.
 
     Derivative tuples d_mu phi are stored with axis -2 indexing mu.
@@ -251,14 +284,7 @@ class RepTangent:
     spec: GroupSpec
     entries: np.ndarray
 
-    def __post_init__(self):
-        entries = _c128(self.entries)
-        object.__setattr__(self, "entries", entries)
-        _check_vector(entries, self.spec.rep_dim, "representation tangent")
-
-    @property
-    def batch_shape(self) -> tuple[int, ...]:
-        return self.entries.shape[:-1]
+    LAYOUT = {"entries": (("k",), None)}
 
 
 def check_same_group(a, b) -> None:

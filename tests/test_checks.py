@@ -21,6 +21,8 @@ from gaugejets.jets import (
     Jet1Gauge,
     Jet2Gauge,
     JetConnection,
+    JetMatter,
+    Variation,
     curvature,
     jet1_of,
     jet2_mul,
@@ -29,6 +31,8 @@ from gaugejets.lie_core import (
     ATOL,
     AlgebraElement,
     GroupElement,
+    RepTangent,
+    RepVector,
     assert_antihermitian,
     assert_unitary,
     exp,
@@ -141,6 +145,7 @@ def test_public_constructors_check(checked):
     s = random_algebra_entries(rng, spec, (BATCH, N_AXES, N_AXES))
     s = 0.5 * (s + np.swapaxes(s, -4, -3))
     comps = random_algebra_entries(rng, spec, (BATCH, N_AXES))
+    v = rng.uniform(-1, 1, (BATCH, N_AXES, spec.rep_dim)) + 0j
     constructors = [
         (lambda: GroupElement(spec, g), 1),
         (lambda: AlgebraElement(spec, a), 1),
@@ -148,6 +153,10 @@ def test_public_constructors_check(checked):
         (lambda: Jet2Gauge(spec, g, a, s), 3),
         (lambda: JetConnection(spec, a, s), 2),
         (lambda: Curvature(spec, N_AXES, comps), 1),
+        (lambda: RepVector(spec, v[:, 0]), 0),
+        (lambda: RepTangent(spec, v), 0),
+        (lambda: JetMatter(spec, v[:, 0], v), 0),
+        (lambda: Variation(spec, v[:, 0]), 0),
     ]
     for build, expected in constructors:
         checked.clear()

@@ -1,6 +1,7 @@
 """Source hygiene: every module uses each name it imports, the fiber
-modules multiply matrices through one kernel, and only ``lie_core`` builds
-representation matrices.
+modules multiply matrices through one kernel, only ``lie_core`` builds
+representation matrices, and every fiber type declares its arrays in one
+``Fiber.LAYOUT``.
 
 No linter ships with the test dependencies, so this AST scan stands in for
 the unused-import check: a name counts as used when the module reads it
@@ -8,9 +9,13 @@ anywhere (including quoted annotations) or re-exports it in ``__all__``.
 """
 
 import ast
+import dataclasses
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from gaugejets import jets, lie_core
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gaugejets"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -94,3 +99,38 @@ def test_rep_matrices_stay_in_lie_core(path):
         or (isinstance(node, ast.alias) and node.name in REP_BUILDERS)
     )
     assert not lines, f"{path.name} references rep_matrix/rep_algebra_matrix on lines {lines}"
+
+
+# fiber types whose constructor adds a check the layout cannot state
+EXTRA_CHECKS = {"Jet2Gauge"}  # s must be stored exactly symmetric
+
+
+@pytest.mark.parametrize("module", [lie_core, jets], ids=lambda m: m.__name__)
+def test_fiber_types_declare_layout(module):
+    """A dataclass with array fields is a ``Fiber`` whose ``LAYOUT`` lists exactly
+    those fields, in field order, and writes no constructor of its own."""
+    found = []
+    for cls in vars(module).values():
+        if not dataclasses.is_dataclass(cls) or cls.__module__ != module.__name__:
+            continue
+        arrays = [f.name for f in dataclasses.fields(cls) if f.type in ("np.ndarray", np.ndarray)]
+        if not arrays:
+            continue
+        found.append(cls.__name__)
+        assert issubclass(cls, lie_core.Fiber), f"{cls.__name__} is not a Fiber"
+        assert list(cls.LAYOUT) == arrays, f"{cls.__name__}.LAYOUT does not list {arrays}"
+        if cls.__name__ not in EXTRA_CHECKS:
+            assert "__post_init__" not in vars(cls), f"{cls.__name__} writes its own constructor"
+    assert found, f"no fiber types found in {module.__name__}"
+
+
+def test_only_fiber_defines_batch_shape():
+    """Batch shapes come from the layout; no other class computes its own."""
+    owners = [
+        f"{path.name}:{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(item, "name", None) == "batch_shape" for item in node.body)
+    ]
+    assert owners == ["lie_core.py:Fiber"]
