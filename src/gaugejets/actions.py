@@ -58,8 +58,8 @@ def act_matter(g: GroupElement, phi: RepVector) -> RepVector:
 def act_variation(g: GroupElement, v: Variation) -> Variation:
     """Variations transform linearly, like vertical tangent vectors."""
     check_same_group(g, v)
-    moved = rep_act(g, RepTangent(v.spec, v.dphi))
-    return Variation(v.spec, moved.entries)
+    moved = rep_act(g, _trusted(RepTangent, v.spec, v.dphi))
+    return _trusted(Variation, v.spec, moved.entries)
 
 
 def act_jet_matter(jet: Jet1Gauge, jm: JetMatter) -> JetMatter:

@@ -13,11 +13,16 @@ Built-in families:
 
 Exact jets are valid at every grid point (margin 0), so the
 finite-difference pipeline can be checked against them independently.
+
+The gauge and connection samplers check a family when they are called,
+and build each order (the values, the first jet, the second jet) on first
+read: a caller that reads only a low order never pays for a higher one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,10 +33,12 @@ from .lie_core import (
     GroupSpec,
     RepVector,
     _trusted,
+    algebra_basis,
     exp,
+    multiply,
     random_algebra_entries,
 )
-from .jets import Jet2Gauge, JetConnection, JetMatter, jet2_mul
+from .jets import Jet1Gauge, Jet2Gauge, JetConnection, JetMatter, jet1_mul, jet2_mul
 from .patch import Field, Patch
 
 
@@ -97,37 +104,78 @@ class ProductGauge:
     factors: tuple
 
 
-@dataclass(frozen=True)
-class GaugeSample:
-    """Sampled group field plus its exact first- and second-order jets."""
-
-    values: Field  # Field[GroupElement]
-    jet1: Field  # Field[Jet1Gauge]
-    jet2: Field  # Field[Jet2Gauge]
-
-
-def _sample_factor_jet2(patch: Patch, spec: GroupSpec, factor) -> Jet2Gauge:
-    # the descriptor's (N, N) matrix is checked; the grid inherits its structure
-    n = patch.dim
-    nn = spec.n
+def _sample_factor(patch: Patch, spec: GroupSpec, factor, order: int):
+    """One checked factor to ``order``: its GroupElement, Jet1Gauge or Jet2Gauge."""
+    n, nn = patch.dim, spec.n
     if isinstance(factor, ConstantGauge):
-        g0 = GroupElement(spec, factor.g0).entries
-        g = np.broadcast_to(g0, patch.extent + (nn, nn)).copy()
-        a = np.zeros(patch.extent + (n, nn, nn), dtype=np.complex128)
-        s = np.zeros(patch.extent + (n, n, nn, nn), dtype=np.complex128)
-        return _trusted(Jet2Gauge, spec, g, a, s)
-    if isinstance(factor, SingleGenerator):
-        gen = AlgebraElement(spec, factor.generator).entries
+        g = np.broadcast_to(factor.g0, patch.extent + (nn, nn)).copy()
+        derivs = [
+            np.zeros(patch.extent + (n,) * k + (nn, nn), dtype=np.complex128)
+            for k in range(1, order + 1)
+        ]
+    else:
         value, grad, hess = factor.fn.evaluate(patch.coords())
-        g = exp(_trusted(AlgebraElement, spec, value[..., None, None] * gen)).entries
-        a = grad[..., :, None, None] * gen
-        s = hess[..., :, :, None, None] * gen
-        return _trusted(Jet2Gauge, spec, g, a, s)
+        g = exp(_trusted(AlgebraElement, spec, value[..., None, None] * factor.generator)).entries
+        coeffs = (grad[..., :, None, None], hess[..., :, :, None, None])[:order]
+        derivs = [c * factor.generator for c in coeffs]
+    return _trusted((GroupElement, Jet1Gauge, Jet2Gauge)[order], spec, g, *derivs)
+
+
+@dataclass(frozen=True, eq=False)
+class GaugeSample:
+    """Sampled group field plus its exact first- and second-order jets.
+
+    ``values`` (Field[GroupElement]), ``jet1`` (Field[Jet1Gauge]) and
+    ``jet2`` (Field[Jet2Gauge]) are each built on first read and then
+    cached: the product of the factors sampled to that order, by
+    ``multiply``, ``jet1_mul`` or ``jet2_mul``.  A lower order read after a
+    higher one is cut from the cached higher order, so the three always
+    agree bit for bit.  Only the checked descriptors are kept between reads.
+    """
+
+    patch: Patch
+    spec: GroupSpec
+    factors: tuple  # checked ConstantGauge / SingleGenerator descriptors
+
+    def _product(self, order: int, mul) -> Field:
+        out = _sample_factor(self.patch, self.spec, self.factors[0], order)
+        for factor in self.factors[1:]:
+            out = mul(out, _sample_factor(self.patch, self.spec, factor, order))
+        return Field(self.patch, out)
+
+    @cached_property
+    def jet2(self) -> Field:
+        return self._product(2, jet2_mul)
+
+    @cached_property
+    def jet1(self) -> Field:
+        if "jet2" in self.__dict__:
+            return Field(self.patch, self.jet2.value.truncate())
+        return self._product(1, jet1_mul)
+
+    @cached_property
+    def values(self) -> Field:
+        for higher in ("jet1", "jet2"):
+            if higher in self.__dict__:
+                return Field(self.patch, getattr(self, higher).value.group_element())
+        return self._product(0, multiply)
+
+
+def _checked_factor(spec: GroupSpec, factor):
+    # the descriptor's (N, N) matrix is checked; the grid inherits its structure
+    if isinstance(factor, ConstantGauge):
+        return ConstantGauge(GroupElement(spec, factor.g0).entries)
+    if isinstance(factor, SingleGenerator):
+        return SingleGenerator(factor.fn, AlgebraElement(spec, factor.generator).entries)
     raise UnknownFamilyError(f"unknown gauge factor {type(factor).__name__}")
 
 
 def sample_gauge(patch: Patch, spec: GroupSpec, family) -> GaugeSample:
-    """Sample a gauge transformation family together with its exact jets."""
+    """Sample a gauge transformation family together with its exact jets.
+
+    The family and each descriptor are checked here; the grids of each
+    order are built when the sample's attribute is first read.
+    """
     if isinstance(family, (ConstantGauge, SingleGenerator)):
         factors = (family,)
     elif isinstance(family, ProductGauge):
@@ -136,13 +184,7 @@ def sample_gauge(patch: Patch, spec: GroupSpec, family) -> GaugeSample:
             raise UnknownFamilyError("products support 1 to 3 factors")
     else:
         raise UnknownFamilyError(f"unknown gauge family {type(family).__name__}")
-    jet = _sample_factor_jet2(patch, spec, factors[0])
-    for factor in factors[1:]:
-        jet = jet2_mul(jet, _sample_factor_jet2(patch, spec, factor))
-    gfield = Field(patch, jet.group_element())
-    j1 = Field(patch, jet.truncate())
-    j2 = Field(patch, jet)
-    return GaugeSample(values=gfield, jet1=j1, jet2=j2)
+    return GaugeSample(patch, spec, tuple(_checked_factor(spec, f) for f in factors))
 
 
 # ---------------------------------------------------------------------------
@@ -188,33 +230,52 @@ class CoefficientConnection:
     fns: tuple[tuple, ...]  # [n_axes][algebra_dim] scalar functions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConnectionSample:
-    values: Field  # Field[AlgebraElement], components on axis -3
-    jet: Field  # Field[JetConnection]
+    """Sampled gauge potential and its exact first-order jet.
+
+    ``values`` (Field[AlgebraElement], components on axis -3) and ``jet``
+    (Field[JetConnection]) are each built on first read and then cached,
+    through their public constructors; ``values`` read after ``jet`` is
+    cut from the cached jet.
+    """
+
+    patch: Patch
+    spec: GroupSpec
+    family: CoefficientConnection
+
+    def _slots(self, order: int) -> list[np.ndarray]:
+        """A, and dA when ``order`` is 1, summed over the orthonormal basis."""
+        n, nn, x = self.patch.dim, self.spec.n, self.patch.coords()
+        basis = algebra_basis(self.spec)
+        A = np.zeros(self.patch.extent + (n, nn, nn), dtype=np.complex128)
+        dA = np.zeros(self.patch.extent + (n, n, nn, nn), dtype=np.complex128) if order else None
+        for nu, row in enumerate(self.family.fns):
+            for a_idx, fn in enumerate(row):
+                value, grad, _ = fn.evaluate(x)
+                A[..., nu, :, :] += value[..., None, None] * basis[a_idx]
+                if order:
+                    dA[..., :, nu, :, :] += grad[..., :, None, None] * basis[a_idx]
+        return [A, dA] if order else [A]
+
+    @cached_property
+    def jet(self) -> Field:
+        return Field(self.patch, JetConnection(self.spec, *self._slots(1)))
+
+    @cached_property
+    def values(self) -> Field:
+        if "jet" in self.__dict__:
+            return Field(self.patch, self.jet.value.potential())
+        return Field(self.patch, AlgebraElement(self.spec, *self._slots(0)))
 
 
 def sample_connection(patch: Patch, spec: GroupSpec, family: CoefficientConnection) -> ConnectionSample:
-    from .lie_core import algebra_basis
-
+    """Sample a connection family; its grids are built when first read."""
     if not isinstance(family, CoefficientConnection):
         raise UnknownFamilyError(f"unknown connection family {type(family).__name__}")
-    n = patch.dim
-    dim = spec.algebra_dim
-    if len(family.fns) != n or any(len(row) != dim for row in family.fns):
+    if len(family.fns) != patch.dim or any(len(row) != spec.algebra_dim for row in family.fns):
         raise DimensionError("connection family needs n_axes x algebra_dim coefficients")
-    basis = algebra_basis(spec)
-    x = patch.coords()
-    nn = spec.n
-    A = np.zeros(patch.extent + (n, nn, nn), dtype=np.complex128)
-    dA = np.zeros(patch.extent + (n, n, nn, nn), dtype=np.complex128)
-    for nu in range(n):
-        for a_idx in range(dim):
-            value, grad, _ = family.fns[nu][a_idx].evaluate(x)
-            A[..., nu, :, :] += value[..., None, None] * basis[a_idx]
-            dA[..., :, nu, :, :] += grad[..., :, None, None] * basis[a_idx]
-    jet = JetConnection(spec, A, dA)
-    return ConnectionSample(values=Field(patch, jet.potential()), jet=Field(patch, jet))
+    return ConnectionSample(patch, spec, family)
 
 
 # ---------------------------------------------------------------------------

@@ -142,6 +142,11 @@ def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def assert_finite(m: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(m)):
+        raise InvariantError(f"{what} contains non-finite entries")
+
+
 def assert_unitary(m: np.ndarray, atol: float, special: bool) -> None:
     n = m.shape[-1]
     defect = _max_or_zero(frobenius(mm(dagger(m), m) - np.eye(n)))
@@ -203,8 +208,7 @@ class Fiber:
                     f"{what}.{name} has batch shape {arr.shape[:lead]}, expected {batch}"
                 )
         for name in self.LAYOUT:
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise InvariantError(f"{what}.{name} contains non-finite entries")
+            assert_finite(getattr(self, name), f"{what}.{name}")
         for name, (_, invariant) in self.LAYOUT.items():
             if invariant == "group":
                 assert_unitary(getattr(self, name), ATOL, self.spec.is_special)

@@ -1,9 +1,9 @@
 """Where structural checks run.
 
 Public constructors and the gauge sampler's family descriptors check
-unitarity and algebra membership; operations on checked values do not
-re-check their results, which keep the invariants by construction.  The
-second half of this module checks those invariants here, in the tests,
+finiteness, unitarity and algebra membership; operations on checked values
+do not re-check their results, which keep the invariants by construction.
+The second half of this module checks those invariants here, in the tests,
 instead of at run time.
 """
 
@@ -14,8 +14,15 @@ import numpy as np
 import pytest
 
 from gaugejets import lie_core
-from gaugejets.actions import act_jet_connection
-from gaugejets.analytic import ConstantGauge, ProductGauge, random_gauge_family, sample_gauge
+from gaugejets.actions import act_jet_connection, act_variation
+from gaugejets.analytic import (
+    ConstantGauge,
+    ProductGauge,
+    random_connection_family,
+    random_gauge_family,
+    sample_connection,
+    sample_gauge,
+)
 from gaugejets.jets import (
     Curvature,
     Jet1Gauge,
@@ -57,12 +64,12 @@ BATCH = 32
 def checked(monkeypatch):
     """Record the shape of every array a structural check is run on."""
     seen = []
-    for name in ("assert_unitary", "assert_antihermitian"):
+    for name in ("assert_finite", "assert_unitary", "assert_antihermitian"):
         original = getattr(lie_core, name)
 
-        def recording(m, atol, flag, _original=original):
+        def recording(m, *args, _original=original):
             seen.append(m.shape)
-            return _original(m, atol, flag)
+            return _original(m, *args)
 
         for modname, module in list(sys.modules.items()):
             if modname.split(".")[0] == "gaugejets" and getattr(module, name, None) is original:
@@ -100,7 +107,15 @@ def make_inputs(spec, seed=0):
         gfield=Field(patch, group(patch.extent)),
         patch=patch,
         family=ProductGauge((ConstantGauge(group(()).entries), *family.factors)),
+        g=group((BATCH,)),
+        var=Variation(spec, rng.uniform(-1, 1, (BATCH, spec.rep_dim)) + 0j),
     )
+
+
+def read_orders(sample):
+    """Read every order of a gauge sample, highest last, and return it."""
+    sample.values, sample.jet1, sample.jet2
+    return sample
 
 
 # name -> (operation on the inputs, (unitary arrays, algebra arrays) of its result)
@@ -118,9 +133,10 @@ OPS = {
     # the derivative slot of a finite-difference jet is off the algebra by O(h^2)
     "jet1_of": (lambda i: jet1_of(i.gfield), lambda r: ([r.value.g], [])),
     "sample_gauge": (
-        lambda i: sample_gauge(i.patch, i.gfield.value.spec, i.family),
+        lambda i: read_orders(sample_gauge(i.patch, i.gfield.value.spec, i.family)),
         lambda r: ([r.values.value.entries, r.jet2.value.g], [r.jet2.value.a, r.jet2.value.s]),
     ),
+    "act_variation": (lambda i: act_variation(i.g, i.var), lambda r: ([], [])),
 }
 
 
@@ -131,8 +147,9 @@ def test_operations_run_no_per_point_checks(checked, op):
     checked.clear()
     OPS[op][0](inputs)
     if op == "sample_gauge":
-        # one (N, N) check per family descriptor, none on the sampled grid
-        assert checked == [(spec.n, spec.n)] * len(inputs.family.factors)
+        # finiteness and structure of each family descriptor's (N, N)
+        # matrix, when sampled; none on the grid of any order
+        assert checked == [(spec.n, spec.n)] * 2 * len(inputs.family.factors)
     else:
         assert checked == []
 
@@ -146,6 +163,7 @@ def test_public_constructors_check(checked):
     s = 0.5 * (s + np.swapaxes(s, -4, -3))
     comps = random_algebra_entries(rng, spec, (BATCH, N_AXES))
     v = rng.uniform(-1, 1, (BATCH, N_AXES, spec.rep_dim)) + 0j
+    # (constructor, invariant checks): each field is also checked finite
     constructors = [
         (lambda: GroupElement(spec, g), 1),
         (lambda: AlgebraElement(spec, a), 1),
@@ -160,8 +178,25 @@ def test_public_constructors_check(checked):
     ]
     for build, expected in constructors:
         checked.clear()
-        build()
-        assert len(checked) == expected
+        value = build()
+        assert len(checked) == len(value.LAYOUT) + expected
+
+
+def test_connection_sampler_checks_only_what_is_read(checked):
+    spec = SPECS["su3"]
+    patch = Patch((5,) * N_AXES, spacing=0.1)
+    family = random_connection_family(seeded_rng(3, "checks"), spec, N_AXES)
+    a_shape = patch.extent + (N_AXES, spec.n, spec.n)
+    da_shape = patch.extent + (N_AXES, N_AXES, spec.n, spec.n)
+
+    checked.clear()
+    sample_connection(patch, spec, family).values
+    assert checked == [a_shape] * 2  # finite, anti-hermitian; no dA is built
+
+    checked.clear()
+    sample = sample_connection(patch, spec, family)
+    sample.jet, sample.values  # the values are cut from the checked jet
+    assert checked == [a_shape, da_shape, a_shape, da_shape]
 
 
 @pytest.mark.parametrize("op", sorted(OPS))
