@@ -16,7 +16,20 @@ from .harness import ConfigError, Report, SUITES, SuiteConfig, converge, run
 from .jets import jet1_of, jet2_of, jet_connection_of, jet_matter_of
 from .lie_core import seeded_rng
 
-SAMPLE_KINDS = ("group", "jet1-gauge", "jet2-gauge", "connection", "jet-connection", "jet-matter")
+# kind -> (random family, sampler, exact attribute, finite-difference jet or None)
+SAMPLES = {
+    "group": (analytic.random_gauge_family, analytic.sample_gauge, "values", None),
+    "jet1-gauge": (analytic.random_gauge_family, analytic.sample_gauge, "jet1", jet1_of),
+    "jet2-gauge": (analytic.random_gauge_family, analytic.sample_gauge, "jet2", jet2_of),
+    "connection": (analytic.random_connection_family, analytic.sample_connection, "values", None),
+    "jet-connection": (
+        analytic.random_connection_family,
+        analytic.sample_connection,
+        "jet",
+        jet_connection_of,
+    ),
+    "jet-matter": (analytic.random_matter_family, analytic.sample_matter, "jet", jet_matter_of),
+}
 
 
 def _load_config(args) -> SuiteConfig:
@@ -75,31 +88,14 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    family, sampler, exact, fd = SAMPLES[args.kind]
+    if args.fd and fd is None:
+        raise ConfigError(f"--fd needs a jet kind; {args.kind} has no finite-difference jet")
     cfg = _load_config(args)
     spec, patch = cfg.group, cfg.patch
     rng = seeded_rng(cfg.seed, "sample", args.kind)
-    if args.kind in ("group", "jet1-gauge", "jet2-gauge"):
-        fam = analytic.random_gauge_family(rng, spec, patch.dim, factors=2)
-        sample = analytic.sample_gauge(patch, spec, fam)
-        if args.kind == "group":
-            out = sample.values
-        elif args.kind == "jet1-gauge":
-            out = jet1_of(sample.values) if args.fd else sample.jet1
-        else:
-            out = jet2_of(sample.values) if args.fd else sample.jet2
-    elif args.kind in ("connection", "jet-connection"):
-        fam = analytic.random_connection_family(rng, spec, patch.dim)
-        sample = analytic.sample_connection(patch, spec, fam)
-        if args.kind == "connection":
-            out = sample.values
-        else:
-            out = jet_connection_of(sample.values) if args.fd else sample.jet
-    elif args.kind == "jet-matter":
-        fam = analytic.random_matter_family(rng, spec, patch.dim)
-        sample = analytic.sample_matter(patch, spec, fam)
-        out = jet_matter_of(sample.values) if args.fd else sample.jet
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown sample kind {args.kind}")
+    sample = sampler(patch, spec, family(rng, spec, patch.dim))
+    out = fd(sample.values) if args.fd else getattr(sample, exact)
     jgf.write_field(out, args.out)
     print(f"wrote {args.kind} field to {args.out}")
     return 0
@@ -139,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sample = sub.add_parser("sample", help="emit a sampled field as a JGF1 file")
     common(p_sample, out_default="field.jgf1")
-    p_sample.add_argument("--kind", choices=SAMPLE_KINDS, default="jet1-gauge")
+    p_sample.add_argument("--kind", choices=SAMPLES, default="jet1-gauge")
     p_sample.add_argument(
         "--fd", action="store_true", help="store finite-difference jets instead of exact ones"
     )

@@ -89,6 +89,7 @@ from .lie_core import (
     GroupFamily,
     GroupSpec,
     RepVector,
+    _trusted,
     distance,
     exp,
     frobenius,
@@ -259,35 +260,25 @@ class Report:
 # ---------------------------------------------------------------------------
 # random fiber batches and sampled fields
 
-def _random_group_batch(rng, spec: GroupSpec, shape) -> np.ndarray:
-    return exp(AlgebraElement(spec, random_algebra_entries(rng, spec, shape))).entries
+def _random(cls, rng, spec: GroupSpec, n: int, batch: int):
+    """A batch of random ``cls`` values on n base axes, drawn field by field in LAYOUT order.
 
-
-def _random_jet1(rng, spec: GroupSpec, n: int, batch: int) -> Jet1Gauge:
-    g = _random_group_batch(rng, spec, (batch,))
-    a = random_algebra_entries(rng, spec, (batch, n))
-    return Jet1Gauge(spec, g, a)
-
-
-def _random_jet2(rng, spec: GroupSpec, n: int, batch: int) -> Jet2Gauge:
-    g = _random_group_batch(rng, spec, (batch,))
-    a = random_algebra_entries(rng, spec, (batch, n))
-    s = random_algebra_entries(rng, spec, (batch, n, n))
-    s = 0.5 * (s + np.swapaxes(s, -4, -3))
-    return Jet2Gauge(spec, g, a, s)
-
-
-def _random_jet_connection(rng, spec: GroupSpec, n: int, batch: int) -> JetConnection:
-    A = random_algebra_entries(rng, spec, (batch, n))
-    dA = random_algebra_entries(rng, spec, (batch, n, n))
-    return JetConnection(spec, A, dA)
-
-
-def _random_jet_matter(rng, spec: GroupSpec, n: int, batch: int) -> JetMatter:
-    k = spec.rep_dim
-    phi = rng.uniform(-1, 1, (batch, k)) + 1j * rng.uniform(-1, 1, (batch, k))
-    dphi = rng.uniform(-1, 1, (batch, n, k)) + 1j * rng.uniform(-1, 1, (batch, n, k))
-    return JetMatter(spec, phi, dphi)
+    A group field is exp of a random algebra batch, an algebra field
+    ``random_algebra_entries``, a vector field a uniform real and then imaginary
+    part in [-1, 1]; ``Jet2Gauge.s`` is symmetrized, as its constructor requires.
+    """
+    sizes = {**_trusted(cls, spec)._sizes(), "n": n}
+    arrays = []
+    for axes, invariant in cls.LAYOUT.values():
+        shape = (batch, *(sizes[a] for a in axes))
+        if invariant is None:
+            arrays.append(rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
+            continue
+        x = random_algebra_entries(rng, spec, shape[:-2])
+        arrays.append(exp(AlgebraElement(spec, x)).entries if invariant == "group" else x)
+    if cls is Jet2Gauge:
+        arrays[-1] = 0.5 * (arrays[-1] + np.swapaxes(arrays[-1], -4, -3))
+    return cls(spec, *arrays)
 
 
 def _gauge(rng, spec: GroupSpec, patch: Patch, scale: float = 1.0):
@@ -337,8 +328,8 @@ def _interior_max(err_grid: np.ndarray, patch: Patch, margin: int) -> float:
 def _suite_jet_group_axioms(cfg: SuiteConfig):
     n = cfg.patch.dim
     laws = (
-        ("order1", _random_jet1, jet1_mul, jet1_inv, jet1_unit),
-        ("order2", _random_jet2, jet2_mul, jet2_inv, jet2_unit),
+        ("order1", Jet1Gauge, jet1_mul, jet1_inv, jet1_unit),
+        ("order2", Jet2Gauge, jet2_mul, jet2_inv, jet2_unit),
     )
     worst = 0.0
     details = {}
@@ -346,8 +337,8 @@ def _suite_jet_group_axioms(cfg: SuiteConfig):
         spec = group_spec(fam)
         rng = seeded_rng(cfg.seed, "jet_group_axioms", fam)
         details[fam] = {}
-        for order, random_jet, mul, inv, unit_of in laws:
-            j, k, l = (random_jet(rng, spec, n, AXIOM_BATCH) for _ in range(3))
+        for order, cls, mul, inv, unit_of in laws:
+            j, k, l = (_random(cls, rng, spec, n, AXIOM_BATCH) for _ in range(3))
             unit = unit_of(spec, n, (AXIOM_BATCH,))
             err = max(
                 _max(distance(mul(mul(j, k), l), mul(j, mul(k, l)))),
@@ -381,15 +372,15 @@ def _suite_action_axioms(cfg: SuiteConfig):
     n = cfg.patch.dim
     rng = seeded_rng(cfg.seed, "action_axioms", spec.label())
     b = AXIOM_BATCH
-    j1, k1 = _random_jet1(rng, spec, n, b), _random_jet1(rng, spec, n, b)
-    j2, k2 = _random_jet2(rng, spec, n, b), _random_jet2(rng, spec, n, b)
+    j1, k1 = _random(Jet1Gauge, rng, spec, n, b), _random(Jet1Gauge, rng, spec, n, b)
+    j2, k2 = _random(Jet2Gauge, rng, spec, n, b), _random(Jet2Gauge, rng, spec, n, b)
     g = j1.group_element()
     h = k1.group_element()
     gh = multiply(g, h)
     unit1 = jet1_unit(spec, n, (b,))
     unit2 = jet2_unit(spec, n, (b,))
-    jm = _random_jet_matter(rng, spec, n, b)
-    jc = _random_jet_connection(rng, spec, n, b)
+    jm = _random(JetMatter, rng, spec, n, b)
+    jc = _random(JetConnection, rng, spec, n, b)
     phi = RepVector(spec, jm.phi)
     var = Variation(spec, jm.dphi[:, 0, :])
     A = jc.potential()
@@ -454,8 +445,8 @@ def _suite_curvature_equivariance(cfg: SuiteConfig):
     spec = cfg.group
     n = cfg.patch.dim
     rng = seeded_rng(cfg.seed, "curvature_equivariance", spec.label(), n)
-    jets = _random_jet2(rng, spec, n, EQUIVARIANCE_BATCH)
-    jcs = _random_jet_connection(rng, spec, n, EQUIVARIANCE_BATCH)
+    jets = _random(Jet2Gauge, rng, spec, n, EQUIVARIANCE_BATCH)
+    jcs = _random(JetConnection, rng, spec, n, EQUIVARIANCE_BATCH)
     defect = curvature_equivariance_defect(jets, jcs)
     return _max(defect), {"samples": EQUIVARIANCE_BATCH}
 
@@ -492,8 +483,8 @@ def _coupling_data(cfg: SuiteConfig):
     n = cfg.patch.dim
     rng = seeded_rng(cfg.seed, "minimal_coupling", spec.label())
     b = COUPLING_BATCH
-    jets = _random_jet1(rng, spec, n, b)
-    jm = _random_jet_matter(rng, spec, n, b)
+    jets = _random(Jet1Gauge, rng, spec, n, b)
+    jm = _random(JetMatter, rng, spec, n, b)
     A = AlgebraElement(spec, random_algebra_entries(rng, spec, (b, n)))
     return jets, jm, A
 
@@ -525,7 +516,7 @@ def _utiyama_pairs(cfg: SuiteConfig):
     spec = cfg.group
     n = cfg.patch.dim
     rng = seeded_rng(cfg.seed, "utiyama", spec.label())
-    jc = _random_jet_connection(rng, spec, n, UTIYAMA_PAIRS)
+    jc = _random(JetConnection, rng, spec, n, UTIYAMA_PAIRS)
     shift = random_algebra_entries(rng, spec, (UTIYAMA_PAIRS, n, n))
     shift = 0.5 * (shift + np.swapaxes(shift, -4, -3))
     jc_shifted = JetConnection(spec, jc.A, jc.dA + shift)
@@ -646,9 +637,10 @@ def _suite_mechanics_reduction(cfg: SuiteConfig):
     spec = cfg.group
     line = cfg.patch if cfg.patch.dim == 1 else default_patch(1)
     rng = seeded_rng(cfg.seed, "mechanics", spec.label())
-    jc = _random_jet_connection(rng, spec, 1, 8)
-    if curvature(jc).comps.size != 0:
-        return float("inf"), {"curvature_components": int(curvature(jc).comps.size)}
+    jc = _random(JetConnection, rng, spec, 1, 8)
+    components = curvature(jc).comps.size
+    if components != 0:
+        return float("inf"), {"curvature_components": components}
     ms = analytic.sample_matter(line, spec, analytic.random_matter_family(rng, spec, 1))
     jet = _gauge(rng, spec, line).jet1.value
     A = _connection(rng, spec, line).values.value

@@ -19,17 +19,17 @@ Layout (documented contract):
   entry, in lexicographic grid order (C order), row-major within each
   matrix.  Real scalar fields store (value, 0.0) pairs.
 
-Per-point entry order for composite kinds:
+Per-point entry order: a ``Fiber`` value stores its arrays in ``LAYOUT``
+order, each row-major over its trailing axes (``KINDS`` gives each kind's
+fiber type).  ``connection`` is one ``AlgebraElement`` with a leading axis
+for mu, A_1 .. A_n.  The symmetric ``s`` of ``jet2-gauge`` is stored
+packed: s_munu for mu <= nu, in lexicographic order (n(n+1)/2 matrices).
+``curvature`` holds F_munu for mu < nu, and ``scalar`` one pair per point.
 
-* ``group`` / ``algebra``: the N x N matrix.
-* ``connection``: A_1 .. A_n.
-* ``jet1-gauge``: g, a_1 .. a_n.
-* ``jet2-gauge``: g, a_1 .. a_n, then s_munu for mu <= nu in
-  lexicographic order (n(n+1)/2 matrices).
-* ``jet-connection``: A_1 .. A_n, then dA_munu row-major (n^2 matrices).
-* ``matter``: the k-vector;  ``jet-matter``: phi, then d_1 phi .. d_n phi.
-* ``curvature``: F_munu for mu < nu in lexicographic order.
-* ``scalar``: one pair per point.
+The writer rejects any value the reader cannot rebuild: an unknown type,
+a batch shape other than the patch extent (plus (n,) for ``connection``),
+a jet whose n is not the patch dimension, and a complex or non-finite
+scalar array.  ``gaugejets sample --fd`` needs a jet kind.
 
 The header carries no margin or origin: files describe whole-grid-valid
 data on an origin-zero patch, which is what the analytic samplers emit.
@@ -38,73 +38,89 @@ data on an origin-zero patch, which is what the analytic samplers emit.
 from __future__ import annotations
 
 import io
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .jets import (
-    Curvature,
-    Jet1Gauge,
-    Jet2Gauge,
-    JetConnection,
-    JetMatter,
-)
+from .jets import Curvature, Jet1Gauge, Jet2Gauge, JetConnection, JetMatter
 from .lie_core import AlgebraElement, GroupElement, GroupFamily, GroupSpec, RepVector, _trusted
 from .patch import Field, Patch
 
 
 class FormatError(ValueError):
-    """Malformed JGF1 header or payload."""
+    """Malformed JGF1 header or payload, or a value JGF1 cannot store."""
 
 
-def _sym_pairs(n: int) -> list[tuple[int, int]]:
-    return [(mu, nu) for mu in range(n) for nu in range(mu, n)]
+# value kind -> (fiber type, stack axes ahead of the type's LAYOUT axes)
+KINDS = {
+    "group": (GroupElement, ()),
+    "algebra": (AlgebraElement, ()),
+    "connection": (AlgebraElement, ("n",)),
+    "matter": (RepVector, ()),
+    "jet1-gauge": (Jet1Gauge, ()),
+    "jet2-gauge": (Jet2Gauge, ()),
+    "jet-connection": (JetConnection, ()),
+    "jet-matter": (JetMatter, ()),
+    "curvature": (Curvature, ()),
+}
+# read back without invariant checks: finite-difference jets sit off the
+# group and algebra by O(h^2)
+_UNCHECKED = (Jet1Gauge, Jet2Gauge, JetConnection, Curvature)
+
+
+def _head(cls, spec: GroupSpec, n: int) -> tuple:
+    """The fields of ``cls`` ahead of its arrays: the spec, and n for Curvature."""
+    return (spec, n) if cls is Curvature else (spec,)
+
+
+def _shapes(kind: str, spec: GroupSpec, n: int) -> dict[str, tuple[int, ...]]:
+    """Per-point shape of each array of ``kind`` on an n-D patch, in LAYOUT order,
+    from the axis sizes the type's constructor binds (``Fiber._sizes``)."""
+    cls, stack = KINDS[kind]
+    sizes = {**_trusted(cls, *_head(cls, spec, n))._sizes(), "n": n}
+    return {name: tuple(sizes[a] for a in stack + axes) for name, (axes, _) in cls.LAYOUT.items()}
 
 
 def value_kind(field: Field) -> str:
-    v = field.value
+    """The kind a field is stored as; FormatError if the reader could not rebuild it."""
+    v, p = field.value, field.patch
     if isinstance(v, np.ndarray):
-        if v.shape == field.patch.extent:
-            return "scalar"
-        raise FormatError("only scalar raw arrays are serializable")
-    if isinstance(v, AlgebraElement):
-        return "algebra" if v.entries.ndim == field.patch.dim + 2 else "connection"
-    kinds = {
-        GroupElement: "group",
-        RepVector: "matter",
-        Jet1Gauge: "jet1-gauge",
-        Jet2Gauge: "jet2-gauge",
-        JetConnection: "jet-connection",
-        JetMatter: "jet-matter",
-        Curvature: "curvature",
-    }
-    try:
-        return kinds[type(v)]
-    except KeyError:
-        raise FormatError(f"unserializable field value {type(v).__name__}") from None
+        if v.shape != p.extent or np.iscomplexobj(v) or not np.all(np.isfinite(v)):
+            raise FormatError(f"a raw array must be a finite real scalar field of shape {p.extent}")
+        return "scalar"
+    for kind, (cls, _) in KINDS.items():
+        if type(v) is cls and all(
+            getattr(v, name).shape == p.extent + shape
+            for name, shape in _shapes(kind, v.spec, p.dim).items()
+        ):
+            return kind
+    raise FormatError(f"cannot store {type(v).__name__} on a {p.dim}-D patch of extent {p.extent}")
 
 
-def _flatten(field: Field) -> tuple[np.ndarray, GroupSpec | None]:
-    """Per-point complex payload, shape (*extent, entries_per_point)."""
-    ext = field.patch.extent
-    npts = int(np.prod(ext))
-    v = field.value
-    kind = value_kind(field)
+def _flatten(field: Field, kind: str) -> np.ndarray:
+    """Per-point complex payload, shape (npoints, entries_per_point)."""
+    v, npts = field.value, field.patch.npoints
     if kind == "scalar":
-        return np.asarray(v, dtype=np.complex128).reshape(npts, 1), None
-    parts = {name: getattr(v, name) for name in v.LAYOUT}
+        return np.asarray(v, dtype=np.complex128).reshape(npts, 1)
+    parts = [getattr(v, name) for name in v.LAYOUT]
     if kind == "jet2-gauge":  # s is stored packed, mu <= nu only
-        pairs = _sym_pairs(field.patch.dim)
-        parts["s"] = np.stack([v.s[..., mu, nu, :, :] for mu, nu in pairs], axis=-3)
-    payload = np.concatenate([x.reshape(npts, -1) for x in parts.values()], axis=1)
-    return np.ascontiguousarray(payload, dtype=np.complex128), v.spec
+        n = field.patch.dim
+        # np.take along the flat (mu, nu) axis returns a contiguous array, so
+        # the reshape below copies nothing; indexing s[..., mu, nu, :, :] would not
+        upper = np.ravel_multi_index(np.triu_indices(n), (n, n))
+        parts[-1] = np.take(v.s.reshape(npts, n * n, -1), upper, axis=1)
+    payload = np.concatenate([x.reshape(npts, -1) for x in parts], axis=1)
+    return np.ascontiguousarray(payload, dtype=np.complex128)
 
 
 def write_field(field: Field, path: str | Path) -> None:
-    payload, spec = _flatten(field)
+    """Write a field as JGF1; FormatError, before the file is opened, for a
+    value the reader could not rebuild."""
+    kind = value_kind(field)
+    payload = _flatten(field, kind)
     p = field.patch
-    if spec is None:
-        spec = GroupSpec(GroupFamily.U1)
+    spec = GroupSpec(GroupFamily.U1) if kind == "scalar" else field.value.spec
     family = spec.family.value
     family_line = f"family {family} {spec.n}" if spec.family is GroupFamily.SUN else f"family {family}"
     header = "\n".join(
@@ -115,7 +131,7 @@ def write_field(field: Field, path: str | Path) -> None:
             f"dim {p.dim}",
             "extent " + " ".join(str(e) for e in p.extent),
             "spacing " + " ".join(repr(h) for h in p.spacing),
-            f"value_kind {value_kind(field)}",
+            f"value_kind {kind}",
         ]
     )
     with open(path, "wb") as fh:
@@ -126,15 +142,10 @@ def write_field(field: Field, path: str | Path) -> None:
 def _read_header(fh: io.BufferedReader) -> dict:
     lines = []
     for _ in range(7):
-        raw = bytearray()
-        while True:
-            ch = fh.read(1)
-            if not ch:
-                raise FormatError("truncated header")
-            if ch == b"\n":
-                break
-            raw += ch
-        lines.append(raw.decode("ascii"))
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise FormatError("truncated header")
+        lines.append(line[:-1].decode("ascii"))
     if lines[0] != "JGF1":
         raise FormatError(f"bad magic {lines[0]!r}")
     fields = {}
@@ -147,25 +158,14 @@ def _read_header(fh: io.BufferedReader) -> dict:
     return fields
 
 
-_MATRIX_COUNT = {
-    "group": lambda n: 1,
-    "algebra": lambda n: 1,
-    "connection": lambda n: n,
-    "jet1-gauge": lambda n: 1 + n,
-    "jet2-gauge": lambda n: 1 + n + n * (n + 1) // 2,
-    "jet-connection": lambda n: n + n * n,
-    "curvature": lambda n: n * (n - 1) // 2,
-}
-
-
 def read_field(path: str | Path) -> Field:
     """Reconstruct a field from a JGF1 file on an origin-zero patch.
 
     Any malformed header value or payload raises FormatError.  The payload
-    is checked for finiteness once; the group, algebra and connection
-    kinds then go through their strict public constructors, while jet
-    kinds and curvature are taken as stored (finite-difference jets sit
-    off the algebra by O(h^2)).
+    is checked for finiteness once; the group, algebra, connection, matter
+    and jet-matter kinds then go through their strict public constructors,
+    while the gauge and connection jets and curvature are taken as stored
+    (finite-difference jets sit off the algebra by O(h^2)).
     """
     with open(path, "rb") as fh:
         try:
@@ -187,55 +187,35 @@ def _decode(hdr: dict, payload: bytes) -> Field:
     kind = hdr["value_kind"]
     if len(extent) != dim or len(spacing) != dim:
         raise FormatError("extent/spacing do not match dim")
+    if kind != "scalar" and kind not in KINDS:
+        raise FormatError(f"unknown value kind {kind!r}")
     spec = GroupSpec(family, n_mat, rep_dim)
     patch = Patch(extent, spacing)
-    npts = patch.npoints
     data = np.frombuffer(payload, dtype="<c16")
     if not np.all(np.isfinite(data)):
         raise FormatError("payload contains non-finite entries")
-
-    def reshape(entries_per_point: int) -> np.ndarray:
-        if data.size != npts * entries_per_point:
-            raise FormatError(
-                f"payload holds {data.size} entries, expected {npts * entries_per_point}"
-            )
-        return data.reshape(extent + (entries_per_point,))
-
-    nn = spec.n
-    n = dim
+    shapes = {"value": ()} if kind == "scalar" else _shapes(kind, spec, dim)
+    upper = np.triu_indices(dim)
+    if kind == "jet2-gauge":  # s is stored packed, mu <= nu only
+        shapes["s"] = (len(upper[0]),) + shapes["s"][2:]
+    sizes = [int(np.prod(shape)) for shape in shapes.values()]
+    expected = patch.npoints * sum(sizes)
+    if data.size != expected:
+        raise FormatError(f"payload holds {data.size} entries, expected {expected}")
+    flat = data.reshape(extent + (sum(sizes),))
+    parts = np.split(flat, np.cumsum(sizes)[:-1], axis=-1)
+    arrays = [part.reshape(extent + shape) for part, shape in zip(parts, shapes.values())]
     if kind == "scalar":
-        return Field(patch, reshape(1)[..., 0].real.copy())
-    if kind == "matter":
-        return Field(patch, RepVector(spec, reshape(rep_dim).copy()))
-    if kind == "jet-matter":
-        flat = reshape((1 + n) * rep_dim).reshape(extent + (1 + n, rep_dim))
-        return Field(patch, JetMatter(spec, flat[..., 0, :].copy(), flat[..., 1:, :].copy()))
-    if kind not in _MATRIX_COUNT:
-        raise FormatError(f"unknown value kind {kind!r}")
-    count = _MATRIX_COUNT[kind](n)
-    flat = reshape(count * nn * nn).reshape(extent + (count, nn, nn)).copy()
-    if kind == "group":
-        return Field(patch, GroupElement(spec, flat[..., 0, :, :]))
-    if kind == "algebra":
-        return Field(patch, AlgebraElement(spec, flat[..., 0, :, :]))
-    if kind == "connection":
-        return Field(patch, AlgebraElement(spec, flat))
-    if kind == "jet1-gauge":
-        return Field(patch, _trusted(Jet1Gauge, spec, flat[..., 0, :, :], flat[..., 1:, :, :]))
+        return Field(patch, arrays[0].real.copy())
+    arrays = [arr.copy() for arr in arrays]
     if kind == "jet2-gauge":
-        g = flat[..., 0, :, :]
-        a = flat[..., 1 : 1 + n, :, :]
-        s = np.zeros(extent + (n, n, nn, nn), dtype=np.complex128)
-        for idx, (mu, nu) in enumerate(_sym_pairs(n)):
-            s[..., mu, nu, :, :] = flat[..., 1 + n + idx, :, :]
-            s[..., nu, mu, :, :] = flat[..., 1 + n + idx, :, :]
-        return Field(patch, _trusted(Jet2Gauge, spec, g, a, s))
-    if kind == "jet-connection":
-        A = flat[..., :n, :, :]
-        dA = flat[..., n:, :, :].reshape(extent + (n, n, nn, nn))
-        return Field(patch, _trusted(JetConnection, spec, A, dA))
-    # curvature: the only kind left in _MATRIX_COUNT
-    return Field(patch, _trusted(Curvature, spec, n, flat))
+        s = np.empty(extent + (dim, dim, spec.n, spec.n), dtype=np.complex128)
+        s[..., upper[0], upper[1], :, :] = arrays[-1]
+        s[..., upper[1], upper[0], :, :] = arrays[-1]
+        arrays[-1] = s
+    cls, _ = KINDS[kind]
+    build = partial(_trusted, cls) if cls in _UNCHECKED else cls
+    return Field(patch, build(*_head(cls, spec, dim), *arrays))
 
 
 def describe(path: str | Path) -> str:

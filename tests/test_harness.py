@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from gaugejets.cli import main as cli_main
@@ -10,11 +11,19 @@ from gaugejets.harness import (
     SUITES,
     SuiteConfig,
     UnknownSuiteError,
+    _random,
     convergence_study,
     ratio_study,
     run,
 )
-from gaugejets.lie_core import group_spec
+from gaugejets.jets import Jet1Gauge, Jet2Gauge, JetConnection, JetMatter
+from gaugejets.lie_core import (
+    AlgebraElement,
+    exp,
+    group_spec,
+    random_algebra_entries,
+    seeded_rng,
+)
 from gaugejets.patch import Patch
 
 FAST_SUITES = (
@@ -180,6 +189,48 @@ class TestConvergence:
         assert res.convergence_ratios == []
 
 
+def reference_draws(cls, rng, spec, n, batch):
+    """The arrays of a random jet batch as hand-written per-type builders drew them."""
+
+    def algebra(*stack):
+        return random_algebra_entries(rng, spec, (batch, *stack))
+
+    def vector(*stack):
+        shape = (batch, *stack, spec.rep_dim)
+        return rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape)
+
+    if cls is JetConnection:
+        return algebra(n), algebra(n, n)
+    if cls is JetMatter:
+        return vector(), vector(n)
+    g = exp(AlgebraElement(spec, algebra())).entries
+    if cls is Jet1Gauge:
+        return g, algebra(n)
+    a, s = algebra(n), algebra(n, n)
+    return g, a, 0.5 * (s + np.swapaxes(s, -4, -3))
+
+
+@pytest.mark.parametrize(
+    "cls", [Jet1Gauge, Jet2Gauge, JetConnection, JetMatter], ids=lambda c: c.__name__
+)
+@pytest.mark.parametrize(
+    "spec",
+    [group_spec("u1"), group_spec("su2"), group_spec("su3", rep_dim=8), group_spec("sun", n=4)],
+    ids=lambda s: f"{s.label()}-{s.rep_dim}",
+)
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_random_batches_keep_their_draws(cls, spec, n):
+    """Suites draw their random jets through ``_random``; its draws, in order and
+    value, are those of the per-type builders the reports were pinned with."""
+    rng, ref_rng = seeded_rng(3, "draws"), seeded_rng(3, "draws")
+    value = _random(cls, rng, spec, n, 5)
+    assert type(value) is cls
+    for name, ref in zip(cls.LAYOUT, reference_draws(cls, ref_rng, spec, n, 5)):
+        arr = getattr(value, name)
+        assert arr.dtype == ref.dtype and arr.tobytes() == ref.tobytes(), name
+    assert rng.uniform() == ref_rng.uniform()
+
+
 class TestCli:
     def test_run_default_config_empty(self, capsys):
         assert cli_main(["run"]) == 0
@@ -260,6 +311,14 @@ class TestCli:
         cli_main(["sample", "--config", str(cfg_path), "--out", str(a)])
         cli_main(["sample", "--config", str(cfg_path), "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["group", "connection"])
+    def test_sample_fd_needs_a_jet_kind(self, tmp_path, capsys, kind):
+        out = tmp_path / "field.jgf1"
+        assert cli_main(["sample", "--kind", kind, "--fd", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_inspect_missing_file_exit_code_2(self):
         assert cli_main(["inspect", "/nonexistent/file.jgf1"]) == 2

@@ -1,7 +1,7 @@
 """Source hygiene: every module uses each name it imports, the fiber
 modules multiply matrices through one kernel, only ``lie_core`` builds
-representation matrices, and every fiber type declares its arrays in one
-``Fiber.LAYOUT``.
+representation matrices, every fiber type declares its arrays in one
+``Fiber.LAYOUT``, and every stored fiber type has a JGF1 kind.
 
 No linter ships with the test dependencies, so this AST scan stands in for
 the unused-import check: a name counts as used when the module reads it
@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaugejets import jets, lie_core
+from gaugejets import jets, jgf, lie_core
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gaugejets"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -134,3 +134,17 @@ def test_only_fiber_defines_batch_shape():
         and any(getattr(item, "name", None) == "batch_shape" for item in node.body)
     ]
     assert owners == ["lie_core.py:Fiber"]
+
+
+def test_every_stored_fiber_type_has_a_jgf_kind():
+    """JGF1 stores every fiber type except the tangent vectors, which only
+    exist inside a computation."""
+    fibers = {
+        cls
+        for module in (lie_core, jets)
+        for cls in vars(module).values()
+        if isinstance(cls, type) and issubclass(cls, lie_core.Fiber) and cls is not lie_core.Fiber
+    }
+    stored = {cls for cls, _ in jgf.KINDS.values()}
+    assert fibers - stored == {lie_core.RepTangent, jets.Variation}
+    assert stored <= fibers

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaugejets.analytic import (
     random_connection_family,
@@ -11,10 +12,17 @@ from gaugejets.analytic import (
     sample_gauge,
     sample_matter,
 )
-from gaugejets.cli import main as cli_main
-from gaugejets.jets import curvature, jet2_of
+from gaugejets.cli import SAMPLES, main as cli_main
+from gaugejets.jets import Curvature, Jet1Gauge, Jet2Gauge, curvature, jet2_of
 from gaugejets.jgf import FormatError, describe, read_field, value_kind, write_field
-from gaugejets.lie_core import group_spec, seeded_rng
+from gaugejets.lie_core import (
+    AlgebraElement,
+    RepVector,
+    exp,
+    group_spec,
+    random_algebra_entries,
+    seeded_rng,
+)
 from gaugejets.patch import Field, Patch
 
 SU2 = group_spec("su2")
@@ -32,10 +40,8 @@ def gauge_sample(patch, spec=SU2, seed=0):
 
 
 def arrays_of(value):
-    for name in ("entries", "g", "a", "s", "A", "dA", "phi", "dphi", "comps"):
-        arr = getattr(value, name, None)
-        if arr is not None:
-            yield name, arr
+    for name in value.LAYOUT:
+        yield name, getattr(value, name)
 
 
 @pytest.mark.parametrize("kind", ["group", "jet1-gauge", "jet2-gauge"])
@@ -173,8 +179,9 @@ def _set_first_entry(raw: bytes, value: complex) -> bytes:
         lambda raw: raw.replace(b"family su2", b"family xyz", 1),
         lambda raw: raw.replace(b"dim 2", b"dim x", 1),
         lambda raw: raw.replace(b"spacing 0.1 0.1", b"spacing nan 0.1", 1),
+        lambda raw: raw[: raw.index(b"spacing")],
     ],
-    ids=["non-unitary", "nan", "family", "dim", "spacing-nan"],
+    ids=["non-unitary", "nan", "family", "dim", "spacing-nan", "header-cut"],
 )
 def test_corrupt_file_is_format_error(tmp_path, patch, capsys, corrupt):
     path = tmp_path / "bad.jgf1"
@@ -194,3 +201,102 @@ def test_describe_mentions_kind_and_extent(tmp_path, patch):
     text = describe(path)
     assert "jet2-gauge" in text
     assert "8x8" in text
+
+
+SPECS = [
+    group_spec("u1"),
+    SU2,
+    SU3,
+    group_spec("sun", n=4),
+    group_spec("su2", rep_dim=3),
+    group_spec("su3", rep_dim=8),
+    group_spec("sun", n=4, rep_dim=15),
+]
+# (value kind, finite-difference jet): every CLI sample kind, with --fd where
+# it has one, and the kinds only write_field stores
+ROUND_TRIP_KINDS = [(kind, False) for kind in SAMPLES] + [
+    (kind, True) for kind, (*_, fd) in SAMPLES.items() if fd is not None
+] + [("algebra", False), ("matter", False), ("curvature", False), ("scalar", False)]
+
+
+def field_of(kind, fd, spec, patch, seed):
+    rng = seeded_rng(seed, "jgf-kinds", kind)
+    if kind in SAMPLES:
+        family, sampler, exact, fd_jet = SAMPLES[kind]
+        sample = sampler(patch, spec, family(rng, spec, patch.dim))
+        return fd_jet(sample.values) if fd else getattr(sample, exact)
+    if kind == "algebra":
+        return Field(patch, AlgebraElement(spec, random_algebra_entries(rng, spec, patch.extent)))
+    if kind == "matter":
+        return sample_matter(patch, spec, random_matter_family(rng, spec, patch.dim)).values
+    if kind == "curvature":
+        cs = sample_connection(patch, spec, random_connection_family(rng, spec, patch.dim))
+        return Field(patch, curvature(cs.jet.value))
+    return Field(patch, rng.normal(size=patch.extent))
+
+
+def same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("kind, fd", ROUND_TRIP_KINDS)
+@given(
+    st.sampled_from(SPECS),
+    st.lists(st.integers(5, 6), min_size=1, max_size=4),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=15, deadline=None)
+def test_every_kind_round_trips_bit_exactly(tmp_path_factory, kind, fd, spec, extent, seed):
+    patch = Patch(tuple(extent), spacing=0.1)
+    field = field_of(kind, fd, spec, patch, seed)
+    assert value_kind(field) == kind
+    tmp = tmp_path_factory.mktemp("kinds")
+    first, second = tmp / "a.jgf1", tmp / "b.jgf1"
+    write_field(field, first)
+    back = read_field(first)
+    assert value_kind(back) == kind
+    assert back.patch.extent == patch.extent and back.patch.spacing == patch.spacing
+    if kind == "scalar":
+        assert same_bits(back.value, field.value)
+    else:
+        assert type(back.value) is type(field.value)
+        for name, arr in arrays_of(field.value):
+            assert same_bits(arr, getattr(back.value, name)), name
+    write_field(back, second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def _jet1_on_axes(spec, extent, n):
+    g = np.broadcast_to(np.eye(spec.n), extent + (spec.n, spec.n))
+    return Jet1Gauge(spec, g, np.zeros(extent + (n, spec.n, spec.n)))
+
+
+def _jet2_on_axes(spec, extent, n):
+    j = _jet1_on_axes(spec, extent, n)
+    return Jet2Gauge(spec, j.g, j.a, np.zeros(extent + (n, n, spec.n, spec.n)))
+
+
+UNREADABLE = {
+    "algebra-3-components": lambda e: AlgebraElement(
+        SU2, random_algebra_entries(seeded_rng(0, "alg"), SU2, e + (3,))
+    ),
+    "group-extra-axis": lambda e: exp(
+        AlgebraElement(SU2, random_algebra_entries(seeded_rng(0, "grp"), SU2, e + (2,)))
+    ),
+    "matter-extra-axis": lambda e: RepVector(SU2, np.ones(e + (2, 2))),
+    "jet1-n3": lambda e: _jet1_on_axes(SU2, e, 3),
+    "jet2-n1": lambda e: _jet2_on_axes(SU2, e, 1),
+    "jet2-n3": lambda e: _jet2_on_axes(SU2, e, 3),
+    "curvature-n3": lambda e: Curvature(SU2, 3, np.zeros(e + (3, 2, 2))),
+    "complex-scalar": lambda e: np.full(e, 1.0 + 1.0j),
+    "nan-scalar": lambda e: np.full(e, np.nan),
+    "scalar-extra-axis": lambda e: np.zeros(e + (2,)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_writer_refuses_what_the_reader_cannot_rebuild(tmp_path, patch, case):
+    path = tmp_path / "refused.jgf1"
+    with pytest.raises(FormatError):
+        write_field(Field(patch, UNREADABLE[case](patch.extent)), path)
+    assert not path.exists()
