@@ -32,7 +32,7 @@ from .lie_core import (
     rep_act,
     tangent_act,
 )
-from .patch import Field, Patch, Region, RegionError, default_patch, integrate, partial
+from .patch import Field, Patch, Region, RegionError, default_patch, integrate
 from .jets import (
     Curvature,
     Jet1Gauge,
@@ -50,8 +50,7 @@ from .jets import (
     jet_connection_of,
     jet_matter_of,
     maurer_cartan_defect,
-    merge_jet_connection,
-    split_jet_connection,
+    sym,
 )
 from .actions import (
     TransitivityWitness,
@@ -69,13 +68,11 @@ from .lagrangians import (
     GaugeLagrangianSpec,
     MatterKind,
     MatterLagrangianSpec,
-    action_functional,
     covariant_derivative,
     gauge_density,
     matter_density_vec,
     mechanics_action,
     minimal_coupling,
-    total_action,
     utiyama_factor,
 )
 from .harness import Report, SuiteConfig, convergence_study, run

@@ -46,7 +46,7 @@ from .jets import (
     JetMatter,
     Variation,
     curvature,
-    split_jet_connection,
+    sym,
 )
 
 
@@ -147,16 +147,14 @@ def gauge_to_zero_jet2(jc: JetConnection) -> TransitivityWitness:
     derivative vanish; the antisymmetric part equals half the field
     strength, which the curvature map sends to F itself.
     """
-    sym, _ = split_jet_connection(jc)
     eye = np.broadcast_to(
         np.eye(jc.spec.n, dtype=np.complex128),
         jc.batch_shape + (jc.spec.n, jc.spec.n),
     ).copy()
-    jet = _trusted(Jet2Gauge, jc.spec, eye, jc.A, sym)
+    jet = _trusted(Jet2Gauge, jc.spec, eye, jc.A, sym(jc.dA))
     transformed = act_jet_connection(jet, jc)
-    sym_out, _ = split_jet_connection(transformed)
     residual = np.sum(frobenius(transformed.A), axis=-1) + np.sum(
-        frobenius(sym_out), axis=(-2, -1)
+        frobenius(sym(transformed.dA)), axis=(-2, -1)
     )
     return TransitivityWitness(jet=jet, residual=residual, transformed=transformed)
 

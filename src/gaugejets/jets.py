@@ -17,9 +17,10 @@ validates them against finite differences of sampled fields:
                            s_munu + Ad(g) t_munu
                              + sym_munu [a_mu, Ad(g) b_nu])
 
-Connection jets (A, dA) split exactly into symmetric and antisymmetric
-parts of dA; the curvature F_munu = d_mu A_nu - d_nu A_mu + [A_mu, A_nu]
-is stored on the strict upper triangle (empty when n = 1).
+A connection jet (A, dA) carries two kinds of derived data: the field
+strength F_munu = d_mu A_nu - d_nu A_mu + [A_mu, A_nu], stored on the
+strict upper triangle (empty when n = 1), and the symmetric part sym dA,
+which second-order gauge jets can remove.
 """
 
 from __future__ import annotations
@@ -119,9 +120,6 @@ class JetMatter(Fiber):
     def n_axes(self) -> int:
         return self.dphi.shape[-2]
 
-    def value(self) -> RepVector:
-        return RepVector(self.spec, self.phi)
-
 
 @dataclass(frozen=True, eq=False)
 class Variation(Fiber):
@@ -176,15 +174,6 @@ class Curvature(Fiber):
     def _sizes(self) -> dict:
         return {**super()._sizes(), "P": self.n_axes * (self.n_axes - 1) // 2}
 
-    def dense(self) -> np.ndarray:
-        """Expand to (..., n, n, N, N) with F_numu = -F_munu."""
-        n, nn = self.n_axes, self.spec.n
-        out = np.zeros(self.batch_shape + (n, n, nn, nn), dtype=np.complex128)
-        for idx, (mu, nu) in enumerate(curvature_pairs(n)):
-            out[..., mu, nu, :, :] = self.comps[..., idx, :, :]
-            out[..., nu, mu, :, :] = -self.comps[..., idx, :, :]
-        return out
-
 
 # ---------------------------------------------------------------------------
 # jets of sampled fields
@@ -214,13 +203,8 @@ def jet2_of(gfield: Field) -> Field:
     """Second-order jet: adds the symmetrized derivative of the a-field."""
     j1field = jet1_of(gfield)
     jet1: Jet1Gauge = j1field.value
-    p = gfield.patch
-    da = np.stack(
-        [central_diff(jet1.a, mu, p.spacing[mu]) for mu in range(p.dim)], axis=-4
-    )
-    s = 0.5 * (da + np.swapaxes(da, -4, -3))
-    jet = _trusted(Jet2Gauge, jet1.spec, jet1.g, jet1.a, s)
-    return Field(p, jet, margin=gfield.margin + 2)
+    jet = _trusted(Jet2Gauge, jet1.spec, jet1.g, jet1.a, sym(_da(j1field)))
+    return Field(gfield.patch, jet, margin=gfield.margin + 2)
 
 
 def jet_matter_of(phifield: Field) -> Field:
@@ -250,6 +234,14 @@ def jet_connection_of(afield: Field) -> Field:
     )
     jet = _trusted(JetConnection, v.spec, v.entries, dA)
     return Field(p, jet, margin=afield.margin + 1)
+
+
+def _da(j1field: Field) -> np.ndarray:
+    """d_mu a_nu of a first-jet field, (..., n, n, N, N): the connection-jet
+    derivative of its a-field, valid one layer inside the jet's margin."""
+    jet = j1field.value
+    afield = j1field.with_value(_trusted(AlgebraElement, jet.spec, jet.a))
+    return jet_connection_of(afield).value.dA
 
 
 # ---------------------------------------------------------------------------
@@ -313,18 +305,12 @@ def jet2_inv(jet: Jet2Gauge) -> Jet2Gauge:
 
 
 # ---------------------------------------------------------------------------
-# connection jets: decomposition and curvature
+# connection jets: symmetric part and curvature
 
-def split_jet_connection(jc: JetConnection) -> tuple[np.ndarray, np.ndarray]:
-    """Exact split of dA into symmetric and antisymmetric parts."""
-    swapped = np.swapaxes(jc.dA, -4, -3)
-    return 0.5 * (jc.dA + swapped), 0.5 * (jc.dA - swapped)
-
-
-def merge_jet_connection(
-    spec: GroupSpec, A: np.ndarray, sym: np.ndarray, antisym: np.ndarray
-) -> JetConnection:
-    return JetConnection(spec, A, sym + antisym)
+def sym(x: np.ndarray) -> np.ndarray:
+    """Symmetric part in the two stack axes (mu, nu) of (..., n, n, N, N) data;
+    exactly symmetric, and a symmetric x comes back bit for bit."""
+    return 0.5 * (x + np.swapaxes(x, -4, -3))
 
 
 def curvature(jc: JetConnection) -> Curvature:
@@ -350,9 +336,7 @@ def maurer_cartan_defect(j1field: Field) -> Field:
     """
     jet = _require_field(j1field, Jet1Gauge, "maurer_cartan_defect")
     p = j1field.patch
-    da = np.stack(
-        [central_diff(jet.a, mu, p.spacing[mu]) for mu in range(p.dim)], axis=-4
-    )
+    da = _da(j1field)
     pairs = curvature_pairs(p.dim)
     if not pairs:
         defect = np.zeros(p.extent)
@@ -385,8 +369,7 @@ __all__ = [
     "jet1_inv",
     "jet2_mul",
     "jet2_inv",
-    "split_jet_connection",
-    "merge_jet_connection",
+    "sym",
     "curvature",
     "maurer_cartan_defect",
 ]

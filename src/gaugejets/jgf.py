@@ -13,7 +13,9 @@ Layout (documented contract):
       value_kind <kind>
 
   Spacings are written with ``repr`` (shortest round-trip form), so
-  read-write cycles are bit-exact.
+  read-write cycles are bit-exact.  A header line, newline included, is
+  at most ``HEADER_LINE_LIMIT`` (108) bytes; the reader rejects a longer
+  one without reading past it.
 
 * Binary payload: little-endian float64 pairs (re, im) for every complex
   entry, in lexicographic grid order (C order), row-major within each
@@ -139,12 +141,18 @@ def write_field(field: Field, path: str | Path) -> None:
         fh.write(np.ascontiguousarray(payload, dtype="<c16").tobytes())
 
 
+# longest legal header line: "spacing" and four repr floats, each after a
+# space; a float's repr is at most 24 characters (-1.2345678901234567e-308)
+HEADER_LINE_LIMIT = len("spacing") + 4 * (1 + 24) + len("\n")
+
+
 def _read_header(fh: io.BufferedReader) -> dict:
     lines = []
     for _ in range(7):
-        line = fh.readline()
+        line = fh.readline(HEADER_LINE_LIMIT)
         if not line.endswith(b"\n"):
-            raise FormatError("truncated header")
+            cut = len(line) == HEADER_LINE_LIMIT
+            raise FormatError(f"header line over {HEADER_LINE_LIMIT} bytes" if cut else "truncated header")
         lines.append(line[:-1].decode("ascii"))
     if lines[0] != "JGF1":
         raise FormatError(f"bad magic {lines[0]!r}")

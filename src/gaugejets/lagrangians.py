@@ -1,4 +1,4 @@
-"""Matter and gauge-field densities, minimal coupling, and action integrals.
+"""Matter and gauge-field densities, minimal coupling, and the mechanics action.
 
 Index contractions use the Euclidean metric by default (densities stay
 positive and invariance tests unambiguous); a Minkowski flag flips the
@@ -28,12 +28,14 @@ from .lie_core import (
     RepVector,
     check_same_group,
     _trusted,
+    exp,
     frobenius,
     fundamental_vector_field,
     random_algebra_entries,
     seeded_rng,
 )
-from .jets import Curvature, JetConnection, JetMatter, curvature, split_jet_connection
+from .actions import act_curvature
+from .jets import Curvature, JetConnection, JetMatter, curvature, curvature_pairs, sym
 from .patch import Field, Region, integrate
 
 UTIYAMA_PROBES = 64  # random curvature samples in the conjugation-invariance probe
@@ -159,8 +161,6 @@ def minimal_coupling(
 # gauge sector
 
 def _curvature_quadratic(f: Curvature, n_axes: int, metric: str) -> np.ndarray:
-    from .jets import curvature_pairs
-
     pairs = curvature_pairs(n_axes)
     if not pairs:
         return np.zeros(f.batch_shape)
@@ -184,8 +184,7 @@ def gauge_density(
         return quad / (2.0 * spec.coupling**2)
     if spec.kind is GaugeKind.FROBENIUS_CURVATURE:
         return quad
-    sym, _ = split_jet_connection(jc)
-    sym_term = np.sum(frobenius(sym) ** 2, axis=(-2, -1))
+    sym_term = np.sum(frobenius(sym(jc.dA)) ** 2, axis=(-2, -1))
     return (quad + sym_term) / (2.0 * spec.coupling**2)
 
 
@@ -211,15 +210,11 @@ def utiyama_factor(
     random samples first and refuses non-invariant input, since the lift
     would then not be gauge invariant.
     """
-    from .actions import act_curvature
-    from .jets import curvature_pairs
-    from .lie_core import exp as lie_exp
-
     n_pairs = len(curvature_pairs(n_axes))
     rng = seeded_rng(seed, "utiyama-probe", spec.label(), n_axes)
     comps = random_algebra_entries(rng, spec, (UTIYAMA_PROBES, max(n_pairs, 0)))
     f = Curvature(spec, n_axes, comps)
-    g = lie_exp(AlgebraElement(spec, random_algebra_entries(rng, spec, (UTIYAMA_PROBES,))))
+    g = exp(AlgebraElement(spec, random_algebra_entries(rng, spec, (UTIYAMA_PROBES,))))
     moved = act_curvature(g, f)
     defect = np.max(np.abs(np.asarray(curvature_density(moved)) - np.asarray(curvature_density(f))))
     if defect > UTIYAMA_TOL:
@@ -232,19 +227,7 @@ def utiyama_factor(
 
 
 # ---------------------------------------------------------------------------
-# action functionals
-
-def action_functional(density_field: Field, region: Region) -> float:
-    """Integral of a real scalar density field over a compact region."""
-    return integrate(density_field, region)
-
-
-def total_action(gauge_density_field: Field, matter_density_field: Field, region: Region) -> float:
-    """Sum of the gauge and matter action integrals over the same region."""
-    return action_functional(gauge_density_field, region) + action_functional(
-        matter_density_field, region
-    )
-
+# mechanics
 
 def mechanics_action(
     density: Callable[[RepVector, RepTangent], np.ndarray], curve: Field, interval: Region
@@ -280,8 +263,6 @@ __all__ = [
     "gauge_density",
     "FactoredGaugeDensity",
     "utiyama_factor",
-    "action_functional",
-    "total_action",
     "mechanics_action",
     "free_velocity_density",
 ]

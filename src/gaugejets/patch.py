@@ -16,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from .lie_core import AlgebraElement, DimensionError, GroupElement, RepTangent, RepVector, _trusted
+from .lie_core import DimensionError
 
 MAX_DIM = 4
 
@@ -160,9 +160,6 @@ class Field:
     def with_value(self, value) -> "Field":
         return Field(self.patch, value, self.margin)
 
-    def interior(self, extra: int = 0) -> Region:
-        return self.patch.interior(max(1, self.margin + extra))
-
 
 def central_diff(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Second-order central difference along a grid axis.
@@ -179,36 +176,6 @@ def central_diff(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
     minus[axis] = slice(None, -2)
     out[tuple(mid)] = (arr[tuple(plus)] - arr[tuple(minus)]) / (2.0 * h)
     return out
-
-
-def partial(f: Field, mu: int) -> Field:
-    """Interior central difference of a sampled field along axis mu.
-
-    Raw arrays and linear-space fibers (scalars, algebra elements,
-    representation vectors) differentiate componentwise.  Group-valued
-    fields return raw matrix data, since difference quotients of unitary
-    matrices leave the group.
-    """
-    p = f.patch
-    if not 0 <= mu < p.dim:
-        raise DimensionError(f"axis {mu} out of range for a {p.dim}-dimensional patch")
-    if p.extent[mu] < 3:
-        raise RegionError("need at least 3 points along the differenced axis")
-    h = p.spacing[mu]
-    v = f.value
-    if isinstance(v, np.ndarray):
-        out = central_diff(v, mu, h)
-    elif isinstance(v, AlgebraElement):
-        out = _trusted(AlgebraElement, v.spec, central_diff(v.entries, mu, h))
-    elif isinstance(v, RepVector):
-        out = RepTangent(v.spec, central_diff(v.entries, mu, h))
-    elif isinstance(v, RepTangent):
-        out = RepTangent(v.spec, central_diff(v.entries, mu, h))
-    elif isinstance(v, GroupElement):
-        out = central_diff(v.entries, mu, h)
-    else:
-        raise TypeError(f"cannot differentiate a field of {type(v).__name__}")
-    return Field(p, out, margin=f.margin + 1)
 
 
 def integrate(density: Field, region: Region) -> float:
@@ -240,7 +207,6 @@ __all__ = [
     "RegionError",
     "Field",
     "central_diff",
-    "partial",
     "integrate",
     "default_patch",
 ]

@@ -23,6 +23,7 @@ from gaugejets.jets import (
     JetMatter,
     Variation,
     curvature,
+    curvature_pairs,
     jet1_inv,
     jet1_mul,
     jet1_of,
@@ -31,7 +32,7 @@ from gaugejets.jets import (
     jet2_of,
     jet2_unit,
     jet_matter_of,
-    split_jet_connection,
+    sym,
 )
 from gaugejets.lie_core import (
     AlgebraElement,
@@ -320,7 +321,7 @@ class TestJetConnectionAction:
         out = act_jet_connection(jet, jc)
         g, gd = jet.g, jet.g.conj().T
         adA = g @ jc.A @ gd
-        sym_out, _ = split_jet_connection(out)
+        sym_out = sym(out.dA)
         for mu in range(2):
             for nu in range(2):
                 br_mn = jet.a[mu] @ adA[nu] - adA[nu] @ jet.a[mu]
@@ -407,9 +408,8 @@ class TestTransitivity:
     def test_u1_symmetric_derivative_fully_killed(self):
         rng = rnd(24)
         A = random_algebra_entries(rng, U1, (2,))
-        sym = random_algebra_entries(rng, U1, (2, 2))
-        sym = 0.5 * (sym + np.swapaxes(sym, -4, -3))
-        jc = JetConnection(U1, A, sym)  # curvature-free abelian data
+        dA = sym(random_algebra_entries(rng, U1, (2, 2)))
+        jc = JetConnection(U1, A, dA)  # curvature-free abelian data
         w = gauge_to_zero_jet2(jc)
         assert np.max(w.residual) <= 1e-14
         assert np.max(np.abs(w.transformed.dA)) <= 1e-14
@@ -419,13 +419,22 @@ class TestTransitivity:
         jc = random_jc(rng, SU2, 3, (64,))
         w = gauge_to_zero_jet2(jc)
         assert np.max(w.residual) <= 1e-12
-        f = curvature(jc)
-        _, anti = split_jet_connection(w.transformed)
-        from gaugejets.jets import curvature_pairs
+        # the antisymmetric half of the moved dA is F/2; curvature doubles it
+        gap = 0.5 * (curvature(w.transformed).comps - curvature(jc).comps)
+        assert np.max(np.abs(gap)) <= 1e-12
 
-        for idx, (mu, nu) in enumerate(curvature_pairs(3)):
-            gap = anti[..., mu, nu, :, :] - 0.5 * f.comps[..., idx, :, :]
-            assert np.max(np.abs(gap)) <= 1e-12
+    @given(st.sampled_from([U1, SU2, SU3, group_spec("sun", 4)]), st.integers(1, 4), st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_second_order_witness_moves_potential_to_exact_zero(self, spec, n, seed):
+        """The premise of the gauge_to_zero_2 suite's field-strength check: Ad by
+        the identity is exact and A - A is 0, so the moved connection jet has
+        A = 0 exactly and its curvature is its antisymmetrized dA bit for bit."""
+        moved = gauge_to_zero_jet2(random_jc(rnd(seed, "fold"), spec, n, (16,))).transformed
+        assert not np.any(moved.A.view(np.uint64))  # +0, sign bit included
+        got = curvature(moved).comps
+        anti = [moved.dA[..., mu, nu, :, :] - moved.dA[..., nu, mu, :, :] for mu, nu in curvature_pairs(n)]
+        expect = np.stack(anti, axis=-3) if anti else np.zeros_like(got)
+        assert np.array_equal(got.view(np.uint64), expect.view(np.uint64))
 
     def test_residual_nonnegative(self):
         rng = rnd(26)

@@ -1,7 +1,8 @@
 """Source hygiene: every module uses each name it imports, the fiber
 modules multiply matrices through one kernel, only ``lie_core`` builds
 representation matrices, every fiber type declares its arrays in one
-``Fiber.LAYOUT``, and every stored fiber type has a JGF1 kind.
+``Fiber.LAYOUT``, every stored fiber type has a JGF1 kind, and only
+``jets`` symmetrizes in (mu, nu) or differences fields beside ``patch``.
 
 No linter ships with the test dependencies, so this AST scan stands in for
 the unused-import check: a name counts as used when the module reads it
@@ -148,3 +149,42 @@ def test_every_stored_fiber_type_has_a_jgf_kind():
     stored = {cls for cls, _ in jgf.KINDS.values()}
     assert fibers - stored == {lie_core.RepTangent, jets.Variation}
     assert stored <= fibers
+
+
+def _references(path: Path, name: str) -> bool:
+    """Whether the module defines, imports or reads ``name``."""
+    return any(
+        (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, (ast.alias, ast.FunctionDef)) and node.name == name)
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+    )
+
+
+def _swaps_mu_nu(node: ast.AST) -> bool:
+    """A ``swapaxes(x, -4, -3)`` call: the (mu, nu) transpose of rank-2 stacks."""
+    if not isinstance(node, ast.Call) or len(node.args) != 3:
+        return False
+    fn = node.func
+    if getattr(fn, "attr", getattr(fn, "id", None)) != "swapaxes":
+        return False
+    try:
+        return [ast.literal_eval(a) for a in node.args[1:]] == [-4, -3]
+    except ValueError:
+        return False
+
+
+def test_rank2_symmetrization_stays_in_jets():
+    """The (mu, nu) transpose behind ``jets.sym`` is spelled in ``jets`` alone."""
+    found = {
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if any(_swaps_mu_nu(n) for n in ast.walk(ast.parse(path.read_text(), filename=str(path))))
+    }
+    assert found == {"jets.py"}
+
+
+def test_central_diff_stays_in_patch_and_jets():
+    """Finite differences of sampled fields come from the jets' ``*_of`` builders."""
+    users = {path.name for path in sorted(SRC.glob("*.py")) if _references(path, "central_diff")}
+    assert users == {"patch.py", "jets.py"}

@@ -1,5 +1,7 @@
 """JGF1 field file round trips and header handling."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,15 @@ from gaugejets.analytic import (
 )
 from gaugejets.cli import SAMPLES, main as cli_main
 from gaugejets.jets import Curvature, Jet1Gauge, Jet2Gauge, curvature, jet2_of
-from gaugejets.jgf import FormatError, describe, read_field, value_kind, write_field
+from gaugejets.jgf import (
+    HEADER_LINE_LIMIT,
+    FormatError,
+    _read_header,
+    describe,
+    read_field,
+    value_kind,
+    write_field,
+)
 from gaugejets.lie_core import (
     AlgebraElement,
     RepVector,
@@ -189,6 +199,37 @@ def test_corrupt_file_is_format_error(tmp_path, patch, capsys, corrupt):
     path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(FormatError):
         read_field(path)
+    assert cli_main(["inspect", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_longest_legal_header_line_fits(tmp_path):
+    # four 23-character spacings: the longest spacing line a patch allows
+    spacing = (2.2250738585072014e-308,) * 4
+    p = Patch((5, 5, 5, 5), spacing=spacing)
+    path = tmp_path / "long.jgf1"
+    write_field(Field(p, np.ones(p.extent)), path)
+    assert max(map(len, path.read_bytes().split(b"\n")[:7])) < HEADER_LINE_LIMIT
+    assert read_field(path).patch == p
+
+
+def test_header_without_newline_is_not_read_whole(tmp_path, capsys):
+    """A 30 MB file with no newline is refused after one bounded header line."""
+    path = tmp_path / "flat.jgf1"
+    path.write_bytes(b"J" * (30 << 20))
+    with open(path, "rb") as fh:
+        with pytest.raises(FormatError, match="header line over"):
+            _read_header(fh)
+        assert fh.tell() == HEADER_LINE_LIMIT
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError):
+            read_field(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # an unbounded readline holds the whole 30 MB line, twice
     assert cli_main(["inspect", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1

@@ -18,14 +18,12 @@ from gaugejets.lagrangians import (
     GaugeLagrangianSpec,
     MatterKind,
     MatterLagrangianSpec,
-    action_functional,
     covariant_derivative,
     free_velocity_density,
     gauge_density,
     matter_density_vec,
     mechanics_action,
     minimal_coupling,
-    total_action,
     utiyama_factor,
 )
 from gaugejets.lie_core import (
@@ -291,17 +289,7 @@ class TestActionFunctionals:
     def test_zero_density(self):
         p = Patch((8, 8))
         region = Region((1, 1), (7, 7))
-        assert action_functional(Field(p, np.zeros(p.extent)), region) == 0.0
-
-    def test_total_action_additive_exactly(self):
-        rng = rnd(16)
-        p = Patch((12, 12))
-        region = Region((2, 2), (10, 10))
-        lg = Field(p, rng.normal(size=p.extent))
-        lm = Field(p, rng.normal(size=p.extent))
-        assert total_action(lg, lm, region) == action_functional(
-            lg, region
-        ) + action_functional(lm, region)
+        assert integrate(Field(p, np.zeros(p.extent)), region) == 0.0
 
     def test_matter_action_gauge_invariant_on_grid(self):
         p = Patch((24, 24), spacing=0.05)
