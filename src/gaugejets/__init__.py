@@ -25,7 +25,6 @@ from .lie_core import (
     exp,
     fundamental_vector_field,
     group_spec,
-    inverse,
     multiply,
     random_algebra_element,
     random_group_element,

@@ -281,13 +281,13 @@ def sample_connection(patch: Patch, spec: GroupSpec, family: CoefficientConnecti
 # ---------------------------------------------------------------------------
 # seeded random families for the harness
 
-def _random_scalar_fn(rng: np.random.Generator, n: int, scale: float, wave_scale: float = 1.0):
+def _random_scalar_fn(rng: np.random.Generator, n: int, scale: float):
     if rng.uniform() < 0.5:
         c1 = tuple(rng.uniform(-scale, scale, n))
         c2 = rng.uniform(-scale, scale, (n, n))
         c2 = 0.5 * (c2 + c2.T)
         return Polynomial(float(rng.uniform(-scale, scale)), c1, tuple(map(tuple, c2)))
-    wave = tuple(rng.uniform(-1.5 * wave_scale, 1.5 * wave_scale, n))
+    wave = tuple(rng.uniform(-1.5 * scale, 1.5 * scale, n))
     return Sinusoid(float(rng.uniform(0.2, 1.0) * scale), wave, float(rng.uniform(0, 2 * np.pi)))
 
 
@@ -297,21 +297,20 @@ def random_gauge_family(
     n: int,
     factors: int = 2,
     scale: float = 1.0,
-    wave_scale: float = 1.0,
 ) -> ProductGauge:
     """Product of bounded single-generator factors; non-abelian for N >= 2.
 
-    ``wave_scale`` caps the sinusoid frequencies: product families stack
-    their factors' frequencies, and the finite-difference error constant
-    grows with the fourth power of the total.  Generators are normalized
-    to unit Frobenius norm so error constants do not grow with the matrix
-    dimension; the coefficient functions carry the amplitude.
+    ``scale`` also caps the sinusoid frequencies, at 1.5 * scale: product
+    families stack their factors' frequencies, and the finite-difference
+    error constant grows with the fourth power of the total.  Generators
+    are normalized to unit Frobenius norm so error constants do not grow
+    with the matrix dimension; the coefficient functions carry the amplitude.
     """
     parts = []
     for _ in range(max(1, min(3, factors))):
         gen = random_algebra_entries(rng, spec)
         gen = gen / np.sqrt(np.sum(np.abs(gen) ** 2))
-        parts.append(SingleGenerator(_random_scalar_fn(rng, n, scale, wave_scale), gen))
+        parts.append(SingleGenerator(_random_scalar_fn(rng, n, scale), gen))
     return ProductGauge(tuple(parts))
 
 
@@ -328,10 +327,10 @@ def random_matter_family(
 
 
 def random_connection_family(
-    rng: np.random.Generator, spec: GroupSpec, n: int, scale: float = 1.0, wave_scale: float = 1.0
+    rng: np.random.Generator, spec: GroupSpec, n: int, scale: float = 1.0
 ) -> CoefficientConnection:
     fns = tuple(
-        tuple(_random_scalar_fn(rng, n, scale, wave_scale) for _ in range(spec.algebra_dim))
+        tuple(_random_scalar_fn(rng, n, scale) for _ in range(spec.algebra_dim))
         for _ in range(n)
     )
     return CoefficientConnection(fns)

@@ -3,9 +3,11 @@
 Every suite checks one invariance/transitivity claim of the jet-gauge
 machinery: it samples fields from seeded substreams, transforms them, and
 reports a single max_error.  A suite is a function of the config alone
-(its patch is ``cfg.patch``), registered in ``SUITES`` with a claim and a
-tolerance bound: the bound itself for algebraic suites, ``bound * h^2``
-for finite-difference (``fd``) suites at grid spacing h.
+(its patch is ``cfg.patch``), declared by ``@_suite(claim, bound, fd)`` on
+its ``_suite_<name>`` function, which registers it in ``SUITES`` as
+``<name>``, in definition order.  The tolerance is the bound itself for
+algebraic suites, and ``bound * h^2`` for finite-difference (``fd``)
+suites at grid spacing h.
 
 Negative-control suites (broken densities) must *violate* invariance by a
 stated margin; they report the shortfall ``max(0, margin - observed_violation)``
@@ -98,7 +100,7 @@ from .lie_core import (
     rep_act,
     seeded_rng,
 )
-from .patch import Field, Patch, default_patch, integrate
+from .patch import Field, Patch, RegionError, default_patch, integrate
 
 AXIOM_BATCH = 1000
 EQUIVARIANCE_BATCH = 1000
@@ -117,6 +119,17 @@ class ConfigError(ValueError):
 
 class UnknownSuiteError(ConfigError):
     """Requested suite name is not registered."""
+
+
+def _bool_key(data, key: str = "config") -> str | None:
+    """The key path of a boolean in parsed JSON, or None: the config schema has
+    none, yet ``operator.index`` and ``float`` would read one as 0 or 1."""
+    if isinstance(data, bool):
+        return key
+    if isinstance(data, (dict, list)):
+        items = data.items() if isinstance(data, dict) else enumerate(data)
+        return next(filter(None, (_bool_key(v, f"{key}.{k}") for k, v in items)), None)
+    return None
 
 
 @dataclass(frozen=True)
@@ -165,6 +178,8 @@ class SuiteConfig:
     def from_dict(data: dict) -> "SuiteConfig":
         if not isinstance(data, dict):
             raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
+        if where := _bool_key(data):
+            raise ConfigError(f"{where} is a boolean; the config schema has none")
         try:
             kwargs = {}
             if "group" in data:
@@ -282,15 +297,13 @@ def _random(cls, rng, spec: GroupSpec, n: int, batch: int):
 
 def _gauge(rng, spec: GroupSpec, patch: Patch, scale: float = 1.0):
     """A two-factor gauge family on ``patch``; only building the family draws from ``rng``."""
-    fam = analytic.random_gauge_family(
-        rng, spec, patch.dim, factors=2, scale=scale, wave_scale=scale
-    )
+    fam = analytic.random_gauge_family(rng, spec, patch.dim, factors=2, scale=scale)
     return analytic.sample_gauge(patch, spec, fam)
 
 
 def _connection(rng, spec: GroupSpec, patch: Patch, scale: float = 1.0):
     """A connection family on ``patch``; only building the family draws from ``rng``."""
-    fam = analytic.random_connection_family(rng, spec, patch.dim, scale=scale, wave_scale=scale)
+    fam = analytic.random_connection_family(rng, spec, patch.dim, scale=scale)
     return analytic.sample_connection(patch, spec, fam)
 
 
@@ -324,6 +337,30 @@ def _interior_max(err_grid: np.ndarray, patch: Patch, margin: int) -> float:
 # ---------------------------------------------------------------------------
 # suite implementations (each takes the config and returns (max_error, details))
 
+@dataclass(frozen=True)
+class SuiteDef:
+    fn: Callable[[SuiteConfig], tuple[float, dict]]
+    claim: str
+    bound: float  # the tolerance, or its h^2 coefficient for fd suites
+    fd: bool = False  # error scales as O(h^2)
+
+    def tol(self, h: float) -> float:
+        """Default tolerance at grid spacing h."""
+        return self.bound * h * h if self.fd else self.bound
+
+
+SUITES: dict[str, SuiteDef] = {}
+
+
+def _suite(claim: str, bound: float, fd: bool = False):
+    """Register the decorated ``_suite_<name>`` function in ``SUITES`` as ``<name>``."""
+    def register(fn):
+        SUITES[fn.__name__.removeprefix("_suite_")] = SuiteDef(fn, claim, bound, fd)
+        return fn
+    return register
+
+
+@_suite("first- and second-order gauge jets form groups: associativity, unit, inverses", 1e-12)
 def _suite_jet_group_axioms(cfg: SuiteConfig):
     n = cfg.patch.dim
     laws = (
@@ -351,6 +388,11 @@ def _suite_jet_group_axioms(cfg: SuiteConfig):
     return worst, details
 
 
+@_suite(
+    "the jet of a pointwise product of group-valued fields is the product of their jets",
+    50.0,
+    fd=True,
+)
 def _suite_jet_functoriality(cfg: SuiteConfig):
     spec, patch = cfg.group, cfg.patch
     rng = seeded_rng(cfg.seed, "jet_functoriality", spec.label())
@@ -366,6 +408,7 @@ def _suite_jet_functoriality(cfg: SuiteConfig):
     return max(err1, err2), {"order1": err1, "order2": err2}
 
 
+@_suite("unit jets act trivially and jet products act by composition on every carrier", 1e-12)
 def _suite_action_axioms(cfg: SuiteConfig):
     spec = cfg.group
     n = cfg.patch.dim
@@ -373,51 +416,34 @@ def _suite_action_axioms(cfg: SuiteConfig):
     b = AXIOM_BATCH
     j1, k1 = _random(Jet1Gauge, rng, spec, n, b), _random(Jet1Gauge, rng, spec, n, b)
     j2, k2 = _random(Jet2Gauge, rng, spec, n, b), _random(Jet2Gauge, rng, spec, n, b)
-    g = j1.group_element()
-    h = k1.group_element()
-    gh = multiply(g, h)
-    unit1 = jet1_unit(spec, n, (b,))
-    unit2 = jet2_unit(spec, n, (b,))
+    g, h = j1.group_element(), k1.group_element()
+    unit1, unit2 = jet1_unit(spec, n, (b,)), jet2_unit(spec, n, (b,))
+    eye = unit1.group_element()
     jm = _random(JetMatter, rng, spec, n, b)
     jc = _random(JetConnection, rng, spec, n, b)
-    phi = RepVector(spec, jm.phi)
-    var = Variation(spec, jm.dphi[:, 0, :])
-    A = jc.potential()
     f = curvature(jc)
-    eye = unit1.group_element()
-
-    # each value is compared as soon as it is built, so no more than one
-    # pair of transformed batches is alive at a time
-    errs = {
-        "matter_unit": distance(act_matter(eye, phi), phi),
-        "matter_compose": distance(act_matter(g, act_matter(h, phi)), act_matter(gh, phi)),
-        "variation_unit": distance(act_variation(eye, var), var),
-        "variation_compose": distance(
-            act_variation(g, act_variation(h, var)), act_variation(gh, var)
-        ),
-        "jet_matter_unit": distance(act_jet_matter(unit1, jm), jm),
-        "jet_matter_compose": distance(
-            act_jet_matter(jet1_mul(j1, k1), jm), act_jet_matter(j1, act_jet_matter(k1, jm))
-        ),
-        "connection_unit": distance(act_connection(unit1, A), A),
-        "connection_compose": distance(
-            act_connection(jet1_mul(j1, k1), A), act_connection(j1, act_connection(k1, A))
-        ),
-        "jet_connection_unit": distance(act_jet_connection(unit2, jc), jc),
-        "jet_connection_compose": distance(
-            act_jet_connection(jet2_mul(j2, k2), jc),
-            act_jet_connection(j2, act_jet_connection(k2, jc)),
-        ),
-    }
+    carriers = [
+        ("matter", act_matter, eye, RepVector(spec, jm.phi), multiply, g, h),
+        ("variation", act_variation, eye, Variation(spec, jm.dphi[:, 0, :]), multiply, g, h),
+        ("jet_matter", act_jet_matter, unit1, jm, jet1_mul, j1, k1),
+        ("connection", act_connection, unit1, jc.potential(), jet1_mul, j1, k1),
+        ("jet_connection", act_jet_connection, unit2, jc, jet2_mul, j2, k2),
+    ]
     if f.comps.size:
-        errs["curvature_unit"] = distance(act_curvature(eye, f), f)
-        errs["curvature_compose"] = distance(
-            act_curvature(gh, f), act_curvature(g, act_curvature(h, f))
-        )
-    errs = {name: _max(err) for name, err in errs.items()}
+        carriers.append(("curvature", act_curvature, eye, f, multiply, g, h))
+    # each law is compared as soon as its sides exist: one pair of moved batches at a time
+    errs = {}
+    for name, act, unit, x, mul, left, right in carriers:
+        errs[f"{name}_unit"] = _max(distance(act(unit, x), x))
+        errs[f"{name}_compose"] = _max(distance(act(mul(left, right), x), act(left, act(right, x))))
     return max(errs.values()), errs
 
 
+@_suite(
+    "the jet-level matter action matches derivatives of the pointwise-transformed field",
+    10.0,
+    fd=True,
+)
 def _suite_chain_rule_matter(cfg: SuiteConfig):
     spec, patch = cfg.group, cfg.patch
     rng = seeded_rng(cfg.seed, "chain_rule_matter", spec.label())
@@ -429,6 +455,11 @@ def _suite_chain_rule_matter(cfg: SuiteConfig):
     return _interior_max(distance(lhs.value, rhs), patch, 1), {}
 
 
+@_suite(
+    "the jet-level potential action matches derivatives of the transformed potential",
+    50.0,
+    fd=True,
+)
 def _suite_chain_rule_connection(cfg: SuiteConfig):
     spec, patch = cfg.group, cfg.patch
     rng = seeded_rng(cfg.seed, "chain_rule_connection", spec.label())
@@ -440,6 +471,7 @@ def _suite_chain_rule_connection(cfg: SuiteConfig):
     return _interior_max(distance(lhs.value, rhs), patch, 2), {}
 
 
+@_suite("the curvature of a transformed connection jet is the conjugated curvature", 1e-10)
 def _suite_curvature_equivariance(cfg: SuiteConfig):
     spec = cfg.group
     n = cfg.patch.dim
@@ -450,6 +482,7 @@ def _suite_curvature_equivariance(cfg: SuiteConfig):
     return _max(defect), {"samples": EQUIVARIANCE_BATCH}
 
 
+@_suite("a first-order jet gauges any potential value to zero at every fiber", 1e-12)
 def _suite_gauge_to_zero_1(cfg: SuiteConfig):
     spec = cfg.group
     rng = seeded_rng(cfg.seed, "gauge_to_zero_1", spec.label())
@@ -461,6 +494,11 @@ def _suite_gauge_to_zero_1(cfg: SuiteConfig):
     return max(err, round_trip), {"round_trip": round_trip, "points": cfg.patch.npoints}
 
 
+@_suite(
+    "a second-order jet kills the potential and symmetric derivative, leaving half the "
+    "field strength in the antisymmetric slot",
+    1e-12,
+)
 def _suite_gauge_to_zero_2(cfg: SuiteConfig):
     spec = cfg.group
     rng = seeded_rng(cfg.seed, "gauge_to_zero_2", spec.label())
@@ -484,6 +522,11 @@ def _coupling_data(cfg: SuiteConfig):
     return jets, jm, A
 
 
+@_suite(
+    "covariant derivatives are equivariant, so minimally coupled densities are pointwise "
+    "gauge invariant",
+    1e-12,
+)
 def _suite_minimal_coupling_invariance(cfg: SuiteConfig):
     jets, jm, A = _coupling_data(cfg)
     phi, dphi = covariant_derivative(A, jm)
@@ -498,6 +541,11 @@ def _suite_minimal_coupling_invariance(cfg: SuiteConfig):
     return max(errs.values()), errs
 
 
+@_suite(
+    "a non-invariant matter term breaks gauge invariance of the coupled density "
+    "(negative control)",
+    1e-15,
+)
 def _suite_minimal_coupling_negative(cfg: SuiteConfig):
     jets, jm, A = _coupling_data(cfg)
     density = _broken_density(cfg.metric)
@@ -517,6 +565,7 @@ def _utiyama_pairs(cfg: SuiteConfig):
     return jc, jc_shifted
 
 
+@_suite("densities factored through the curvature map are constant on equal-curvature jets", 1e-12)
 def _suite_utiyama_level_sets(cfg: SuiteConfig):
     n = cfg.patch.dim
     jc, jc_shifted = _utiyama_pairs(cfg)
@@ -528,6 +577,11 @@ def _suite_utiyama_level_sets(cfg: SuiteConfig):
     return max(gap, same_f), {"level_set_gap": gap, "curvature_match": same_f}
 
 
+@_suite(
+    "a density reading the symmetric derivative separates equal-curvature jets "
+    "(negative control)",
+    1e-15,
+)
 def _suite_utiyama_negative(cfg: SuiteConfig):
     jc, jc_shifted = _utiyama_pairs(cfg)
     spec = GaugeLagrangianSpec(GaugeKind.BROKEN_GAUGE)
@@ -538,6 +592,11 @@ def _suite_utiyama_negative(cfg: SuiteConfig):
     return shortfall, {"min_violation": violation, "required": GAUGE_VIOLATION}
 
 
+@_suite(
+    "matter action integrals over compact regions are invariant under sampled gauge "
+    "transformations exactly when the density is jet-invariant",
+    1e-12,
+)
 def _suite_theorem_ginv1(cfg: SuiteConfig):
     spec, patch = cfg.group, cfg.patch
     rng = seeded_rng(cfg.seed, "theorem_ginv1", spec.label())
@@ -580,6 +639,11 @@ def _suite_theorem_ginv1(cfg: SuiteConfig):
     }
 
 
+@_suite(
+    "gauge-field action integrals are invariant under second-order jet transformations "
+    "exactly when the density is jet-invariant",
+    1e-12,
+)
 def _suite_theorem_ginv2(cfg: SuiteConfig):
     spec, patch = cfg.group, cfg.patch
     rng = seeded_rng(cfg.seed, "theorem_ginv2", spec.label())
@@ -612,6 +676,11 @@ def _suite_theorem_ginv2(cfg: SuiteConfig):
     }
 
 
+@_suite(
+    "on a one-dimensional base the field strength is empty and only the covariantized "
+    "action survives time-dependent transformations",
+    2.0**-43,
+)
 def _suite_mechanics_reduction(cfg: SuiteConfig):
     """Relative change of the covariantized action, ``covariant_err / scale``.
 
@@ -661,119 +730,17 @@ def _suite_mechanics_reduction(cfg: SuiteConfig):
     }
 
 
+@_suite(
+    "right-trivialized derivatives of sampled group fields satisfy the flatness identity",
+    50.0,
+    fd=True,
+)
 def _suite_maurer_cartan(cfg: SuiteConfig):
     spec, patch = cfg.group, cfg.patch
     rng = seeded_rng(cfg.seed, "maurer_cartan", spec.label())
     gs = _gauge(rng, spec, patch, scale=0.6)
     defect = maurer_cartan_defect(jet1_of(gs.values))
     return _interior_max(defect.value, patch, 2), {}
-
-
-@dataclass(frozen=True)
-class SuiteDef:
-    fn: Callable[[SuiteConfig], tuple[float, dict]]
-    claim: str
-    bound: float  # the tolerance, or its h^2 coefficient for fd suites
-    fd: bool = False  # error scales as O(h^2)
-
-    def tol(self, h: float) -> float:
-        """Default tolerance at grid spacing h."""
-        return self.bound * h * h if self.fd else self.bound
-
-
-SUITES: dict[str, SuiteDef] = {
-    "jet_group_axioms": SuiteDef(
-        _suite_jet_group_axioms,
-        "first- and second-order gauge jets form groups: associativity, unit, inverses",
-        1e-12,
-    ),
-    "jet_functoriality": SuiteDef(
-        _suite_jet_functoriality,
-        "the jet of a pointwise product of group-valued fields is the product of their jets",
-        50.0,
-        fd=True,
-    ),
-    "action_axioms": SuiteDef(
-        _suite_action_axioms,
-        "unit jets act trivially and jet products act by composition on every carrier",
-        1e-12,
-    ),
-    "chain_rule_matter": SuiteDef(
-        _suite_chain_rule_matter,
-        "the jet-level matter action matches derivatives of the pointwise-transformed field",
-        10.0,
-        fd=True,
-    ),
-    "chain_rule_connection": SuiteDef(
-        _suite_chain_rule_connection,
-        "the jet-level potential action matches derivatives of the transformed potential",
-        50.0,
-        fd=True,
-    ),
-    "curvature_equivariance": SuiteDef(
-        _suite_curvature_equivariance,
-        "the curvature of a transformed connection jet is the conjugated curvature",
-        1e-10,
-    ),
-    "gauge_to_zero_1": SuiteDef(
-        _suite_gauge_to_zero_1,
-        "a first-order jet gauges any potential value to zero at every fiber",
-        1e-12,
-    ),
-    "gauge_to_zero_2": SuiteDef(
-        _suite_gauge_to_zero_2,
-        "a second-order jet kills the potential and symmetric derivative, leaving half the "
-        "field strength in the antisymmetric slot",
-        1e-12,
-    ),
-    "minimal_coupling_invariance": SuiteDef(
-        _suite_minimal_coupling_invariance,
-        "covariant derivatives are equivariant, so minimally coupled densities are pointwise "
-        "gauge invariant",
-        1e-12,
-    ),
-    "minimal_coupling_negative": SuiteDef(
-        _suite_minimal_coupling_negative,
-        "a non-invariant matter term breaks gauge invariance of the coupled density "
-        "(negative control)",
-        1e-15,
-    ),
-    "utiyama_level_sets": SuiteDef(
-        _suite_utiyama_level_sets,
-        "densities factored through the curvature map are constant on equal-curvature jets",
-        1e-12,
-    ),
-    "utiyama_negative": SuiteDef(
-        _suite_utiyama_negative,
-        "a density reading the symmetric derivative separates equal-curvature jets "
-        "(negative control)",
-        1e-15,
-    ),
-    "theorem_ginv1": SuiteDef(
-        _suite_theorem_ginv1,
-        "matter action integrals over compact regions are invariant under sampled gauge "
-        "transformations exactly when the density is jet-invariant",
-        1e-12,
-    ),
-    "theorem_ginv2": SuiteDef(
-        _suite_theorem_ginv2,
-        "gauge-field action integrals are invariant under second-order jet transformations "
-        "exactly when the density is jet-invariant",
-        1e-12,
-    ),
-    "mechanics_reduction": SuiteDef(
-        _suite_mechanics_reduction,
-        "on a one-dimensional base the field strength is empty and only the covariantized "
-        "action survives time-dependent transformations",
-        2.0**-43,  # relative to the action; see _suite_mechanics_reduction
-    ),
-    "maurer_cartan": SuiteDef(
-        _suite_maurer_cartan,
-        "right-trivialized derivatives of sampled group fields satisfy the flatness identity",
-        50.0,
-        fd=True,
-    ),
-}
 
 
 def _lookup(name: str) -> SuiteDef:
@@ -830,13 +797,8 @@ def ratio_study(errors: list[float]) -> tuple[str, list[float], bool]:
     """
     if all(e <= EXACT_THRESHOLD for e in errors):
         return "exact", [], True
-    ratios = []
-    ok = True
-    for a, b in zip(errors, errors[1:]):
-        ratio = a / b if b > 0 else float("inf")
-        ratios.append(ratio)
-        ok = ok and RATIO_WINDOW[0] <= ratio <= RATIO_WINDOW[1]
-    return "ratio", ratios, ok
+    ratios = [a / b if b > 0 else float("inf") for a, b in zip(errors, errors[1:])]
+    return "ratio", ratios, all(RATIO_WINDOW[0] <= r <= RATIO_WINDOW[1] for r in ratios)
 
 
 def convergence_study(cfg: SuiteConfig, name: str) -> SuiteResult:
@@ -851,9 +813,12 @@ def convergence_study(cfg: SuiteConfig, name: str) -> SuiteResult:
     suite = _lookup(name)
     if len(cfg.h_levels) < 2:
         raise ConfigError("convergence studies need at least two h levels")
+    try:
+        patches = [cfg.patch.refined(h) for h in cfg.h_levels]
+    except RegionError as exc:
+        raise ConfigError(f"h levels too coarse for the patch domain: {exc}") from None
     start = time.perf_counter()
-    errors = [float(suite.fn(replace(cfg, patch=cfg.patch.refined(h)))[0])
-              for h in cfg.h_levels]
+    errors = [float(suite.fn(replace(cfg, patch=patch))[0]) for patch in patches]
     mode, ratios, ok = ratio_study(errors)
     details = {"errors": errors, "h_levels": list(cfg.h_levels)}
     return _result(cfg, name, cfg.h_levels[0], start, max(errors), details, ok, mode, ratios)

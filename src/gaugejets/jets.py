@@ -337,17 +337,12 @@ def maurer_cartan_defect(j1field: Field) -> Field:
     jet = _require_field(j1field, Jet1Gauge, "maurer_cartan_defect")
     p = j1field.patch
     da = _da(j1field)
-    pairs = curvature_pairs(p.dim)
-    if not pairs:
-        defect = np.zeros(p.extent)
-    else:
-        norms = []
-        for mu, nu in pairs:
-            amu = jet.a[..., mu, :, :]
-            anu = jet.a[..., nu, :, :]
-            d = da[..., mu, nu, :, :] - da[..., nu, mu, :, :] - (mm(amu, anu) - mm(anu, amu))
-            norms.append(frobenius(d))
-        defect = np.max(np.stack(norms, axis=-1), axis=-1)
+    defect = np.zeros(p.extent)
+    for mu, nu in curvature_pairs(p.dim):
+        amu = jet.a[..., mu, :, :]
+        anu = jet.a[..., nu, :, :]
+        d = da[..., mu, nu, :, :] - da[..., nu, mu, :, :] - (mm(amu, anu) - mm(anu, amu))
+        np.maximum(defect, frobenius(d), out=defect)
     return Field(p, defect, margin=j1field.margin + 1)
 
 

@@ -388,10 +388,6 @@ def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
     return _trusted(GroupElement, g.spec, mm(g.entries, h.entries))
 
 
-def inverse(g: GroupElement) -> GroupElement:
-    return g.inverse()
-
-
 def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Commutator [X, Y] = XY - YX."""
     check_same_group(x, y)

@@ -340,10 +340,10 @@ class TestJetConnectionAction:
         from gaugejets.analytic import random_connection_family, random_gauge_family, sample_connection
 
         gs = sample_gauge(
-            p, SU2, random_gauge_family(rng, SU2, 2, factors=2, scale=0.5, wave_scale=0.5)
+            p, SU2, random_gauge_family(rng, SU2, 2, factors=2, scale=0.5)
         )
         cs = sample_connection(
-            p, SU2, random_connection_family(rng, SU2, 2, scale=0.5, wave_scale=0.5)
+            p, SU2, random_connection_family(rng, SU2, 2, scale=0.5)
         )
         moved = act_connection(gs.jet1.value, cs.values.value)
         from gaugejets.jets import jet_connection_of

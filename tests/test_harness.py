@@ -1,10 +1,13 @@
 """Harness configuration, reports, determinism, and the CLI surface."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gaugejets import harness
 from gaugejets.cli import main as cli_main
 from gaugejets.harness import (
     ConfigError,
@@ -15,6 +18,7 @@ from gaugejets.harness import (
     convergence_study,
     ratio_study,
     run,
+    run_suite,
 )
 from gaugejets.jets import Jet1Gauge, Jet2Gauge, JetConnection, JetMatter
 from gaugejets.lie_core import (
@@ -97,11 +101,17 @@ class TestConfig:
             {"group": {"family": "su2", "rep_dim": 2.0}},
             {"h_levels": [float("nan"), 0.02]},
             {"tolerances": {"action_axioms": float("nan")}, "suites": ["action_axioms"]},
+            {"seed": True, "suites": ["gauge_to_zero_1"]},
+            {"patch": {"extent": [8, 8], "spacing": True}},
+            {"patch": {"extent": [8, 8], "origin": [0.0, False]}},
+            {"h_levels": [True, 0.5]},
+            {"tolerances": {"action_axioms": True}, "suites": ["action_axioms"]},
         ],
         ids=["metric", "seed", "tolerance-key", "tolerance-list", "group-string",
              "top-level-list", "top-level-string", "output-number", "suites-string",
              "spacing-nan", "spacing-inf", "origin-nan", "extent-fraction", "n-fraction",
-             "rep-dim-float", "h-level-nan", "tolerance-nan"],
+             "rep-dim-float", "h-level-nan", "tolerance-nan", "seed-bool", "spacing-bool",
+             "origin-bool", "h-level-bool", "tolerance-bool"],
     )
     def test_bad_values_rejected(self, bad, tmp_path, capsys):
         with pytest.raises(ConfigError):
@@ -156,6 +166,49 @@ class TestRun:
         for name, suite in SUITES.items():
             assert suite.claim
             assert suite.tol(0.05) > 0
+
+    def test_readme_suite_table_matches_registry(self):
+        """The README table lists the registered suites in order, each with its
+        bound, written ``h^2``-scaled exactly for the finite-difference suites."""
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        table = text.split("Registered suites:\n\n", 1)[1].split("\n\n", 1)[0]
+        rows = [
+            [cell.strip() for cell in re.split(r"(?<!\\)\|", line)[1:-1]]
+            for line in table.splitlines()[2:]
+        ]
+        names = [name.strip("`") for name, _, _ in rows]
+        assert names == list(SUITES)
+        for name, (_, _, cell) in zip(names, rows):
+            m = re.fullmatch(r"(?:shortfall <= )?(\S+?)(?:\^(\S+))?( h\^2)?(?: .*)?", cell)
+            assert m, cell
+            base, power, h2 = m.groups()
+            assert float(base) ** (float(power) if power else 1.0) == SUITES[name].bound, name
+            assert bool(h2) == SUITES[name].fd, name
+
+
+ACTION_LAW_GROUPS = [
+    group_spec("u1"),
+    group_spec("su2"),
+    group_spec("su3"),
+    group_spec("sun", n=4),
+    group_spec("su2", rep_dim=3),
+    group_spec("su3", rep_dim=8),
+    group_spec("sun", n=4, rep_dim=15),
+]
+ACTION_CARRIERS = ["matter", "variation", "jet_matter", "connection", "jet_connection", "curvature"]
+
+
+@pytest.mark.parametrize("spec", ACTION_LAW_GROUPS, ids=lambda s: f"{s.label()}-{s.rep_dim}")
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_action_laws_hold_for_every_group(spec, n, monkeypatch):
+    """Unit and composition laws of every ``act_*`` at the suite's 1e-12 bound;
+    on one base axis there is no curvature to act on."""
+    monkeypatch.setattr(harness, "AXIOM_BATCH", 16)
+    res = run_suite(small_cfg(group=spec, patch=Patch((5,) * n, spacing=0.2)), "action_axioms")
+    carriers = ACTION_CARRIERS if n > 1 else ACTION_CARRIERS[:-1]
+    assert list(res.details) == [f"{c}_{law}" for c in carriers for law in ("unit", "compose")]
+    assert res.tolerance == 1e-12
+    assert res.status == "pass", res.details
 
 
 class TestConvergence:
@@ -341,3 +394,18 @@ class TestCli:
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "suite,h,error"
         assert len(lines) == 3
+
+    def test_converge_h_level_too_coarse_exit_code_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(
+            json.dumps(
+                {
+                    "patch": {"extent": [16, 16], "spacing": 0.2},
+                    "h_levels": [10.0, 5.0],
+                    "suites": ["maurer_cartan"],
+                }
+            )
+        )
+        assert cli_main(["converge", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1

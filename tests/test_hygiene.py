@@ -1,8 +1,9 @@
 """Source hygiene: every module uses each name it imports, the fiber
 modules multiply matrices through one kernel, only ``lie_core`` builds
 representation matrices, every fiber type declares its arrays in one
-``Fiber.LAYOUT``, every stored fiber type has a JGF1 kind, and only
-``jets`` symmetrizes in (mu, nu) or differences fields beside ``patch``.
+``Fiber.LAYOUT``, every stored fiber type has a JGF1 kind, only ``jets``
+symmetrizes in (mu, nu) or differences fields beside ``patch``, and every
+suite is registered by the ``@_suite`` decorator on its function.
 
 No linter ships with the test dependencies, so this AST scan stands in for
 the unused-import check: a name counts as used when the module reads it
@@ -188,3 +189,57 @@ def test_central_diff_stays_in_patch_and_jets():
     """Finite differences of sampled fields come from the jets' ``*_of`` builders."""
     users = {path.name for path in sorted(SRC.glob("*.py")) if _references(path, "central_diff")}
     assert users == {"patch.py", "jets.py"}
+
+
+MUTATORS = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
+
+
+def _suites_writers(tree: ast.Module) -> list[str]:
+    """The function (or ``<module>``) around each statement that binds, stores into
+    or mutates a name or attribute ``SUITES``."""
+
+    def is_suites(node):
+        return getattr(node, "id", getattr(node, "attr", None)) == "SUITES"
+
+    def writes(node):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign, ast.Delete)):
+            targets = getattr(node, "targets", None) or [node.target]
+            return any(is_suites(t) or is_suites(getattr(t, "value", None)) for t in targets)
+        return (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in MUTATORS
+            and is_suites(node.func.value)
+        )
+
+    found = []
+
+    def visit(node, where):
+        if writes(node):
+            found.append(where)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_suites_are_registered_by_decorator():
+    """Each ``_suite_<name>`` function in ``harness`` carries ``@_suite(...)``, and
+    ``SUITES`` is written only where it is declared and inside that decorator."""
+    tree = ast.parse((SRC / "harness.py").read_text(), filename="harness.py")
+    suites = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_suite_")
+    ]
+    assert suites
+    for fn in suites:
+        names = [getattr(d.func, "id", None) for d in fn.decorator_list if isinstance(d, ast.Call)]
+        assert names == ["_suite"], f"{fn.name} is not declared by @_suite(...)"
+    writers = {
+        path.name: _suites_writers(ast.parse(path.read_text(), filename=str(path)))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name: w for name, w in writers.items() if w} == {"harness.py": ["<module>", "register"]}
