@@ -29,6 +29,7 @@ from .lie_core import (
     random_algebra_element,
     random_group_element,
     rep_act,
+    structure_constants,
     tangent_act,
 )
 from .patch import Field, Patch, Region, RegionError, default_patch, integrate

@@ -78,10 +78,12 @@ def _cmd_run(args) -> int:
 def _cmd_converge(args) -> int:
     report = converge(_load_config(args))
     if args.csv:
-        lines = ["suite,h,error"]
+        lines = ["suite,h,error,extent,length"]
         for res in report.suites:
-            for h, e in zip(res.details["h_levels"], res.details["errors"]):
-                lines.append(f"{res.name},{h!r},{e!r}")
+            d = res.details
+            for h, e, ext, lens in zip(d["h_levels"], d["errors"], d["extents"], d["lengths"]):
+                extent, length = "x".join(map(str, ext)), "x".join(map(repr, lens))
+                lines.append(f"{res.name},{h!r},{e!r},{extent},{length}")
         Path(args.csv).write_text("\n".join(lines) + "\n")
     _print_report(report)
     return 0 if report.passed else 1

@@ -802,13 +802,15 @@ def ratio_study(errors: list[float]) -> tuple[str, list[float], bool]:
 
 
 def convergence_study(cfg: SuiteConfig, name: str) -> SuiteResult:
-    """Run one suite across cfg.h_levels on the same physical domain.
+    """Run one suite across cfg.h_levels on the configured physical domain.
 
     The configured patch defines the domain at its own spacing; each level
-    resamples it at spacing h.  Pass requires every error ratio per halving
-    inside [3.5, 4.5], unless the suite is exact at machine epsilon.  In
-    ratio mode the errors then fall, so the largest, at the first level, is
-    judged against the tolerance at that level's spacing.
+    resamples it at spacing h.  Rounding the point count can move a side by
+    up to h/2, so ``details`` carries each level's ``extents`` and side
+    ``lengths`` next to its error.  Pass requires every error ratio per
+    halving inside [3.5, 4.5], unless the suite is exact at machine
+    epsilon.  In ratio mode the errors then fall, so the largest, at the
+    first level, is judged against the tolerance at that level's spacing.
     """
     suite = _lookup(name)
     if len(cfg.h_levels) < 2:
@@ -820,7 +822,12 @@ def convergence_study(cfg: SuiteConfig, name: str) -> SuiteResult:
     start = time.perf_counter()
     errors = [float(suite.fn(replace(cfg, patch=patch))[0]) for patch in patches]
     mode, ratios, ok = ratio_study(errors)
-    details = {"errors": errors, "h_levels": list(cfg.h_levels)}
+    details = {
+        "errors": errors,
+        "h_levels": list(cfg.h_levels),
+        "extents": [list(patch.extent) for patch in patches],
+        "lengths": [list(patch.lengths) for patch in patches],
+    }
     return _result(cfg, name, cfg.h_levels[0], start, max(errors), details, ok, mode, ratios)
 
 

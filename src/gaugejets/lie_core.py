@@ -134,7 +134,8 @@ def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Batch axes broadcast.  The sum over the inner index runs as N steps,
     each vectorized over the whole batch, instead of one BLAS call per
     matrix as ``@`` makes on stacked inputs.  Conjugations, jet products
-    and actions, brackets and curvature all go through this kernel.
+    and actions, brackets and curvature all go through this kernel; the
+    adjoint r(X) does not, being a contraction with the structure constants.
     """
     out = a[..., :, 0, None] * b[..., None, 0, :]
     for j in range(1, a.shape[-1]):
@@ -312,16 +313,22 @@ def _trusted(cls, *values):
 # ---------------------------------------------------------------------------
 # algebra basis
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @lru_cache(maxsize=None)
 def _basis_matrices(family: GroupFamily, n: int) -> np.ndarray:
     """Orthonormal basis of the algebra under <X, Y> = -tr(XY).
 
-    Returned array has shape (dim, N, N).  For su(N): normalized real
-    antisymmetric pairs, imaginary symmetric pairs, and imaginary diagonal
-    traceless matrices; for u(1): the single element i.
+    Returned array has shape (dim, N, N) and is read-only, since every
+    caller shares it.  For su(N): normalized real antisymmetric pairs,
+    imaginary symmetric pairs, and imaginary diagonal traceless matrices;
+    for u(1): the single element i.
     """
     if family is GroupFamily.U1:
-        return np.array([[[1j]]], dtype=np.complex128)
+        return _read_only(np.array([[[1j]]], dtype=np.complex128))
     out = []
     for j in range(n):
         for k in range(j + 1, n):
@@ -336,12 +343,31 @@ def _basis_matrices(family: GroupFamily, n: int) -> np.ndarray:
         d[:l] = 1j
         d[l] = -1j * l
         out.append(np.diag(d) / np.sqrt(l * (l + 1)))
-    return np.stack(out)
+    return _read_only(np.stack(out))
+
+
+@lru_cache(maxsize=None)
+def _structure_constants(family: GroupFamily, n: int) -> np.ndarray:
+    """Real structure constants f[c, a, b] = coords_a([T_c, T_b]), shape (dim, dim, dim).
+
+    Read-only like the basis.  Stored as the antisymmetric part in (c, b),
+    so f[b, :, c] == -f[c, :, b] holds bit for bit.
+    """
+    basis = _basis_matrices(family, n)
+    tc, tb = basis[:, None], basis[None, :]
+    f = np.swapaxes(_coords(GroupSpec(family, n), mm(tc, tb) - mm(tb, tc)), 1, 2)
+    return _read_only(np.ascontiguousarray(0.5 * (f - np.swapaxes(f, 0, 2))))
 
 
 def algebra_basis(spec: GroupSpec) -> np.ndarray:
-    """Orthonormal algebra basis, shape (algebra_dim, N, N)."""
+    """Orthonormal algebra basis, shape (algebra_dim, N, N); read-only."""
     return _basis_matrices(spec.family, spec.n)
+
+
+def structure_constants(spec: GroupSpec) -> np.ndarray:
+    """Structure constants f[c, a, b] of the orthonormal basis, shape
+    (algebra_dim,) * 3: [T_c, T_b] = sum_a f[c, a, b] T_a; read-only."""
+    return _structure_constants(spec.family, spec.n)
 
 
 def algebra_inner(x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
@@ -421,11 +447,14 @@ def rep_matrix(g: GroupElement) -> np.ndarray:
 
 
 def rep_algebra_matrix(x: AlgebraElement) -> np.ndarray:
-    """Infinitesimal representation matrix r(X) = dR(X); adjoint column b is [X, T_b]."""
+    """Infinitesimal representation matrix r(X) = dR(X); adjoint column b is [X, T_b].
+
+    For the adjoint, r(X)[a, b] = sum_c X_c f[c, a, b]: the coordinates of X
+    contracted with the cached structure constants, no matrix products.
+    """
     if x.spec.rep_kind == "fundamental":
         return x.entries
-    xx, basis = x.entries[..., None, :, :], algebra_basis(x.spec)
-    return np.swapaxes(_coords(x.spec, mm(xx, basis) - mm(basis, xx)), -1, -2)
+    return np.tensordot(algebra_coords(x), structure_constants(x.spec), axes=(-1, 0))
 
 
 def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:

@@ -87,11 +87,19 @@ class Patch:
         hi = tuple(e - margin for e in self.extent)
         return Region(lo, hi)
 
+    @property
+    def lengths(self) -> tuple[float, ...]:
+        """Side lengths of the sampled box, (extent - 1) * spacing per axis."""
+        return tuple((e - 1) * s for e, s in zip(self.extent, self.spacing))
+
     def refined(self, h: float) -> "Patch":
-        """Same physical box resampled at spacing h (used by convergence studies)."""
-        extent = tuple(
-            int(round((e - 1) * s / h)) + 1 for e, s in zip(self.extent, self.spacing)
-        )
+        """The box resampled at spacing h (used by convergence studies).
+
+        The point count per axis is rounded, so when h does not divide a
+        side length the refined box differs from this one: 16 x 16 at 0.2
+        (side 3.0) refines at h = 0.07 to 44 x 44, side 3.01.
+        """
+        extent = tuple(int(round(length / h)) + 1 for length in self.lengths)
         return Patch(extent, (h,) * self.dim, self.origin)
 
 

@@ -241,6 +241,12 @@ class TestConvergence:
         assert res.status == "pass"
         assert res.convergence_ratios == []
 
+    def test_details_carry_each_level_box(self):
+        cfg = small_cfg(patch=Patch((16, 16), spacing=0.2), h_levels=(0.1, 0.07))
+        details = convergence_study(cfg, "gauge_to_zero_1").details
+        assert details["extents"] == [[31, 31], [44, 44]]
+        assert details["lengths"] == [pytest.approx([3.0, 3.0]), pytest.approx([3.01, 3.01])]
+
 
 def reference_draws(cls, rng, spec, n, batch):
     """The arrays of a random jet batch as hand-written per-type builders drew them."""
@@ -392,8 +398,9 @@ class TestCli:
         code = cli_main(["converge", "--config", str(cfg_path), "--csv", str(csv_path)])
         assert code == 0
         lines = csv_path.read_text().strip().splitlines()
-        assert lines[0] == "suite,h,error"
+        assert lines[0] == "suite,h,error,extent,length"
         assert len(lines) == 3
+        assert [line.split(",")[3] for line in lines[1:]] == ["32x32", "63x63"]
 
     def test_converge_h_level_too_coarse_exit_code_2(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

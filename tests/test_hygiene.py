@@ -2,8 +2,9 @@
 modules multiply matrices through one kernel, only ``lie_core`` builds
 representation matrices, every fiber type declares its arrays in one
 ``Fiber.LAYOUT``, every stored fiber type has a JGF1 kind, only ``jets``
-symmetrizes in (mu, nu) or differences fields beside ``patch``, and every
-suite is registered by the ``@_suite`` decorator on its function.
+symmetrizes in (mu, nu) or differences fields beside ``patch``, every
+suite is registered by the ``@_suite`` decorator on its function, and
+every function the benchmark tracer wraps still exists.
 
 No linter ships with the test dependencies, so this AST scan stands in for
 the unused-import check: a name counts as used when the module reads it
@@ -12,6 +13,8 @@ anywhere (including quoted annotations) or re-exports it in ``__all__``.
 
 import ast
 import dataclasses
+import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +22,8 @@ import pytest
 
 from gaugejets import jets, jgf, lie_core
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "gaugejets"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "gaugejets"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -243,3 +247,17 @@ def test_suites_are_registered_by_decorator():
         for path in sorted(SRC.glob("*.py"))
     }
     assert {name: w for name, w in writers.items() if w} == {"harness.py": ["<module>", "register"]}
+
+
+def test_traced_names_resolve(monkeypatch):
+    """Every function ``bench/tracing.py`` wraps still exists, so renaming one
+    fails here instead of silently zeroing its layer in a traced bench run."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look it up
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+    spec.loader.exec_module(tracing)
+    targets = [t for layer in tracing.LAYERS for t in layer.targets]
+    targets += list(tracing.HARNESS_TARGETS)
+    assert targets
+    assert [t for t in targets if tracing._resolve(t) is None] == []

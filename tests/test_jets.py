@@ -38,6 +38,7 @@ from gaugejets.lie_core import (
     GroupElement,
     distance,
     exp,
+    frobenius,
     group_spec,
     random_algebra_entries,
     seeded_rng,
@@ -103,7 +104,52 @@ class TestJetTypes:
         assert np.max(np.abs(swapped.comps[0] + f.comps[0])) < 1e-15
 
 
+EPS = np.finfo(np.float64).eps
+
+
+def jet_tol(spec, *jets):
+    """Roundoff budget of one jet group law on the given factors.
+
+    Each step is an addition or an N x N complex product through ``mm``,
+    which errs by at most (N + 2) eps ||A||_F ||B||_F: the componentwise
+    bound of ``assert_matches_matmul`` in ``test_lie_core``, in Frobenius
+    norm.  Let M = max(1, largest ||a_mu||_F or ||s_munu||_F of the
+    factors).  Ad(g) keeps Frobenius norms and ||g||_F = sqrt(N), so one
+    product leaves a within 2M and s within 4M^2, no product's operands
+    reach past 4 sqrt(N) M^2, and a bracket with a (at most 2M) carries an
+    earlier Ad error of 2 sqrt(N) M (N + 2) eps into the same range.  A law
+    makes at most 28 products: 7 per ``jet2_mul`` (g h, two per Ad of b and
+    of t, two for the bracket), 4 per ``jet2_inv``, and associativity
+    multiplies twice on each side.  The additions, a few eps M^2 each, fit
+    in the slack of charging every product at the largest operand size.
+    """
+    m = max(1.0, *(float(np.max(frobenius(x), initial=0.0)) for j in jets for x in (j.a, j.s)))
+    return 28 * 4 * np.sqrt(spec.n) * (spec.n + 2) * m**2 * EPS
+
+
 class TestJetGroupLaws:
+    @given(st.sampled_from([U1, SU2, SU3, SU4]), st.integers(1, 4), st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_group_laws(self, spec, n, seed):
+        """Associativity, unit and inverse of both jet products, on 8 points."""
+        x, y, z = (random_jet2(seed + i, spec, n, (8,)) for i in range(3))
+        tol = jet_tol(spec, x, y, z)
+        orders = (
+            (jet1_mul, jet1_inv, jet1_unit(spec, n, (8,)), [j.truncate() for j in (x, y, z)]),
+            (jet2_mul, jet2_inv, jet2_unit(spec, n, (8,)), [x, y, z]),
+        )
+        for mul, inv, unit, (a, b, c) in orders:
+            laws = {
+                "associativity": (mul(mul(a, b), c), mul(a, mul(b, c))),
+                "left unit": (mul(unit, a), a),
+                "right unit": (mul(a, unit), a),
+                "right inverse": (mul(a, inv(a)), unit),
+                "left inverse": (mul(inv(a), a), unit),
+            }
+            for law, (lhs, rhs) in laws.items():
+                err = np.max(distance(lhs, rhs))
+                assert err <= tol, f"{mul.__name__} {law}: {err:.3e} > {tol:.3e}"
+
     @pytest.mark.parametrize("spec", [U1, SU2, SU3])
     def test_unit_and_inverse_order1(self, spec):
         j = random_jet1(3, spec, 2, (64,))

@@ -30,8 +30,10 @@ from gaugejets.lie_core import (
     random_group_element,
     random_rep_vector,
     rep_act,
+    rep_algebra_matrix,
     rep_matrix,
     seeded_rng,
+    structure_constants,
     tangent_act,
 )
 
@@ -244,6 +246,14 @@ class TestBasis:
         x = random_algebra_element(21, SU2)
         assert abs(algebra_inner(x, x) - frobenius(x.entries) ** 2) < 1e-14
 
+    @pytest.mark.parametrize("table", [algebra_basis, structure_constants])
+    def test_cached_tables_are_read_only(self, table):
+        # every caller shares the cached array, so an in-place write must fail
+        with pytest.raises(ValueError):
+            table(SU3)[0, 0, 0] = 0
+        with pytest.raises(ValueError):
+            table(SU3)[...] *= 2
+
 
 class TestRepAction:
     def test_identity_and_zero(self):
@@ -316,6 +326,44 @@ class TestRepresentationProperties:
         assert np.max(np.abs(moved - algebra_coords(adjoint(g, x)))) <= rep_tol(spec)
         drift = fundamental_vector_field(x, RepVector(spec, algebra_coords(y))).entries
         assert np.max(np.abs(drift - algebra_coords(bracket(x, y)))) <= rep_tol(spec)
+
+
+ADJOINT_SPECS = [s for s in REP_SPECS if s.rep_kind == "adjoint"]
+
+
+class TestStructureConstants:
+    """r(X) for the adjoint is the coordinates of X contracted with f[c, a, b]."""
+
+    @pytest.mark.parametrize("spec", ADJOINT_SPECS, ids=lambda s: s.label())
+    def test_antisymmetry(self, spec):
+        f = structure_constants(spec)
+        assert f.shape == (spec.algebra_dim,) * 3
+        assert np.array_equal(f, -np.swapaxes(f, 0, 2))
+        # (a, b) antisymmetry is ad-invariance of the inner product: only to roundoff
+        assert np.max(np.abs(f + np.swapaxes(f, 1, 2))) <= rep_tol(spec)
+
+    @given(st.sampled_from(ADJOINT_SPECS), st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_bracket_with_basis(self, spec, seed):
+        x = random_algebra_element(seed, spec, (2, 3))
+        basis = algebra_basis(spec)
+        cols = [
+            algebra_coords(bracket(x, AlgebraElement(spec, np.broadcast_to(t, x.entries.shape))))
+            for t in basis
+        ]
+        want = np.stack(cols, axis=-1)  # column b holds coords([X, T_b])
+        got = rep_algebra_matrix(x)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= rep_tol(spec)
+
+    @given(st.sampled_from(ADJOINT_SPECS), st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_r_is_algebra_homomorphism(self, spec, seed):
+        x = random_algebra_element(seed, spec, (2, 3))
+        y = random_algebra_element(seed + 1, spec, (2, 3))
+        rx, ry = rep_algebra_matrix(x), rep_algebra_matrix(y)
+        lhs = rep_algebra_matrix(bracket(x, y))
+        assert np.max(np.abs(lhs - (rx @ ry - ry @ rx))) <= rep_tol(spec)
 
 
 class TestFundamentalVectorField:

@@ -62,8 +62,15 @@ class TestPatch:
         p = Patch((64, 64), spacing=0.04)
         q = p.refined(0.02)
         assert q.extent == (127, 127)
-        span = lambda pp: tuple((e - 1) * h for e, h in zip(pp.extent, pp.spacing))
-        assert span(p) == span(q)
+        assert p.lengths == q.lengths
+
+    def test_refined_rounds_the_point_count(self):
+        # h = 0.07 does not divide the side 3.0, so the refined box is 3.01
+        p = Patch((16, 16), spacing=0.2)
+        q = p.refined(0.07)
+        assert q.extent == (44, 44)
+        assert p.lengths == pytest.approx((3.0, 3.0), abs=1e-12)
+        assert q.lengths == pytest.approx((3.01, 3.01), abs=1e-12)
 
 
 class TestRegion:
