@@ -39,7 +39,6 @@ from .jets import (
     Jet2Gauge,
     JetConnection,
     JetMatter,
-    Variation,
     curvature,
     jet1_inv,
     jet1_mul,
@@ -58,8 +57,6 @@ from .actions import (
     act_curvature,
     act_jet_connection,
     act_jet_matter,
-    act_matter,
-    act_variation,
     gauge_to_zero_jet1,
     gauge_to_zero_jet2,
 )

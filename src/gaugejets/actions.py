@@ -1,7 +1,9 @@
-"""Local action laws of gauge jets on matter, connections, and curvature.
+"""Local action laws of gauge jets on matter jets, connections, and curvature.
 
 All operations act on a single fiber and broadcast over batch axes, so
 lifting to sampled fields is just applying the op to grid-batched values.
+Matter values and their variations (vertical vectors of the same vector
+bundle) transform by the one linear action ``lie_core.rep_act``.
 The connection transformation is the familiar affine law
 
     (g, a) . A_mu = Ad(g) A_mu - a_mu,        a_mu = (d_mu g) g^{-1},
@@ -35,7 +37,6 @@ from .lie_core import (
     distance,
     frobenius,
     mm,
-    rep_act,
     tangent_act,
 )
 from .jets import (
@@ -44,22 +45,9 @@ from .jets import (
     Jet2Gauge,
     JetConnection,
     JetMatter,
-    Variation,
     curvature,
     sym,
 )
-
-
-def act_matter(g: GroupElement, phi: RepVector) -> RepVector:
-    """Pointwise matter transformation phi -> g . phi."""
-    return rep_act(g, phi)
-
-
-def act_variation(g: GroupElement, v: Variation) -> Variation:
-    """Variations transform linearly, like vertical tangent vectors."""
-    check_same_group(g, v)
-    moved = rep_act(g, _trusted(RepTangent, v.spec, v.dphi))
-    return _trusted(Variation, v.spec, moved.entries)
 
 
 def act_jet_matter(jet: Jet1Gauge, jm: JetMatter) -> JetMatter:
@@ -111,17 +99,14 @@ def act_curvature(g: GroupElement, f: Curvature) -> Curvature:
 class TransitivityWitness:
     """A jet that gauges connection data to the normal form at a fiber.
 
-    ``residual`` is the per-point Frobenius norm (summed over components)
-    of the parts the jet is supposed to kill.
+    ``transformed`` is the connection data the jet moves there, and
+    ``residual`` the per-point Frobenius norm (summed over components) of
+    the parts the jet is supposed to kill.
     """
 
     jet: Jet1Gauge | Jet2Gauge
     residual: np.ndarray
-    transformed: JetConnection | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if np.any(np.asarray(self.residual) < 0):
-            raise ValueError("residual norms cannot be negative")
+    transformed: AlgebraElement | JetConnection = field(repr=False)
 
 
 def gauge_to_zero_jet1(A: AlgebraElement) -> TransitivityWitness:
@@ -137,7 +122,7 @@ def gauge_to_zero_jet1(A: AlgebraElement) -> TransitivityWitness:
     jet = _trusted(Jet1Gauge, A.spec, eye, A.entries)
     transformed = act_connection(jet, A)
     residual = np.sum(frobenius(transformed.entries), axis=-1)
-    return TransitivityWitness(jet=jet, residual=residual)
+    return TransitivityWitness(jet=jet, residual=residual, transformed=transformed)
 
 
 def gauge_to_zero_jet2(jc: JetConnection) -> TransitivityWitness:
@@ -167,8 +152,6 @@ def curvature_equivariance_defect(jet: Jet2Gauge, jc: JetConnection) -> np.ndarr
 
 
 __all__ = [
-    "act_matter",
-    "act_variation",
     "act_jet_matter",
     "act_connection",
     "act_jet_connection",

@@ -201,7 +201,7 @@ class PlaneWaveMatter:
 
 @dataclass(frozen=True)
 class MatterSample:
-    values: Field  # Field[RepVector]
+    values: Field  # Field[RepVector], cut from the checked jet
     jet: Field  # Field[JetMatter]
 
 
@@ -218,9 +218,8 @@ def sample_matter(patch: Patch, spec: GroupSpec, family: PlaneWaveMatter) -> Mat
     arg = np.einsum("...m,jm->...j", x, waves) + phases
     phi = amps * np.exp(1j * arg)
     dphi = 1j * np.einsum("jm,...j->...mj", waves, phi)
-    values = Field(patch, RepVector(spec, phi))
     jet = Field(patch, JetMatter(spec, phi, dphi))
-    return MatterSample(values=values, jet=jet)
+    return MatterSample(values=Field(patch, _trusted(RepVector, spec, jet.value.phi)), jet=jet)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import analytic, jgf
@@ -48,8 +49,6 @@ def _load_config(args) -> SuiteConfig:
     if getattr(args, "out", None):
         overrides["output"] = args.out
     if overrides:
-        from dataclasses import replace
-
         cfg = replace(cfg, **overrides)
     return cfg
 

@@ -16,6 +16,13 @@ tolerance" holds for every suite: a negative control passes when its
 violation reaches the margin to within 1e-15.  Positive suites whose
 negative sub-check fails report ``inf``.
 
+Matter densities are evaluated on one covariant derivative (phi, D_A phi)
+per potential and matter jet.  The two action theorems, ``theorem_ginv1``
+(matter) and ``theorem_ginv2`` (gauge fields), share one study,
+``_action_invariance``, which integrates each density over the patch
+interior before and after every sampled transformation and tracks the
+worst change; each suite judges that study itself.
+
 ``run`` checks each configured suite once on the configured patch;
 ``converge`` repeats each across ``cfg.h_levels`` and judges the error
 ratios.  Both build the same ``Report`` and write it to ``cfg.output``.
@@ -45,8 +52,6 @@ from .actions import (
     act_curvature,
     act_jet_connection,
     act_jet_matter,
-    act_matter,
-    act_variation,
     curvature_equivariance_defect,
     gauge_to_zero_jet1,
     gauge_to_zero_jet2,
@@ -56,7 +61,6 @@ from .jets import (
     Jet2Gauge,
     JetConnection,
     JetMatter,
-    Variation,
     curvature,
     jet1_inv,
     jet1_mul,
@@ -83,13 +87,13 @@ from .lagrangians import (
     gauge_density,
     matter_density_vec,
     mechanics_action,
-    minimal_coupling,
     utiyama_factor,
 )
 from .lie_core import (
     AlgebraElement,
     GroupFamily,
     GroupSpec,
+    RepTangent,
     RepVector,
     _trusted,
     distance,
@@ -307,21 +311,14 @@ def _connection(rng, spec: GroupSpec, patch: Patch, scale: float = 1.0):
     return analytic.sample_connection(patch, spec, fam)
 
 
-def _invariant_densities(metric: str) -> dict:
-    """The gauge invariant minimally coupled matter densities, by name."""
-    return {
-        "free": minimal_coupling(MatterLagrangianSpec(MatterKind.FREE), metric=metric),
-        "phi4": minimal_coupling(
-            MatterLagrangianSpec(MatterKind.PHI4, lam=0.5, v=1.0), metric=metric
-        ),
-    }
-
-
-def _broken_density(metric: str):
-    """The minimally coupled negative control: its matter term breaks the symmetry."""
-    return minimal_coupling(
-        MatterLagrangianSpec(MatterKind.BROKEN, c=1.0), metric=metric, allow_noninvariant=True
-    )
+# the densities of the invariance suites; the broken kinds are the negative controls
+_INVARIANT_MATTER = {
+    "free": MatterLagrangianSpec(MatterKind.FREE),
+    "phi4": MatterLagrangianSpec(MatterKind.PHI4, lam=0.5, v=1.0),
+}
+_BROKEN_MATTER = MatterLagrangianSpec(MatterKind.BROKEN, c=1.0)
+_YANG_MILLS = GaugeLagrangianSpec(GaugeKind.YANG_MILLS, coupling=1.0)
+_BROKEN_GAUGE = GaugeLagrangianSpec(GaugeKind.BROKEN_GAUGE, coupling=1.0)
 
 
 def _max(arr) -> float:
@@ -423,8 +420,8 @@ def _suite_action_axioms(cfg: SuiteConfig):
     jc = _random(JetConnection, rng, spec, n, b)
     f = curvature(jc)
     carriers = [
-        ("matter", act_matter, eye, RepVector(spec, jm.phi), multiply, g, h),
-        ("variation", act_variation, eye, Variation(spec, jm.dphi[:, 0, :]), multiply, g, h),
+        ("matter", rep_act, eye, RepVector(spec, jm.phi), multiply, g, h),
+        ("variation", rep_act, eye, RepTangent(spec, jm.dphi[:, 0, :]), multiply, g, h),
         ("jet_matter", act_jet_matter, unit1, jm, jet1_mul, j1, k1),
         ("connection", act_connection, unit1, jc.potential(), jet1_mul, j1, k1),
         ("jet_connection", act_jet_connection, unit2, jc, jet2_mul, j2, k2),
@@ -489,7 +486,7 @@ def _suite_gauge_to_zero_1(cfg: SuiteConfig):
     A = _connection(rng, spec, cfg.patch).values.value
     witness = gauge_to_zero_jet1(A)
     err = _max(witness.residual)
-    back = act_connection(jet1_inv(witness.jet), act_connection(witness.jet, A))
+    back = act_connection(jet1_inv(witness.jet), witness.transformed)
     round_trip = _max(distance(back, A))
     return max(err, round_trip), {"round_trip": round_trip, "points": cfg.patch.npoints}
 
@@ -530,14 +527,13 @@ def _coupling_data(cfg: SuiteConfig):
 def _suite_minimal_coupling_invariance(cfg: SuiteConfig):
     jets, jm, A = _coupling_data(cfg)
     phi, dphi = covariant_derivative(A, jm)
-    moved_A = act_connection(jets, A)
-    moved_jm = act_jet_matter(jets, jm)
-    phi2, dphi2 = covariant_derivative(moved_A, moved_jm)
+    phi2, dphi2 = covariant_derivative(act_connection(jets, A), act_jet_matter(jets, jm))
     g = jets.group_element()
     equiv = max(_max(distance(phi2, rep_act(g, phi))), _max(distance(dphi2, rep_act(g, dphi))))
     errs = {"equivariance": equiv}
-    for kind, density in _invariant_densities(cfg.metric).items():
-        errs[kind] = _max(np.abs(density(moved_A, moved_jm) - density(A, jm)))
+    for kind, spec in _INVARIANT_MATTER.items():
+        moved = matter_density_vec(spec, phi2, dphi2, cfg.metric)
+        errs[kind] = _max(np.abs(moved - matter_density_vec(spec, phi, dphi, cfg.metric)))
     return max(errs.values()), errs
 
 
@@ -548,9 +544,9 @@ def _suite_minimal_coupling_invariance(cfg: SuiteConfig):
 )
 def _suite_minimal_coupling_negative(cfg: SuiteConfig):
     jets, jm, A = _coupling_data(cfg)
-    density = _broken_density(cfg.metric)
-    moved = density(act_connection(jets, A), act_jet_matter(jets, jm))
-    violation = _max(np.abs(moved - density(A, jm)))
+    base = matter_density_vec(_BROKEN_MATTER, *covariant_derivative(A, jm), cfg.metric)
+    moved = covariant_derivative(act_connection(jets, A), act_jet_matter(jets, jm))
+    violation = _max(np.abs(matter_density_vec(_BROKEN_MATTER, *moved, cfg.metric) - base))
     shortfall = max(0.0, MATTER_VIOLATION - violation)
     return shortfall, {"violation": violation, "required": MATTER_VIOLATION}
 
@@ -584,12 +580,43 @@ def _suite_utiyama_level_sets(cfg: SuiteConfig):
 )
 def _suite_utiyama_negative(cfg: SuiteConfig):
     jc, jc_shifted = _utiyama_pairs(cfg)
-    spec = GaugeLagrangianSpec(GaugeKind.BROKEN_GAUGE)
-    violation = float(
-        np.min(np.abs(gauge_density(spec, jc, cfg.metric) - gauge_density(spec, jc_shifted, cfg.metric)))
-    )
+    shifted = gauge_density(_BROKEN_GAUGE, jc_shifted, cfg.metric)
+    violation = float(np.min(np.abs(gauge_density(_BROKEN_GAUGE, jc, cfg.metric) - shifted)))
     shortfall = max(0.0, GAUGE_VIOLATION - violation)
     return shortfall, {"min_violation": violation, "required": GAUGE_VIOLATION}
+
+
+def _action_invariance(patch: Patch, densities, base, moved) -> dict:
+    """Worst change of each density and of its action under the moved data.
+
+    ``densities`` maps a datum to (invariant density grids by name, broken
+    density grid); ``base`` is the datum and ``moved`` yields its transforms.
+    Actions are integrated over ``patch.interior(1)``.  Returns the largest
+    pointwise change of an invariant density on that region (``pointwise``)
+    and of its action (``action_err``), the region's ``points``, and the
+    largest action change of the broken density (``broken_violation``).
+    """
+    region = patch.interior(1)
+
+    def action(vals: np.ndarray) -> float:
+        return integrate(Field(patch, vals), region)
+
+    base_vals, base_broken = densities(base)
+    base_actions = {k: action(vals) for k, vals in base_vals.items()}
+    s_broken = action(base_broken)
+    pointwise = action_err = broken_violation = 0.0
+    for datum in moved:
+        vals_by_name, broken = densities(datum)
+        for k, vals in vals_by_name.items():
+            pointwise = max(pointwise, _interior_max(np.abs(vals - base_vals[k]), patch, 1))
+            action_err = max(action_err, abs(action(vals) - base_actions[k]))
+        broken_violation = max(broken_violation, abs(action(broken) - s_broken))
+    return {
+        "pointwise": pointwise,
+        "action_err": action_err,
+        "points": region.npoints,
+        "broken_violation": broken_violation,
+    }
 
 
 @_suite(
@@ -601,42 +628,23 @@ def _suite_theorem_ginv1(cfg: SuiteConfig):
     spec, patch = cfg.group, cfg.patch
     rng = seeded_rng(cfg.seed, "theorem_ginv1", spec.label())
     A = _connection(rng, spec, patch).values.value
-    ms = analytic.sample_matter(patch, spec, analytic.random_matter_family(rng, spec, patch.dim))
-    jm = ms.jet.value
-    region = patch.interior(1)
-    npts = region.npoints
-    specs = {k: d.spec for k, d in _invariant_densities(cfg.metric).items()}
-    broken = _broken_density(cfg.metric).spec
+    family = analytic.random_matter_family(rng, spec, patch.dim)
+    jm = analytic.sample_matter(patch, spec, family).jet.value
 
-    def densities(A, jm):
+    def densities(datum):
         """The invariant densities by name and the broken one, from one covariant derivative."""
-        phi, dphi = covariant_derivative(A, jm)
-        vals = {k: matter_density_vec(s, phi, dphi, cfg.metric) for k, s in specs.items()}
-        return vals, matter_density_vec(broken, phi, dphi, cfg.metric)
+        phi, dphi = covariant_derivative(*datum)
+        vals = {k: matter_density_vec(s, phi, dphi, cfg.metric) for k, s in _INVARIANT_MATTER.items()}
+        return vals, matter_density_vec(_BROKEN_MATTER, phi, dphi, cfg.metric)
 
-    base, broken_vals = densities(A, jm)
-    base_actions = {k: integrate(Field(patch, vals), region) for k, vals in base.items()}
-    base_broken = integrate(Field(patch, broken_vals), region)
-    pointwise = action_err = broken_violation = 0.0
-    for _ in range(GINV_TRANSFORMS):
-        jet = _gauge(rng, spec, patch).jet1.value
-        moved, moved_broken = densities(act_connection(jet, A), act_jet_matter(jet, jm))
-        for k, vals in moved.items():
-            pointwise = max(pointwise, _interior_max(np.abs(vals - base[k]), patch, 1))
-            s2 = integrate(Field(patch, vals), region)
-            action_err = max(action_err, abs(s2 - base_actions[k]))
-        sb = integrate(Field(patch, moved_broken), region)
-        broken_violation = max(broken_violation, abs(sb - base_broken))
-    err = max(pointwise, action_err / npts)
-    if broken_violation <= MATTER_VIOLATION:
+    # generators: each transform is drawn from rng only when the study reaches it
+    jets = (_gauge(rng, spec, patch).jet1.value for _ in range(GINV_TRANSFORMS))
+    moved = ((act_connection(jet, A), act_jet_matter(jet, jm)) for jet in jets)
+    study = _action_invariance(patch, densities, (A, jm), moved)
+    err = max(study["pointwise"], study["action_err"] / study["points"])
+    if study["broken_violation"] <= MATTER_VIOLATION:
         err = float("inf")
-    return err, {
-        "pointwise": pointwise,
-        "action_err": action_err,
-        "points": npts,
-        "broken_violation": broken_violation,
-        "transforms": GINV_TRANSFORMS,
-    }
+    return err, {**study, "transforms": GINV_TRANSFORMS}
 
 
 @_suite(
@@ -648,32 +656,19 @@ def _suite_theorem_ginv2(cfg: SuiteConfig):
     spec, patch = cfg.group, cfg.patch
     rng = seeded_rng(cfg.seed, "theorem_ginv2", spec.label())
     jc: JetConnection = _connection(rng, spec, patch).jet.value
-    region = patch.interior(1)
-    npts = region.npoints
-    ym = GaugeLagrangianSpec(GaugeKind.YANG_MILLS, coupling=1.0)
-    broken = GaugeLagrangianSpec(GaugeKind.BROKEN_GAUGE, coupling=1.0)
-    base = gauge_density(ym, jc, cfg.metric)
-    s_base = integrate(Field(patch, base), region)
-    s_broken = integrate(Field(patch, gauge_density(broken, jc, cfg.metric)), region)
-    pointwise = action_err = broken_violation = 0.0
-    for _ in range(GINV_TRANSFORMS):
-        jc2 = act_jet_connection(_gauge(rng, spec, patch).jet2.value, jc)
-        vals = gauge_density(ym, jc2, cfg.metric)
-        pointwise = max(pointwise, _interior_max(np.abs(vals - base), patch, 1))
-        action_err = max(action_err, abs(integrate(Field(patch, vals), region) - s_base))
-        sb = integrate(Field(patch, gauge_density(broken, jc2, cfg.metric)), region)
-        broken_violation = max(broken_violation, abs(sb - s_broken))
+
+    def densities(jc):
+        ym = gauge_density(_YANG_MILLS, jc, cfg.metric)
+        return {"yang_mills": ym}, gauge_density(_BROKEN_GAUGE, jc, cfg.metric)
+
+    jets = (_gauge(rng, spec, patch).jet2.value for _ in range(GINV_TRANSFORMS))
+    study = _action_invariance(patch, densities, jc, (act_jet_connection(jet, jc) for jet in jets))
     # the invariance bound is on the action integral; the pointwise defect
     # (pure roundoff, scaling with the density magnitude) is informational
-    err = action_err / npts
-    if broken_violation <= GAUGE_VIOLATION:
+    err = study["action_err"] / study["points"]
+    if study["broken_violation"] <= GAUGE_VIOLATION:
         err = float("inf")
-    return err, {
-        "pointwise": pointwise,
-        "action_err": action_err,
-        "points": npts,
-        "broken_violation": broken_violation,
-    }
+    return err, study
 
 
 @_suite(
@@ -715,10 +710,11 @@ def _suite_mechanics_reduction(cfg: SuiteConfig):
     s_plain_moved = mechanics_action(free_velocity_density, ms.jet.with_value(jm_moved), interval)
     violation = abs(s_plain_moved - s_plain)
 
-    coupled = _invariant_densities(cfg.metric)["free"]
-    A_moved = act_connection(jet, A)
-    s_cov = integrate(Field(line, coupled(A, jm)), interval)
-    s_cov_moved = integrate(Field(line, coupled(A_moved, jm_moved)), interval)
+    free = _INVARIANT_MATTER["free"]
+    coupled = matter_density_vec(free, *covariant_derivative(A, jm), cfg.metric)
+    moved = covariant_derivative(act_connection(jet, A), jm_moved)
+    s_cov = integrate(Field(line, coupled), interval)
+    s_cov_moved = integrate(Field(line, matter_density_vec(free, *moved, cfg.metric)), interval)
     cov_err = abs(s_cov_moved - s_cov)
     scale = max(1.0, abs(s_cov))
     err = cov_err / scale if violation > MATTER_VIOLATION else float("inf")

@@ -122,16 +122,6 @@ class JetMatter(Fiber):
 
 
 @dataclass(frozen=True, eq=False)
-class Variation(Fiber):
-    """Vertical (variation) vector at a matter value; dphi (..., k)."""
-
-    spec: GroupSpec
-    dphi: np.ndarray
-
-    LAYOUT = {"dphi": (("k",), None)}
-
-
-@dataclass(frozen=True, eq=False)
 class JetConnection(Fiber):
     """Gauge potential with derivatives: A (..., n, N, N), dA (..., n, n, N, N).
 
@@ -350,7 +340,6 @@ __all__ = [
     "Jet1Gauge",
     "Jet2Gauge",
     "JetMatter",
-    "Variation",
     "JetConnection",
     "Curvature",
     "curvature_pairs",

@@ -240,8 +240,8 @@ def mechanics_action(
     if curve.patch.dim != 1:
         raise DimensionError("mechanics actions require a one-dimensional patch")
     jm: JetMatter = curve.value
-    q = RepVector(jm.spec, jm.phi)
-    qdot = RepTangent(jm.spec, jm.dphi[..., 0, :])
+    q = _trusted(RepVector, jm.spec, jm.phi)
+    qdot = _trusted(RepTangent, jm.spec, jm.dphi[..., 0, :])
     vals = np.asarray(density(q, qdot), dtype=float)
     return integrate(curve.with_value(vals), interval)
 

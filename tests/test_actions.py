@@ -9,8 +9,6 @@ from gaugejets.actions import (
     act_curvature,
     act_jet_connection,
     act_jet_matter,
-    act_matter,
-    act_variation,
     curvature_equivariance_defect,
     gauge_to_zero_jet1,
     gauge_to_zero_jet2,
@@ -21,7 +19,6 @@ from gaugejets.jets import (
     Jet2Gauge,
     JetConnection,
     JetMatter,
-    Variation,
     curvature,
     curvature_pairs,
     jet1_inv,
@@ -44,6 +41,7 @@ from gaugejets.lie_core import (
     group_spec,
     multiply,
     random_algebra_entries,
+    rep_act,
     seeded_rng,
     tangent_act,
 )
@@ -95,14 +93,14 @@ class TestMatterAndVariation:
         rng = rnd(0)
         phi = RepVector(SU3, random_vec(rng, 3))
         eye = GroupElement(SU3, np.eye(3))
-        assert np.array_equal(act_matter(eye, phi).entries, phi.entries)
+        assert np.array_equal(rep_act(eye, phi).entries, phi.entries)
 
     def test_composition(self):
         rng = rnd(1)
         g, h = random_group(rng, SU3), random_group(rng, SU3)
         phi = RepVector(SU3, random_vec(rng, 3))
-        lhs = act_matter(g, act_matter(h, phi))
-        rhs = act_matter(multiply(g, h), phi)
+        lhs = rep_act(g, rep_act(h, phi))
+        rhs = rep_act(multiply(g, h), phi)
         assert np.max(np.abs(lhs.entries - rhs.entries)) < 1e-12
 
     def test_norm_preserved_su3(self):
@@ -110,16 +108,16 @@ class TestMatterAndVariation:
         g = random_group(rng, SU3)
         phi = RepVector(SU3, random_vec(rng, 3))
         assert abs(
-            np.linalg.norm(act_matter(g, phi).entries) - np.linalg.norm(phi.entries)
+            np.linalg.norm(rep_act(g, phi).entries) - np.linalg.norm(phi.entries)
         ) < 1e-12
 
     def test_variation_linear(self):
         rng = rnd(3)
         g = random_group(rng, SU2)
-        v = Variation(SU2, random_vec(rng, 2))
-        scaled = Variation(SU2, 2.5 * v.dphi)
+        v = RepTangent(SU2, random_vec(rng, 2))
+        scaled = RepTangent(SU2, 2.5 * v.entries)
         assert np.max(
-            np.abs(act_variation(g, scaled).dphi - 2.5 * act_variation(g, v).dphi)
+            np.abs(rep_act(g, scaled).entries - 2.5 * rep_act(g, v).entries)
         ) < 1e-14
 
     def test_variation_matches_parameter_derivative(self):
@@ -130,11 +128,11 @@ class TestMatterAndVariation:
         dphi = random_vec(rng, 2)
 
         def moved(s):
-            return act_matter(g, RepVector(SU2, phi0 + s * dphi)).entries
+            return rep_act(g, RepVector(SU2, phi0 + s * dphi)).entries
 
         svals = (1e-3, 5e-4)
         errs = []
-        exact = act_variation(g, Variation(SU2, dphi)).dphi
+        exact = rep_act(g, RepTangent(SU2, dphi)).entries
         for s in svals:
             fd = (moved(s) - moved(-s)) / (2 * s)
             errs.append(np.max(np.abs(fd - exact)))
@@ -391,6 +389,12 @@ class TestTransitivity:
         A = AlgebraElement(SU3, random_algebra_entries(rng, SU3, (128, 3)))
         w = gauge_to_zero_jet1(A)
         assert np.max(w.residual) <= 1e-14
+
+    def test_first_order_witness_carries_moved_potential(self):
+        rng = rnd(27)
+        A = AlgebraElement(SU3, random_algebra_entries(rng, SU3, (8, 3)))
+        w = gauge_to_zero_jet1(A)
+        assert np.array_equal(w.transformed.entries, act_connection(w.jet, A).entries)
 
     def test_witness_round_trip(self):
         rng = rnd(23)

@@ -14,14 +14,16 @@ import numpy as np
 import pytest
 
 from gaugejets import lie_core
-from gaugejets.actions import act_jet_connection, act_variation
+from gaugejets.actions import act_jet_connection
 from gaugejets.analytic import (
     ConstantGauge,
     ProductGauge,
     random_connection_family,
     random_gauge_family,
+    random_matter_family,
     sample_connection,
     sample_gauge,
+    sample_matter,
 )
 from gaugejets.jets import (
     Curvature,
@@ -29,11 +31,11 @@ from gaugejets.jets import (
     Jet2Gauge,
     JetConnection,
     JetMatter,
-    Variation,
     curvature,
     jet1_of,
     jet2_mul,
 )
+from gaugejets.lagrangians import free_velocity_density, mechanics_action
 from gaugejets.lie_core import (
     ATOL,
     AlgebraElement,
@@ -45,6 +47,7 @@ from gaugejets.lie_core import (
     exp,
     group_spec,
     random_algebra_entries,
+    rep_act,
     seeded_rng,
 )
 from gaugejets.patch import Field, Patch
@@ -108,7 +111,7 @@ def make_inputs(spec, seed=0):
         patch=patch,
         family=ProductGauge((ConstantGauge(group(()).entries), *family.factors)),
         g=group((BATCH,)),
-        var=Variation(spec, rng.uniform(-1, 1, (BATCH, spec.rep_dim)) + 0j),
+        var=RepTangent(spec, rng.uniform(-1, 1, (BATCH, spec.rep_dim)) + 0j),
     )
 
 
@@ -136,7 +139,8 @@ OPS = {
         lambda i: read_orders(sample_gauge(i.patch, i.gfield.value.spec, i.family)),
         lambda r: ([r.values.value.entries, r.jet2.value.g], [r.jet2.value.a, r.jet2.value.s]),
     ),
-    "act_variation": (lambda i: act_variation(i.g, i.var), lambda r: ([], [])),
+    # a variation is a vertical vector: matter's linear action moves it
+    "act_variation": (lambda i: rep_act(i.g, i.var), lambda r: ([], [])),
 }
 
 
@@ -174,7 +178,6 @@ def test_public_constructors_check(checked):
         (lambda: RepVector(spec, v[:, 0]), 0),
         (lambda: RepTangent(spec, v), 0),
         (lambda: JetMatter(spec, v[:, 0], v), 0),
-        (lambda: Variation(spec, v[:, 0]), 0),
     ]
     for build, expected in constructors:
         checked.clear()
@@ -197,6 +200,26 @@ def test_connection_sampler_checks_only_what_is_read(checked):
     sample = sample_connection(patch, spec, family)
     sample.jet, sample.values  # the values are cut from the checked jet
     assert checked == [a_shape, da_shape, a_shape, da_shape]
+
+
+def test_matter_sampler_checks_each_slot_once(checked):
+    spec = SPECS["su3"]
+    patch = Patch((5,) * N_AXES, spacing=0.1)
+    family = random_matter_family(seeded_rng(4, "checks"), spec, N_AXES)
+    checked.clear()
+    sample = sample_matter(patch, spec, family)
+    # phi and dphi, each finite; the values are cut from the checked jet
+    assert checked == [patch.extent + (spec.rep_dim,), patch.extent + (N_AXES, spec.rep_dim)]
+    assert np.array_equal(sample.values.value.entries, sample.jet.value.phi)
+
+
+def test_mechanics_action_runs_no_check(checked):
+    spec = SPECS["su2"]
+    line = Patch((33,), spacing=0.1)
+    curve = sample_matter(line, spec, random_matter_family(seeded_rng(5, "checks"), spec, 1)).jet
+    checked.clear()
+    mechanics_action(free_velocity_density, curve, line.interior(1))
+    assert checked == []
 
 
 @pytest.mark.parametrize("op", sorted(OPS))

@@ -1,4 +1,4 @@
-"""The fiber layout: constructor checks and ``distance`` for all ten fiber types."""
+"""The fiber layout: constructor checks and ``distance`` for all nine fiber types."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from gaugejets.jets import (
     Jet2Gauge,
     JetConnection,
     JetMatter,
-    Variation,
 )
 from gaugejets.lie_core import (
     AlgebraElement,
@@ -59,7 +58,6 @@ def cases(seed=0):
             {"g": "group", "a": "algebra", "s": "algebra"},
         ),
         "JetMatter": (JetMatter, {}, {"phi": phi, "dphi": dphi}, {}),
-        "Variation": (Variation, {}, {"dphi": phi}, {}),
         "JetConnection": (JetConnection, {}, {"A": a, "dA": dA}, {"A": "algebra", "dA": "algebra"}),
         "Curvature": (Curvature, {"n_axes": N_AXES}, {"comps": comps}, {"comps": "algebra"}),
     }

@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,32 @@ def test_action_laws_hold_for_every_group(spec, n, monkeypatch):
     assert list(res.details) == [f"{c}_{law}" for c in carriers for law in ("unit", "compose")]
     assert res.tolerance == 1e-12
     assert res.status == "pass", res.details
+
+
+@pytest.mark.parametrize(
+    "suite, name, calls",
+    [
+        ("minimal_coupling_invariance", "covariant_derivative", 2),
+        ("minimal_coupling_negative", "covariant_derivative", 2),
+        ("mechanics_reduction", "covariant_derivative", 2),
+        ("theorem_ginv1", "covariant_derivative", 1 + harness.GINV_TRANSFORMS),
+        ("gauge_to_zero_1", "act_connection", 2),
+    ],
+)
+def test_suites_compute_each_datum_once(suite, name, calls, monkeypatch):
+    """One covariant derivative per (potential, matter jet) pair, and the
+    round trip of ``gauge_to_zero_1`` starts from the witness's moved potential."""
+    original, seen = getattr(harness, name), []
+
+    def counting(*args, **kwargs):
+        seen.append(name)
+        return original(*args, **kwargs)
+
+    for modname, module in list(sys.modules.items()):
+        if modname.split(".")[0] == "gaugejets" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counting)
+    assert run_suite(small_cfg(), suite).status == "pass"
+    assert len(seen) == calls
 
 
 class TestConvergence:

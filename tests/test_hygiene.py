@@ -143,8 +143,8 @@ def test_only_fiber_defines_batch_shape():
 
 
 def test_every_stored_fiber_type_has_a_jgf_kind():
-    """JGF1 stores every fiber type except the tangent vectors, which only
-    exist inside a computation."""
+    """JGF1 stores every fiber type except ``RepTangent``: tangent vectors
+    (derivatives and variations) only exist inside a computation."""
     fibers = {
         cls
         for module in (lie_core, jets)
@@ -152,7 +152,7 @@ def test_every_stored_fiber_type_has_a_jgf_kind():
         if isinstance(cls, type) and issubclass(cls, lie_core.Fiber) and cls is not lie_core.Fiber
     }
     stored = {cls for cls, _ in jgf.KINDS.values()}
-    assert fibers - stored == {lie_core.RepTangent, jets.Variation}
+    assert fibers - stored == {lie_core.RepTangent}
     assert stored <= fibers
 
 
