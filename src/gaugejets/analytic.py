@@ -7,8 +7,9 @@ Built-in families:
   sinusoidal and X a fixed algebra element -- all values commute, so
   a_mu = (d_mu f) X and s_munu = (d_mu d_nu f) X exactly;
 * pointwise products of up to three single-generator/constant factors,
-  whose jets are composed with the exact jet product, giving non-abelian
-  test data without symbolic differentiation;
+  whose jets have a closed form in the conjugated generators and their
+  brackets (see ``GaugeSample``), giving non-abelian test data without
+  symbolic differentiation;
 * plane-wave matter fields and polynomial/sinusoidal gauge potentials.
 
 Exact jets are valid at every grid point (margin 0), so the
@@ -21,6 +22,7 @@ read: a caller that reads only a low order never pays for a higher one.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,12 +35,14 @@ from .lie_core import (
     GroupSpec,
     RepVector,
     _trusted,
+    ad,
     algebra_basis,
+    bracket,
     exp,
-    multiply,
+    mm,
     random_algebra_entries,
 )
-from .jets import Jet1Gauge, Jet2Gauge, JetConnection, JetMatter, jet1_mul, jet2_mul
+from .jets import Jet1Gauge, Jet2Gauge, JetConnection, JetMatter
 from .patch import Field, Patch
 
 
@@ -104,21 +108,21 @@ class ProductGauge:
     factors: tuple
 
 
-def _sample_factor(patch: Patch, spec: GroupSpec, factor, order: int):
-    """One checked factor to ``order``: its GroupElement, Jet1Gauge or Jet2Gauge."""
-    n, nn = patch.dim, spec.n
-    if isinstance(factor, ConstantGauge):
-        g = np.broadcast_to(factor.g0, patch.extent + (nn, nn)).copy()
-        derivs = [
-            np.zeros(patch.extent + (n,) * k + (nn, nn), dtype=np.complex128)
-            for k in range(1, order + 1)
-        ]
-    else:
-        value, grad, hess = factor.fn.evaluate(patch.coords())
-        g = exp(_trusted(AlgebraElement, spec, value[..., None, None] * factor.generator)).entries
-        coeffs = (grad[..., :, None, None], hess[..., :, :, None, None])[:order]
-        derivs = [c * factor.generator for c in coeffs]
-    return _trusted((GroupElement, Jet1Gauge, Jet2Gauge)[order], spec, g, *derivs)
+def _combine(shape: tuple[int, ...], stack: int, terms) -> np.ndarray:
+    """sum_t c_t Y_t of real coefficients c_t (..., n) or (..., n, n), as
+    ``stack`` is 1 or 2, and algebra elements Y_t (..., N, N), into a new
+    array of ``shape``.
+
+    Summed a row of the first stack axis at a time, so no temporary is
+    larger than 1/n of the result; every entry is the same sum, in term
+    order, so coefficients that are exactly symmetric give a result that is.
+    """
+    out = np.zeros(shape, dtype=np.complex128)
+    for c, y in terms:
+        ys = y.entries.reshape(y.entries.shape[:-2] + (1,) * (stack - 1) + y.entries.shape[-2:])
+        for row, crow in zip(np.moveaxis(out, -2 - stack, 0), np.moveaxis(c, -stack, 0)):
+            row += crow[..., None, None] * ys
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,38 +131,76 @@ class GaugeSample:
 
     ``values`` (Field[GroupElement]), ``jet1`` (Field[Jet1Gauge]) and
     ``jet2`` (Field[Jet2Gauge]) are each built on first read and then
-    cached: the product of the factors sampled to that order, by
-    ``multiply``, ``jet1_mul`` or ``jet2_mul``.  A lower order read after a
-    higher one is cut from the cached higher order, so the three always
-    agree bit for bit.  Only the checked descriptors are kept between reads.
+    cached, in closed form.  For g = g_1 ... g_k with g_i = exp(f_i X_i),
+    and Y_i = Ad(g_1 ... g_{i-1}) X_i,
+
+        a_mu   = sum_i d_mu f_i Y_i
+        s_munu = sum_i d_mu d_nu f_i Y_i
+                 + sum_{i<j} sym(d_mu f_i d_nu f_j) [Y_i, Y_j];
+
+    a constant factor contributes to the products g_1 ... g_{i-1} only.  g
+    is the ``mm`` fold of the factor values, each ``exp`` taken per point:
+    one eigendecomposition shared by all points of a factor would repeat
+    the same roundoff at every point, and action integrals would sum it
+    coherently.  Every generator is conjugated once and every pair
+    bracketed once, the brackets only for ``jet2``.  Every coefficient of
+    s is exactly symmetric, so s is.  A lower order read after a higher one
+    is cut from the cached higher order, so the three always agree bit for
+    bit.  Only the checked descriptors are kept between reads.
     """
 
     patch: Patch
     spec: GroupSpec
     factors: tuple  # checked ConstantGauge / SingleGenerator descriptors
 
-    def _product(self, order: int, mul) -> Field:
-        out = _sample_factor(self.patch, self.spec, self.factors[0], order)
-        for factor in self.factors[1:]:
-            out = mul(out, _sample_factor(self.patch, self.spec, factor, order))
-        return Field(self.patch, out)
+    def _orders(self, order: int) -> list[np.ndarray]:
+        """g, then a and s up to ``order``, of the product of the factors."""
+        n, nn = self.patch.dim, self.spec.n
+        x = self.patch.coords()
+        g, terms = None, []  # terms: (Y_i, d f_i, dd f_i) per generator factor
+        for factor in self.factors:
+            if isinstance(factor, ConstantGauge):
+                value = factor.g0
+            else:
+                f, grad, hess = factor.fn.evaluate(x)
+                value = exp(
+                    _trusted(AlgebraElement, self.spec, f[..., None, None] * factor.generator)
+                ).entries
+                if order:
+                    y = factor.generator if g is None else ad(g, factor.generator)
+                    terms.append((_trusted(AlgebraElement, self.spec, y), grad, hess))
+            g = value if g is None else mm(g, value)
+        if g.ndim == 2:  # constant factors only
+            g = np.broadcast_to(g, self.patch.extent + (nn, nn)).copy()
+        if not order:
+            return [g]
+        a = _combine(self.patch.extent + (n, nn, nn), 1, ((grad, y) for y, grad, _ in terms))
+        if order == 1:
+            return [g, a]
+        brackets = []
+        for (yi, gi, _), (yj, gj, _) in itertools.combinations(terms, 2):
+            outer = gi[..., :, None] * gj[..., None, :]
+            brackets.append((0.5 * (outer + np.swapaxes(outer, -1, -2)), bracket(yi, yj)))
+        hessians = [(hess, y) for y, _, hess in terms]
+        s = _combine(self.patch.extent + (n, n, nn, nn), 2, hessians + brackets)
+        return [g, a, s]
 
     @cached_property
     def jet2(self) -> Field:
-        return self._product(2, jet2_mul)
+        return Field(self.patch, _trusted(Jet2Gauge, self.spec, *self._orders(2)))
 
     @cached_property
     def jet1(self) -> Field:
         if "jet2" in self.__dict__:
             return Field(self.patch, self.jet2.value.truncate())
-        return self._product(1, jet1_mul)
+        return Field(self.patch, _trusted(Jet1Gauge, self.spec, *self._orders(1)))
 
     @cached_property
     def values(self) -> Field:
         for higher in ("jet1", "jet2"):
             if higher in self.__dict__:
                 return Field(self.patch, getattr(self, higher).value.group_element())
-        return self._product(0, multiply)
+        return Field(self.patch, _trusted(GroupElement, self.spec, *self._orders(0)))
 
 
 def _checked_factor(spec: GroupSpec, factor):
@@ -244,17 +286,33 @@ class ConnectionSample:
     family: CoefficientConnection
 
     def _slots(self, order: int) -> list[np.ndarray]:
-        """A, and dA when ``order`` is 1, summed over the orthonormal basis."""
+        """A, and dA when ``order`` is 1, from the coefficients in the orthonormal basis.
+
+        Each component nu is one real contraction of its coefficients (and
+        gradients) with the basis, read as real and imaginary parts; per
+        component, so no complex copy of the whole coefficient stack is made.
+        """
         n, nn, x = self.patch.dim, self.spec.n, self.patch.coords()
         basis = algebra_basis(self.spec)
-        A = np.zeros(self.patch.extent + (n, nn, nn), dtype=np.complex128)
-        dA = np.zeros(self.patch.extent + (n, n, nn, nn), dtype=np.complex128) if order else None
+        d = len(basis)
+        parts = basis.view(np.float64).reshape(d, 2 * nn * nn)
+
+        def entries(c):  # sum_a c_a T_a of real coefficients (..., d)
+            return (c @ parts).view(np.complex128).reshape(c.shape[:-1] + (nn, nn))
+
+        A = np.empty(self.patch.extent + (n, nn, nn), dtype=np.complex128)
+        dA = np.empty(self.patch.extent + (n, n, nn, nn), dtype=np.complex128) if order else None
+        coeffs = np.empty(self.patch.extent + (d,))
+        grads = np.empty(self.patch.extent + (n, d)) if order else None
         for nu, row in enumerate(self.family.fns):
             for a_idx, fn in enumerate(row):
                 value, grad, _ = fn.evaluate(x)
-                A[..., nu, :, :] += value[..., None, None] * basis[a_idx]
+                coeffs[..., a_idx] = value
                 if order:
-                    dA[..., :, nu, :, :] += grad[..., :, None, None] * basis[a_idx]
+                    grads[..., a_idx] = grad
+            A[..., nu, :, :] = entries(coeffs)
+            if order:
+                dA[..., :, nu, :, :] = entries(grads)
         return [A, dA] if order else [A]
 
     @cached_property

@@ -84,6 +84,7 @@ from .lagrangians import (
     _metric_signs,
     covariant_derivative,
     free_velocity_density,
+    gauge_densities,
     gauge_density,
     matter_density_vec,
     mechanics_action,
@@ -658,8 +659,8 @@ def _suite_theorem_ginv2(cfg: SuiteConfig):
     jc: JetConnection = _connection(rng, spec, patch).jet.value
 
     def densities(jc):
-        ym = gauge_density(_YANG_MILLS, jc, cfg.metric)
-        return {"yang_mills": ym}, gauge_density(_BROKEN_GAUGE, jc, cfg.metric)
+        ym, broken = gauge_densities((_YANG_MILLS, _BROKEN_GAUGE), jc, cfg.metric)
+        return {"yang_mills": ym}, broken
 
     jets = (_gauge(rng, spec, patch).jet2.value for _ in range(GINV_TRANSFORMS))
     study = _action_invariance(patch, densities, jc, (act_jet_connection(jet, jc) for jet in jets))

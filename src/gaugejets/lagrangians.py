@@ -178,14 +178,23 @@ def gauge_density(
     through its field strength; broken_gauge additionally reads the
     symmetric derivative and serves as the negative control.
     """
-    f = curvature(jc)
-    quad = _curvature_quadratic(f, jc.n_axes, metric)
-    if spec.kind is GaugeKind.YANG_MILLS:
-        return quad / (2.0 * spec.coupling**2)
-    if spec.kind is GaugeKind.FROBENIUS_CURVATURE:
-        return quad
-    sym_term = np.sum(frobenius(sym(jc.dA)) ** 2, axis=(-2, -1))
-    return (quad + sym_term) / (2.0 * spec.coupling**2)
+    (density,) = gauge_densities((spec,), jc, metric)
+    return density
+
+
+def gauge_densities(specs, jc: JetConnection, metric: str = "euclidean") -> list[np.ndarray]:
+    """``gauge_density`` of each spec on one connection jet, from one field strength."""
+    quad = _curvature_quadratic(curvature(jc), jc.n_axes, metric)
+    out = []
+    for spec in specs:
+        if spec.kind is GaugeKind.YANG_MILLS:
+            out.append(quad / (2.0 * spec.coupling**2))
+        elif spec.kind is GaugeKind.FROBENIUS_CURVATURE:
+            out.append(quad)
+        else:
+            sym_term = np.sum(frobenius(sym(jc.dA)) ** 2, axis=(-2, -1))
+            out.append((quad + sym_term) / (2.0 * spec.coupling**2))
+    return out
 
 
 @dataclass(frozen=True)
@@ -261,6 +270,7 @@ __all__ = [
     "MinimallyCoupledDensity",
     "minimal_coupling",
     "gauge_density",
+    "gauge_densities",
     "FactoredGaugeDensity",
     "utiyama_factor",
     "mechanics_action",

@@ -1,10 +1,13 @@
-"""The analytic samplers build each order on first read.
+"""The analytic samplers build each order on first read, in closed form.
 
 Whatever order ``values``, ``jet1`` and ``jet2`` are read in, each one is
 the truncation of the eagerly built second jet to the bit, and reading a
-low order never pays for a higher one.
+low order never pays for a higher one.  The closed-form gauge jets are
+checked against the jet products of the factors' jets, and the connection
+jet against its sum over the algebra basis.
 """
 
+import functools
 import itertools
 import json
 import tracemalloc
@@ -25,7 +28,18 @@ from gaugejets.analytic import (
 from gaugejets.cli import main as cli_main
 from gaugejets.harness import SuiteConfig
 from gaugejets.jgf import write_field
-from gaugejets.lie_core import group_spec, random_group_element, seeded_rng
+from gaugejets.jets import Jet2Gauge, jet1_mul, jet2_mul
+from gaugejets.lie_core import (
+    AlgebraElement,
+    algebra_basis,
+    distance,
+    exp,
+    frobenius,
+    group_spec,
+    multiply,
+    random_group_element,
+    seeded_rng,
+)
 from gaugejets.patch import Field, Patch
 
 U1 = group_spec("u1")
@@ -73,18 +87,93 @@ def test_every_read_order_matches_eager_truncation(spec, n, seed, constant):
                 assert np.array_equal(getattr(value, slot), want), (order, name, slot)
 
 
-def test_low_orders_never_build_the_second_jet(monkeypatch):
-    def forbidden(*args):
-        raise AssertionError("jet2_mul called")
+EPS = np.finfo(np.float64).eps
 
-    monkeypatch.setattr(analytic, "jet2_mul", forbidden)
-    patch = Patch((5, 5, 5), spacing=0.1)
-    fam = family(SU3, 3, 7, [False, True, False])
-    sample_gauge(patch, SU3, fam).values
-    sample = sample_gauge(patch, SU3, fam)
-    sample.jet1, sample.values
-    with pytest.raises(AssertionError, match="jet2_mul called"):
-        sample.jet2
+
+def factor_jets(patch, spec, fam):
+    """Each factor's second jet, built by hand: (exp(f X), df X, ddf X), or
+    (g0, 0, 0) for a constant factor."""
+    n, nn = patch.dim, spec.n
+    out = []
+    for factor in fam.factors:
+        if isinstance(factor, ConstantGauge):
+            g = np.broadcast_to(factor.g0, patch.extent + (nn, nn)).copy()
+            zeros = np.zeros(patch.extent + (n, n, nn, nn), dtype=np.complex128)
+            out.append(Jet2Gauge(spec, g, zeros[..., 0, :, :], zeros))
+            continue
+        f, grad, hess = factor.fn.evaluate(patch.coords())
+        g = exp(AlgebraElement(spec, f[..., None, None] * factor.generator)).entries
+        x = factor.generator
+        a, s = grad[..., :, None, None] * x, hess[..., :, :, None, None] * x
+        out.append(Jet2Gauge(spec, g, a, s))
+    return out
+
+
+def closed_form_tol(spec, factors):
+    """Roundoff budget between the closed-form jets and the jet-product fold.
+
+    Both sides share the bits of every partial product g_1 ... g_i (the same
+    ``mm`` fold), so they differ only by the roundoff of their own steps.
+    Let M = max(1, largest ||a_mu||_F or ||s_munu||_F of the factors).  An
+    N x N product through ``mm`` errs by at most (N + 2) eps ||A||_F ||B||_F
+    (as for ``jet_tol`` in ``test_jets``).  With ||g||_F = sqrt(N) and
+    unitary g keeping Frobenius norms, every product on either side, scaled
+    by its scalar coefficients, errs by at most 2 sqrt(N) (N + 2) eps M^2:
+    Ad of a factor's a or s, a bracket of terms of size 2M and M, or a
+    bracket of conjugated generators carrying their Ad errors.  Three
+    factors take 14 products in two ``jet2_mul`` and 10 in the closed form
+    (two Ad of X_i, brackets of three pairs).  The results reach 3M in a and
+    9M^2 in s, so the at most 12 additions on both sides add 108 eps M^2.
+    """
+    m = max(1.0, *(float(np.max(frobenius(x), initial=0.0)) for j in factors for x in (j.a, j.s)))
+    return (24 * 2 * np.sqrt(spec.n) * (spec.n + 2) + 108) * m**2 * EPS
+
+
+@given(
+    st.sampled_from([U1, SU2, SU3, SU4]),
+    st.integers(1, 4),
+    st.integers(0, 2**16),
+    st.lists(st.booleans(), min_size=1, max_size=3),
+)
+@settings(max_examples=40, deadline=None)
+def test_closed_form_matches_the_jet_product(spec, n, seed, constant):
+    """The closed-form jets are the jet products of the factors' jets, s is
+    exactly symmetric, and g is the ``multiply`` fold of the factors' values
+    to the bit (each factor's ``exp`` taken per point)."""
+    patch = Patch((5,) * n, spacing=0.2)
+    fam = family(spec, n, seed, constant)
+    factors = factor_jets(patch, spec, fam)
+    values, jet1, jet2 = (getattr(sample_gauge(patch, spec, fam), o).value for o in ORDERS)
+    tol = closed_form_tol(spec, factors)
+    want1 = functools.reduce(jet1_mul, [j.truncate() for j in factors])
+    want2 = functools.reduce(jet2_mul, factors)
+    assert np.max(distance(jet1, want1)) <= tol
+    assert np.max(distance(jet2, want2)) <= tol
+    assert np.array_equal(jet2.s, np.swapaxes(jet2.s, -4, -3))
+    want0 = functools.reduce(multiply, [j.group_element() for j in factors])
+    assert np.array_equal(values.entries, want0.entries)
+
+
+def test_low_orders_never_build_the_second_jet(monkeypatch):
+    """Reading ``values`` or ``jet1`` forms no bracket and never holds an
+    array the size of s; ``jet2`` brackets each pair of factors once."""
+    calls = []
+    bracket = analytic.bracket
+
+    def counting(x, y):
+        calls.append(x.entries.shape)
+        return bracket(x, y)
+
+    monkeypatch.setattr(analytic, "bracket", counting)
+    patch = Patch((6,) * 4, spacing=0.1)
+    fam = family(SU3, 4, 7, [False, True, False])
+    s_nbytes = patch.npoints * 4 * 4 * SU3.n * SU3.n * 16
+    for names in (["values"], ["jet1", "values"]):
+        sample = sample_gauge(patch, SU3, fam)
+        peak = traced_peak(lambda: [getattr(sample, name) for name in names])
+        assert calls == [] and peak < s_nbytes, names
+    sample.jet2
+    assert len(calls) == 1  # two generator factors around a constant one
 
 
 def test_lower_orders_reuse_a_cached_higher_one(monkeypatch):
@@ -137,10 +226,11 @@ def traced_peak(build):
     [
         # the values alone never hold an array the size of s
         ("values", 1.0),
-        # the eager sampler, which built every order at once, peaked at
-        # 6.339 s.nbytes on this patch and family; the second jet alone
-        # may not peak higher
-        ("jet2", 6.34),
+        # the closed-form jets read 0.691 (jet1) and 2.052 (jet2) s.nbytes
+        # on this patch and family, against 1.590 and 6.339 for the products
+        # of per-factor jets they replace
+        ("jet1", 0.72),
+        ("jet2", 2.1),
     ],
 )
 def test_peak_memory_per_order(su3_4d, name, ratio):
@@ -148,6 +238,17 @@ def test_peak_memory_per_order(su3_4d, name, ratio):
     s_nbytes = patch.npoints * 4 * 4 * SU3.n * SU3.n * 16
     peak = traced_peak(lambda: getattr(sample_gauge(patch, SU3, fam), name))
     assert peak < ratio * s_nbytes
+
+
+def test_connection_jet_peak_memory():
+    """The connection jet peaks at 2.807 dA.nbytes here: A and dA, one
+    component's contraction at a time, and the public constructor's
+    structural checks of dA."""
+    patch = Patch((6,) * 4, spacing=0.1)
+    fam = random_connection_family(seeded_rng(9, "peak-conn"), SU3, 4)
+    sample_connection(patch, SU3, fam).jet  # warm caches outside the measurement
+    dA_nbytes = patch.npoints * 4 * 4 * SU3.n * SU3.n * 16
+    assert traced_peak(lambda: sample_connection(patch, SU3, fam).jet) < 2.9 * dA_nbytes
 
 
 def test_connection_values_match_eager_jet():
@@ -159,6 +260,26 @@ def test_connection_values_match_eager_jet():
     sample.values
     assert np.array_equal(sample.jet.value.A, jet.A)
     assert np.array_equal(sample.jet.value.dA, jet.dA)
+
+
+@pytest.mark.parametrize("spec", [U1, SU2, SU3, SU4], ids=lambda s: s.label())
+def test_connection_jet_is_the_basis_sum(spec):
+    """A_nu = sum_a c_nu,a T_a and d_mu A_nu = sum_a d_mu c_nu,a T_a, summed
+    one basis matrix at a time as the reference.  Each entry is a sum of at
+    most d = algebra_dim products with |T_a| entries <= 1, so either side
+    errs by at most d eps sum_a |c_a| (Higham's gamma_d)."""
+    patch = Patch((5, 5), spacing=0.2)
+    fam = random_connection_family(seeded_rng(4, "basis-sum"), spec, 2)
+    jet = sample_connection(patch, spec, fam).jet.value
+    basis, x, d = algebra_basis(spec), patch.coords(), spec.algebra_dim
+    for nu, row in enumerate(fam.fns):
+        vals = [fn.evaluate(x) for fn in row]
+        want = sum(v[..., None, None] * t for (v, _, _), t in zip(vals, basis))
+        dwant = sum(g[..., :, None, None] * t for (_, g, _), t in zip(vals, basis))
+        tol = 2 * d * EPS * sum(np.abs(v) for v, _, _ in vals)
+        dtol = 2 * d * EPS * sum(np.abs(g) for _, g, _ in vals)
+        assert np.all(np.abs(jet.A[..., nu, :, :] - want) <= tol[..., None, None])
+        assert np.all(np.abs(jet.dA[..., :, nu, :, :] - dwant) <= dtol[..., None, None])
 
 
 @pytest.mark.parametrize("kind", ["group", "jet1-gauge", "jet2-gauge"])

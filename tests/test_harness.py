@@ -219,12 +219,14 @@ def test_action_laws_hold_for_every_group(spec, n, monkeypatch):
         ("minimal_coupling_negative", "covariant_derivative", 2),
         ("mechanics_reduction", "covariant_derivative", 2),
         ("theorem_ginv1", "covariant_derivative", 1 + harness.GINV_TRANSFORMS),
+        ("theorem_ginv2", "curvature", 1 + harness.GINV_TRANSFORMS),
         ("gauge_to_zero_1", "act_connection", 2),
     ],
 )
 def test_suites_compute_each_datum_once(suite, name, calls, monkeypatch):
-    """One covariant derivative per (potential, matter jet) pair, and the
-    round trip of ``gauge_to_zero_1`` starts from the witness's moved potential."""
+    """One covariant derivative per (potential, matter jet) pair, one field
+    strength per connection jet, and the round trip of ``gauge_to_zero_1``
+    starts from the witness's moved potential."""
     original, seen = getattr(harness, name), []
 
     def counting(*args, **kwargs):
