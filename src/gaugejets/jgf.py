@@ -138,7 +138,9 @@ def write_field(field: Field, path: str | Path) -> None:
     )
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
-        fh.write(np.ascontiguousarray(payload, dtype="<c16").tobytes())
+        # through the buffer protocol: no bytes copy of the payload, and an
+        # empty payload (1-D curvature) writes nothing
+        fh.write(np.ascontiguousarray(payload, dtype="<c16"))
 
 
 # longest legal header line: "spacing" and four repr floats, each after a

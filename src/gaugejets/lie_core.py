@@ -148,9 +148,23 @@ def assert_finite(m: np.ndarray, what: str) -> None:
         raise InvariantError(f"{what} contains non-finite entries")
 
 
+def _abs2(z: np.ndarray) -> np.ndarray:
+    return z.real * z.real + z.imag * z.imag
+
+
 def assert_unitary(m: np.ndarray, atol: float, special: bool) -> None:
+    """Defect ||m^dag m - 1||_F, built row by row over the upper triangle of
+    the hermitian m^dag m; an entry off the diagonal counts for its mirror too."""
     n = m.shape[-1]
-    defect = _max_or_zero(frobenius(mm(dagger(m), m) - np.eye(n)))
+    sq = np.zeros(m.shape[:-2])
+    for i in range(n):
+        row = np.conj(m[..., 0, i, None]) * m[..., 0, i:]
+        for k in range(1, n):
+            row += np.conj(m[..., k, i, None]) * m[..., k, i:]
+        row[..., 0] -= 1.0
+        row = _abs2(row)
+        sq += row[..., 0] + 2.0 * np.sum(row[..., 1:], axis=-1)
+    defect = float(np.sqrt(_max_or_zero(sq)))
     if defect > atol:
         raise InvariantError(f"matrix is not unitary to {atol:g} (defect {defect:.3e})")
     if special:
@@ -160,7 +174,14 @@ def assert_unitary(m: np.ndarray, atol: float, special: bool) -> None:
 
 
 def assert_antihermitian(m: np.ndarray, atol: float, traceless: bool) -> None:
-    defect = _max_or_zero(frobenius(dagger(m) + m))
+    """Defect ||m^dag + m||_F, summed over the pairs i <= j of the hermitian
+    m^dag + m into one real array of batch shape."""
+    n = m.shape[-1]
+    sq = np.zeros(m.shape[:-2])
+    for i in range(n):
+        for j in range(i, n):
+            sq += (1.0 if i == j else 2.0) * _abs2(m[..., i, j] + np.conj(m[..., j, i]))
+    defect = float(np.sqrt(_max_or_zero(sq)))
     if defect > atol:
         raise InvariantError(f"matrix is not anti-hermitian to {atol:g} (defect {defect:.3e})")
     if traceless:
@@ -397,16 +418,127 @@ def algebra_from_coords(spec: GroupSpec, coords: np.ndarray) -> AlgebraElement:
 # group and algebra operations
 
 def exp(x: AlgebraElement) -> GroupElement:
-    """Matrix exponential of an algebra element.
+    """Matrix exponential of an algebra element, evaluated point by point.
 
-    Anti-hermitian X is normal, so iX is hermitian and a unitary
-    eigendecomposition gives exp(X) = V diag(exp(i lam)) V^dag to machine
-    precision, batched over any leading axes.
+    The method follows the matrix size N of ``x``.  Nothing is shared
+    between points, so each point carries its own roundoff.  nu = ||X||_F.
+
+    * N = 1, u(1): X = i t and exp(X) = exp(i t), elementwise.
+    * N = 2, su(2), Rodrigues: X^2 = -r^2 1 with r^2 = nu^2 / 2, so
+      exp(X) = cos r 1 + (sin r / r) X, with sin r / r = 1 at r = 0.
+    * N = 3, su(3), Cayley-Hamilton (Morningstar and Peardon,
+      hep-lat/0311018): Q = -iX is hermitian and traceless, with
+      c0 = det Q = -Im tr(X^3) / 3 and c1 = tr(Q^2) / 2 = nu^2 / 2, and
+      exp(X) = f0 1 + f1 Q + f2 Q^2 = f0 1 - i f1 X - f2 X^2.  The f_j are
+      rational in exp(2iu), exp(-iu), cos w and xi0(w) = sin w / w, where
+      Q has eigenvalues 2u and -u +- w: u = sqrt(c1 / 3) cos(theta / 3),
+      w = sqrt(c1) sin(theta / 3).  xi0 is a series below w = 0.05.  For
+      c0 < 0 the f_j come from -c0, as f_j(-c0) = (-1)^j conj(f_j(c0)).
+      Below c1 = eps^2 they take their Q -> 0 limits (1, i, -1/2), where
+      the series of exp agrees to far below one rounding, so exp(0) is the
+      identity bit for bit.  theta is atan2(sqrt(c0max^2 - c0^2), |c0|),
+      c0max = 2 (c1 / 3)^(3/2), not arccos(c0 / c0max): near a double
+      eigenvalue the arccos errs by O(sqrt(eps)), which leaves w^2 off by
+      eps c1, a unitarity defect of order eps nu^2.  c0max^2 - c0^2 is the
+      discriminant over 27, and the discriminant is the Gram determinant
+      of (1, Q, Q^2), 3 ||Q||_F^2 ||R||_F^2, where
+      R = Q^2 - (2 c1 / 3) 1 - (3 c0 / (2 c1)) Q is the part of Q^2 off
+      the span of 1 and Q.  Formed entrywise, R gives w to eps nu.
+    * N >= 4: the unitary eigendecomposition of the hermitian -iX,
+      exp(X) = V diag(exp(i lam)) V^dag (``_exp_eigh``).
+
+    Error budget, to first order, with gamma_k = k e / (1 - k e) for the
+    unit roundoff e = eps / 2.  su(3) dominates; u(1) and su(2) take
+    shorter paths of the same kinds.  The result is p(Q), p the quadratic
+    through exp(i x) at the computed eigenvalues ("nodes").
+    (a) The nodes come from c0, c1 and R through at most 16 roundings, each
+    relative to a quantity of size nu, nu^2 or nu^3, so each node is within
+    gamma_16 nu of its eigenvalue.  At a node a quadratic interpolant has
+    p' = [x0, x1] + [x0, x2] - [x1, x2] (nodes in a suitable order), and
+    every first divided difference of exp(i x) has modulus at most 1, so
+    |p'| <= 3.  Each eigenvalue of p(Q) then misses exp(i lam) by at most
+    4 gamma_16 nu, which is 4 sqrt(3) gamma_16 nu in Frobenius norm.
+    (b) Each of the terms f0 1, f1 Q, f2 Q^2 passes through at most 14
+    roundings: its h_j, the division, the product with Q^j (``mm`` forms
+    Q^2 within gamma_5) and the sum.  The terms can cancel, so each is
+    charged at its size.  The denominator 9u^2 - w^2 is at least 2 c1
+    (theta / 3 lies in [0, pi / 6]) and ||Q^2||_F <= nu^2, so the sizes
+    total at most
+        sqrt(3) (1.84 + 0.41 nu) + (1.7 + nu / 2) + (2 + 1.3 nu) < 6.9 (1 + nu).
+    The error is thus at most (4 sqrt(3) gamma_16 + 6.9 gamma_14) (1 + nu),
+    below C = 110 eps (1 + nu).  The unitarity defect ||E^dag E - 1||_F is
+    then at most 2C, and |det E - 1| at most sqrt(3) C.
     """
-    lam, v = np.linalg.eigh(-1j * x.entries)
-    phases = np.exp(1j * lam)
-    entries = mm(v * phases[..., None, :], dagger(v))
+    m = x.entries
+    n = m.shape[-1]
+    if n == 1:
+        entries = np.exp(1j * m.imag)
+    elif n == 2:
+        entries = _exp_su2(m)
+    elif n == 3:
+        entries = _exp_su3(m)
+    else:
+        entries = _exp_eigh(m)
     return _trusted(GroupElement, x.spec, entries)
+
+
+def _exp_eigh(m: np.ndarray) -> np.ndarray:
+    """exp(X) = V diag(exp(i lam)) V^dag from the eigendecomposition of -iX;
+    batched LAPACK, one decomposition per matrix."""
+    lam, v = np.linalg.eigh(-1j * m)
+    phases = np.exp(1j * lam)
+    return mm(v * phases[..., None, :], dagger(v))
+
+
+def _with_diagonal(out: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Add the per-point scalar ``d`` to the diagonal of ``out``, in place."""
+    for i in range(out.shape[-1]):
+        out[..., i, i] += d
+    return out
+
+
+def _exp_su2(m: np.ndarray) -> np.ndarray:
+    r = np.sqrt(0.5 * np.sum(_abs2(m), axis=(-2, -1)))
+    sinc = np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0)
+    return _with_diagonal(sinc[..., None, None] * m, np.cos(r))
+
+
+_XI0_SERIES_BELOW = 0.05  # sin w / w as 1 - w^2/6 (1 - w^2/20 (1 - w^2/42)): error < w^8 / 9!
+_ZERO_C1 = np.finfo(np.float64).eps ** 2
+
+
+def _exp_su3(m: np.ndarray) -> np.ndarray:
+    m2 = mm(m, m)  # X^2 = -Q^2
+    c1 = 0.5 * np.sum(_abs2(m), axis=(-2, -1))
+    c0 = -np.einsum("...ij,...ji->...", m2, m).imag / 3.0
+    zero = c1 < _ZERO_C1
+    c1 = np.where(zero, 1.0, c1)
+    # -R = X^2 - i (3 c0 / (2 c1)) X + (2 c1 / 3) 1
+    resid = _with_diagonal(m2 - (1.5j * c0 / c1)[..., None, None] * m, 2.0 * c1 / 3.0)
+    spread = np.sqrt(2.0 * c1 * np.sum(_abs2(resid), axis=(-2, -1))) / 3.0
+    theta = np.arctan2(spread, np.abs(c0))
+    u = np.sqrt(c1 / 3.0) * np.cos(theta / 3.0)
+    w = np.sqrt(c1) * np.sin(theta / 3.0)
+    uu, ww = u * u, w * w
+    cos_w = np.cos(w)
+    xi0 = np.where(
+        w > _XI0_SERIES_BELOW,
+        np.sin(w) / np.maximum(w, _XI0_SERIES_BELOW),
+        1.0 - ww / 6.0 * (1.0 - ww / 20.0 * (1.0 - ww / 42.0)),
+    )
+    e2iu, emiu = np.exp(2j * u), np.exp(-1j * u)
+    h0 = (uu - ww) * e2iu + emiu * (8.0 * uu * cos_w + 2j * u * (3.0 * uu + ww) * xi0)
+    h1 = 2.0 * u * e2iu - emiu * (2.0 * u * cos_w - 1j * (3.0 * uu - ww) * xi0)
+    h2 = e2iu - emiu * (cos_w + 3j * u * xi0)
+    den = 9.0 * uu - ww
+    # coefficients of 1, X and X^2; f_j(-c0) = (-1)^j conj(f_j(c0)) conjugates all three
+    coeffs = (h0 / den, -1j * h1 / den, -h2 / den)
+    neg = c0 < 0
+    f0, b1, b2 = (
+        np.where(zero, limit, np.where(neg, np.conj(f), f))
+        for f, limit in zip(coeffs, (1.0, 1.0, 0.5))
+    )
+    return _with_diagonal(b1[..., None, None] * m + b2[..., None, None] * m2, f0)
 
 
 def multiply(g: GroupElement, h: GroupElement) -> GroupElement:

@@ -240,6 +240,33 @@ def test_suites_compute_each_datum_once(suite, name, calls, monkeypatch):
     assert len(seen) == calls
 
 
+@pytest.mark.parametrize(
+    "spec, uses_eigh",
+    [
+        (group_spec("su2"), False),
+        (group_spec("su3"), False),
+        (group_spec("su3", rep_dim=8), False),
+        (group_spec("sun", 4), True),
+    ],
+    ids=["su2", "su3", "su3-adjoint", "su4"],
+)
+def test_only_n_from_4_exponentiates_through_eigh(spec, uses_eigh, monkeypatch):
+    """u(1), su(2) and su(3) take closed-form exponentials; LAPACK ``eigh``
+    serves N >= 4 only."""
+    original, seen = np.linalg.eigh, []
+
+    def counting(*args, **kwargs):
+        seen.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    monkeypatch.setattr(harness, "AXIOM_BATCH", 16)
+    cfg = small_cfg(group=spec, patch=Patch((5, 5), spacing=0.2))
+    for suite in SUITES:
+        run_suite(cfg, suite)
+    assert bool(seen) == uses_eigh
+
+
 class TestConvergence:
     def test_ratio_study_classification(self):
         mode, ratios, ok = ratio_study([1e-15, 3e-16, 1e-16])

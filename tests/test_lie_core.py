@@ -1,12 +1,15 @@
 """Fiber-level algebra: exponential, brackets, adjoint, representation actions."""
 
 import cmath
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gaugejets.lie_core import (
+    ATOL,
+    _exp_eigh,
     AlgebraElement,
     DimensionError,
     GroupElement,
@@ -18,6 +21,8 @@ from gaugejets.lie_core import (
     algebra_coords,
     algebra_from_coords,
     algebra_inner,
+    assert_antihermitian,
+    assert_unitary,
     bracket,
     dagger,
     exp,
@@ -27,6 +32,7 @@ from gaugejets.lie_core import (
     mm,
     multiply,
     random_algebra_element,
+    random_algebra_entries,
     random_group_element,
     random_rep_vector,
     rep_act,
@@ -92,10 +98,51 @@ class TestGroupSpec:
             AlgebraElement(SU2, 1j * np.eye(2))  # not traceless
 
 
+class TestStructuralChecks:
+    """The checks sum their squared defects over index pairs; the
+    full-matrix formulas stay here as the reference."""
+
+    @given(
+        st.sampled_from([U1, SU2, SU3, SU4]),
+        st.sampled_from([(), (0,), (6,), (2, 3, 2)]),
+        st.floats(-14.0, -10.0),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_defects_match_the_full_matrix_formulas(self, spec, shape, log_noise, seed):
+        rng = seeded_rng(seed, "defects")
+        n = spec.n
+
+        def noisy(m):
+            noise = rng.standard_normal(m.shape) + 1j * rng.standard_normal(m.shape)
+            return m + 10.0**log_noise * noise
+
+        g = noisy(exp(AlgebraElement(spec, random_algebra_entries(rng, spec, shape))).entries)
+        x = noisy(random_algebra_entries(rng, spec, shape))
+        cases = [
+            (assert_unitary, g, frobenius(mm(dagger(g), g) - np.eye(n))),
+            (assert_antihermitian, x, frobenius(dagger(x) + x)),
+        ]
+        for check, m, reference in cases:
+            want = float(np.max(reference, initial=0.0))
+            if abs(want - ATOL) <= 1e-3 * ATOL:
+                continue  # the two sums may round to opposite sides of ATOL
+            if want <= ATOL:
+                check(m, ATOL, False)
+                continue
+            with pytest.raises(InvariantError) as raised:
+                check(m, ATOL, False)
+            got = float(re.search(r"defect ([-+.e0-9]+)\)", str(raised.value)).group(1))
+            assert abs(got - want) <= 1e-3 * want
+
+
 class TestExp:
     def test_exp_zero_is_identity(self):
-        g = exp(AlgebraElement(SU3, np.zeros((3, 3))))
-        assert np.array_equal(g.entries, np.eye(3))
+        # bit for bit, with +0 off the diagonal, for the closed forms and eigh
+        for spec in (U1, SU2, SU3, SU4):
+            got = exp(AlgebraElement(spec, np.zeros((4, spec.n, spec.n)))).entries
+            assert np.array_equal(got, np.broadcast_to(np.eye(spec.n), got.shape))
+            assert not np.any(np.signbit(got.real)) and not np.any(np.signbit(got.imag))
 
     def test_u1_scalar_oracle(self):
         theta = 0.7
@@ -121,6 +168,76 @@ class TestExp:
             defect = frobenius(g.entries.conj().T @ g.entries - np.eye(3))
             assert defect <= 1e-12
             assert abs(np.linalg.det(g.entries) - 1) <= 1e-12
+
+
+def exp_tol(nu):
+    """Budget of the closed-form ``exp`` checks on an algebra element of
+    Frobenius norm nu.
+
+    The ``exp`` docstring bounds the closed form's error by
+    C = (4 sqrt(3) gamma_16 + 6.9 gamma_14) (1 + nu) < 110 eps (1 + nu),
+    its unitarity defect by 2C and |det - 1| by sqrt(3) C.  The ``eigh``
+    oracle is backward stable: its eigenvalues are exact for -iX + E with
+    ||E|| of a few N eps nu, and its V is unitary to a few N eps, so its
+    own error is a few N eps (1 + nu) with N <= 3, well within another C.
+    Every check is therefore charged 2C = 220 eps (1 + nu).
+    """
+    return 220 * EPS * (1 + nu)
+
+
+def exp_inputs(spec, rng, kind, norm, sign, batch=16):
+    """Algebra batches of one Frobenius norm.
+
+    ``random``: random coordinates.  ``degenerate``: diagonal, with a
+    repeated eigenvalue for su(3), i (1, 1, -2).  ``split``: the diagonal
+    conjugated by a random group element, for su(3) with the pair split by
+    a relative 1e-12 to 0.3 first, so that the spread w crosses the series
+    range of sin w / w.  ``sign`` -1 flips the sign of c0 = det(-iX).
+    """
+    if kind == "random":
+        x = random_algebra_entries(rng, spec, (batch,))
+    else:
+        diag = {1: [1.0], 2: [1.0, -1.0], 3: [1.0, 1.0, -2.0]}[spec.n]
+        x = np.zeros((batch, spec.n, spec.n), dtype=complex)
+        x[:, range(spec.n), range(spec.n)] = 1j * np.array(diag)
+        if kind == "split" and spec.n == 3:
+            split = 10.0 ** rng.uniform(-12.0, np.log10(0.3), batch)
+            x[:, 0, 0] += 1j * split
+            x[:, 1, 1] -= 1j * split
+        if kind == "split":
+            g = exp(AlgebraElement(spec, random_algebra_entries(rng, spec, (batch,)))).entries
+            x = mm(mm(g, x), dagger(g))
+    return sign * norm * x / frobenius(x)[:, None, None]
+
+
+class TestClosedFormExp:
+    """u(1), su(2) and su(3) take closed forms; ``_exp_eigh`` is their oracle."""
+
+    @given(
+        st.sampled_from([U1, SU2, SU3]),
+        st.sampled_from(["random", "degenerate", "split"]),
+        st.floats(-10.0, 3.0),
+        st.sampled_from([1.0, -1.0]),
+        st.integers(0, 2**16),
+    )
+    @example(SU3, "split", 3.0, 1.0, 0)  # largest norm, nearly double eigenvalue
+    @example(SU3, "degenerate", 3.0, -1.0, 0)
+    @example(SU3, "split", -1.5, 1.0, 0)  # spreads around the sin w / w series switch
+    @example(SU2, "random", -10.0, 1.0, 0)
+    @settings(max_examples=90, deadline=None)
+    def test_matches_eigh_within_budget(self, spec, kind, log_norm, sign, seed):
+        x = exp_inputs(spec, seeded_rng(seed, "exp-oracle"), kind, 10.0**log_norm, sign)
+        tol = exp_tol(float(np.max(frobenius(x))))
+        got = exp(AlgebraElement(spec, x)).entries
+        eye = np.eye(spec.n)
+        assert np.max(frobenius(got - _exp_eigh(x))) <= tol
+        assert np.max(frobenius(mm(dagger(got), got) - eye)) <= tol
+        if spec.is_special:
+            assert np.max(np.abs(np.linalg.det(got) - 1.0)) <= tol
+
+    def test_u1_is_bitwise_the_eigh_path(self):
+        x = 1j * seeded_rng(5, "u1-bits").uniform(-50.0, 50.0, (64, 1, 1))
+        assert np.array_equal(exp(AlgebraElement(U1, x)).entries, _exp_eigh(x))
 
 
 class TestBracket:
