@@ -269,6 +269,23 @@ def jet1_inv(jet: Jet1Gauge) -> Jet1Gauge:
     return _trusted(Jet1Gauge, jet.spec, ginv, -ad(ginv, jet.a))
 
 
+def _ad_sym(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Ad(g) s_munu of exactly symmetric (..., n, n, N, N) data.
+
+    Conjugates only the n(n+1)/2 slots mu <= nu, one row mu at a time, and
+    then copies each row into both (mu, nu) and (nu, mu) of one new array;
+    beside that array it holds the rows, which together are smaller than s.
+    Equal slots conjugate to equal bits, so this is bit-identical to
+    ``ad(g, s)`` over the full stack.
+    """
+    rows = [ad(g, s[..., mu, mu:, :, :]) for mu in range(s.shape[-3])]
+    out = np.empty(rows[0].shape[:-3] + s.shape[-4:], np.complex128)
+    for mu, row in enumerate(rows):
+        out[..., mu, mu:, :, :] = row
+        out[..., mu + 1:, mu, :, :] = row[..., 1:, :, :]
+    return out
+
+
 def jet2_mul(left: Jet2Gauge, right: Jet2Gauge) -> Jet2Gauge:
     """Second-order product; see the module docstring for the closed form."""
     _check_jets(left, right)
@@ -279,7 +296,7 @@ def jet2_mul(left: Jet2Gauge, right: Jet2Gauge) -> Jet2Gauge:
     # once; symmetrized once, as x + x^T, so s is exactly symmetric in
     # (mu, nu), as the Jet2Gauge constructor requires.
     am, bn = left.a[..., :, None, :, :], adb[..., None, :, :, :]
-    s = ad(left.g, right.s)
+    s = _ad_sym(left.g, right.s)
     s += left.s
     s += mm(am, bn)
     s -= mm(bn, am)
@@ -291,7 +308,9 @@ def jet2_mul(left: Jet2Gauge, right: Jet2Gauge) -> Jet2Gauge:
 def jet2_inv(jet: Jet2Gauge) -> Jet2Gauge:
     """(g, a, s)^{-1} = (g^{-1}, -Ad(g^{-1}) a, -Ad(g^{-1}) s)."""
     ginv = dagger(jet.g)
-    return _trusted(Jet2Gauge, jet.spec, ginv, -ad(ginv, jet.a), -ad(ginv, jet.s))
+    s = _ad_sym(ginv, jet.s)
+    np.negative(s, out=s)
+    return _trusted(Jet2Gauge, jet.spec, ginv, -ad(ginv, jet.a), s)
 
 
 # ---------------------------------------------------------------------------

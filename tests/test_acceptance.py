@@ -32,13 +32,19 @@ def timed(fn, *args, **kw):
 
 
 def test_criterion_01_jet_group_axioms():
-    cfg = SuiteConfig(seed=SEED, patch=default_patch(2))
-    res, dt = timed(run_suite, cfg, "jet_group_axioms")
-    ok = res.status == "pass" and res.max_error <= 1e-12 and dt < 10
+    worst = 0.0
+    start = time.perf_counter()
+    for spec in (group_spec("u1"), group_spec("su2"), group_spec("su3"), group_spec("sun", 4)):
+        cfg = SuiteConfig(seed=SEED, group=spec, patch=default_patch(2))
+        res = run_suite(cfg, "jet_group_axioms")
+        assert res.status == "pass" and list(res.details) == [spec.label()], res.details
+        worst = max(worst, res.max_error)
+    dt = time.perf_counter() - start
+    ok = worst <= 1e-12 and dt < 10
     report(
-        "1 jet-group axioms (u1/su2/su3, 1000 triples, both orders)",
+        "1 jet-group axioms (u1/su2/su3/su(4), 1000 triples each, both orders)",
         ok,
-        f"max_error={res.max_error:.3e} tol=1e-12 runtime={dt:.2f}s",
+        f"max_error={worst:.3e} tol=1e-12 runtime={dt:.2f}s",
     )
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaugejets import harness
+from gaugejets import analytic, harness
 from gaugejets.cli import main as cli_main
 from gaugejets.harness import (
     ConfigError,
@@ -24,6 +24,7 @@ from gaugejets.harness import (
 from gaugejets.jets import Jet1Gauge, Jet2Gauge, JetConnection, JetMatter
 from gaugejets.lie_core import (
     AlgebraElement,
+    GroupSpec,
     exp,
     group_spec,
     random_algebra_entries,
@@ -221,12 +222,15 @@ def test_action_laws_hold_for_every_group(spec, n, monkeypatch):
         ("theorem_ginv1", "covariant_derivative", 1 + harness.GINV_TRANSFORMS),
         ("theorem_ginv2", "curvature", 1 + harness.GINV_TRANSFORMS),
         ("gauge_to_zero_1", "act_connection", 2),
+        ("jet_group_axioms", "jet1_inv", 1),
+        ("jet_group_axioms", "jet2_inv", 1),
     ],
 )
 def test_suites_compute_each_datum_once(suite, name, calls, monkeypatch):
     """One covariant derivative per (potential, matter jet) pair, one field
-    strength per connection jet, and the round trip of ``gauge_to_zero_1``
-    starts from the witness's moved potential."""
+    strength per connection jet, the round trip of ``gauge_to_zero_1``
+    starts from the witness's moved potential, and the jet group laws take
+    one inverse per order."""
     original, seen = getattr(harness, name), []
 
     def counting(*args, **kwargs):
@@ -238,6 +242,47 @@ def test_suites_compute_each_datum_once(suite, name, calls, monkeypatch):
             monkeypatch.setattr(module, name, counting)
     assert run_suite(small_cfg(), suite).status == "pass"
     assert len(seen) == calls
+
+
+@pytest.mark.parametrize(
+    "spec", [group_spec("su3", rep_dim=8), group_spec("sun", 4, 15)], ids=["su3-adjoint", "su4"]
+)
+def test_every_suite_draws_for_the_configured_group(spec, monkeypatch):
+    """Each suite's random batches and sampled families are of ``cfg.group``,
+    so a pass says something about the configured group."""
+    seen = []
+
+    def spy(module, name):
+        original = getattr(module, name)
+
+        def spying(*args, **kwargs):
+            seen.append(next(a for a in args if isinstance(a, GroupSpec)))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spying)
+
+    spy(harness, "_random")
+    spy(harness, "random_algebra_entries")
+    for name in ("random_gauge_family", "random_matter_family", "random_connection_family"):
+        spy(analytic, name)
+    monkeypatch.setattr(harness, "AXIOM_BATCH", 16)
+    cfg = small_cfg(group=spec, patch=Patch((5, 5), spacing=0.2))
+    for suite in SUITES:
+        seen.clear()
+        run_suite(cfg, suite)
+        assert seen and all(s == spec for s in seen), (suite, seen)
+
+
+def test_jet_group_axioms_ignore_the_representation():
+    """Jet products never read the representation: su3 and its adjoint
+    draw the same jets and report the same bits, keyed by the group label."""
+    fundamental, adjoint = (
+        run_suite(small_cfg(group=group_spec("su3", rep_dim=k)), "jet_group_axioms")
+        for k in (3, 8)
+    )
+    assert list(fundamental.details) == ["su3"]
+    assert fundamental.details == adjoint.details
+    assert fundamental.max_error == adjoint.max_error
 
 
 @pytest.mark.parametrize(

@@ -36,10 +36,13 @@ from gaugejets.lie_core import (
     AlgebraElement,
     DimensionError,
     GroupElement,
+    ad,
+    dagger,
     distance,
     exp,
     frobenius,
     group_spec,
+    mm,
     random_algebra_entries,
     seeded_rng,
 )
@@ -209,6 +212,26 @@ class TestJetGroupLaws:
         for jet in (jet2_mul(x, y), jet2_inv(x), sampled):
             assert np.array_equal(jet.s, np.swapaxes(jet.s, -4, -3))
             Jet2Gauge(spec, jet.g, jet.a, jet.s)  # the public constructor accepts it
+
+    @given(st.sampled_from([U1, SU2, SU3, SU4]), st.integers(1, 4), st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_pair_conjugation_matches_full_stack(self, spec, n, seed):
+        """Conjugating each slot mu <= nu once and mirroring it gives the bits
+        of ``ad`` over all n^2 slots, in the product and in the inverse."""
+        x = random_jet2(seed, spec, n, (8,))
+        y = random_jet2(seed + 1, spec, n, (8,))
+        adb = ad(x.g, y.a)
+        am, bn = x.a[..., :, None, :, :], adb[..., None, :, :, :]
+        t = ad(x.g, y.s) + x.s + mm(am, bn) - mm(bn, am)
+        ginv = dagger(x.g)
+        expected = (
+            (jet2_mul(x, y), (mm(x.g, y.g), x.a + adb, 0.5 * (t + np.swapaxes(t, -4, -3)))),
+            (jet2_inv(x), (ginv, -ad(ginv, x.a), -ad(ginv, x.s))),
+        )
+        for jet, fields in expected:
+            for got, want in zip((jet.g, jet.a, jet.s), fields):
+                assert np.array_equal(got, want)
+            assert np.array_equal(jet.s, np.swapaxes(jet.s, -4, -3))
 
     def test_jet2_mul_peak_memory(self):
         # su3, n = 4, 1000 points: the product may hold at most four s-sized arrays
