@@ -33,10 +33,11 @@ from .lie_core import (
     RepVector,
     _trusted,
     ad,
+    ad_stacks,
     check_same_group,
     distance,
     frobenius,
-    mm,
+    pair_products,
     tangent_act,
 )
 from .jets import (
@@ -77,12 +78,14 @@ def act_jet_connection(jet: Jet2Gauge, jc: JetConnection) -> JetConnection:
     check_same_group(jet, jc)
     if jet.n_axes != jc.n_axes:
         raise DimensionError("jet and connection jet have different base dimensions")
-    adA = ad(jet.g, jc.A)
+    adA, dA_out = ad_stacks(jet.g, jc.A, jc.dA)
     A_out = adA - jet.a
-    addA = ad(jet.g, jc.dA)
-    am, an = jet.a[..., :, None, :, :], adA[..., None, :, :, :]
-    cross = mm(am, an) - mm(an, am)
-    dA_out = addA + cross - jet.da()
+    # [a_mu, Ad(g) A_nu] and then d_mu a_nu, accumulated into Ad(g) dA in place
+    cross = pair_products(jet.a, adA)
+    cross -= pair_products(jet.a, adA, reverse=True)
+    dA_out += cross
+    del cross
+    dA_out -= jet.da()
     return _trusted(JetConnection, jc.spec, A_out, dA_out)
 
 

@@ -37,12 +37,15 @@ from .lie_core import (
     GroupSpec,
     InvariantError,
     RepVector,
+    _gemm_pays,
     _trusted,
     ad,
+    ad_stacks,
     check_same_group,
     dagger,
     frobenius,
     mm,
+    pair_products,
 )
 from .patch import Field, central_diff
 
@@ -101,9 +104,11 @@ class Jet2Gauge(Fiber):
     def da(self) -> np.ndarray:
         """Full derivative of a, recovered from the flatness identity:
         d_mu a_nu = s_munu + (1/2) [a_mu, a_nu]."""
-        comm = mm(self.a[..., :, None, :, :], self.a[..., None, :, :, :])
-        comm = comm - np.swapaxes(comm, -4, -3)
-        return self.s + 0.5 * comm
+        aa = pair_products(self.a, self.a)
+        comm = aa - np.swapaxes(aa, -4, -3)
+        comm *= 0.5
+        comm += self.s
+        return comm
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,37 +274,46 @@ def jet1_inv(jet: Jet1Gauge) -> Jet1Gauge:
     return _trusted(Jet1Gauge, jet.spec, ginv, -ad(ginv, jet.a))
 
 
-def _ad_sym(g: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Ad(g) s_munu of exactly symmetric (..., n, n, N, N) data.
+def _ad_jet(g: np.ndarray, a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ad(g) a and Ad(g) s of (..., n, N, N) data and exactly symmetric
+    (..., n, n, N, N) data; s comes back exactly symmetric by construction.
 
-    Conjugates only the n(n+1)/2 slots mu <= nu, one row mu at a time, and
-    then copies each row into both (mu, nu) and (nu, mu) of one new array;
-    beside that array it holds the rows, which together are smaller than s.
-    Equal slots conjugate to equal bits, so this is bit-identical to
-    ``ad(g, s)`` over the full stack.
+    On the ``mm`` path (``_gemm_pays``) only the n(n+1)/2 slots mu <= nu
+    are conjugated, one row mu at a time, and each row is copied into both
+    (mu, nu) and (nu, mu) of one new array.  On the GEMM path a and all n^2
+    slots of s share one K(g) (``ad_stacks``), and each slot mu < nu is then
+    copied over (nu, mu).  The full stack is read in place; a packed copy of
+    the slots mu <= nu would live beside its GEMM result and K(g), which
+    peaked at 2.13 s.nbytes against 1.88 in ``jet2_inv`` (su3, n = 4) and
+    was no faster.
     """
-    rows = [ad(g, s[..., mu, mu:, :, :]) for mu in range(s.shape[-3])]
+    n = s.shape[-3]
+    if _gemm_pays(g.shape[-1], n + n * n):
+        ada, out = ad_stacks(g, a, s)
+        mu, nu = np.triu_indices(n, 1)
+        out[..., nu, mu, :, :] = out[..., mu, nu, :, :]
+        return ada, out
+    rows = [ad(g, s[..., mu, mu:, :, :]) for mu in range(n)]
     out = np.empty(rows[0].shape[:-3] + s.shape[-4:], np.complex128)
     for mu, row in enumerate(rows):
         out[..., mu, mu:, :, :] = row
         out[..., mu + 1:, mu, :, :] = row[..., 1:, :, :]
-    return out
+    del rows, row
+    return ad(g, a), out
 
 
 def jet2_mul(left: Jet2Gauge, right: Jet2Gauge) -> Jet2Gauge:
     """Second-order product; see the module docstring for the closed form."""
     _check_jets(left, right)
     g = mm(left.g, right.g)
-    adb = ad(left.g, right.a)
+    adb, s = _ad_jet(left.g, right.a, right.s)
     a = left.a + adb
     # Accumulated in place, so no more than a few s-sized arrays live at
     # once; symmetrized once, as x + x^T, so s is exactly symmetric in
     # (mu, nu), as the Jet2Gauge constructor requires.
-    am, bn = left.a[..., :, None, :, :], adb[..., None, :, :, :]
-    s = _ad_sym(left.g, right.s)
     s += left.s
-    s += mm(am, bn)
-    s -= mm(bn, am)
+    s += pair_products(left.a, adb)
+    s -= pair_products(left.a, adb, reverse=True)
     s = s + np.swapaxes(s, -4, -3)
     s *= 0.5
     return _trusted(Jet2Gauge, left.spec, g, a, s)
@@ -308,9 +322,10 @@ def jet2_mul(left: Jet2Gauge, right: Jet2Gauge) -> Jet2Gauge:
 def jet2_inv(jet: Jet2Gauge) -> Jet2Gauge:
     """(g, a, s)^{-1} = (g^{-1}, -Ad(g^{-1}) a, -Ad(g^{-1}) s)."""
     ginv = dagger(jet.g)
-    s = _ad_sym(ginv, jet.s)
+    a, s = _ad_jet(ginv, jet.a, jet.s)
+    np.negative(a, out=a)
     np.negative(s, out=s)
-    return _trusted(Jet2Gauge, jet.spec, ginv, -ad(ginv, jet.a), s)
+    return _trusted(Jet2Gauge, jet.spec, ginv, a, s)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Action laws on matter, connections, curvature; transitivity witnesses."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -289,6 +291,22 @@ class TestJetConnectionAction:
         rhs = act_jet_connection(j, act_jet_connection(k, jc))
         assert np.max(frobenius(lhs.A - rhs.A)) < 1e-13
         assert np.max(frobenius(lhs.dA - rhs.dA)) < 1e-12
+
+    def test_act_jet_connection_peak_memory(self):
+        # su3, n = 4, 1000 points: reads 3.751 dA.nbytes, the result and at
+        # most two dA-sized pair-product stacks at a time, since the brackets
+        # accumulate into Ad(g) dA in place
+        rng = rnd(20)
+        jet = random_jet2(rng, SU3, 4, (1000,))
+        jc = random_jc(rng, SU3, 4, (1000,))
+        act_jet_connection(jet, jc)
+        tracemalloc.start()
+        try:
+            act_jet_connection(jet, jc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.8 * jc.dA.nbytes
 
     def test_antisymmetrized_law_closed_form(self):
         # the antisymmetric part of the transformed derivative has a closed

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaugejets import analytic, harness
+from gaugejets import analytic, harness, lie_core
 from gaugejets.cli import main as cli_main
 from gaugejets.harness import (
     ConfigError,
@@ -310,6 +310,33 @@ def test_only_n_from_4_exponentiates_through_eigh(spec, uses_eigh, monkeypatch):
     for suite in SUITES:
         run_suite(cfg, suite)
     assert bool(seen) == uses_eigh
+
+
+@pytest.mark.parametrize(
+    "spec, patch, uses_gemm",
+    [
+        (group_spec("su2"), Patch((16, 16), spacing=0.2), False),
+        (group_spec("su3", rep_dim=8), Patch((16, 16), spacing=0.2), False),
+        (group_spec("su3"), Patch((5,) * 4, spacing=0.15), True),
+        (group_spec("u1"), Patch((5,) * 4, spacing=0.15), False),
+    ],
+    ids=["su2-2d", "su3-adjoint-2d", "su3-4d", "u1-4d"],
+)
+def test_only_large_stacks_take_the_gemm(spec, patch, uses_gemm, monkeypatch):
+    """The per-point GEMM serves N >= 2 stacks of at least ``GEMM_MIN_STACK``
+    matrices, so 1-D and 2-D runs and u(1) keep the ``mm`` path, bit for bit."""
+    original, seen = lie_core._gemm, []
+
+    def counting(*args, **kwargs):
+        seen.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lie_core, "_gemm", counting)
+    monkeypatch.setattr(harness, "AXIOM_BATCH", 16)
+    cfg = small_cfg(group=spec, patch=patch)
+    for suite in SUITES:
+        run_suite(cfg, suite)
+    assert bool(seen) == uses_gemm
 
 
 class TestConvergence:

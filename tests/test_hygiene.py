@@ -1,5 +1,5 @@
 """Source hygiene: every module uses each name it imports, the fiber
-modules multiply matrices through one kernel, only ``lie_core`` builds
+modules multiply matrices through the ``lie_core`` kernels, only ``lie_core`` builds
 representation matrices, every fiber type declares its arrays in one
 ``Fiber.LAYOUT``, every stored fiber type has a JGF1 kind, only ``jets``
 symmetrizes in (mu, nu) or differences fields beside ``patch``, every
@@ -76,9 +76,16 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
 
 
+# array products that only ``lie_core``'s kernels may call
+PRODUCT_CALLS = {"matmul", "einsum", "dot", "tensordot"}
+
+
 @pytest.mark.parametrize("name", ["lie_core.py", "jets.py", "actions.py"])
 def test_fiber_products_use_mm(name):
-    """Fiber-matrix products go through ``lie_core.mm``, never the ``@`` operator."""
+    """Fiber-matrix products go through the ``lie_core`` kernels (``mm``,
+    ``ad``, ``ad_stacks``, ``pair_products``), never the ``@`` operator;
+    ``jets`` and ``actions`` call no ``matmul``, ``einsum``, ``dot`` or
+    ``tensordot`` either."""
     tree = ast.parse((SRC / name).read_text(), filename=name)
     lines = sorted(
         node.lineno
@@ -86,6 +93,15 @@ def test_fiber_products_use_mm(name):
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
     )
     assert not lines, f"{name} uses @ on lines {lines}; use lie_core.mm"
+    if name == "lie_core.py":
+        return
+    calls = sorted(
+        (node.lineno, fn)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (fn := getattr(node.func, "attr", getattr(node.func, "id", None))) in PRODUCT_CALLS
+    )
+    assert not calls, f"{name} calls array products {calls}; use a lie_core kernel"
 
 
 REP_BUILDERS = {"rep_matrix", "rep_algebra_matrix"}

@@ -52,6 +52,8 @@ SU2 = group_spec("su2")
 SU3 = group_spec("su3")
 U1 = group_spec("u1")
 SU4 = group_spec("sun", 4)
+# (group, n) pairs whose jet laws run on ``mm`` alone: u(1), or n <= 2
+MM_PATH = [(U1, n) for n in range(1, 5)] + [(spec, n) for spec in (SU2, SU3, SU4) for n in (1, 2)]
 
 
 def random_jet1(seed, spec, n, batch=()):
@@ -213,11 +215,14 @@ class TestJetGroupLaws:
             assert np.array_equal(jet.s, np.swapaxes(jet.s, -4, -3))
             Jet2Gauge(spec, jet.g, jet.a, jet.s)  # the public constructor accepts it
 
-    @given(st.sampled_from([U1, SU2, SU3, SU4]), st.integers(1, 4), st.integers(0, 2**16))
+    @given(st.sampled_from(MM_PATH), st.integers(0, 2**16))
     @settings(max_examples=30, deadline=None)
-    def test_pair_conjugation_matches_full_stack(self, spec, n, seed):
-        """Conjugating each slot mu <= nu once and mirroring it gives the bits
-        of ``ad`` over all n^2 slots, in the product and in the inverse."""
+    def test_pair_conjugation_matches_full_stack(self, case, seed):
+        """Where the ``mm`` path runs, conjugating each slot mu <= nu once and
+        mirroring it gives the bits of ``ad`` over all n^2 slots, in the product
+        and in the inverse.  The GEMM path (N >= 2, n >= 3) is checked against
+        these formulas within its rounding bound in ``test_lie_core``."""
+        spec, n = case
         x = random_jet2(seed, spec, n, (8,))
         y = random_jet2(seed + 1, spec, n, (8,))
         adb = ad(x.g, y.a)
@@ -232,6 +237,19 @@ class TestJetGroupLaws:
             for got, want in zip((jet.g, jet.a, jet.s), fields):
                 assert np.array_equal(got, want)
             assert np.array_equal(jet.s, np.swapaxes(jet.s, -4, -3))
+
+    def test_jet2_inv_peak_memory(self):
+        # su3, n = 4, 1000 points: reads 1.876 s.nbytes, the result, one K(g)
+        # and -Ad(g^-1) a; the full stack of s is read in place
+        x = random_jet2(10, SU3, 4, (1000,))
+        jet2_inv(x)
+        tracemalloc.start()
+        try:
+            out = jet2_inv(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.9 * out.s.nbytes
 
     def test_jet2_mul_peak_memory(self):
         # su3, n = 4, 1000 points: the product may hold at most four s-sized arrays

@@ -9,13 +9,19 @@ from hypothesis import example, given, settings, strategies as st
 
 from gaugejets.lie_core import (
     ATOL,
+    _ad_kron,
     _exp_eigh,
+    _gemm_pays,
+    _kron,
+    _pairs_gemm,
     AlgebraElement,
     DimensionError,
     GroupElement,
     InvariantError,
     RepTangent,
     RepVector,
+    ad,
+    ad_stacks,
     adjoint,
     algebra_basis,
     algebra_coords,
@@ -31,6 +37,7 @@ from gaugejets.lie_core import (
     group_spec,
     mm,
     multiply,
+    pair_products,
     random_algebra_element,
     random_algebra_entries,
     random_group_element,
@@ -344,6 +351,75 @@ class TestMatrixProduct:
             b = random_matrices(6, a.shape)
             assert_matches_matmul(mm(a, b), a, b)
             assert_matches_matmul(mm(b, a), b, a)
+
+
+def gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u = eps / 2."""
+    u = EPS / 2
+    return k * u / (1 - k * u)
+
+
+GEMM_BATCHES = [(), (0,), (3,), (2, 4)]
+
+
+class TestGemmKernels:
+    """The per-point GEMM kernels against the ``mm`` formulas, within the
+    bounds that ``_ad_kron`` and ``_pairs_gemm`` derive, entry by entry.  The
+    magnitude M is itself formed from rounded moduli (each within gamma_2)
+    by real inner products of length N, so it is scaled by 1 + gamma_k to
+    cover its own rounding.  The public dispatchers give ``mm``'s bits
+    below ``GEMM_MIN_STACK`` and the GEMM's above it."""
+
+    @given(
+        st.sampled_from([U1, SU2, SU3, SU4]),
+        st.integers(1, 4),
+        st.sampled_from(GEMM_BATCHES),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_kronecker_conjugation_matches_ad(self, spec, n, batch, seed):
+        rng = seeded_rng(seed, "gemm-ad", spec.label())
+        g = exp(AlgebraElement(spec, random_algebra_entries(rng, spec, batch))).entries
+        stacks = (
+            random_algebra_entries(rng, spec, batch + (n,)),
+            random_algebra_entries(rng, spec, batch + (n, n)),
+        )
+        big = spec.n
+        c = np.sqrt(2) * (gamma(2 * big * big + 3) + gamma(4 * big + 1)) * (1 + gamma(2 * big + 6))
+        kt = _kron(g)
+        gemm = _gemm_pays(big, n + n * n)
+        for x, got in zip(stacks, ad_stacks(g, *stacks)):
+            want = ad(g, x)
+            absg = np.abs(g).reshape(g.shape[:-2] + (1,) * (x.ndim - g.ndim) + g.shape[-2:])
+            bound = c * mm(mm(absg, np.abs(x)), np.swapaxes(absg, -1, -2))
+            kron = _ad_kron(kt, x, len(batch))
+            assert kron.shape == want.shape
+            assert np.all(np.abs(kron - want) <= bound)
+            assert np.array_equal(got, kron if gemm else want)
+
+    @given(
+        st.sampled_from([U1, SU2, SU3, SU4]),
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.sampled_from(GEMM_BATCHES),
+        st.booleans(),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_pair_products_match_mm(self, spec, n, m, batch, reverse, seed):
+        rng = seeded_rng(seed, "gemm-pairs", spec.label())
+        x = random_algebra_entries(rng, spec, batch + (n,))
+        y = random_algebra_entries(rng, spec, batch + (m,))
+        xm, yn = x[..., :, None, :, :], y[..., None, :, :, :]
+        left, right = (yn, xm) if reverse else (xm, yn)
+        want = mm(left, right)
+        big = spec.n
+        bound = 2 * np.sqrt(2) * gamma(2 * big) * (1 + gamma(big + 4)) * mm(np.abs(left), np.abs(right))
+        gemm = _pairs_gemm(x, y, reverse)
+        assert gemm.shape == want.shape == batch + (n, m, big, big)
+        assert np.all(np.abs(gemm - want) <= bound)
+        got = pair_products(x, y, reverse)
+        assert np.array_equal(got, gemm if _gemm_pays(big, n * m) else want)
 
 
 class TestBasis:
