@@ -2,9 +2,9 @@
 
 Fiber algebra for compact matrix groups, first- and second-order gauge
 jets with their group laws, the local action laws on matter fields,
-gauge potentials, and curvature, gauge-invariant densities with minimal
-coupling and curvature factorization, and a config-driven verification
-harness.
+gauge potentials, and curvature, gauge-invariant densities with the
+covariant derivative and curvature factorization, and a config-driven
+verification harness.
 """
 
 from .lie_core import (
@@ -16,18 +16,14 @@ from .lie_core import (
     InvariantError,
     RepTangent,
     RepVector,
-    adjoint,
     algebra_basis,
     algebra_coords,
     algebra_from_coords,
-    algebra_inner,
     bracket,
     exp,
     fundamental_vector_field,
     group_spec,
     multiply,
-    random_algebra_element,
-    random_group_element,
     rep_act,
     structure_constants,
     tangent_act,
@@ -69,7 +65,6 @@ from .lagrangians import (
     gauge_density,
     matter_density_vec,
     mechanics_action,
-    minimal_coupling,
     utiyama_factor,
 )
 from .harness import Report, SuiteConfig, convergence_study, run

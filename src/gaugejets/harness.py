@@ -40,7 +40,7 @@ import json
 import math
 import operator
 import time
-from dataclasses import asdict, dataclass, field as dc_field, replace
+from dataclasses import asdict, dataclass, field as dc_field, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -185,6 +185,14 @@ class SuiteConfig:
             raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
         if where := _bool_key(data):
             raise ConfigError(f"{where} is a boolean; the config schema has none")
+        for where, section, cls in (
+            ("config", data, SuiteConfig),
+            ("config.group", data.get("group"), GroupSpec),
+            ("config.patch", data.get("patch"), Patch),
+        ):
+            known = {f.name for f in fields(cls)}
+            if isinstance(section, dict) and (extra := [k for k in section if k not in known]):
+                raise ConfigError(f"unknown config key {where}.{extra[0]}")
         try:
             kwargs = {}
             if "group" in data:

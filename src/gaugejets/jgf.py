@@ -40,6 +40,7 @@ data on an origin-zero patch, which is what the analytic samplers emit.
 from __future__ import annotations
 
 import io
+import os
 from functools import partial
 from pathlib import Path
 
@@ -175,18 +176,23 @@ def read_field(path: str | Path) -> Field:
     is checked for finiteness once; the group, algebra, connection, matter
     and jet-matter kinds then go through their strict public constructors,
     while the gauge and connection jets and curvature are taken as stored
-    (finite-difference jets sit off the algebra by O(h^2)).
+    (finite-difference jets sit off the algebra by O(h^2)).  The payload is
+    read into one writable buffer, and the stored arrays are views of it.
     """
     with open(path, "rb") as fh:
         try:
-            return _decode(_read_header(fh), fh.read())
+            hdr = _read_header(fh)
+            payload = bytearray(os.fstat(fh.fileno()).st_size - fh.tell())
+            if fh.readinto(payload) != len(payload):
+                raise FormatError("payload shorter than the file size")
+            return _decode(hdr, payload)
         except FormatError:
             raise
         except ValueError as exc:  # bad header values, or payloads off the group or algebra
             raise FormatError(f"invalid JGF1 field: {exc}") from exc
 
 
-def _decode(hdr: dict, payload: bytes) -> Field:
+def _decode(hdr: dict, payload: bytearray) -> Field:
     family_tokens = hdr["family"].split()
     family = GroupFamily(family_tokens[0])
     n_mat = int(family_tokens[1]) if len(family_tokens) > 1 else 0
@@ -217,7 +223,6 @@ def _decode(hdr: dict, payload: bytes) -> Field:
     arrays = [part.reshape(extent + shape) for part, shape in zip(parts, shapes.values())]
     if kind == "scalar":
         return Field(patch, arrays[0].real.copy())
-    arrays = [arr.copy() for arr in arrays]
     if kind == "jet2-gauge":
         s = np.empty(extent + (dim, dim, spec.n, spec.n), dtype=np.complex128)
         s[..., upper[0], upper[1], :, :] = arrays[-1]

@@ -1,4 +1,4 @@
-"""Matter and gauge-field densities, minimal coupling, and the mechanics action.
+"""Matter and gauge-field densities, the covariant derivative, and the mechanics action.
 
 Index contractions use the Euclidean metric by default (densities stay
 positive and invariance tests unambiguous); a Minkowski flag flips the
@@ -9,7 +9,8 @@ The covariant derivative is D_mu phi = d_mu phi + A_mu . phi (infinitesimal
 representation action).  With the affine potential transformation
 Ad(g) A - a this sign makes D equivariant: D_{g.A}(g.phi) = g . D_A phi,
 which is what turns a globally invariant density into a gauge invariant
-one under minimal coupling.
+one under minimal coupling: evaluate ``matter_density_vec`` on
+``covariant_derivative(A, jm)``.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ class MatterKind(str, enum.Enum):
 
 class GaugeKind(str, enum.Enum):
     YANG_MILLS = "yang_mills"
-    FROBENIUS_CURVATURE = "frobenius_curvature"
     BROKEN_GAUGE = "broken_gauge"
 
 
@@ -65,10 +65,6 @@ class MatterLagrangianSpec:
         object.__setattr__(self, "kind", MatterKind(self.kind))
         if self.lam < 0:
             raise ValueError("quartic coupling must be non-negative")
-
-    @property
-    def globally_invariant(self) -> bool:
-        return self.kind is not MatterKind.BROKEN
 
 
 @dataclass(frozen=True)
@@ -127,6 +123,7 @@ def matter_density_vec(
     return out
 
 
+# Nothing constructs this any more; it goes once the benchmark tracer drops it (ROADMAP item 2).
 @dataclass(frozen=True)
 class MinimallyCoupledDensity:
     """Density on (A, phi, dphi) obtained by replacing d with D_A."""
@@ -137,24 +134,6 @@ class MinimallyCoupledDensity:
     def __call__(self, A: AlgebraElement, jm: JetMatter) -> np.ndarray:
         phi, dphi = covariant_derivative(A, jm)
         return matter_density_vec(self.spec, phi, dphi, metric=self.metric)
-
-
-def minimal_coupling(
-    spec: MatterLagrangianSpec, metric: str = "euclidean", allow_noninvariant: bool = False
-) -> MinimallyCoupledDensity:
-    """Promote a globally invariant matter density to a gauge invariant one.
-
-    Rejects the broken kind unless explicitly allowed: the composite is
-    well defined but not gauge invariant, and is only useful as a negative
-    control.
-    """
-    if not spec.globally_invariant and not allow_noninvariant:
-        raise ValueError(
-            "matter density is not invariant under the group action; "
-            "minimal coupling would not produce a gauge invariant density "
-            "(pass allow_noninvariant=True to build the negative control)"
-        )
-    return MinimallyCoupledDensity(spec, metric)
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +153,9 @@ def gauge_density(
 ) -> np.ndarray:
     """First-order gauge-field density.
 
-    yang_mills and frobenius_curvature read the connection jet only
-    through its field strength; broken_gauge additionally reads the
-    symmetric derivative and serves as the negative control.
+    yang_mills reads the connection jet only through its field strength;
+    broken_gauge additionally reads the symmetric derivative and serves as
+    the negative control.
     """
     (density,) = gauge_densities((spec,), jc, metric)
     return density
@@ -189,8 +168,6 @@ def gauge_densities(specs, jc: JetConnection, metric: str = "euclidean") -> list
     for spec in specs:
         if spec.kind is GaugeKind.YANG_MILLS:
             out.append(quad / (2.0 * spec.coupling**2))
-        elif spec.kind is GaugeKind.FROBENIUS_CURVATURE:
-            out.append(quad)
         else:
             sym_term = np.sum(frobenius(sym(jc.dA)) ** 2, axis=(-2, -1))
             out.append((quad + sym_term) / (2.0 * spec.coupling**2))
@@ -268,7 +245,6 @@ __all__ = [
     "covariant_derivative",
     "matter_density_vec",
     "MinimallyCoupledDensity",
-    "minimal_coupling",
     "gauge_density",
     "gauge_densities",
     "FactoredGaugeDensity",

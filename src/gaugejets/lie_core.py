@@ -274,10 +274,6 @@ class GroupElement(Fiber):
 
     LAYOUT = {"entries": (("N", "N"), "group")}
 
-    def inverse(self) -> "GroupElement":
-        # unitarity makes the conjugate transpose the exact inverse
-        return _trusted(GroupElement, self.spec, dagger(self.entries))
-
 
 @dataclass(frozen=True, eq=False)
 class AlgebraElement(Fiber):
@@ -392,12 +388,6 @@ def structure_constants(spec: GroupSpec) -> np.ndarray:
     """Structure constants f[c, a, b] of the orthonormal basis, shape
     (algebra_dim,) * 3: [T_c, T_b] = sum_a f[c, a, b] T_a; read-only."""
     return _structure_constants(spec.family, spec.n)
-
-
-def algebra_inner(x: AlgebraElement, y: AlgebraElement) -> np.ndarray:
-    """<X, Y> = -tr(XY); real for anti-hermitian arguments."""
-    check_same_group(x, y)
-    return -np.einsum("...ij,...ji->...", x.entries, y.entries).real
 
 
 def _coords(spec: GroupSpec, m: np.ndarray) -> np.ndarray:
@@ -689,12 +679,6 @@ def pair_products(x: np.ndarray, y: np.ndarray, reverse: bool = False) -> np.nda
     return _pairs_gemm(x, y, reverse)
 
 
-def adjoint(g: GroupElement, x: AlgebraElement) -> AlgebraElement:
-    """Ad(g) X = g X g^{-1}, with g^{-1} = g^dag."""
-    check_same_group(g, x)
-    return _trusted(AlgebraElement, x.spec, ad(g.entries, x.entries))
-
-
 def rep_matrix(g: GroupElement) -> np.ndarray:
     """Representation matrix R(g), shape (..., k, k); adjoint column b is Ad(g) T_b."""
     if g.spec.rep_kind == "fundamental":
@@ -769,21 +753,3 @@ def random_algebra_entries(rng: np.random.Generator, spec: GroupSpec, shape: tup
     entries = np.tensordot(coords, algebra_basis(spec), axes=(-1, 0))
     peak = np.max(np.abs(entries), axis=(-2, -1), keepdims=True)
     return entries / np.maximum(1.0, peak)
-
-
-def random_algebra_element(seed: int, spec: GroupSpec, shape: tuple[int, ...] = ()) -> AlgebraElement:
-    rng = seeded_rng(seed, "algebra", spec.label())
-    return AlgebraElement(spec, random_algebra_entries(rng, spec, shape))
-
-
-def random_group_element(seed: int, spec: GroupSpec, shape: tuple[int, ...] = ()) -> GroupElement:
-    """exp of a bounded random algebra element; unitary by construction."""
-    rng = seeded_rng(seed, "group", spec.label())
-    return exp(AlgebraElement(spec, random_algebra_entries(rng, spec, shape)))
-
-
-def random_rep_vector(seed: int, spec: GroupSpec, shape: tuple[int, ...] = ()) -> RepVector:
-    rng = seeded_rng(seed, "repvec", spec.label(), spec.rep_dim)
-    k = spec.rep_dim
-    entries = rng.uniform(-1, 1, (*shape, k)) + 1j * rng.uniform(-1, 1, (*shape, k))
-    return RepVector(spec, entries)

@@ -37,10 +37,10 @@ from gaugejets.lie_core import (
     frobenius,
     group_spec,
     multiply,
-    random_group_element,
     seeded_rng,
 )
 from gaugejets.patch import Field, Patch
+from sampling import random_group_element
 
 U1 = group_spec("u1")
 SU2 = group_spec("su2")

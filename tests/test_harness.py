@@ -108,12 +108,16 @@ class TestConfig:
             {"patch": {"extent": [8, 8], "origin": [0.0, False]}},
             {"h_levels": [True, 0.5]},
             {"tolerances": {"action_axioms": True}, "suites": ["action_axioms"]},
+            {"sede": 3, "suites": ["gauge_to_zero_1"]},
+            {"group": {"family": "su2", "rep": 3}, "suites": ["gauge_to_zero_1"]},
+            {"patch": {"extent": [5, 5], "spacng": 0.5}, "suites": ["gauge_to_zero_1"]},
         ],
         ids=["metric", "seed", "tolerance-key", "tolerance-list", "group-string",
              "top-level-list", "top-level-string", "output-number", "suites-string",
              "spacing-nan", "spacing-inf", "origin-nan", "extent-fraction", "n-fraction",
              "rep-dim-float", "h-level-nan", "tolerance-nan", "seed-bool", "spacing-bool",
-             "origin-bool", "h-level-bool", "tolerance-bool"],
+             "origin-bool", "h-level-bool", "tolerance-bool", "unknown-key",
+             "unknown-group-key", "unknown-patch-key"],
     )
     def test_bad_values_rejected(self, bad, tmp_path, capsys):
         with pytest.raises(ConfigError):

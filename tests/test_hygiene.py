@@ -3,8 +3,9 @@ modules multiply matrices through the ``lie_core`` kernels, only ``lie_core`` bu
 representation matrices, every fiber type declares its arrays in one
 ``Fiber.LAYOUT``, every stored fiber type has a JGF1 kind, only ``jets``
 symmetrizes in (mu, nu) or differences fields beside ``patch``, every
-suite is registered by the ``@_suite`` decorator on its function, and
-every function the benchmark tracer wraps still exists.
+suite is registered by the ``@_suite`` decorator on its function, every
+function the benchmark tracer wraps still exists, and every definition has
+a caller outside the tests.
 
 No linter ships with the test dependencies, so this AST scan stands in for
 the unused-import check: a name counts as used when the module reads it
@@ -277,3 +278,56 @@ def test_traced_names_resolve(monkeypatch):
     targets += list(tracing.HARNESS_TARGETS)
     assert targets
     assert [t for t in targets if tracing._resolve(t) is None] == []
+
+
+BENCH = sorted((ROOT / "bench").glob("*.py"))
+# called by name from nowhere: the ``@_suite`` decorator registers ``_suite_*``,
+# and ``algebra_from_coords`` stays for the relative bounds of ROADMAP item 5
+UNCALLED = {"algebra_from_coords"}
+
+
+def _definitions(tree: ast.Module):
+    """(label, name) of each top-level function and class and each non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not (
+                    item.name.startswith("__") and item.name.endswith("__")
+                ):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """Every name the tree reads as an ``ast.Name`` or the attribute of an ``ast.Attribute``."""
+    return {
+        getattr(node, "id", getattr(node, "attr", None))
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def _dotted_parts(tree: ast.Module) -> set[str]:
+    """Each part of every dotted string constant, the way the tracer names its targets."""
+    return {
+        part
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "." in node.value
+        for part in node.value.split(".")
+    }
+
+
+def test_every_definition_has_a_caller():
+    """Every function, class and method of the package is read somewhere in the
+    package (re-exports in ``__init__`` do not count) or in the benchmark, so
+    no library name lives on for the tests alone."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in MODULES + BENCH}
+    read = set().union(*map(_reads, trees.values()), *(_dotted_parts(trees[p]) for p in BENCH))
+    uncalled = sorted(
+        f"{path.name}:{label}"
+        for path in MODULES
+        for label, name in _definitions(trees[path])
+        if name not in read and name not in UNCALLED and not name.startswith("_suite_")
+    )
+    assert not uncalled, f"defined but called only from the tests: {', '.join(uncalled)}"

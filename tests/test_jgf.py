@@ -111,6 +111,27 @@ def test_scalar_round_trip(tmp_path, patch):
     assert np.array_equal(back.value, f.value)
 
 
+def test_read_peak_memory(tmp_path):
+    """A su3 4-D jet2-gauge read holds the payload once, plus the unpacked s
+    (144 entries per point, against 135 stored), and returns writable arrays
+    equal bit for bit to the written ones."""
+    field = gauge_sample(Patch((5, 5, 5, 5), spacing=0.1), SU3, seed=6).jet2
+    path = tmp_path / "jet2.jgf1"
+    write_field(field, path)
+    read_field(path)
+    tracemalloc.start()
+    try:
+        back = read_field(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * path.stat().st_size
+    for name, arr in arrays_of(field.value):
+        got = getattr(back.value, name)
+        assert got.flags.writeable, name
+        assert got.tobytes() == arr.tobytes(), name
+
+
 def test_fd_jets_round_trip(tmp_path, patch):
     # finite-difference jets sit off the algebra; reading must not reject them
     sample = gauge_sample(patch, seed=6)

@@ -1,4 +1,4 @@
-"""Densities, minimal coupling, curvature factorization, action integrals."""
+"""Densities, the covariant derivative, curvature factorization, action integrals."""
 
 import numpy as np
 import pytest
@@ -23,7 +23,6 @@ from gaugejets.lagrangians import (
     gauge_density,
     matter_density_vec,
     mechanics_action,
-    minimal_coupling,
     utiyama_factor,
 )
 from gaugejets.lie_core import (
@@ -49,6 +48,11 @@ BROKEN = MatterLagrangianSpec(MatterKind.BROKEN, c=1.0)
 
 def rnd(seed, label="x"):
     return seeded_rng(seed, "lagr-test", label)
+
+
+def coupled(spec, A, jm):
+    """The minimally coupled density: ``spec`` on (phi, D_A phi)."""
+    return matter_density_vec(spec, *covariant_derivative(A, jm))
 
 
 def random_jm(rng, spec, n, shape=()):
@@ -157,18 +161,8 @@ class TestMinimalCoupling:
         rng = rnd(7)
         jm = random_jm(rng, SU2, 2)
         A = AlgebraElement(SU2, np.zeros((2, 2, 2)))
-        coupled = minimal_coupling(FREE)
-        phi, dphi = covariant_derivative(A, jm)
-        assert coupled(A, jm) == matter_density_vec(FREE, phi, dphi)
-
-    def test_rejects_broken_kind(self):
-        with pytest.raises(ValueError):
-            minimal_coupling(BROKEN)
-        density = minimal_coupling(BROKEN, allow_noninvariant=True)
-        rng = rnd(8)
-        jm = random_jm(rng, SU2, 2)
-        A = AlgebraElement(SU2, random_algebra_entries(rng, SU2, (2,)))
-        assert np.isfinite(density(A, jm))
+        plain = matter_density_vec(FREE, RepVector(SU2, jm.phi), RepTangent(SU2, jm.dphi))
+        assert coupled(FREE, A, jm) == plain
 
     def test_gauge_invariance_pointwise(self):
         rng = rnd(9)
@@ -176,9 +170,8 @@ class TestMinimalCoupling:
         A = AlgebraElement(SU2, random_algebra_entries(rng, SU2, (512, 2)))
         jet = random_jet1(rng, SU2, 2, (512,))
         for spec in (FREE, PHI4):
-            density = minimal_coupling(spec)
-            a = density(A, jm)
-            b = density(act_connection(jet, A), act_jet_matter(jet, jm))
+            a = coupled(spec, A, jm)
+            b = coupled(spec, act_connection(jet, A), act_jet_matter(jet, jm))
             assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_broken_violates(self):
@@ -186,8 +179,8 @@ class TestMinimalCoupling:
         jm = random_jm(rng, SU2, 2, (512,))
         A = AlgebraElement(SU2, random_algebra_entries(rng, SU2, (512, 2)))
         jet = random_jet1(rng, SU2, 2, (512,))
-        density = minimal_coupling(BROKEN, allow_noninvariant=True)
-        gap = np.abs(density(A, jm) - density(act_connection(jet, A), act_jet_matter(jet, jm)))
+        moved = coupled(BROKEN, act_connection(jet, A), act_jet_matter(jet, jm))
+        gap = np.abs(coupled(BROKEN, A, jm) - moved)
         assert np.max(gap) > 1e-3
 
 
@@ -259,7 +252,8 @@ class TestUtiyama:
             random_algebra_entries(rng, SU2, (16, 3)),
             random_algebra_entries(rng, SU2, (16, 3, 3)),
         )
-        direct = gauge_density(GaugeLagrangianSpec(GaugeKind.FROBENIUS_CURVATURE), jc)
+        # yang_mills at coupling 1 halves the curvature quadratic; doubling is exact
+        direct = 2 * gauge_density(GaugeLagrangianSpec(GaugeKind.YANG_MILLS), jc)
         assert np.max(np.abs(factored(jc) - direct)) < 1e-12
 
     def test_level_sets(self):
@@ -299,11 +293,10 @@ class TestActionFunctionals:
         ms = sample_matter(p, spec, random_matter_family(rng, spec, 2))
         gs = sample_gauge(p, spec, random_gauge_family(rng, spec, 2))
         region = p.interior(1)
-        density = minimal_coupling(FREE)
         A, jm, jet = cs.values.value, ms.jet.value, gs.jet1.value
-        s0 = integrate(Field(p, density(A, jm)), region)
+        s0 = integrate(Field(p, coupled(FREE, A, jm)), region)
         s1 = integrate(
-            Field(p, density(act_connection(jet, A), act_jet_matter(jet, jm))), region
+            Field(p, coupled(FREE, act_connection(jet, A), act_jet_matter(jet, jm))), region
         )
         assert abs(s1 - s0) <= region.npoints * 1e-12
 
@@ -344,11 +337,10 @@ class TestMechanics:
         gs = sample_gauge(line, SU2, random_gauge_family(rng, SU2, 1, factors=2))
         cs = sample_connection(line, SU2, random_connection_family(rng, SU2, 1))
         interval = line.interior(1)
-        density = minimal_coupling(FREE)
         A, jm, jet = cs.values.value, ms.jet.value, gs.jet1.value
-        s0 = integrate(Field(line, density(A, jm)), interval)
+        s0 = integrate(Field(line, coupled(FREE, A, jm)), interval)
         s1 = integrate(
-            Field(line, density(act_connection(jet, A), act_jet_matter(jet, jm))),
+            Field(line, coupled(FREE, act_connection(jet, A), act_jet_matter(jet, jm))),
             interval,
         )
         assert abs(s1 - s0) <= 1e-10

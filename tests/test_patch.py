@@ -18,11 +18,7 @@ from gaugejets.analytic import (
     sample_matter,
     PlaneWaveMatter,
 )
-from gaugejets.lie_core import (
-    group_spec,
-    random_algebra_element,
-    random_group_element,
-)
+from gaugejets.lie_core import group_spec
 from gaugejets.patch import (
     Field,
     Patch,
@@ -32,6 +28,7 @@ from gaugejets.patch import (
     default_patch,
     integrate,
 )
+from sampling import random_algebra_element, random_group_element
 
 SU2 = group_spec("su2")
 U1 = group_spec("u1")
