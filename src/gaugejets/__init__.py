@@ -14,7 +14,6 @@ from .lie_core import (
     GroupFamily,
     GroupSpec,
     InvariantError,
-    RepTangent,
     RepVector,
     algebra_basis,
     algebra_coords,

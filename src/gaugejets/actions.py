@@ -27,16 +27,16 @@ import numpy as np
 
 from .lie_core import (
     AlgebraElement,
-    DimensionError,
     GroupElement,
-    RepTangent,
     RepVector,
+    _check_potential,
     _trusted,
     ad,
     ad_stacks,
     check_same_group,
     distance,
     frobenius,
+    identities,
     pair_products,
     tangent_act,
 )
@@ -46,6 +46,7 @@ from .jets import (
     Jet2Gauge,
     JetConnection,
     JetMatter,
+    _check_jets,
     curvature,
     sym,
 )
@@ -53,19 +54,16 @@ from .jets import (
 
 def act_jet_matter(jet: Jet1Gauge, jm: JetMatter) -> JetMatter:
     """Leibniz rule, the tangent-group action of (g, a): g.phi, g.(d_mu phi) + a_mu.(g.phi)."""
-    check_same_group(jet, jm)
-    if jet.n_axes != jm.n_axes:
-        raise DimensionError("jet and matter jet have different base dimensions")
+    _check_jets(jet, jm)
     a, phi = _trusted(AlgebraElement, jet.spec, jet.a), _trusted(RepVector, jm.spec, jm.phi)
-    q, qdot = tangent_act(jet.group_element(), a, phi, _trusted(RepTangent, jm.spec, jm.dphi))
+    q, qdot = tangent_act(jet.group_element(), a, phi, _trusted(RepVector, jm.spec, jm.dphi))
     return _trusted(JetMatter, jm.spec, q.entries, qdot.entries)
 
 
 def act_connection(jet: Jet1Gauge, A: AlgebraElement) -> AlgebraElement:
     """Affine gauge-potential transformation Ad(g) A_mu - a_mu."""
     check_same_group(jet, A)
-    if A.entries.ndim < 3 or A.entries.shape[-3] != jet.n_axes:
-        raise DimensionError("gauge potential must stack components on axis -3")
+    _check_potential(A.entries, jet.n_axes)
     return _trusted(AlgebraElement, A.spec, ad(jet.g, A.entries) - jet.a)
 
 
@@ -75,9 +73,7 @@ def act_jet_connection(jet: Jet2Gauge, jc: JetConnection) -> JetConnection:
     The A slot matches act_connection of the truncated jet, and the
     antisymmetrized dA slot realizes conjugation of the curvature.
     """
-    check_same_group(jet, jc)
-    if jet.n_axes != jc.n_axes:
-        raise DimensionError("jet and connection jet have different base dimensions")
+    _check_jets(jet, jc)
     adA, dA_out = ad_stacks(jet.g, jc.A, jc.dA)
     A_out = adA - jet.a
     # [a_mu, Ad(g) A_nu] and then d_mu a_nu, accumulated into Ad(g) dA in place
@@ -118,10 +114,7 @@ def gauge_to_zero_jet1(A: AlgebraElement) -> TransitivityWitness:
     The cancellation Ad(1) A - A = 0 is algebraically exact; the residual
     is reported for verification.
     """
-    eye = np.broadcast_to(
-        np.eye(A.spec.n, dtype=np.complex128),
-        A.entries.shape[:-3] + (A.spec.n, A.spec.n),
-    ).copy()
+    eye = identities(A.spec.n, A.entries.shape[:-3])
     jet = _trusted(Jet1Gauge, A.spec, eye, A.entries)
     transformed = act_connection(jet, A)
     residual = np.sum(frobenius(transformed.entries), axis=-1)
@@ -135,10 +128,7 @@ def gauge_to_zero_jet2(jc: JetConnection) -> TransitivityWitness:
     derivative vanish; the antisymmetric part equals half the field
     strength, which the curvature map sends to F itself.
     """
-    eye = np.broadcast_to(
-        np.eye(jc.spec.n, dtype=np.complex128),
-        jc.batch_shape + (jc.spec.n, jc.spec.n),
-    ).copy()
+    eye = identities(jc.spec.n, jc.batch_shape)
     jet = _trusted(Jet2Gauge, jc.spec, eye, jc.A, sym(jc.dA))
     transformed = act_jet_connection(jet, jc)
     residual = np.sum(frobenius(transformed.A), axis=-1) + np.sum(

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import analytic, jgf
@@ -34,23 +33,17 @@ SAMPLES = {
 
 
 def _load_config(args) -> SuiteConfig:
+    """The JSON config with the --seed, --suite and --out flags merged in."""
     data = {}
     if args.config:
         try:
             data = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    cfg = SuiteConfig.from_dict(data)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.suite:
-        overrides["suites"] = tuple(args.suite)
-    if getattr(args, "out", None):
-        overrides["output"] = args.out
-    if overrides:
-        cfg = replace(cfg, **overrides)
-    return cfg
+    flags = {"seed": args.seed, "suites": args.suite, "output": args.out}
+    if isinstance(data, dict):
+        data.update((k, v) for k, v in flags.items() if v is not None)
+    return SuiteConfig.from_dict(data)
 
 
 def _print_report(report: Report) -> None:

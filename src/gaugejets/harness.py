@@ -92,10 +92,9 @@ from .lagrangians import (
 )
 from .lie_core import (
     AlgebraElement,
-    GroupFamily,
     GroupSpec,
-    RepTangent,
     RepVector,
+    _max,
     _trusted,
     distance,
     exp,
@@ -126,14 +125,19 @@ class UnknownSuiteError(ConfigError):
     """Requested suite name is not registered."""
 
 
-def _bool_key(data, key: str = "config") -> str | None:
-    """The key path of a boolean in parsed JSON, or None: the config schema has
-    none, yet ``operator.index`` and ``float`` would read one as 0 or 1."""
-    if isinstance(data, bool):
+_STRING_KEYS = {"config.group.family", "config.metric", "config.output", "config.suites"}
+
+
+def _bad_scalar(data, key: str = "config") -> str | None:
+    """The key path of a boolean, or of a string outside ``_STRING_KEYS`` and the
+    suite names, in parsed JSON, or None: ``float`` would read "0.2" or True."""
+    if isinstance(data, bool) or (
+        isinstance(data, str) and key not in _STRING_KEYS and not key.startswith("config.suites.")
+    ):
         return key
     if isinstance(data, (dict, list)):
         items = data.items() if isinstance(data, dict) else enumerate(data)
-        return next(filter(None, (_bool_key(v, f"{key}.{k}") for k, v in items)), None)
+        return next(filter(None, (_bad_scalar(v, f"{key}.{k}") for k, v in items)), None)
     return None
 
 
@@ -176,15 +180,14 @@ class SuiteConfig:
             if not 0 < tol < math.inf:
                 raise ConfigError(f"tolerance for {name} must be positive and finite, got {tol!r}")
         for name in self.suites:
-            if name not in SUITES:
-                raise UnknownSuiteError(f"unknown suite {name!r}")
+            _lookup(name)
 
     @staticmethod
     def from_dict(data: dict) -> "SuiteConfig":
         if not isinstance(data, dict):
             raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
-        if where := _bool_key(data):
-            raise ConfigError(f"{where} is a boolean; the config schema has none")
+        if where := _bad_scalar(data):
+            raise ConfigError(f"{where}: the schema has no booleans, and strings only as names")
         for where, section, cls in (
             ("config", data, SuiteConfig),
             ("config.group", data.get("group"), GroupSpec),
@@ -194,20 +197,12 @@ class SuiteConfig:
             if isinstance(section, dict) and (extra := [k for k in section if k not in known]):
                 raise ConfigError(f"unknown config key {where}.{extra[0]}")
         try:
-            kwargs = {}
+            kwargs = dict(data)
             if "group" in data:
-                g = data["group"]
-                kwargs["group"] = GroupSpec(
-                    GroupFamily(g.get("family", "su2")), g.get("n", 0), g.get("rep_dim", 0)
-                )
+                kwargs["group"] = GroupSpec(**{"family": "su2", **data["group"]})
             if "patch" in data:
                 p = data["patch"]
-                kwargs["patch"] = Patch(
-                    tuple(p["extent"]), p.get("spacing", 0.05), p.get("origin", 0.0)
-                )
-            for key in ("seed", "suites", "h_levels", "tolerances", "output", "metric"):
-                if key in data:
-                    kwargs[key] = data[key]
+                kwargs["patch"] = Patch(**{**p, "extent": tuple(p["extent"])})
             return SuiteConfig(**kwargs)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
@@ -215,24 +210,8 @@ class SuiteConfig:
             raise ConfigError(f"malformed config: {exc}") from exc
 
     def to_dict(self) -> dict:
-        return {
-            "group": {
-                "family": self.group.family.value,
-                "n": self.group.n,
-                "rep_dim": self.group.rep_dim,
-            },
-            "patch": {
-                "extent": list(self.patch.extent),
-                "spacing": list(self.patch.spacing),
-                "origin": list(self.patch.origin),
-            },
-            "seed": self.seed,
-            "suites": list(self.suites),
-            "h_levels": list(self.h_levels),
-            "tolerances": dict(sorted(self.tolerances.items())),
-            "output": self.output,
-            "metric": self.metric,
-        }
+        """The JSON form that ``from_dict`` reads back."""
+        return json.loads(json.dumps(asdict(self)))
 
     def config_hash(self) -> str:
         """Hash of the numerically relevant config fields.
@@ -258,9 +237,6 @@ class SuiteResult:
     claim: str
     mode: str = "check"  # check | ratio | exact
     details: dict = dc_field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -328,11 +304,6 @@ _INVARIANT_MATTER = {
 _BROKEN_MATTER = MatterLagrangianSpec(MatterKind.BROKEN, c=1.0)
 _YANG_MILLS = GaugeLagrangianSpec(GaugeKind.YANG_MILLS, coupling=1.0)
 _BROKEN_GAUGE = GaugeLagrangianSpec(GaugeKind.BROKEN_GAUGE, coupling=1.0)
-
-
-def _max(arr) -> float:
-    arr = np.asarray(arr)
-    return float(np.max(arr)) if arr.size else 0.0
 
 
 def _interior_max(err_grid: np.ndarray, patch: Patch, margin: int) -> float:
@@ -434,7 +405,7 @@ def _suite_action_axioms(cfg: SuiteConfig):
     f = curvature(jc)
     carriers = [
         ("matter", rep_act, eye, RepVector(spec, jm.phi), multiply, g, h),
-        ("variation", rep_act, eye, RepTangent(spec, jm.dphi[:, 0, :]), multiply, g, h),
+        ("variation", rep_act, eye, RepVector(spec, jm.dphi[:, 0, :]), multiply, g, h),
         ("jet_matter", act_jet_matter, unit1, jm, jet1_mul, j1, k1),
         ("connection", act_connection, unit1, jc.potential(), jet1_mul, j1, k1),
         ("jet_connection", act_jet_connection, unit2, jc, jet2_mul, j2, k2),

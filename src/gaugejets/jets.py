@@ -37,6 +37,7 @@ from .lie_core import (
     GroupSpec,
     InvariantError,
     RepVector,
+    _check_potential,
     _gemm_pays,
     _trusted,
     ad,
@@ -44,6 +45,7 @@ from .lie_core import (
     check_same_group,
     dagger,
     frobenius,
+    identities,
     mm,
     pair_products,
 )
@@ -222,8 +224,7 @@ def jet_connection_of(afield: Field) -> Field:
     """
     v = _require_field(afield, AlgebraElement, "jet_connection_of")
     p = afield.patch
-    if v.entries.ndim < 3 or v.entries.shape[-3] != p.dim:
-        raise DimensionError("gauge potential field must stack components on axis -3")
+    _check_potential(v.entries, p.dim)
     dA = np.stack(
         [central_diff(v.entries, mu, p.spacing[mu]) for mu in range(p.dim)], axis=-4
     )
@@ -243,7 +244,7 @@ def _da(j1field: Field) -> np.ndarray:
 # jet group structure
 
 def jet1_unit(spec: GroupSpec, n_axes: int, batch_shape: tuple[int, ...] = ()) -> Jet1Gauge:
-    g = np.broadcast_to(np.eye(spec.n, dtype=np.complex128), batch_shape + (spec.n, spec.n)).copy()
+    g = identities(spec.n, batch_shape)
     a = np.zeros(batch_shape + (n_axes, spec.n, spec.n), dtype=np.complex128)
     return _trusted(Jet1Gauge, spec, g, a)
 
@@ -309,14 +310,12 @@ def jet2_mul(left: Jet2Gauge, right: Jet2Gauge) -> Jet2Gauge:
     adb, s = _ad_jet(left.g, right.a, right.s)
     a = left.a + adb
     # Accumulated in place, so no more than a few s-sized arrays live at
-    # once; symmetrized once, as x + x^T, so s is exactly symmetric in
+    # once; symmetrized once, by ``sym``, so s is exactly symmetric in
     # (mu, nu), as the Jet2Gauge constructor requires.
     s += left.s
     s += pair_products(left.a, adb)
     s -= pair_products(left.a, adb, reverse=True)
-    s = s + np.swapaxes(s, -4, -3)
-    s *= 0.5
-    return _trusted(Jet2Gauge, left.spec, g, a, s)
+    return _trusted(Jet2Gauge, left.spec, g, a, sym(s))
 
 
 def jet2_inv(jet: Jet2Gauge) -> Jet2Gauge:
@@ -333,8 +332,11 @@ def jet2_inv(jet: Jet2Gauge) -> Jet2Gauge:
 
 def sym(x: np.ndarray) -> np.ndarray:
     """Symmetric part in the two stack axes (mu, nu) of (..., n, n, N, N) data;
-    exactly symmetric, and a symmetric x comes back bit for bit."""
-    return 0.5 * (x + np.swapaxes(x, -4, -3))
+    exactly symmetric, and a symmetric x comes back bit for bit.  Halved in
+    place, so only the sum is allocated."""
+    out = x + np.swapaxes(x, -4, -3)
+    out *= 0.5
+    return out
 
 
 def curvature(jc: JetConnection) -> Curvature:

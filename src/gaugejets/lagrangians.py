@@ -25,9 +25,9 @@ from .lie_core import (
     AlgebraElement,
     DimensionError,
     GroupSpec,
-    RepTangent,
     RepVector,
     check_same_group,
+    _check_potential,
     _trusted,
     exp,
     frobenius,
@@ -91,17 +91,16 @@ def _metric_signs(n: int, metric: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # matter sector
 
-def covariant_derivative(A: AlgebraElement, jm: JetMatter) -> tuple[RepVector, RepTangent]:
+def covariant_derivative(A: AlgebraElement, jm: JetMatter) -> tuple[RepVector, RepVector]:
     """(phi, D_A phi) with D_mu phi = d_mu phi + A_mu . phi."""
     check_same_group(A, jm)
-    if A.entries.ndim < 3 or A.entries.shape[-3] != jm.n_axes:
-        raise DimensionError("gauge potential and matter jet have different base dimensions")
+    _check_potential(A.entries, jm.n_axes)
     phi = _trusted(RepVector, jm.spec, jm.phi)
-    return phi, _trusted(RepTangent, jm.spec, jm.dphi + fundamental_vector_field(A, phi).entries)
+    return phi, _trusted(RepVector, jm.spec, jm.dphi + fundamental_vector_field(A, phi).entries)
 
 
 def matter_density_vec(
-    spec: MatterLagrangianSpec, phi: RepVector, dphi: RepTangent, metric: str = "euclidean"
+    spec: MatterLagrangianSpec, phi: RepVector, dphi: RepVector, metric: str = "euclidean"
 ) -> np.ndarray:
     """Density on (phi, velocity tuple); the globally invariant layer.
 
@@ -216,7 +215,7 @@ def utiyama_factor(
 # mechanics
 
 def mechanics_action(
-    density: Callable[[RepVector, RepTangent], np.ndarray], curve: Field, interval: Region
+    density: Callable[[RepVector, RepVector], np.ndarray], curve: Field, interval: Region
 ) -> float:
     """Action of a curve on a one-dimensional patch.
 
@@ -227,12 +226,12 @@ def mechanics_action(
         raise DimensionError("mechanics actions require a one-dimensional patch")
     jm: JetMatter = curve.value
     q = _trusted(RepVector, jm.spec, jm.phi)
-    qdot = _trusted(RepTangent, jm.spec, jm.dphi[..., 0, :])
+    qdot = _trusted(RepVector, jm.spec, jm.dphi[..., 0, :])
     vals = np.asarray(density(q, qdot), dtype=float)
     return integrate(curve.with_value(vals), interval)
 
 
-def free_velocity_density(q: RepVector, qdot: RepTangent) -> np.ndarray:
+def free_velocity_density(q: RepVector, qdot: RepVector) -> np.ndarray:
     """|qdot|^2; the mechanics analogue of the free matter density."""
     return np.sum((qdot.entries.conj() * qdot.entries).real, axis=-1)
 

@@ -125,7 +125,13 @@ def _c128(a) -> np.ndarray:
     return np.asarray(a, dtype=np.complex128)
 
 
-def _max_or_zero(a: np.ndarray) -> float:
+def identities(n: int, batch_shape: tuple[int, ...]) -> np.ndarray:
+    """A writable batch of N x N identity matrices, shape (*batch_shape, N, N)."""
+    return np.broadcast_to(np.eye(n, dtype=np.complex128), batch_shape + (n, n)).copy()
+
+
+def _max(a: np.ndarray) -> float:
+    """The largest entry of ``a``, or 0.0 when it is empty."""
     return float(np.max(a)) if a.size else 0.0
 
 
@@ -167,11 +173,11 @@ def assert_unitary(m: np.ndarray, atol: float, special: bool) -> None:
         row[..., 0] -= 1.0
         row = _abs2(row)
         sq += row[..., 0] + 2.0 * np.sum(row[..., 1:], axis=-1)
-    defect = float(np.sqrt(_max_or_zero(sq)))
+    defect = float(np.sqrt(_max(sq)))
     if defect > atol:
         raise InvariantError(f"matrix is not unitary to {atol:g} (defect {defect:.3e})")
     if special:
-        det_defect = _max_or_zero(np.abs(np.linalg.det(m) - 1.0))
+        det_defect = _max(np.abs(np.linalg.det(m) - 1.0))
         if det_defect > atol:
             raise InvariantError(f"determinant differs from 1 by {det_defect:.3e}")
 
@@ -184,11 +190,11 @@ def assert_antihermitian(m: np.ndarray, atol: float, traceless: bool) -> None:
     for i in range(n):
         for j in range(i, n):
             sq += (1.0 if i == j else 2.0) * _abs2(m[..., i, j] + np.conj(m[..., j, i]))
-    defect = float(np.sqrt(_max_or_zero(sq)))
+    defect = float(np.sqrt(_max(sq)))
     if defect > atol:
         raise InvariantError(f"matrix is not anti-hermitian to {atol:g} (defect {defect:.3e})")
     if traceless:
-        tr = _max_or_zero(np.abs(np.trace(m, axis1=-2, axis2=-1)))
+        tr = _max(np.abs(np.trace(m, axis1=-2, axis2=-1)))
         if tr > atol:
             raise InvariantError(f"matrix has trace of magnitude {tr:.3e}")
 
@@ -291,20 +297,8 @@ class AlgebraElement(Fiber):
 
 @dataclass(frozen=True, eq=False)
 class RepVector(Fiber):
-    """Point of the representation space; entries shaped (..., k)."""
-
-    spec: GroupSpec
-    entries: np.ndarray
-
-    LAYOUT = {"entries": (("k",), None)}
-
-
-@dataclass(frozen=True, eq=False)
-class RepTangent(Fiber):
-    """Tangent vector at a point of the (linear) representation space.
-
-    Derivative tuples d_mu phi are stored with axis -2 indexing mu.
-    """
+    """Vector of the (linear) representation space, entries (..., k); so are its
+    tangent vectors: variations, and derivative tuples d_mu phi (axis -2 is mu)."""
 
     spec: GroupSpec
     entries: np.ndarray
@@ -315,6 +309,12 @@ class RepTangent(Fiber):
 def check_same_group(a, b) -> None:
     if a.spec.family is not b.spec.family or a.spec.n != b.spec.n:
         raise DimensionError(f"group mismatch: {a.spec.label()} vs {b.spec.label()}")
+
+
+def _check_potential(A: np.ndarray, n: int) -> None:
+    """A gauge potential stacks its n components on axis -3 (see ``AlgebraElement``)."""
+    if A.ndim < 3 or A.shape[-3] != n:
+        raise DimensionError(f"gauge potential must stack {n} components on axis -3, got {A.shape}")
 
 
 def _trusted(cls, *values):
@@ -709,21 +709,21 @@ def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...j->...i", mat, vec)
 
 
-def rep_act(g: GroupElement, q: RepVector | RepTangent):
-    """Linear action of g on the representation space (or its tangent)."""
+def rep_act(g: GroupElement, q: RepVector) -> RepVector:
+    """Linear action of g on the representation space (and so on its tangents)."""
     check_same_group(g, q)
-    return _trusted(type(q), q.spec, _apply(rep_matrix(g), q.entries))
+    return _trusted(RepVector, q.spec, _apply(rep_matrix(g), q.entries))
 
 
-def fundamental_vector_field(x: AlgebraElement, q: RepVector) -> RepTangent:
+def fundamental_vector_field(x: AlgebraElement, q: RepVector) -> RepVector:
     """Infinitesimal generator at q: d/dt|_0 of exp(tX) acting on q = r(X) q."""
     check_same_group(x, q)
-    return _trusted(RepTangent, q.spec, _apply(rep_algebra_matrix(x), q.entries))
+    return _trusted(RepVector, q.spec, _apply(rep_algebra_matrix(x), q.entries))
 
 
 def tangent_act(
-    g: GroupElement, x: AlgebraElement, q: RepVector, qdot: RepTangent
-) -> tuple[RepVector, RepTangent]:
+    g: GroupElement, x: AlgebraElement, q: RepVector, qdot: RepVector
+) -> tuple[RepVector, RepVector]:
     """Action of the right-trivialized tangent-group pair (g, X) on (q, qdot).
 
     Returns (g.q, g.qdot + X_Q(g.q)); X is the right-trivialized velocity of
@@ -734,7 +734,7 @@ def tangent_act(
     r = rep_matrix(g)
     gq = _trusted(RepVector, q.spec, _apply(r, q.entries))
     moved = _apply(r, qdot.entries) + fundamental_vector_field(x, gq).entries
-    return gq, _trusted(RepTangent, q.spec, moved)
+    return gq, _trusted(RepVector, q.spec, moved)
 
 
 # ---------------------------------------------------------------------------

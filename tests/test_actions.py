@@ -36,7 +36,6 @@ from gaugejets.jets import (
 from gaugejets.lie_core import (
     AlgebraElement,
     GroupElement,
-    RepTangent,
     RepVector,
     exp,
     frobenius,
@@ -116,8 +115,8 @@ class TestMatterAndVariation:
     def test_variation_linear(self):
         rng = rnd(3)
         g = random_group(rng, SU2)
-        v = RepTangent(SU2, random_vec(rng, 2))
-        scaled = RepTangent(SU2, 2.5 * v.entries)
+        v = RepVector(SU2, random_vec(rng, 2))
+        scaled = RepVector(SU2, 2.5 * v.entries)
         assert np.max(
             np.abs(rep_act(g, scaled).entries - 2.5 * rep_act(g, v).entries)
         ) < 1e-14
@@ -134,7 +133,7 @@ class TestMatterAndVariation:
 
         svals = (1e-3, 5e-4)
         errs = []
-        exact = rep_act(g, RepTangent(SU2, dphi)).entries
+        exact = rep_act(g, RepVector(SU2, dphi)).entries
         for s in svals:
             fd = (moved(s) - moved(-s)) / (2 * s)
             errs.append(np.max(np.abs(fd - exact)))
@@ -174,7 +173,7 @@ class TestJetMatterAction:
                 jet.group_element(),
                 AlgebraElement(spec, jet.a[..., mu, :, :]),
                 RepVector(spec, jm.phi),
-                RepTangent(spec, jm.dphi[..., mu, :]),
+                RepVector(spec, jm.dphi[..., mu, :]),
             )
             assert np.max(np.abs(out.phi - q.entries)) <= tol
             assert np.max(np.abs(out.dphi[..., mu, :] - qdot.entries)) <= tol

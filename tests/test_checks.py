@@ -40,7 +40,6 @@ from gaugejets.lie_core import (
     ATOL,
     AlgebraElement,
     GroupElement,
-    RepTangent,
     RepVector,
     assert_antihermitian,
     assert_unitary,
@@ -111,7 +110,7 @@ def make_inputs(spec, seed=0):
         patch=patch,
         family=ProductGauge((ConstantGauge(group(()).entries), *family.factors)),
         g=group((BATCH,)),
-        var=RepTangent(spec, rng.uniform(-1, 1, (BATCH, spec.rep_dim)) + 0j),
+        var=RepVector(spec, rng.uniform(-1, 1, (BATCH, spec.rep_dim)) + 0j),
     )
 
 
@@ -176,7 +175,6 @@ def test_public_constructors_check(checked):
         (lambda: JetConnection(spec, a, s), 2),
         (lambda: Curvature(spec, N_AXES, comps), 1),
         (lambda: RepVector(spec, v[:, 0]), 0),
-        (lambda: RepTangent(spec, v), 0),
         (lambda: JetMatter(spec, v[:, 0], v), 0),
     ]
     for build, expected in constructors:

@@ -15,7 +15,6 @@ from gaugejets.lie_core import (
     DimensionError,
     GroupElement,
     InvariantError,
-    RepTangent,
     RepVector,
     algebra_basis,
     distance,
@@ -49,7 +48,6 @@ def cases(seed=0):
         "GroupElement": (GroupElement, {}, {"entries": g}, {"entries": "group"}),
         "AlgebraElement": (AlgebraElement, {}, {"entries": a[:, 0]}, {"entries": "algebra"}),
         "RepVector": (RepVector, {}, {"entries": phi}, {}),
-        "RepTangent": (RepTangent, {}, {"entries": phi}, {}),
         "Jet1Gauge": (Jet1Gauge, {}, {"g": g, "a": a}, {"g": "group", "a": "algebra"}),
         "Jet2Gauge": (
             Jet2Gauge,

@@ -79,6 +79,12 @@ class TestConfig:
         assert back == cfg
         assert back.config_hash() == cfg.config_hash()
 
+    def test_readme_config_block_is_the_default(self):
+        """The README's "defaults shown" config block parses to ``SuiteConfig()``."""
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = text.split("Config schema", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        assert SuiteConfig.from_dict(json.loads(block)) == SuiteConfig()
+
     def test_malformed_config(self):
         with pytest.raises(ConfigError):
             SuiteConfig.from_dict({"patch": {"spacing": 0.05}})  # missing extent
@@ -111,13 +117,17 @@ class TestConfig:
             {"sede": 3, "suites": ["gauge_to_zero_1"]},
             {"group": {"family": "su2", "rep": 3}, "suites": ["gauge_to_zero_1"]},
             {"patch": {"extent": [5, 5], "spacng": 0.5}, "suites": ["gauge_to_zero_1"]},
+            {"patch": {"extent": [5, 5], "spacing": "0.2"}},
+            {"patch": {"extent": [5, 5], "origin": ["1", "0"]}},
+            {"h_levels": ["0.04", "0.02"]},
         ],
         ids=["metric", "seed", "tolerance-key", "tolerance-list", "group-string",
              "top-level-list", "top-level-string", "output-number", "suites-string",
              "spacing-nan", "spacing-inf", "origin-nan", "extent-fraction", "n-fraction",
              "rep-dim-float", "h-level-nan", "tolerance-nan", "seed-bool", "spacing-bool",
              "origin-bool", "h-level-bool", "tolerance-bool", "unknown-key",
-             "unknown-group-key", "unknown-patch-key"],
+             "unknown-group-key", "unknown-patch-key", "spacing-string", "origin-string",
+             "h-level-string"],
     )
     def test_bad_values_rejected(self, bad, tmp_path, capsys):
         with pytest.raises(ConfigError):

@@ -1,7 +1,7 @@
 """Source hygiene: every module uses each name it imports, the fiber
 modules multiply matrices through the ``lie_core`` kernels, only ``lie_core`` builds
 representation matrices, every fiber type declares its arrays in one
-``Fiber.LAYOUT``, every stored fiber type has a JGF1 kind, only ``jets``
+``Fiber.LAYOUT``, no two of them alike, every fiber type has a JGF1 kind, only ``jets``
 symmetrizes in (mu, nu) or differences fields beside ``patch``, every
 suite is registered by the ``@_suite`` decorator on its function, every
 function the benchmark tracer wraps still exists, and every definition has
@@ -159,18 +159,25 @@ def test_only_fiber_defines_batch_shape():
     assert owners == ["lie_core.py:Fiber"]
 
 
+FIBERS = [
+    cls
+    for module in (lie_core, jets)
+    for cls in vars(module).values()
+    if isinstance(cls, type) and issubclass(cls, lie_core.Fiber) and cls is not lie_core.Fiber
+]
+
+
 def test_every_stored_fiber_type_has_a_jgf_kind():
-    """JGF1 stores every fiber type except ``RepTangent``: tangent vectors
-    (derivatives and variations) only exist inside a computation."""
-    fibers = {
-        cls
-        for module in (lie_core, jets)
-        for cls in vars(module).values()
-        if isinstance(cls, type) and issubclass(cls, lie_core.Fiber) and cls is not lie_core.Fiber
-    }
-    stored = {cls for cls, _ in jgf.KINDS.values()}
-    assert fibers - stored == {lie_core.RepTangent}
-    assert stored <= fibers
+    """JGF1 stores every fiber type, and only those."""
+    assert set(FIBERS) == {cls for cls, _ in jgf.KINDS.values()}
+
+
+def test_no_two_fiber_types_share_a_layout():
+    """A type whose ``LAYOUT`` copies another's is the same fiber under a second name."""
+    seen = {}
+    for cls in FIBERS:
+        twin = seen.setdefault(tuple(cls.LAYOUT.items()), cls)
+        assert twin is cls, f"{cls.__name__} has the layout of {twin.__name__}"
 
 
 def _references(path: Path, name: str) -> bool:

@@ -28,7 +28,6 @@ from gaugejets.lagrangians import (
 from gaugejets.lie_core import (
     AlgebraElement,
     GroupElement,
-    RepTangent,
     RepVector,
     exp,
     group_spec,
@@ -102,16 +101,16 @@ class TestCovariantDerivative:
 class TestMatterDensity:
     def test_zero_data(self):
         phi = RepVector(SU2, np.zeros(2))
-        dphi = RepTangent(SU2, np.zeros((2, 2)))
+        dphi = RepVector(SU2, np.zeros((2, 2)))
         assert matter_density_vec(FREE, phi, dphi) == 0.0
 
     def test_free_invariant_under_group(self):
         rng = rnd(3)
         g = GroupElement(SU2, exp(AlgebraElement(SU2, random_algebra_entries(rng, SU2))).entries)
         phi = RepVector(SU2, rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2))
-        dphi = RepTangent(SU2, rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2)))
+        dphi = RepVector(SU2, rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2)))
         moved_phi = rep_act(g, phi)
-        moved_dphi = RepTangent(SU2, np.einsum("ij,mj->mi", g.entries, dphi.entries))
+        moved_dphi = RepVector(SU2, np.einsum("ij,mj->mi", g.entries, dphi.entries))
         for spec in (FREE, PHI4):
             a = matter_density_vec(spec, phi, dphi)
             b = matter_density_vec(spec, moved_phi, moved_dphi)
@@ -125,9 +124,9 @@ class TestMatterDensity:
                 SU2, exp(AlgebraElement(SU2, random_algebra_entries(rng, SU2))).entries
             )
             phi = RepVector(SU2, rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2))
-            dphi = RepTangent(SU2, rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2)))
+            dphi = RepVector(SU2, rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2)))
             moved_phi = rep_act(g, phi)
-            moved_dphi = RepTangent(SU2, np.einsum("ij,mj->mi", g.entries, dphi.entries))
+            moved_dphi = RepVector(SU2, np.einsum("ij,mj->mi", g.entries, dphi.entries))
             violations.append(
                 abs(
                     matter_density_vec(BROKEN, moved_phi, moved_dphi)
@@ -139,7 +138,7 @@ class TestMatterDensity:
     def test_density_real_and_free_nonneg(self):
         rng = rnd(5)
         phi = RepVector(SU2, rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2))
-        dphi = RepTangent(SU2, rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2)))
+        dphi = RepVector(SU2, rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2)))
         val = matter_density_vec(FREE, phi, dphi)
         assert np.isrealobj(val) and val >= 0
 
@@ -147,7 +146,7 @@ class TestMatterDensity:
         rng = rnd(6)
         phi = RepVector(SU2, rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2))
         dphi_e = rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2))
-        dphi = RepTangent(SU2, dphi_e)
+        dphi = RepVector(SU2, dphi_e)
         e = matter_density_vec(FREE, phi, dphi, metric="euclidean")
         m = matter_density_vec(FREE, phi, dphi, metric="minkowski")
         t = np.sum(np.abs(dphi_e[0]) ** 2)
@@ -161,7 +160,7 @@ class TestMinimalCoupling:
         rng = rnd(7)
         jm = random_jm(rng, SU2, 2)
         A = AlgebraElement(SU2, np.zeros((2, 2, 2)))
-        plain = matter_density_vec(FREE, RepVector(SU2, jm.phi), RepTangent(SU2, jm.dphi))
+        plain = matter_density_vec(FREE, RepVector(SU2, jm.phi), RepVector(SU2, jm.dphi))
         assert coupled(FREE, A, jm) == plain
 
     def test_gauge_invariance_pointwise(self):

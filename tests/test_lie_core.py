@@ -18,7 +18,6 @@ from gaugejets.lie_core import (
     DimensionError,
     GroupElement,
     InvariantError,
-    RepTangent,
     RepVector,
     ad,
     ad_stacks,
@@ -587,7 +586,7 @@ class TestFundamentalVectorField:
 class TestTangentAct:
     def test_unit_pair(self):
         q = random_rep_vector(3, SU2)
-        qdot = RepTangent(SU2, random_rep_vector(4, SU2).entries)
+        qdot = RepVector(SU2, random_rep_vector(4, SU2).entries)
         eye = GroupElement(SU2, np.eye(2))
         zero = AlgebraElement(SU2, np.zeros((2, 2)))
         q2, qdot2 = tangent_act(eye, zero, q, qdot)
@@ -598,7 +597,7 @@ class TestTangentAct:
         g = random_group_element(5, SU2)
         zero = AlgebraElement(SU2, np.zeros((2, 2)))
         q = random_rep_vector(6, SU2)
-        qdot = RepTangent(SU2, random_rep_vector(7, SU2).entries)
+        qdot = RepVector(SU2, random_rep_vector(7, SU2).entries)
         q2, qdot2 = tangent_act(g, zero, q, qdot)
         assert np.max(np.abs(q2.entries - rep_act(g, q).entries)) == 0.0
         assert np.max(np.abs(qdot2.entries - rep_act(g, qdot).entries)) == 0.0
@@ -616,7 +615,7 @@ class TestTangentAct:
             x = AlgebraElement(SU2, random_algebra_entries(rng, SU2))
             y = AlgebraElement(SU2, random_algebra_entries(rng, SU2))
             q = RepVector(SU2, rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2))
-            qdot = RepTangent(SU2, rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2))
+            qdot = RepVector(SU2, rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2))
             gh = multiply(g, h)
             xy = AlgebraElement(SU2, x.entries + ad(g.entries, y.entries))
             q_a, qdot_a = tangent_act(gh, xy, q, qdot)
