@@ -13,7 +13,8 @@ Built-in families:
 * plane-wave matter fields and polynomial/sinusoidal gauge potentials.
 
 Exact jets are valid at every grid point (margin 0), so the
-finite-difference pipeline can be checked against them independently.
+finite-difference pipeline can be checked against them independently, and
+a sampler given the ``Points`` of a region samples those points alone.
 
 The gauge and connection samplers check a family when they are called,
 and build each order (the values, the first jet, the second jet) on first
@@ -43,7 +44,7 @@ from .lie_core import (
     random_algebra_entries,
 )
 from .jets import Jet1Gauge, Jet2Gauge, JetConnection, JetMatter
-from .patch import Field, Patch
+from .patch import Field, Patch, Points
 
 
 class UnknownFamilyError(ValueError):
@@ -149,7 +150,7 @@ class GaugeSample:
     bit.  Only the checked descriptors are kept between reads.
     """
 
-    patch: Patch
+    patch: Patch | Points
     spec: GroupSpec
     factors: tuple  # checked ConstantGauge / SingleGenerator descriptors
 
@@ -212,7 +213,7 @@ def _checked_factor(spec: GroupSpec, factor):
     raise UnknownFamilyError(f"unknown gauge factor {type(factor).__name__}")
 
 
-def sample_gauge(patch: Patch, spec: GroupSpec, family) -> GaugeSample:
+def sample_gauge(patch: Patch | Points, spec: GroupSpec, family) -> GaugeSample:
     """Sample a gauge transformation family together with its exact jets.
 
     The family and each descriptor are checked here; the grids of each
@@ -247,7 +248,7 @@ class MatterSample:
     jet: Field  # Field[JetMatter]
 
 
-def sample_matter(patch: Patch, spec: GroupSpec, family: PlaneWaveMatter) -> MatterSample:
+def sample_matter(patch: Patch | Points, spec: GroupSpec, family: PlaneWaveMatter) -> MatterSample:
     if not isinstance(family, PlaneWaveMatter):
         raise UnknownFamilyError(f"unknown matter family {type(family).__name__}")
     k = spec.rep_dim
@@ -281,7 +282,7 @@ class ConnectionSample:
     cut from the cached jet.
     """
 
-    patch: Patch
+    patch: Patch | Points
     spec: GroupSpec
     family: CoefficientConnection
 
@@ -326,7 +327,7 @@ class ConnectionSample:
         return Field(self.patch, AlgebraElement(self.spec, *self._slots(0)))
 
 
-def sample_connection(patch: Patch, spec: GroupSpec, family: CoefficientConnection) -> ConnectionSample:
+def sample_connection(patch: Patch | Points, spec: GroupSpec, family: CoefficientConnection) -> ConnectionSample:
     """Sample a connection family; its grids are built when first read."""
     if not isinstance(family, CoefficientConnection):
         raise UnknownFamilyError(f"unknown connection family {type(family).__name__}")

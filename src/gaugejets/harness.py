@@ -20,8 +20,8 @@ Matter densities are evaluated on one covariant derivative (phi, D_A phi)
 per potential and matter jet.  The two action theorems, ``theorem_ginv1``
 (matter) and ``theorem_ginv2`` (gauge fields), share one study,
 ``_action_invariance``, which integrates each density over the patch
-interior before and after every sampled transformation and tracks the
-worst change; each suite judges that study itself.
+interior, sampled there alone, before and after every transformation and
+tracks the worst change; each suite judges that study itself.
 
 ``run`` checks each configured suite once on the configured patch;
 ``converge`` repeats each across ``cfg.h_levels`` and judges the error
@@ -104,7 +104,7 @@ from .lie_core import (
     rep_act,
     seeded_rng,
 )
-from .patch import Field, Patch, RegionError, default_patch, integrate
+from .patch import Field, Patch, Points, RegionError, default_patch, integrate
 
 AXIOM_BATCH = 1000
 EQUIVARIANCE_BATCH = 1000
@@ -160,6 +160,8 @@ class SuiteConfig:
         object.__setattr__(self, "suites", tuple(self.suites))
         if self.output is not None and not isinstance(self.output, str):
             raise ConfigError(f"output must be a path string, got {self.output!r}")
+        if self.output is not None and not Path(self.output).parent.is_dir():
+            raise ConfigError(f"output directory of {self.output!r} does not exist")
         try:
             object.__setattr__(self, "seed", operator.index(self.seed))
         except TypeError:
@@ -284,13 +286,13 @@ def _random(cls, rng, spec: GroupSpec, n: int, batch: int):
     return cls(spec, *arrays)
 
 
-def _gauge(rng, spec: GroupSpec, patch: Patch, scale: float = 1.0):
+def _gauge(rng, spec: GroupSpec, patch: Patch | Points, scale: float = 1.0):
     """A two-factor gauge family on ``patch``; only building the family draws from ``rng``."""
     fam = analytic.random_gauge_family(rng, spec, patch.dim, factors=2, scale=scale)
     return analytic.sample_gauge(patch, spec, fam)
 
 
-def _connection(rng, spec: GroupSpec, patch: Patch, scale: float = 1.0):
+def _connection(rng, spec: GroupSpec, patch: Patch | Points, scale: float = 1.0):
     """A connection family on ``patch``; only building the family draws from ``rng``."""
     fam = analytic.random_connection_family(rng, spec, patch.dim, scale=scale)
     return analytic.sample_connection(patch, spec, fam)
@@ -570,20 +572,19 @@ def _suite_utiyama_negative(cfg: SuiteConfig):
     return shortfall, {"min_violation": violation, "required": GAUGE_VIOLATION}
 
 
-def _action_invariance(patch: Patch, densities, base, moved) -> dict:
+def _action_invariance(points: Points, densities, base, moved) -> dict:
     """Worst change of each density and of its action under the moved data.
 
     ``densities`` maps a datum to (invariant density grids by name, broken
-    density grid); ``base`` is the datum and ``moved`` yields its transforms.
-    Actions are integrated over ``patch.interior(1)``.  Returns the largest
-    pointwise change of an invariant density on that region (``pointwise``)
-    and of its action (``action_err``), the region's ``points``, and the
-    largest action change of the broken density (``broken_violation``).
+    density grid); ``base`` is the datum and ``moved`` yields its transforms,
+    all sampled on ``points``, the points of the integration region alone.
+    Returns the largest pointwise change of an invariant density there
+    (``pointwise``) and of its action (``action_err``), the region's
+    ``points``, and the largest action change of the broken density
+    (``broken_violation``).
     """
-    region = patch.interior(1)
-
     def action(vals: np.ndarray) -> float:
-        return integrate(Field(patch, vals), region)
+        return integrate(Field(points, vals), points.region)
 
     base_vals, base_broken = densities(base)
     base_actions = {k: action(vals) for k, vals in base_vals.items()}
@@ -592,13 +593,13 @@ def _action_invariance(patch: Patch, densities, base, moved) -> dict:
     for datum in moved:
         vals_by_name, broken = densities(datum)
         for k, vals in vals_by_name.items():
-            pointwise = max(pointwise, _interior_max(np.abs(vals - base_vals[k]), patch, 1))
+            pointwise = max(pointwise, _max(np.abs(vals - base_vals[k])))
             action_err = max(action_err, abs(action(vals) - base_actions[k]))
         broken_violation = max(broken_violation, abs(action(broken) - s_broken))
     return {
         "pointwise": pointwise,
         "action_err": action_err,
-        "points": region.npoints,
+        "points": points.npoints,
         "broken_violation": broken_violation,
     }
 
@@ -609,11 +610,11 @@ def _action_invariance(patch: Patch, densities, base, moved) -> dict:
     1e-12,
 )
 def _suite_theorem_ginv1(cfg: SuiteConfig):
-    spec, patch = cfg.group, cfg.patch
+    spec, points = cfg.group, Points(cfg.patch, cfg.patch.interior(1))
     rng = seeded_rng(cfg.seed, "theorem_ginv1", spec.label())
-    A = _connection(rng, spec, patch).values.value
-    family = analytic.random_matter_family(rng, spec, patch.dim)
-    jm = analytic.sample_matter(patch, spec, family).jet.value
+    A = _connection(rng, spec, points).values.value
+    family = analytic.random_matter_family(rng, spec, points.dim)
+    jm = analytic.sample_matter(points, spec, family).jet.value
 
     def densities(datum):
         """The invariant densities by name and the broken one, from one covariant derivative."""
@@ -622,9 +623,9 @@ def _suite_theorem_ginv1(cfg: SuiteConfig):
         return vals, matter_density_vec(_BROKEN_MATTER, phi, dphi, cfg.metric)
 
     # generators: each transform is drawn from rng only when the study reaches it
-    jets = (_gauge(rng, spec, patch).jet1.value for _ in range(GINV_TRANSFORMS))
+    jets = (_gauge(rng, spec, points).jet1.value for _ in range(GINV_TRANSFORMS))
     moved = ((act_connection(jet, A), act_jet_matter(jet, jm)) for jet in jets)
-    study = _action_invariance(patch, densities, (A, jm), moved)
+    study = _action_invariance(points, densities, (A, jm), moved)
     err = max(study["pointwise"], study["action_err"] / study["points"])
     if study["broken_violation"] <= MATTER_VIOLATION:
         err = float("inf")
@@ -637,16 +638,16 @@ def _suite_theorem_ginv1(cfg: SuiteConfig):
     1e-12,
 )
 def _suite_theorem_ginv2(cfg: SuiteConfig):
-    spec, patch = cfg.group, cfg.patch
+    spec, points = cfg.group, Points(cfg.patch, cfg.patch.interior(1))
     rng = seeded_rng(cfg.seed, "theorem_ginv2", spec.label())
-    jc: JetConnection = _connection(rng, spec, patch).jet.value
+    jc: JetConnection = _connection(rng, spec, points).jet.value
 
     def densities(jc):
         ym, broken = gauge_densities((_YANG_MILLS, _BROKEN_GAUGE), jc, cfg.metric)
         return {"yang_mills": ym}, broken
 
-    jets = (_gauge(rng, spec, patch).jet2.value for _ in range(GINV_TRANSFORMS))
-    study = _action_invariance(patch, densities, jc, (act_jet_connection(jet, jc) for jet in jets))
+    jets = (_gauge(rng, spec, points).jet2.value for _ in range(GINV_TRANSFORMS))
+    study = _action_invariance(points, densities, jc, (act_jet_connection(jet, jc) for jet in jets))
     # the invariance bound is on the action integral; the pointwise defect
     # (pure roundoff, scaling with the density magnitude) is informational
     err = study["action_err"] / study["points"]

@@ -520,9 +520,13 @@ def _exp_su3(m: np.ndarray) -> np.ndarray:
         1.0 - ww / 6.0 * (1.0 - ww / 20.0 * (1.0 - ww / 42.0)),
     )
     e2iu, emiu = np.exp(2j * u), np.exp(-1j * u)
-    h0 = (uu - ww) * e2iu + emiu * (8.0 * uu * cos_w + 2j * u * (3.0 * uu + ww) * xi0)
-    h1 = 2.0 * u * e2iu - emiu * (2.0 * u * cos_w - 1j * (3.0 * uu - ww) * xi0)
-    h2 = e2iu - emiu * (cos_w + 3j * u * xi0)
+    # named: past 256 KiB numpy would reuse a bracket temporary as bracket * emiu, not bit-equal
+    k0 = 8.0 * uu * cos_w + 2j * u * (3.0 * uu + ww) * xi0
+    k1 = 2.0 * u * cos_w - 1j * (3.0 * uu - ww) * xi0
+    k2 = cos_w + 3j * u * xi0
+    h0 = (uu - ww) * e2iu + emiu * k0
+    h1 = 2.0 * u * e2iu - emiu * k1
+    h2 = e2iu - emiu * k2
     den = 9.0 * uu - ww
     # coefficients of 1, X and X^2; f_j(-c0) = (-1)^j conj(f_j(c0)) conjugates all three
     coeffs = (h0 / den, -1j * h1 / den, -h2 / den)

@@ -139,9 +139,21 @@ class Region:
                 )
 
 
+class Points:
+    """The points of a region of a patch, a grid of the region's shape for the closed-form
+    samplers.  Coordinates are cut from the patch's, so they round as the patch's do."""
+
+    def __init__(self, patch: Patch, region: Region):
+        self.patch, self.region, self.dim, self.npoints = patch, region, patch.dim, region.npoints
+        self.extent = tuple(b - a for a, b in zip(region.lo, region.hi))
+
+    def coords(self) -> np.ndarray:
+        return self.patch.coords()[self.region.slices()]
+
+
 @dataclass(eq=False)
 class Field:
-    """A fiber value sampled over every grid point of a patch.
+    """A fiber value sampled over every grid point of a patch, or of ``Points``.
 
     ``value`` is either a fiber object from lie_core/jets whose batch shape
     equals the grid shape, or a raw ndarray (grid axes leading) for scalar
@@ -193,14 +205,20 @@ def integrate(density: Field, region: Region) -> float:
     exact (compensated) sum with a single final rounding, so the result is
     bit-reproducible and independent of any worker partitioning.
     """
-    vals = np.asarray(density.value)
-    if vals.shape != density.patch.extent:
+    vals, grid = np.asarray(density.value), density.patch
+    if vals.shape != grid.extent:
         raise DimensionError("integrate expects a real scalar density field")
-    region.validate(density.patch, density.margin)
-    block = np.ascontiguousarray(vals[region.slices()], dtype=np.float64)
+    if isinstance(grid, Points):
+        if region != grid.region:
+            raise RegionError(f"a density on the points of {grid.region} covers that region only")
+        grid = grid.patch
+    else:
+        region.validate(grid, density.margin)
+        vals = vals[region.slices()]
+    block = np.ascontiguousarray(vals, dtype=np.float64)
     if not np.all(np.isfinite(block)):
         raise ValueError("density contains non-finite values on the region")
-    return math.fsum(block.ravel(order="C").tolist()) * density.patch.cell_volume
+    return math.fsum(block.ravel(order="C").tolist()) * grid.cell_volume
 
 
 def default_patch(dim: int, spacing: float = 0.05, origin=0.0) -> Patch:
@@ -212,6 +230,7 @@ def default_patch(dim: int, spacing: float = 0.05, origin=0.0) -> Patch:
 __all__ = [
     "Patch",
     "Region",
+    "Points",
     "RegionError",
     "Field",
     "central_diff",

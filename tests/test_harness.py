@@ -120,6 +120,7 @@ class TestConfig:
             {"patch": {"extent": [5, 5], "spacing": "0.2"}},
             {"patch": {"extent": [5, 5], "origin": ["1", "0"]}},
             {"h_levels": ["0.04", "0.02"]},
+            {"output": "no/such/dir/report.json"},
         ],
         ids=["metric", "seed", "tolerance-key", "tolerance-list", "group-string",
              "top-level-list", "top-level-string", "output-number", "suites-string",
@@ -127,7 +128,7 @@ class TestConfig:
              "rep-dim-float", "h-level-nan", "tolerance-nan", "seed-bool", "spacing-bool",
              "origin-bool", "h-level-bool", "tolerance-bool", "unknown-key",
              "unknown-group-key", "unknown-patch-key", "spacing-string", "origin-string",
-             "h-level-string"],
+             "h-level-string", "output-dir-missing"],
     )
     def test_bad_values_rejected(self, bad, tmp_path, capsys):
         with pytest.raises(ConfigError):
@@ -285,6 +286,33 @@ def test_every_suite_draws_for_the_configured_group(spec, monkeypatch):
         seen.clear()
         run_suite(cfg, suite)
         assert seen and all(s == spec for s in seen), (suite, seen)
+
+
+@pytest.mark.parametrize("suite", ["theorem_ginv1", "theorem_ginv2"])
+@pytest.mark.parametrize("patch", [Patch((7, 6), 0.2), Patch((5, 6, 5, 7), 0.15)], ids=["2d", "4d"])
+def test_theorem_suites_sample_only_their_region(suite, patch, monkeypatch):
+    """The action theorems integrate over ``patch.interior(1)``, so every
+    sampled family and every ``exp`` of a sampled group field covers exactly
+    its points; the closed forms need no boundary layer."""
+    interior = patch.interior(1)
+    shape = tuple(b - a for a, b in zip(interior.lo, interior.hi))
+    grids = []
+
+    def spy(name, grid_of):
+        original = getattr(analytic, name)
+
+        def spying(*args):
+            grids.append((name, grid_of(*args)))
+            return original(*args)
+
+        monkeypatch.setattr(analytic, name, spying)
+
+    for name in ("sample_gauge", "sample_connection", "sample_matter"):
+        spy(name, lambda grid, spec, family: grid.extent)
+    spy("exp", lambda x: x.entries.shape[:-2])
+    run_suite(small_cfg(group=group_spec("su3"), patch=patch), suite)
+    assert {name for name, _ in grids} >= {"sample_gauge", "sample_connection", "exp"}
+    assert all(grid == shape for _, grid in grids), grids
 
 
 def test_jet_group_axioms_ignore_the_representation():

@@ -241,6 +241,15 @@ class TestClosedFormExp:
         x = 1j * seeded_rng(5, "u1-bits").uniform(-50.0, 50.0, (64, 1, 1))
         assert np.array_equal(exp(AlgebraElement(U1, x)).entries, _exp_eigh(x))
 
+    @pytest.mark.parametrize("spec", [U1, SU2, SU3, SU4], ids=lambda s: s.label())
+    def test_bits_do_not_depend_on_batch_size(self, spec):
+        # 20,736 points (12^4) make temporaries past numpy's 256 KiB elision
+        # threshold, which may evaluate a product in place with swapped operands
+        x = random_algebra_entries(seeded_rng(3, "exp-batch"), spec, (20736,))
+        whole = exp(AlgebraElement(spec, x)).entries
+        for part in (slice(0, 10000), slice(5, 4001), slice(20000, 20736)):
+            assert np.array_equal(exp(AlgebraElement(spec, x[part])).entries, whole[part])
+
 
 class TestBracket:
     def test_self_bracket_vanishes(self):

@@ -22,6 +22,7 @@ from gaugejets.lie_core import group_spec
 from gaugejets.patch import (
     Field,
     Patch,
+    Points,
     Region,
     RegionError,
     central_diff,
@@ -219,6 +220,58 @@ class TestIntegrate:
         a = integrate(Field(p, vals), region)
         b = integrate(Field(p, vals.copy()), region)
         assert a == b
+
+
+POINTS_PATCHES = [
+    Patch((9,), 0.1),
+    Patch((7, 6), 0.2),
+    Patch((5, 6, 7), 0.2),
+    Patch((5, 5, 5, 5), 0.15),
+    Patch((16, 16), 0.2, (1000.0, 0.0)),
+    Patch((16, 16), 1e-4),
+    Patch((16, 16), 2.0),
+]
+
+
+class TestPoints:
+    """A region's points carry the patch's own coordinates, so data sampled on
+    them equal the whole patch's data on that region."""
+
+    @pytest.mark.parametrize(
+        "patch", POINTS_PATCHES, ids=lambda p: f"{p.extent}-{p.spacing[0]}-{p.origin[0]}"
+    )
+    def test_coords_are_the_patch_coords_on_the_region(self, patch):
+        region = patch.interior(1)
+        points = Points(patch, region)
+        want = patch.coords()[region.slices()]
+        assert points.extent == want.shape[:-1] and points.dim == patch.dim
+        assert points.npoints == region.npoints
+        assert np.array_equal(points.coords(), want)
+
+    def test_a_rebased_patch_rounds_differently(self):
+        # why the points are cut from the patch: a patch started at origin + h
+        # does not reproduce the coordinates of a far-off origin
+        patch = Patch((16, 16), 0.2, (1000.0, 0.0))
+        rebased = Patch((14, 14), 0.2, (1000.2, 0.2))
+        assert not np.array_equal(rebased.coords(), Points(patch, patch.interior(1)).coords())
+
+    @pytest.mark.parametrize("patch", POINTS_PATCHES[:4], ids=lambda p: f"{p.dim}d")
+    def test_integrate_matches_the_whole_patch(self, patch):
+        region = patch.interior(1)
+        family = PlaneWaveMatter((0.7 + 0.2j,), ((1.3,) * patch.dim,), (0.4,))
+        points = Points(patch, region)
+        whole, part = (
+            np.abs(sample_matter(grid, U1, family).values.value.entries[..., 0]) ** 2
+            for grid in (patch, points)
+        )
+        assert np.array_equal(part, whole[region.slices()])
+        assert integrate(Field(points, part), region) == integrate(Field(patch, whole), region)
+
+    def test_integrate_refuses_another_region(self):
+        patch = Patch((8, 8))
+        points = Points(patch, patch.interior(1))
+        with pytest.raises(RegionError):
+            integrate(Field(points, np.zeros(points.extent)), patch.interior(2))
 
 
 class TestSampleAnalytic:
