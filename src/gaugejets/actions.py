@@ -8,12 +8,13 @@ The connection transformation is the familiar affine law
 
     (g, a) . A_mu = Ad(g) A_mu - a_mu,        a_mu = (d_mu g) g^{-1},
 
-and its once-differentiated form, written with the stored symmetrized
-second derivative s and the flatness identity d_mu a_nu = s_munu
-+ (1/2)[a_mu, a_nu]:
+and its once-differentiated form, Ad(g) dA_munu + [a_mu, Ad(g) A_nu]
+- d_mu a_nu.  With the stored symmetrized second derivative s and the
+flatness identity d_mu a_nu = s_munu + (1/2)[a_mu, a_nu], both brackets
+fold into one:
 
-    ((g, a, s) . (A, dA))_munu = Ad(g) dA_munu + [a_mu, Ad(g) A_nu]
-                                 - s_munu - (1/2) [a_mu, a_nu].
+    ((g, a, s) . (A, dA))_munu = Ad(g) dA_munu
+                                 + [a_mu, Ad(g) A_nu - (1/2) a_nu] - s_munu.
 
 Antisymmetrizing the right-hand side cancels every s term and reproduces
 conjugation of the field strength, F -> g F g^{-1}.
@@ -76,12 +77,11 @@ def act_jet_connection(jet: Jet2Gauge, jc: JetConnection) -> JetConnection:
     _check_jets(jet, jc)
     adA, dA_out = ad_stacks(jet.g, jc.A, jc.dA)
     A_out = adA - jet.a
-    # [a_mu, Ad(g) A_nu] and then d_mu a_nu, accumulated into Ad(g) dA in place
-    cross = pair_products(jet.a, adA)
-    cross -= pair_products(jet.a, adA, reverse=True)
-    dA_out += cross
-    del cross
-    dA_out -= jet.da()
+    # the one bracket [a_mu, Ad(g) A_nu - a_nu / 2], accumulated into Ad(g) dA in place
+    half = adA - 0.5 * jet.a
+    dA_out += pair_products(jet.a, half)
+    dA_out -= pair_products(jet.a, half, reverse=True)
+    dA_out -= jet.s
     return _trusted(JetConnection, jc.spec, A_out, dA_out)
 
 

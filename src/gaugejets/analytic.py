@@ -277,9 +277,11 @@ class ConnectionSample:
     """Sampled gauge potential and its exact first-order jet.
 
     ``values`` (Field[AlgebraElement], components on axis -3) and ``jet``
-    (Field[JetConnection]) are each built on first read and then cached,
-    through their public constructors; ``values`` read after ``jet`` is
-    cut from the cached jet.
+    (Field[JetConnection]) are each built on first read and then cached;
+    ``values`` read after ``jet`` is cut from the cached jet.  A real
+    combination of the checked basis is anti-hermitian entry by entry, so
+    the grids are built unchecked: a check could fail only on the rounded
+    trace, which grows with the coefficients (far from the origin).
     """
 
     patch: Patch | Points
@@ -318,13 +320,13 @@ class ConnectionSample:
 
     @cached_property
     def jet(self) -> Field:
-        return Field(self.patch, JetConnection(self.spec, *self._slots(1)))
+        return Field(self.patch, _trusted(JetConnection, self.spec, *self._slots(1)))
 
     @cached_property
     def values(self) -> Field:
         if "jet" in self.__dict__:
             return Field(self.patch, self.jet.value.potential())
-        return Field(self.patch, AlgebraElement(self.spec, *self._slots(0)))
+        return Field(self.patch, _trusted(AlgebraElement, self.spec, *self._slots(0)))
 
 
 def sample_connection(patch: Patch | Points, spec: GroupSpec, family: CoefficientConnection) -> ConnectionSample:

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import analytic, jgf
-from .harness import ConfigError, Report, SUITES, SuiteConfig, converge, run
+from .harness import ConfigError, Report, SUITES, SuiteConfig, check_output_path, converge, run
 from .jets import jet1_of, jet2_of, jet_connection_of, jet_matter_of
 from .lie_core import seeded_rng
 
@@ -68,7 +68,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_converge(args) -> int:
-    report = converge(_load_config(args))
+    cfg = _load_config(args)
+    if args.csv:
+        check_output_path(args.csv, "--csv")
+    report = converge(cfg)
     if args.csv:
         lines = ["suite,h,error,extent,length"]
         for res in report.suites:

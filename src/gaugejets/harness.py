@@ -121,6 +121,15 @@ class ConfigError(ValueError):
     """Malformed harness configuration."""
 
 
+def check_output_path(path: str, what: str) -> None:
+    """Refuse, before any work, a file path that cannot be written: one in a
+    missing directory, or an existing directory."""
+    if Path(path).is_dir():
+        raise ConfigError(f"{what} {path!r} is a directory")
+    if not Path(path).parent.is_dir():
+        raise ConfigError(f"{what} directory of {path!r} does not exist")
+
+
 class UnknownSuiteError(ConfigError):
     """Requested suite name is not registered."""
 
@@ -160,8 +169,8 @@ class SuiteConfig:
         object.__setattr__(self, "suites", tuple(self.suites))
         if self.output is not None and not isinstance(self.output, str):
             raise ConfigError(f"output must be a path string, got {self.output!r}")
-        if self.output is not None and not Path(self.output).parent.is_dir():
-            raise ConfigError(f"output directory of {self.output!r} does not exist")
+        if self.output is not None:
+            check_output_path(self.output, "output")
         try:
             object.__setattr__(self, "seed", operator.index(self.seed))
         except TypeError:

@@ -55,8 +55,25 @@ from .patch import Field, central_diff
 # ---------------------------------------------------------------------------
 # jet fiber types
 
+class _Jet:
+    """Jet types count their base axes by the ``n`` axis of their ``LAYOUT``."""
+
+    @property
+    def n_axes(self) -> int:
+        name, axes = next((k, axes) for k, (axes, _) in self.LAYOUT.items() if "n" in axes)
+        arr = getattr(self, name)
+        return arr.shape[arr.ndim - len(axes) + axes.index("n")]
+
+
+class _GaugeJet(_Jet):
+    """Gauge jets carry the group value g as their first field."""
+
+    def group_element(self) -> GroupElement:
+        return _trusted(GroupElement, self.spec, self.g)
+
+
 @dataclass(frozen=True, eq=False)
-class Jet1Gauge(Fiber):
+class Jet1Gauge(_GaugeJet, Fiber):
     """First-order gauge jet (g, a); g (..., N, N), a (..., n, N, N)."""
 
     spec: GroupSpec
@@ -65,16 +82,9 @@ class Jet1Gauge(Fiber):
 
     LAYOUT = {"g": (("N", "N"), "group"), "a": (("n", "N", "N"), "algebra")}
 
-    @property
-    def n_axes(self) -> int:
-        return self.a.shape[-3]
-
-    def group_element(self) -> GroupElement:
-        return _trusted(GroupElement, self.spec, self.g)
-
 
 @dataclass(frozen=True, eq=False)
-class Jet2Gauge(Fiber):
+class Jet2Gauge(_GaugeJet, Fiber):
     """Second-order gauge jet (g, a, s); s (..., n, n, N, N), s_munu = s_numu."""
 
     spec: GroupSpec
@@ -93,28 +103,12 @@ class Jet2Gauge(Fiber):
         if np.any(self.s != np.swapaxes(self.s, -4, -3)):
             raise InvariantError("second-order component must be stored exactly symmetric")
 
-    @property
-    def n_axes(self) -> int:
-        return self.a.shape[-3]
-
     def truncate(self) -> Jet1Gauge:
         return _trusted(Jet1Gauge, self.spec, self.g, self.a)
 
-    def group_element(self) -> GroupElement:
-        return _trusted(GroupElement, self.spec, self.g)
-
-    def da(self) -> np.ndarray:
-        """Full derivative of a, recovered from the flatness identity:
-        d_mu a_nu = s_munu + (1/2) [a_mu, a_nu]."""
-        aa = pair_products(self.a, self.a)
-        comm = aa - np.swapaxes(aa, -4, -3)
-        comm *= 0.5
-        comm += self.s
-        return comm
-
 
 @dataclass(frozen=True, eq=False)
-class JetMatter(Fiber):
+class JetMatter(_Jet, Fiber):
     """Matter value with first derivatives: phi (..., k), dphi (..., n, k)."""
 
     spec: GroupSpec
@@ -123,13 +117,9 @@ class JetMatter(Fiber):
 
     LAYOUT = {"phi": (("k",), None), "dphi": (("n", "k"), None)}
 
-    @property
-    def n_axes(self) -> int:
-        return self.dphi.shape[-2]
-
 
 @dataclass(frozen=True, eq=False)
-class JetConnection(Fiber):
+class JetConnection(_Jet, Fiber):
     """Gauge potential with derivatives: A (..., n, N, N), dA (..., n, n, N, N).
 
     dA[..., mu, nu, :, :] holds d_mu A_nu.
@@ -140,10 +130,6 @@ class JetConnection(Fiber):
     dA: np.ndarray
 
     LAYOUT = {"A": (("n", "N", "N"), "algebra"), "dA": (("n", "n", "N", "N"), "algebra")}
-
-    @property
-    def n_axes(self) -> int:
-        return self.A.shape[-3]
 
     def potential(self) -> AlgebraElement:
         return _trusted(AlgebraElement, self.spec, self.A)
@@ -279,7 +265,7 @@ def _ad_jet(g: np.ndarray, a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np
     """Ad(g) a and Ad(g) s of (..., n, N, N) data and exactly symmetric
     (..., n, n, N, N) data; s comes back exactly symmetric by construction.
 
-    On the ``mm`` path (``_gemm_pays``) only the n(n+1)/2 slots mu <= nu
+    On the ``ad`` path (``_gemm_pays``) only the n(n+1)/2 slots mu <= nu
     are conjugated, one row mu at a time, and each row is copied into both
     (mu, nu) and (nu, mu) of one new array.  On the GEMM path a and all n^2
     slots of s share one K(g) (``ad_stacks``), and each slot mu < nu is then
@@ -339,19 +325,22 @@ def sym(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _antisym(x: np.ndarray) -> np.ndarray:
+    """x_munu - x_numu of (..., n, n, N, N) data on the strict upper triangle,
+    (..., P, N, N) in the order of ``curvature_pairs``; written pair by pair
+    into the result, so no other P-sized array is made."""
+    pairs = curvature_pairs(x.shape[-3])
+    out = np.empty(x.shape[:-4] + (len(pairs),) + x.shape[-2:], np.complex128)
+    for idx, (mu, nu) in enumerate(pairs):
+        np.subtract(x[..., mu, nu, :, :], x[..., nu, mu, :, :], out=out[..., idx, :, :])
+    return out
+
+
 def curvature(jc: JetConnection) -> Curvature:
     """F_munu = d_mu A_nu - d_nu A_mu + [A_mu, A_nu] on the strict upper triangle."""
-    n = jc.n_axes
-    pairs = curvature_pairs(n)
-    nn = jc.spec.n
-    comps = np.zeros(jc.batch_shape + (len(pairs), nn, nn), dtype=np.complex128)
-    for idx, (mu, nu) in enumerate(pairs):
-        amu = jc.A[..., mu, :, :]
-        anu = jc.A[..., nu, :, :]
-        comps[..., idx, :, :] = (
-            jc.dA[..., mu, nu, :, :] - jc.dA[..., nu, mu, :, :] + mm(amu, anu) - mm(anu, amu)
-        )
-    return _trusted(Curvature, jc.spec, n, comps)
+    comps = _antisym(jc.dA)
+    comps += _antisym(pair_products(jc.A, jc.A))
+    return _trusted(Curvature, jc.spec, jc.n_axes, comps)
 
 
 def maurer_cartan_defect(j1field: Field) -> Field:
@@ -361,15 +350,10 @@ def maurer_cartan_defect(j1field: Field) -> Field:
     field of the max Frobenius norm over the n(n-1)/2 axis pairs.
     """
     jet = _require_field(j1field, Jet1Gauge, "maurer_cartan_defect")
-    p = j1field.patch
-    da = _da(j1field)
-    defect = np.zeros(p.extent)
-    for mu, nu in curvature_pairs(p.dim):
-        amu = jet.a[..., mu, :, :]
-        anu = jet.a[..., nu, :, :]
-        d = da[..., mu, nu, :, :] - da[..., nu, mu, :, :] - (mm(amu, anu) - mm(anu, amu))
-        np.maximum(defect, frobenius(d), out=defect)
-    return Field(p, defect, margin=j1field.margin + 1)
+    d = _antisym(_da(j1field))
+    d -= _antisym(pair_products(jet.a, jet.a))
+    defect = np.max(frobenius(d), axis=-1, initial=0.0)
+    return Field(j1field.patch, defect, margin=j1field.margin + 1)
 
 
 __all__ = [

@@ -141,10 +141,11 @@ def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Batch axes broadcast.  The sum over the inner index runs as N steps,
     each vectorized over the whole batch, instead of one BLAS call per
     matrix as ``@`` makes on stacked inputs.  Every fiber-matrix product
-    goes through this kernel except the stacks that ``ad_stacks`` and
-    ``pair_products`` hand to one GEMM per point (``GEMM_MIN_STACK``); the
-    adjoint r(X) makes no matrix product, being a contraction with the
-    structure constants.
+    goes through this kernel except the pair products of jet stacks
+    (``pair_products``) and the conjugation of large stacks (``ad_stacks``,
+    ``GEMM_MIN_STACK``), which take one GEMM per point; the adjoint r(X)
+    makes no matrix product, being a contraction with the structure
+    constants.
     """
     out = a[..., :, 0, None] * b[..., None, 0, :]
     for j in range(1, a.shape[-1]):
@@ -563,33 +564,33 @@ def ad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
     return mm(mm(gg, x), dagger(gg))
 
 
-# Fewest matrices per point that ``ad_stacks`` and ``pair_products`` hand to
-# one GEMM per point; smaller stacks, and N = 1, stay on ``mm``.
+# Fewest matrices per point that ``ad_stacks`` conjugates by one GEMM per
+# point; smaller stacks, and N = 1, stay on ``ad``.
 GEMM_MIN_STACK = 8
 
 
 def _gemm_pays(n: int, count: int) -> bool:
-    """Whether ``count`` N x N matrices per point take the per-point GEMM.
+    """Whether conjugating ``count`` N x N matrices per point takes the GEMM.
 
-    A batched ``np.matmul`` makes one BLAS call per point, whose fixed cost
-    only a large stack repays; ``mm`` makes N broadcast steps over the whole
-    batch.  Speed of the GEMM kernels over ``ad`` and ``mm``, K(g) build
-    included, at 625 and 1000 points (2-vCPU Xeon KVM guest, one OpenBLAS
-    thread, best of 9, in two runs):
-      conjugating c components (su2, su3): c = 2 0.3-0.8x, c = 4 1.0-1.3x,
-        c = 8 1.4-2.7x, c = 20 2.8-6.9x;
-      n x n pair products: n = 2 0.7-0.9x (su2) and 1.1-1.7x (su3),
-        n = 3 1.3-4.1x, n = 4 1.9-5.7x;
-      u(1): 0.5-1.1x conjugating, 0.9-1.4x pairs, at every size.
-    So the GEMM runs for N >= 2 and count >= 8, where it won every time;
-    in the jet laws that means n >= 3, and 1-D and 2-D runs (at most
-    n + n^2 = 6 matrices per point) keep ``mm``'s bits.
+    A batched ``np.matmul`` makes one BLAS call per point, whose fixed cost,
+    with the K(g) build, only a large stack repays; ``ad`` makes 2N
+    broadcast steps over the whole batch.  Speed of ``ad_stacks`` over
+    ``ad``, K(g) included, conjugating c components at 625 and 1000 points
+    (2-vCPU Xeon KVM guest, one OpenBLAS thread, best of 9, in two runs):
+    c = 2 0.3-0.8x, c = 4 1.0-1.3x, c = 8 1.4-2.7x, c = 20 2.8-6.9x (su2,
+    su3); u(1) 0.5-1.1x at every size.  Small stacks are also lighter on
+    ``ad``: at n = 2 (6 matrices per point) K(g) alone is 2.25 s.nbytes, and
+    taking it lifted the peaks of ``jet2_inv`` and ``jet2_mul`` to 4.00 and
+    4.75 s.nbytes (su3, 1000 points), against 3.46 and 3.75 on ``ad``.  So
+    the GEMM conjugates for N >= 2 and count >= 8, which in the jet laws
+    means n >= 3.  Pair products take the GEMM at every size
+    (``pair_products``).
     """
     return n >= 2 and count >= GEMM_MIN_STACK
 
 
 def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The per-point GEMM behind ``_ad_kron`` and ``_pairs_gemm``: ``np.matmul``
+    """The per-point GEMM behind ``_ad_kron`` and ``pair_products``: ``np.matmul``
     of stacked operands, one BLAS call per batch point."""
     return np.matmul(a, b)
 
@@ -649,15 +650,23 @@ def ad_stacks(g: np.ndarray, *xs: np.ndarray) -> list[np.ndarray]:
     return [_ad_kron(kt, x, lead) for x in xs]
 
 
-def _pairs_gemm(x: np.ndarray, y: np.ndarray, reverse: bool) -> np.ndarray:
-    """All products x_mu y_nu (or y_nu x_mu when ``reverse``) as one GEMM per
-    point: (nN x N) rows of x by (N x mN) columns of y, or the other way round.
+def pair_products(x: np.ndarray, y: np.ndarray, reverse: bool = False) -> np.ndarray:
+    """P[..., mu, nu] = x_mu y_nu for stacks x (..., n, N, N) and y (..., m, N, N),
+    or y_nu x_mu when ``reverse``; shape (..., n, m, N, N).
 
-    Returns a strided (..., n, m, N, N) view of the (..., nN, mN) product.
-    Each entry is an inner product of length N on this path and on ``mm``'s,
+    One GEMM per point, (nN x N) rows of x by (N x mN) columns of y or the
+    other way round, at every stack size; the result is a strided view of
+    the (..., nN, mN) product.  The brackets of the jet laws, of
+    ``curvature`` and of ``maurer_cartan_defect`` are P[mu, nu] - P[nu, mu].
+    There is no ``mm`` fallback: against ``mm`` the GEMM ran at 0.7-0.9x
+    for su2 at n = 2, 1.1-1.7x for su3 at n = 2 and 1.3-5.7x from n = 3
+    (625 and 1000 points, as in ``_gemm_pays``), needs no K(g), and one
+    path gives every bracket the same rounding.
+
+    Error: each entry is an inner product of length N here and in ``mm``,
     so each is within sqrt(2) gamma_2N (|x_mu| |y_nu|)_ij of the exact
-    product (see ``_ad_kron`` for gamma and the model), and the two paths
-    differ by at most 2 sqrt(2) gamma_2N (|x_mu| |y_nu|)_ij.
+    product (see ``_ad_kron`` for gamma and the model), and the two differ
+    by at most 2 sqrt(2) gamma_2N (|x_mu| |y_nu|)_ij.
     """
     n, m, nn = x.shape[-3], y.shape[-3], x.shape[-1]
     left, right = (y, x) if reverse else (x, y)
@@ -667,20 +676,6 @@ def _pairs_gemm(x: np.ndarray, y: np.ndarray, reverse: bool) -> np.ndarray:
     if reverse:  # [(nu, i), (mu, j)] -> [mu, nu, i, j]
         return np.moveaxis(prod.reshape(prod.shape[:-2] + (m, nn, n, nn)), -2, -4)
     return np.swapaxes(prod.reshape(prod.shape[:-2] + (n, nn, m, nn)), -3, -2)
-
-
-def pair_products(x: np.ndarray, y: np.ndarray, reverse: bool = False) -> np.ndarray:
-    """P[..., mu, nu] = x_mu y_nu for stacks x (..., n, N, N) and y (..., m, N, N),
-    or y_nu x_mu when ``reverse``; shape (..., n, m, N, N).
-
-    n m >= ``GEMM_MIN_STACK`` products per point (and N >= 2) take one GEMM
-    per point (``_pairs_gemm``) and come back as a strided view of it; the
-    rest go through ``mm`` as a new array, bit for bit.
-    """
-    if not _gemm_pays(x.shape[-1], x.shape[-3] * y.shape[-3]):
-        xm, yn = x[..., :, None, :, :], y[..., None, :, :, :]
-        return mm(yn, xm) if reverse else mm(xm, yn)
-    return _pairs_gemm(x, y, reverse)
 
 
 def rep_matrix(g: GroupElement) -> np.ndarray:

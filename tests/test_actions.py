@@ -293,9 +293,10 @@ class TestJetConnectionAction:
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_act_jet_connection_peak_memory(self, n):
-        # su3, 1000 points.  n = 4 (GEMM path) reads 3.751 dA.nbytes: the result
-        # and at most two dA-sized pair-product stacks at a time, since the
-        # brackets accumulate into Ad(g) dA in place.  n = 2 (mm path) reads 5.458
+        # su3, 1000 points.  n = 4 (GEMM conjugation) reads 3.001 dA.nbytes: the
+        # result and one dA-sized pair-product stack at a time, since the one
+        # bracket accumulates into Ad(g) dA in place.  n = 2 (``ad``
+        # conjugation) reads 4.208
         rng = rnd(20)
         jet = random_jet2(rng, SU3, n, (1000,))
         jc = random_jc(rng, SU3, n, (1000,))
@@ -306,7 +307,7 @@ class TestJetConnectionAction:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= {2: 5.46, 4: 3.8}[n] * jc.dA.nbytes
+        assert peak <= {2: 4.25, 4: 3.05}[n] * jc.dA.nbytes
 
     def test_antisymmetrized_law_closed_form(self):
         # the antisymmetric part of the transformed derivative has a closed

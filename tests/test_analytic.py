@@ -242,8 +242,7 @@ def test_peak_memory_per_order(su3_4d, name, ratio):
 
 def test_connection_jet_peak_memory():
     """The connection jet peaks at 1.671 dA.nbytes here: A and dA, and one
-    component's contraction at a time.  The public constructor's structural
-    checks of dA add arrays of batch shape only."""
+    component's contraction at a time."""
     patch = Patch((6,) * 4, spacing=0.1)
     fam = random_connection_family(seeded_rng(9, "peak-conn"), SU3, 4)
     sample_connection(patch, SU3, fam).jet  # warm caches outside the measurement
@@ -260,6 +259,24 @@ def test_connection_values_match_eager_jet():
     sample.values
     assert np.array_equal(sample.jet.value.A, jet.A)
     assert np.array_equal(sample.jet.value.dA, jet.dA)
+
+
+def test_connection_far_from_origin_samples(tmp_path):
+    """At origin 300 the coefficients reach ~1e3 and the rounded trace of the
+    su(3) sums passes the 1e-12 of the structural check, though each is a
+    real combination of the checked basis; both orders still build, and
+    ``gaugejets sample --kind connection`` writes them."""
+    patch = Patch((5, 5), spacing=0.2, origin=(300.0, 0.0))
+    fam = random_connection_family(seeded_rng(0, "far"), SU3, 2)
+    jet = sample_connection(patch, SU3, fam).jet.value
+    assert np.max(np.abs(np.trace(jet.A, axis1=-2, axis2=-1))) > 1e-12
+    assert np.array_equal(sample_connection(patch, SU3, fam).values.value.entries, jet.A)
+    cfg = {"group": {"family": "su3"}, "patch": {"extent": [5, 5], "origin": [300, 0]}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    for kind in ("connection", "jet-connection"):
+        out = str(tmp_path / f"{kind}.jgf1")
+        assert cli_main(["sample", "--config", str(cfg_path), "--kind", kind, "--out", out]) == 0
 
 
 @pytest.mark.parametrize("spec", [U1, SU2, SU3, SU4], ids=lambda s: s.label())

@@ -121,6 +121,7 @@ class TestConfig:
             {"patch": {"extent": [5, 5], "origin": ["1", "0"]}},
             {"h_levels": ["0.04", "0.02"]},
             {"output": "no/such/dir/report.json"},
+            {"output": "."},
         ],
         ids=["metric", "seed", "tolerance-key", "tolerance-list", "group-string",
              "top-level-list", "top-level-string", "output-number", "suites-string",
@@ -128,7 +129,7 @@ class TestConfig:
              "rep-dim-float", "h-level-nan", "tolerance-nan", "seed-bool", "spacing-bool",
              "origin-bool", "h-level-bool", "tolerance-bool", "unknown-key",
              "unknown-group-key", "unknown-patch-key", "spacing-string", "origin-string",
-             "h-level-string", "output-dir-missing"],
+             "h-level-string", "output-dir-missing", "output-is-directory"],
     )
     def test_bad_values_rejected(self, bad, tmp_path, capsys):
         with pytest.raises(ConfigError):
@@ -355,7 +356,7 @@ def test_only_n_from_4_exponentiates_through_eigh(spec, uses_eigh, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "spec, patch, uses_gemm",
+    "spec, patch, conjugates_by_gemm",
     [
         (group_spec("su2"), Patch((16, 16), spacing=0.2), False),
         (group_spec("su3", rep_dim=8), Patch((16, 16), spacing=0.2), False),
@@ -364,21 +365,31 @@ def test_only_n_from_4_exponentiates_through_eigh(spec, uses_eigh, monkeypatch):
     ],
     ids=["su2-2d", "su3-adjoint-2d", "su3-4d", "u1-4d"],
 )
-def test_only_large_stacks_take_the_gemm(spec, patch, uses_gemm, monkeypatch):
-    """The per-point GEMM serves N >= 2 stacks of at least ``GEMM_MIN_STACK``
-    matrices, so 1-D and 2-D runs and u(1) keep the ``mm`` path, bit for bit."""
-    original, seen = lie_core._gemm, []
+def test_only_large_stacks_take_the_gemm(spec, patch, conjugates_by_gemm, monkeypatch):
+    """Conjugation takes the per-point GEMM only for N >= 2 and stacks of at
+    least ``GEMM_MIN_STACK`` matrices per point, so 1-D and 2-D runs and u(1)
+    keep ``ad``'s bits; pair products take it at every size.  Each
+    ``_ad_kron`` call makes one GEMM, so the GEMMs beyond those are pair
+    products."""
+    seen = {"_ad_kron": 0, "_gemm": 0}
 
-    def counting(*args, **kwargs):
-        seen.append(args[0].shape)
-        return original(*args, **kwargs)
+    def spy(name):
+        original = getattr(lie_core, name)
 
-    monkeypatch.setattr(lie_core, "_gemm", counting)
+        def counting(*args):
+            seen[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(lie_core, name, counting)
+
+    spy("_ad_kron")
+    spy("_gemm")
     monkeypatch.setattr(harness, "AXIOM_BATCH", 16)
     cfg = small_cfg(group=spec, patch=patch)
     for suite in SUITES:
         run_suite(cfg, suite)
-    assert bool(seen) == uses_gemm
+    assert bool(seen["_ad_kron"]) == conjugates_by_gemm
+    assert seen["_gemm"] > seen["_ad_kron"]
 
 
 class TestConvergence:
@@ -548,6 +559,27 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["converge", "--suite", "chain_rule_matter", "--csv", "{tmp}/missing/x.csv"],
+            ["converge", "--suite", "chain_rule_matter", "--csv", "{tmp}"],
+            ["converge", "--suite", "chain_rule_matter", "--out", "{tmp}"],
+            ["run", "--suite", "theorem_ginv2", "--out", "{tmp}"],
+            ["sample", "--out", "{tmp}"],
+        ],
+        ids=["csv-dir-missing", "csv-is-directory", "converge-out-is-directory",
+             "run-out-is-directory", "sample-out-is-directory"],
+    )
+    def test_bad_output_path_refused_before_any_suite(self, tmp_path, capsys, monkeypatch, argv):
+        ran = []
+        monkeypatch.setattr(harness, "run_suite", lambda cfg, name: ran.append(name))
+        monkeypatch.setattr(harness, "convergence_study", lambda cfg, name: ran.append(name))
+        assert cli_main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert ran == []
 
     def test_inspect_missing_file_exit_code_2(self):
         assert cli_main(["inspect", "/nonexistent/file.jgf1"]) == 2

@@ -1,5 +1,6 @@
 """Source hygiene: every module uses each name it imports, the fiber
-modules multiply matrices through the ``lie_core`` kernels, only ``lie_core`` builds
+modules multiply matrices through the ``lie_core`` kernels and bracket
+jet stacks through ``pair_products``, only ``lie_core`` builds
 representation matrices, every fiber type declares its arrays in one
 ``Fiber.LAYOUT``, no two of them alike, every fiber type has a JGF1 kind, only ``jets``
 symmetrizes in (mu, nu) or differences fields beside ``patch``, every
@@ -83,10 +84,10 @@ PRODUCT_CALLS = {"matmul", "einsum", "dot", "tensordot"}
 
 @pytest.mark.parametrize("name", ["lie_core.py", "jets.py", "actions.py"])
 def test_fiber_products_use_mm(name):
-    """Fiber-matrix products go through the ``lie_core`` kernels (``mm``,
-    ``ad``, ``ad_stacks``, ``pair_products``), never the ``@`` operator;
-    ``jets`` and ``actions`` call no ``matmul``, ``einsum``, ``dot`` or
-    ``tensordot`` either."""
+    """No fiber module uses the ``@`` operator, and ``jets`` and ``actions``
+    call no ``matmul``, ``einsum``, ``dot`` or ``tensordot``: their products
+    go through the ``lie_core`` kernels, ``mm`` for single products and
+    ``ad``, ``ad_stacks`` and ``pair_products`` for stacks."""
     tree = ast.parse((SRC / name).read_text(), filename=name)
     lines = sorted(
         node.lineno
@@ -103,6 +104,36 @@ def test_fiber_products_use_mm(name):
         and (fn := getattr(node.func, "attr", getattr(node.func, "id", None))) in PRODUCT_CALLS
     )
     assert not calls, f"{name} calls array products {calls}; use a lie_core kernel"
+
+
+def _mm_args(node: ast.AST) -> list[str] | None:
+    if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "mm":
+        return [ast.dump(arg) for arg in node.args]
+    return None
+
+
+def _commutator_lines(tree: ast.Module) -> list[int]:
+    """Lines of ``mm(x, y) - mm(y, x)``, also as the tail of ``... + mm(x, y) - mm(y, x)``."""
+    lines = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)):
+            continue
+        left = node.left
+        while isinstance(left, ast.BinOp) and isinstance(left.op, ast.Add):
+            left = left.right
+        xy, yx = _mm_args(left), _mm_args(node.right)
+        if xy and yx and xy == yx[::-1]:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("name", ["jets.py", "actions.py"])
+def test_brackets_use_pair_products(name):
+    """The jet laws, the connection law, ``curvature`` and the flatness defect
+    take their brackets from ``pair_products`` as P[mu, nu] - P[nu, mu]; none
+    spells a bracket out as ``mm(x, y) - mm(y, x)``."""
+    lines = _commutator_lines(ast.parse((SRC / name).read_text(), filename=name))
+    assert not lines, f"{name} spells out a bracket on lines {lines}; use pair_products"
 
 
 REP_BUILDERS = {"rep_matrix", "rep_algebra_matrix"}

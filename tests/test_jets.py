@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gaugejets.actions import act_jet_connection
 from gaugejets.analytic import (
     Polynomial,
     ProductGauge,
@@ -19,6 +20,7 @@ from gaugejets.jets import (
     Jet1Gauge,
     Jet2Gauge,
     JetConnection,
+    JetMatter,
     curvature,
     curvature_pairs,
     jet1_inv,
@@ -29,6 +31,7 @@ from gaugejets.jets import (
     jet2_mul,
     jet2_of,
     jet2_unit,
+    jet_connection_of,
     maurer_cartan_defect,
     sym,
 )
@@ -47,13 +50,14 @@ from gaugejets.lie_core import (
     seeded_rng,
 )
 from gaugejets.patch import Field, Patch
+from test_lie_core import gamma
 
 SU2 = group_spec("su2")
 SU3 = group_spec("su3")
 U1 = group_spec("u1")
 SU4 = group_spec("sun", 4)
-# (group, n) pairs whose jet laws run on ``mm`` alone: u(1), or n <= 2
-MM_PATH = [(U1, n) for n in range(1, 5)] + [(spec, n) for spec in (SU2, SU3, SU4) for n in (1, 2)]
+# (group, n) pairs whose jet laws conjugate through ``ad``: u(1), or n <= 2
+AD_PATH = [(U1, n) for n in range(1, 5)] + [(spec, n) for spec in (SU2, SU3, SU4) for n in (1, 2)]
 
 
 def random_jet1(seed, spec, n, batch=()):
@@ -88,9 +92,13 @@ class TestJetTypes:
             Jet2Gauge(SU2, j.g, j.a, s_bad)
 
     def test_flatness_recovery(self):
-        # da = s + (1/2)[a_mu, a_nu]; antisymmetrizing gives the bracket back
+        # the connection law takes d_mu a_nu = s + (1/2)[a_mu, a_nu] from the
+        # flatness identity, so on zero connection data it returns -d a:
+        # symmetrizing gives s back, antisymmetrizing the bracket
         j = random_jet2(1, SU2, 3)
-        da = j.da()
+        zero = JetConnection(SU2, np.zeros((3, 2, 2)), np.zeros((3, 3, 2, 2)))
+        da = -act_jet_connection(j, zero).dA
+        assert np.max(np.abs(sym(da) - j.s)) < 1e-15
         anti = da - np.swapaxes(da, -4, -3)
         for mu in range(3):
             for nu in range(3):
@@ -98,6 +106,16 @@ class TestJetTypes:
                 assert (
                     np.max(np.abs(anti[mu, nu] - (amu @ anu - anu @ amu))) < 1e-14
                 )
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_n_axes_read_from_layout(self, n):
+        # the jet types share one ``n_axes``; Curvature keeps its own field
+        j2 = random_jet2(0, SU2, n, (4,))
+        jc = random_jet_connection(0, SU2, n, (4,))
+        jm = JetMatter(SU2, np.zeros((4, 2)), np.zeros((4, n, 2)))
+        assert j2.n_axes == j2.truncate().n_axes == jc.n_axes == jm.n_axes == n
+        assert curvature(jc).n_axes == n
+        assert np.array_equal(j2.group_element().entries, j2.truncate().group_element().entries)
 
     def test_curvature_packed_antisymmetry(self):
         # one component per pair mu < nu; swapping two base axes negates F_01
@@ -215,34 +233,42 @@ class TestJetGroupLaws:
             assert np.array_equal(jet.s, np.swapaxes(jet.s, -4, -3))
             Jet2Gauge(spec, jet.g, jet.a, jet.s)  # the public constructor accepts it
 
-    @given(st.sampled_from(MM_PATH), st.integers(0, 2**16))
+    @given(st.sampled_from(AD_PATH), st.integers(0, 2**16))
     @settings(max_examples=30, deadline=None)
     def test_pair_conjugation_matches_full_stack(self, case, seed):
-        """Where the ``mm`` path runs, conjugating each slot mu <= nu once and
-        mirroring it gives the bits of ``ad`` over all n^2 slots, in the product
-        and in the inverse.  The GEMM path (N >= 2, n >= 3) is checked against
-        these formulas within its rounding bound in ``test_lie_core``."""
+        """Where conjugation runs on ``ad``, conjugating each slot mu <= nu once
+        and mirroring it gives the bits of ``ad`` over all n^2 slots, in the
+        inverse and in the product's g and a.  The product's bracket takes the
+        GEMM of ``pair_products``, so its s is held to the ``mm`` formula
+        within that kernel's bound (``pair_tol``), plus 2 eps of the summands'
+        size for each of the three roundings that follow the products: the
+        two additions and the symmetrization.  The GEMM conjugation (N >= 2,
+        n >= 3) is checked in ``test_lie_core``."""
         spec, n = case
         x = random_jet2(seed, spec, n, (8,))
         y = random_jet2(seed + 1, spec, n, (8,))
-        adb = ad(x.g, y.a)
+        adb, ads = ad(x.g, y.a), ad(x.g, y.s)
         am, bn = x.a[..., :, None, :, :], adb[..., None, :, :, :]
-        t = ad(x.g, y.s) + x.s + mm(am, bn) - mm(bn, am)
-        ginv = dagger(x.g)
+        t = ads + x.s + mm(am, bn) - mm(bn, am)
+        tol, mag = pair_tol(am, bn)
+        tol += 6 * EPS * (np.abs(ads) + np.abs(x.s) + mag)
+        prod, ginv = jet2_mul(x, y), dagger(x.g)
         expected = (
-            (jet2_mul(x, y), (mm(x.g, y.g), x.a + adb, 0.5 * (t + np.swapaxes(t, -4, -3)))),
+            (prod, (mm(x.g, y.g), x.a + adb)),
             (jet2_inv(x), (ginv, -ad(ginv, x.a), -ad(ginv, x.s))),
         )
         for jet, fields in expected:
             for got, want in zip((jet.g, jet.a, jet.s), fields):
                 assert np.array_equal(got, want)
             assert np.array_equal(jet.s, np.swapaxes(jet.s, -4, -3))
+        sym_tol = 0.5 * (tol + np.swapaxes(tol, -4, -3))
+        assert np.all(np.abs(prod.s - 0.5 * (t + np.swapaxes(t, -4, -3))) <= sym_tol)
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_jet2_inv_peak_memory(self, n):
         # su3, 1000 points.  n = 4 (GEMM path) reads 1.876 s.nbytes: the result,
         # one K(g) and -Ad(g^-1) a, with the full stack of s read in place.
-        # n = 2 (mm path) reads 3.459: a product and a temporary per mm step
+        # n = 2 (``ad`` path) reads 3.459: a product and a temporary per mm step
         x = random_jet2(10, SU3, n, (1000,))
         jet2_inv(x)
         tracemalloc.start()
@@ -255,8 +281,8 @@ class TestJetGroupLaws:
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_jet2_mul_peak_memory(self, n):
-        # su3, 1000 points: at n = 4 (GEMM path) at most four s-sized arrays;
-        # n = 2 (mm path) reads 4.708 s.nbytes
+        # su3, 1000 points: at n = 4 (GEMM conjugation) at most four s-sized
+        # arrays; n = 2 (``ad`` conjugation, GEMM bracket) reads 3.753 s.nbytes
         x = random_jet2(10, SU3, n, (1000,))
         y = random_jet2(11, SU3, n, (1000,))
         jet2_mul(x, y)
@@ -266,7 +292,7 @@ class TestJetGroupLaws:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= {2: 4.71, 4: 4}[n] * out.s.nbytes
+        assert peak <= {2: 3.8, 4: 4}[n] * out.s.nbytes
 
 
 class TestJetsOfSampledFields:
@@ -369,16 +395,61 @@ class TestJetsOfSampledFields:
         assert d1 <= 50 * 0.02**2
         assert 3.5 <= d1 / d2 <= 4.5
 
-    def test_exact_jets_satisfy_maurer_cartan_via_product_law(self):
-        # analytic jets of a product family: flatness should hold to roundoff
-        # when the defect is evaluated with the exact derivative of a
-        j = random_jet2(21, SU2, 2)
-        da = j.da()
-        anti = da - np.swapaxes(da, -4, -3)
-        comm = np.einsum("mij,njk->mnik", j.a, j.a) - np.einsum(
-            "nij,mjk->mnik", j.a, j.a
-        )
-        assert np.max(np.abs(anti - comm)) < 1e-14
+
+def pair_tol(x, y):
+    """Entrywise bound of the two brackets' product rounding: ``pair_products``
+    forms x y and y x each within 2 sqrt(2) gamma_2N (|x| |y|)_ij of ``mm``'s
+    products (``lie_core.pair_products``); 1 + gamma_(N+4) covers the rounding of the
+    magnitudes themselves."""
+    big = x.shape[-1]
+    mag = mm(np.abs(x), np.abs(y)) + mm(np.abs(y), np.abs(x))
+    return 2 * np.sqrt(2) * gamma(2 * big) * (1 + gamma(big + 4)) * mag, mag
+
+
+class TestBracketsMatchMm:
+    """``curvature`` and ``maurer_cartan_defect`` take their brackets from one
+    ``pair_products`` stack; the per-pair ``mm`` formula stays here as the
+    oracle.  Beside the product bound of ``pair_tol``, the two additions on
+    each side round the results apart by at most 2 eps of the summands' size
+    each (complex rounding, sqrt(2) u per addition)."""
+
+    @given(st.sampled_from([U1, SU2, SU3, SU4]), st.integers(1, 4), st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_curvature(self, spec, n, seed):
+        jc = random_jet_connection(seed, spec, n, (3,))
+        got = curvature(jc).comps
+        assert got.shape == (3, len(curvature_pairs(n)), spec.n, spec.n)
+        for idx, (mu, nu) in enumerate(curvature_pairs(n)):
+            amu, anu = jc.A[..., mu, :, :], jc.A[..., nu, :, :]
+            d = jc.dA[..., mu, nu, :, :] - jc.dA[..., nu, mu, :, :]
+            want = d + mm(amu, anu) - mm(anu, amu)
+            tol, mag = pair_tol(amu, anu)
+            tol += 4 * EPS * (np.abs(jc.dA[..., mu, nu, :, :]) + np.abs(jc.dA[..., nu, mu, :, :]) + mag)
+            assert np.all(np.abs(got[..., idx, :, :] - want) <= tol)
+
+    @given(st.sampled_from([U1, SU2, SU3, SU4]), st.integers(1, 4), st.integers(0, 2**16))
+    @settings(max_examples=20, deadline=None)
+    def test_maurer_cartan_defect(self, spec, n, seed):
+        """The defect is a Frobenius norm per pair, so the per-entry bound enters
+        through its Frobenius norm, and the norm's own rounding, gamma_(2N^2+4)
+        of its value, is charged on both sides."""
+        patch = Patch((5,) * n, spacing=0.2)
+        family = random_gauge_family(seeded_rng(seed, "test-mc", spec.label()), spec, n, factors=2)
+        j1 = sample_gauge(patch, spec, family).jet1
+        a = j1.value.a
+        da = jet_connection_of(j1.with_value(AlgebraElement(spec, a))).value.dA
+        got = maurer_cartan_defect(j1).value
+        want, slack = np.zeros(patch.extent), np.zeros(patch.extent)
+        for mu, nu in curvature_pairs(n):
+            amu, anu = a[..., mu, :, :], a[..., nu, :, :]
+            d = da[..., mu, nu, :, :] - da[..., nu, mu, :, :] - (mm(amu, anu) - mm(anu, amu))
+            tol, mag = pair_tol(amu, anu)
+            tol += 4 * EPS * (np.abs(da[..., mu, nu, :, :]) + np.abs(da[..., nu, mu, :, :]) + mag)
+            np.maximum(want, frobenius(d), out=want)
+            np.maximum(slack, frobenius(tol), out=slack)
+        big = spec.n
+        assert got.shape == patch.extent
+        assert np.all(np.abs(got - want) <= slack + 2 * gamma(2 * big * big + 4) * want)
 
 
 class TestSplitAndCurvature:

@@ -13,7 +13,6 @@ from gaugejets.lie_core import (
     _exp_eigh,
     _gemm_pays,
     _kron,
-    _pairs_gemm,
     AlgebraElement,
     DimensionError,
     GroupElement,
@@ -368,11 +367,12 @@ GEMM_BATCHES = [(), (0,), (3,), (2, 4)]
 
 class TestGemmKernels:
     """The per-point GEMM kernels against the ``mm`` formulas, within the
-    bounds that ``_ad_kron`` and ``_pairs_gemm`` derive, entry by entry.  The
+    bounds that ``_ad_kron`` and ``pair_products`` derive, entry by entry.  The
     magnitude M is itself formed from rounded moduli (each within gamma_2)
     by real inner products of length N, so it is scaled by 1 + gamma_k to
-    cover its own rounding.  The public dispatchers give ``mm``'s bits
-    below ``GEMM_MIN_STACK`` and the GEMM's above it."""
+    cover its own rounding.  ``ad_stacks`` gives ``ad``'s bits below
+    ``GEMM_MIN_STACK`` and the GEMM's above it; ``pair_products`` is the
+    GEMM at every size."""
 
     @given(
         st.sampled_from([U1, SU2, SU3, SU4]),
@@ -419,11 +419,9 @@ class TestGemmKernels:
         want = mm(left, right)
         big = spec.n
         bound = 2 * np.sqrt(2) * gamma(2 * big) * (1 + gamma(big + 4)) * mm(np.abs(left), np.abs(right))
-        gemm = _pairs_gemm(x, y, reverse)
-        assert gemm.shape == want.shape == batch + (n, m, big, big)
-        assert np.all(np.abs(gemm - want) <= bound)
         got = pair_products(x, y, reverse)
-        assert np.array_equal(got, gemm if _gemm_pays(big, n * m) else want)
+        assert got.shape == want.shape == batch + (n, m, big, big)
+        assert np.all(np.abs(got - want) <= bound)
 
 
 class TestBasis:
