@@ -63,7 +63,6 @@ from .lagrangians import (
     covariant_derivative,
     gauge_density,
     matter_density_vec,
-    mechanics_action,
     utiyama_factor,
 )
 from .harness import Report, SuiteConfig, convergence_study, run

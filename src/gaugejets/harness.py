@@ -17,11 +17,12 @@ violation reaches the margin to within 1e-15.  Positive suites whose
 negative sub-check fails report ``inf``.
 
 Matter densities are evaluated on one covariant derivative (phi, D_A phi)
-per potential and matter jet.  The two action theorems, ``theorem_ginv1``
-(matter) and ``theorem_ginv2`` (gauge fields), share one study,
-``_action_invariance``, which integrates each density over the patch
-interior, sampled there alone, before and after every transformation and
-tracks the worst change; each suite judges that study itself.
+per potential and matter jet.  The three action suites, ``theorem_ginv1``
+(matter), ``theorem_ginv2`` (gauge fields) and ``mechanics_reduction``
+(matter on a line), share one study, ``_action_invariance``, which
+integrates each density over the patch interior, sampled there alone,
+before and after every transformation and tracks the worst change; each
+suite judges that study itself.
 
 ``run`` checks each configured suite once on the configured patch;
 ``converge`` repeats each across ``cfg.h_levels`` and judges the error
@@ -83,11 +84,9 @@ from .lagrangians import (
     _curvature_quadratic,
     _metric_signs,
     covariant_derivative,
-    free_velocity_density,
     gauge_densities,
     gauge_density,
     matter_density_vec,
-    mechanics_action,
     utiyama_factor,
 )
 from .lie_core import (
@@ -561,7 +560,7 @@ def _suite_utiyama_level_sets(cfg: SuiteConfig):
     n = cfg.patch.dim
     jc, jc_shifted = _utiyama_pairs(cfg)
     factored = utiyama_factor(
-        lambda f: _curvature_quadratic(f, n, cfg.metric), cfg.group, n, seed=cfg.seed
+        lambda f: _curvature_quadratic(f, cfg.metric), cfg.group, n, seed=cfg.seed
     )
     gap = _max(np.abs(factored(jc) - factored(jc_shifted)))
     same_f = _max(distance(curvature(jc), curvature(jc_shifted)))
@@ -588,7 +587,8 @@ def _action_invariance(points: Points, densities, base, moved) -> dict:
     density grid); ``base`` is the datum and ``moved`` yields its transforms,
     all sampled on ``points``, the points of the integration region alone.
     Returns the largest pointwise change of an invariant density there
-    (``pointwise``) and of its action (``action_err``), the region's
+    (``pointwise``), of its action (``action_err``) and the largest base
+    action an invariant density has (``scale``, as |S|), the region's
     ``points``, and the largest action change of the broken density
     (``broken_violation``).
     """
@@ -608,6 +608,7 @@ def _action_invariance(points: Points, densities, base, moved) -> dict:
     return {
         "pointwise": pointwise,
         "action_err": action_err,
+        "scale": max(map(abs, base_actions.values())),
         "points": points.npoints,
         "broken_violation": broken_violation,
     }
@@ -688,33 +689,31 @@ def _suite_mechanics_reduction(cfg: SuiteConfig):
     """
     spec = cfg.group
     line = cfg.patch if cfg.patch.dim == 1 else default_patch(1)
+    points = Points(line, line.interior(1))
     rng = seeded_rng(cfg.seed, "mechanics", spec.label())
     jc = _random(JetConnection, rng, spec, 1, 8)
     components = curvature(jc).comps.size
     if components != 0:
         return float("inf"), {"curvature_components": components}
-    ms = analytic.sample_matter(line, spec, analytic.random_matter_family(rng, spec, 1))
-    jet = _gauge(rng, spec, line).jet1.value
-    A = _connection(rng, spec, line).values.value
-    interval = line.interior(1)
-    jm = ms.jet.value
-    jm_moved = act_jet_matter(jet, jm)
-
-    s_plain = mechanics_action(free_velocity_density, ms.jet, interval)
-    s_plain_moved = mechanics_action(free_velocity_density, ms.jet.with_value(jm_moved), interval)
-    violation = abs(s_plain_moved - s_plain)
-
+    jm = analytic.sample_matter(points, spec, analytic.random_matter_family(rng, spec, 1)).jet.value
+    jet = _gauge(rng, spec, points).jet1.value
+    A = _connection(rng, spec, points).values.value
     free = _INVARIANT_MATTER["free"]
-    coupled = matter_density_vec(free, *covariant_derivative(A, jm), cfg.metric)
-    moved = covariant_derivative(act_connection(jet, A), jm_moved)
-    s_cov = integrate(Field(line, coupled), interval)
-    s_cov_moved = integrate(Field(line, matter_density_vec(free, *moved, cfg.metric)), interval)
-    cov_err = abs(s_cov_moved - s_cov)
-    scale = max(1.0, abs(s_cov))
-    err = cov_err / scale if violation > MATTER_VIOLATION else float("inf")
+
+    def densities(datum):
+        """The free density on (phi, D_A phi), and on the plain (phi, d phi) as the control."""
+        A, jm = datum
+        plain = (_trusted(RepVector, spec, jm.phi), _trusted(RepVector, spec, jm.dphi))
+        covariant = matter_density_vec(free, *covariant_derivative(A, jm), cfg.metric)
+        return {"free": covariant}, matter_density_vec(free, *plain, cfg.metric)
+
+    moved = [(act_connection(jet, A), act_jet_matter(jet, jm))]
+    study = _action_invariance(points, densities, (A, jm), moved)
+    scale, violation = max(1.0, study["scale"]), study["broken_violation"]
+    err = study["action_err"] / scale if violation > MATTER_VIOLATION else float("inf")
     return err, {
         "noncovariant_violation": violation,
-        "covariant_err": cov_err,
+        "covariant_err": study["action_err"],
         "scale": scale,
         "curvature_components": 0,
     }

@@ -1,4 +1,4 @@
-"""Matter and gauge-field densities, the covariant derivative, and the mechanics action.
+"""Matter and gauge-field densities and the covariant derivative.
 
 Index contractions use the Euclidean metric by default (densities stay
 positive and invariance tests unambiguous); a Minkowski flag flips the
@@ -37,7 +37,6 @@ from .lie_core import (
 )
 from .actions import act_curvature
 from .jets import Curvature, JetConnection, JetMatter, curvature, curvature_pairs, sym
-from .patch import Field, Region, integrate
 
 UTIYAMA_PROBES = 64  # random curvature samples in the conjugation-invariance probe
 UTIYAMA_TOL = 1e-10  # largest density change under conjugation the probe accepts
@@ -138,11 +137,11 @@ class MinimallyCoupledDensity:
 # ---------------------------------------------------------------------------
 # gauge sector
 
-def _curvature_quadratic(f: Curvature, n_axes: int, metric: str) -> np.ndarray:
-    pairs = curvature_pairs(n_axes)
+def _curvature_quadratic(f: Curvature, metric: str) -> np.ndarray:
+    pairs = curvature_pairs(f.n_axes)
     if not pairs:
         return np.zeros(f.batch_shape)
-    signs = _metric_signs(n_axes, metric)
+    signs = _metric_signs(f.n_axes, metric)
     weights = np.array([signs[mu] * signs[nu] for mu, nu in pairs])
     return np.einsum("p,...p->...", weights, frobenius(f.comps) ** 2)
 
@@ -162,7 +161,7 @@ def gauge_density(
 
 def gauge_densities(specs, jc: JetConnection, metric: str = "euclidean") -> list[np.ndarray]:
     """``gauge_density`` of each spec on one connection jet, from one field strength."""
-    quad = _curvature_quadratic(curvature(jc), jc.n_axes, metric)
+    quad = _curvature_quadratic(curvature(jc), metric)
     out = []
     for spec in specs:
         if spec.kind is GaugeKind.YANG_MILLS:
@@ -211,31 +210,6 @@ def utiyama_factor(
     return FactoredGaugeDensity(curvature_density)
 
 
-# ---------------------------------------------------------------------------
-# mechanics
-
-def mechanics_action(
-    density: Callable[[RepVector, RepVector], np.ndarray], curve: Field, interval: Region
-) -> float:
-    """Action of a curve on a one-dimensional patch.
-
-    ``curve`` is a Field[JetMatter] over a 1-d patch (value and velocity);
-    ``density`` maps (q, qdot) to a real scalar.
-    """
-    if curve.patch.dim != 1:
-        raise DimensionError("mechanics actions require a one-dimensional patch")
-    jm: JetMatter = curve.value
-    q = _trusted(RepVector, jm.spec, jm.phi)
-    qdot = _trusted(RepVector, jm.spec, jm.dphi[..., 0, :])
-    vals = np.asarray(density(q, qdot), dtype=float)
-    return integrate(curve.with_value(vals), interval)
-
-
-def free_velocity_density(q: RepVector, qdot: RepVector) -> np.ndarray:
-    """|qdot|^2; the mechanics analogue of the free matter density."""
-    return np.sum((qdot.entries.conj() * qdot.entries).real, axis=-1)
-
-
 __all__ = [
     "MatterKind",
     "GaugeKind",
@@ -248,6 +222,4 @@ __all__ = [
     "gauge_densities",
     "FactoredGaugeDensity",
     "utiyama_factor",
-    "mechanics_action",
-    "free_velocity_density",
 ]

@@ -221,10 +221,10 @@ def integrate(density: Field, region: Region) -> float:
     return math.fsum(block.ravel(order="C").tolist()) * grid.cell_volume
 
 
-def default_patch(dim: int, spacing: float = 0.05, origin=0.0) -> Patch:
-    """Desk-scale default grids: 257 / 64^2 / 16^3 / 12^4 points."""
+def default_patch(dim: int) -> Patch:
+    """Desk-scale default grids at spacing 0.05: 257 / 64^2 / 16^3 / 12^4 points."""
     extent = {1: (257,), 2: (64, 64), 3: (16, 16, 16), 4: (12, 12, 12, 12)}[dim]
-    return Patch(extent, spacing, origin)
+    return Patch(extent)
 
 
 __all__ = [

@@ -35,7 +35,6 @@ from gaugejets.jets import (
     jet1_of,
     jet2_mul,
 )
-from gaugejets.lagrangians import free_velocity_density, mechanics_action
 from gaugejets.lie_core import (
     ATOL,
     AlgebraElement,
@@ -201,15 +200,6 @@ def test_matter_sampler_checks_each_slot_once(checked):
     # phi and dphi, each finite; the values are cut from the checked jet
     assert checked == [patch.extent + (spec.rep_dim,), patch.extent + (N_AXES, spec.rep_dim)]
     assert np.array_equal(sample.values.value.entries, sample.jet.value.phi)
-
-
-def test_mechanics_action_runs_no_check(checked):
-    spec = SPECS["su2"]
-    line = Patch((33,), spacing=0.1)
-    curve = sample_matter(line, spec, random_matter_family(seeded_rng(5, "checks"), spec, 1)).jet
-    checked.clear()
-    mechanics_action(free_velocity_density, curve, line.interior(1))
-    assert checked == []
 
 
 @pytest.mark.parametrize("op", sorted(OPS))

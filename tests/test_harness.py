@@ -1,12 +1,14 @@
 """Harness configuration, reports, determinism, and the CLI surface."""
 
 import json
+import math
 import re
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaugejets import analytic, harness, lie_core
 from gaugejets.cli import main as cli_main
@@ -14,6 +16,7 @@ from gaugejets.harness import (
     ConfigError,
     SUITES,
     SuiteConfig,
+    SuiteResult,
     UnknownSuiteError,
     _random,
     convergence_study,
@@ -30,7 +33,7 @@ from gaugejets.lie_core import (
     random_algebra_entries,
     seeded_rng,
 )
-from gaugejets.patch import Patch
+from gaugejets.patch import Patch, default_patch
 
 FAST_SUITES = (
     "action_axioms",
@@ -289,13 +292,14 @@ def test_every_suite_draws_for_the_configured_group(spec, monkeypatch):
         assert seen and all(s == spec for s in seen), (suite, seen)
 
 
-@pytest.mark.parametrize("suite", ["theorem_ginv1", "theorem_ginv2"])
+@pytest.mark.parametrize("suite", ["theorem_ginv1", "theorem_ginv2", "mechanics_reduction"])
 @pytest.mark.parametrize("patch", [Patch((7, 6), 0.2), Patch((5, 6, 5, 7), 0.15)], ids=["2d", "4d"])
 def test_theorem_suites_sample_only_their_region(suite, patch, monkeypatch):
-    """The action theorems integrate over ``patch.interior(1)``, so every
-    sampled family and every ``exp`` of a sampled group field covers exactly
-    its points; the closed forms need no boundary layer."""
-    interior = patch.interior(1)
+    """The action suites integrate over ``interior(1)`` of their patch (for
+    ``mechanics_reduction`` the default line, these patches not being 1-D), so
+    every sampled family and every ``exp`` of a sampled group field covers
+    exactly its points; the closed forms need no boundary layer."""
+    interior = (default_patch(1) if suite == "mechanics_reduction" else patch).interior(1)
     shape = tuple(b - a for a, b in zip(interior.lo, interior.hi))
     grids = []
 
@@ -314,6 +318,56 @@ def test_theorem_suites_sample_only_their_region(suite, patch, monkeypatch):
     run_suite(small_cfg(group=group_spec("su3"), patch=patch), suite)
     assert {name for name, _ in grids} >= {"sample_gauge", "sample_connection", "exp"}
     assert all(grid == shape for _, grid in grids), grids
+
+
+def _schema_groups(max_n):
+    """u1 and su2 to su(max_n), each in its fundamental and adjoint representation."""
+    out = [group_spec("u1")]
+    for n in range(2, max_n + 1):
+        fundamental = group_spec({2: "su2", 3: "su3"}.get(n, "sun"), n=n)
+        out += [fundamental, group_spec(fundamental.family.value, n=n, rep_dim=n * n - 1)]
+    return out
+
+
+@st.composite
+def accepted_configs(draw, max_n):
+    """A config the schema accepts: 1-4-D, extents 5-9 (at most 2,000 points),
+    per-axis spacing 1e-4 to 2, origin within +-1e3, either metric."""
+    dim = draw(st.integers(1, 4))
+
+    def per_axis(values):
+        return st.lists(values, min_size=dim, max_size=dim).map(tuple)
+
+    extent = draw(per_axis(st.integers(5, 9)).filter(lambda e: math.prod(e) <= 2000))
+    spacing = draw(per_axis(st.floats(-4.0, math.log10(2.0)).map(lambda e: 10.0**e)))
+    return SuiteConfig(
+        group=draw(st.sampled_from(_schema_groups(max_n))),
+        patch=Patch(extent, spacing, draw(per_axis(st.floats(-1e3, 1e3)))),
+        seed=draw(st.integers(0, 2**31 - 1)),
+        metric=draw(st.sampled_from(["euclidean", "minkowski"])),
+    )
+
+
+def _every_suite_ends_in_a_verdict(cfg):
+    for suite in SUITES:
+        result = run_suite(cfg, suite)
+        assert isinstance(result, SuiteResult) and result.status in ("pass", "fail"), suite
+        assert not math.isnan(result.max_error), suite
+
+
+@given(accepted_configs(max_n=4))
+@settings(max_examples=4, derandomize=True, deadline=None)
+def test_every_accepted_config_ends_in_a_verdict(cfg):
+    """Every suite returns a verdict, pass or fail, finite or ``inf``, and never
+    raises, for any config the schema accepts."""
+    _every_suite_ends_in_a_verdict(cfg)
+
+
+@pytest.mark.slow
+@given(accepted_configs(max_n=6))
+@settings(max_examples=25, deadline=None)
+def test_every_accepted_config_ends_in_a_verdict_up_to_su6(cfg):
+    _every_suite_ends_in_a_verdict(cfg)
 
 
 def test_jet_group_axioms_ignore_the_representation():

@@ -1,12 +1,13 @@
 """Source hygiene: every module uses each name it imports, the fiber
 modules multiply matrices through the ``lie_core`` kernels and bracket
-jet stacks through ``pair_products``, only ``lie_core`` builds
-representation matrices, every fiber type declares its arrays in one
-``Fiber.LAYOUT``, no two of them alike, every fiber type has a JGF1 kind, only ``jets``
-symmetrizes in (mu, nu) or differences fields beside ``patch``, every
-suite is registered by the ``@_suite`` decorator on its function, every
-function the benchmark tracer wraps still exists, and every definition has
-a caller outside the tests.
+stacks through ``pair_products``, one study takes every action integral,
+only ``lie_core`` builds representation matrices, every fiber type
+declares its arrays in one ``Fiber.LAYOUT``, no two of them alike, every
+fiber type has a JGF1 kind, only ``jets`` symmetrizes in (mu, nu) or
+differences fields beside ``patch``, every suite is registered by the
+``@_suite`` decorator on its function, every function the benchmark
+tracer wraps still exists, and every definition has a caller outside the
+tests.
 
 No linter ships with the test dependencies, so this AST scan stands in for
 the unused-import check: a name counts as used when the module reads it
@@ -127,13 +128,43 @@ def _commutator_lines(tree: ast.Module) -> list[int]:
     return sorted(lines)
 
 
-@pytest.mark.parametrize("name", ["jets.py", "actions.py"])
+# ``lie_core.bracket`` brackets two grids of single matrices, not a stack
+SPELLED_BRACKETS = {"lie_core.py": "bracket"}
+
+
+@pytest.mark.parametrize("name", ["jets.py", "actions.py", "lie_core.py"])
 def test_brackets_use_pair_products(name):
-    """The jet laws, the connection law, ``curvature`` and the flatness defect
-    take their brackets from ``pair_products`` as P[mu, nu] - P[nu, mu]; none
-    spells a bracket out as ``mm(x, y) - mm(y, x)``."""
-    lines = _commutator_lines(ast.parse((SRC / name).read_text(), filename=name))
+    """The jet laws, the connection law, ``curvature``, the flatness defect and
+    the structure constants take their brackets from ``pair_products`` as
+    P[mu, nu] - P[nu, mu]; only ``lie_core.bracket`` spells a bracket out as
+    ``mm(x, y) - mm(y, x)``."""
+    tree = ast.parse((SRC / name).read_text(), filename=name)
+    allowed = SPELLED_BRACKETS.get(name)
+    tree.body = [node for node in tree.body if getattr(node, "name", None) != allowed]
+    lines = _commutator_lines(tree)
     assert not lines, f"{name} spells out a bracket on lines {lines}; use pair_products"
+
+
+def _callers(tree: ast.Module, name: str) -> set[str]:
+    """The top-level definition (or ``<module>``) around each call of ``name``."""
+    return {
+        getattr(node, "name", "<module>")
+        for node in tree.body
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "id", getattr(call.func, "attr", None)) == name
+    }
+
+
+def test_only_the_action_study_integrates():
+    """Every action integral is taken in one place, ``harness._action_invariance``,
+    on the points of the region it integrates."""
+    callers = {
+        f"{path.name}:{where}"
+        for path in MODULES
+        for where in _callers(ast.parse(path.read_text(), filename=str(path)), "integrate")
+    }
+    assert callers == {"harness.py:_action_invariance"}
 
 
 REP_BUILDERS = {"rep_matrix", "rep_algebra_matrix"}
@@ -320,7 +351,7 @@ def test_traced_names_resolve(monkeypatch):
 
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 # called by name from nowhere: the ``@_suite`` decorator registers ``_suite_*``,
-# and ``algebra_from_coords`` stays for the relative bounds of ROADMAP item 5
+# and ``algebra_from_coords`` stays for the adjoint coordinates of ROADMAP item 6
 UNCALLED = {"algebra_from_coords"}
 
 

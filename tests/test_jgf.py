@@ -1,5 +1,6 @@
 """JGF1 field file round trips and header handling."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -202,17 +203,29 @@ def _set_first_entry(raw: bytes, value: complex) -> bytes:
     return raw[:start] + np.array([value], dtype="<c16").tobytes() + raw[start + 16 :]
 
 
+def _as_large_algebra(raw: bytes) -> bytes:
+    """The su2 group file as an algebra field of entries up to 1e6, whose first
+    matrix is off the algebra by 2e-3, above 1e-12 of its norm."""
+    start = raw.index(b"value_kind group\n") + len(b"value_kind group\n")
+    x = 1e6 * random_algebra_entries(seeded_rng(13, "jgf-large"), SU2, ((len(raw) - start) // 64,))
+    x[0, 0, 0] += 1e-3
+    return raw[:start].replace(b"value_kind group", b"value_kind algebra") + x.astype("<c16").tobytes()
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
         lambda raw: _set_first_entry(raw, 2.0),
+        _as_large_algebra,
         lambda raw: _set_first_entry(raw, complex("nan")),
         lambda raw: raw.replace(b"family su2", b"family xyz", 1),
         lambda raw: raw.replace(b"dim 2", b"dim x", 1),
         lambda raw: raw.replace(b"spacing 0.1 0.1", b"spacing nan 0.1", 1),
         lambda raw: raw[: raw.index(b"spacing")],
     ],
-    ids=["non-unitary", "nan", "family", "dim", "spacing-nan", "header-cut"],
+    ids=[
+        "non-unitary", "large-not-antihermitian", "nan", "family", "dim", "spacing-nan", "header-cut"
+    ],
 )
 def test_corrupt_file_is_format_error(tmp_path, patch, capsys, corrupt):
     path = tmp_path / "bad.jgf1"
@@ -223,6 +236,21 @@ def test_corrupt_file_is_format_error(tmp_path, patch, capsys, corrupt):
     assert cli_main(["inspect", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_far_origin_connection_round_trips(tmp_path, capsys):
+    """su3 at origin 300 has potentials with entries ~1e4, whose rounded trace
+    (3.6e-12) is far below 1e-12 of their norm: the file ``sample`` writes,
+    ``inspect`` and ``read_field`` read back."""
+    patch = {"extent": [16, 16], "spacing": 0.2, "origin": [300, 0]}
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "far.jgf1"
+    cfg_path.write_text(json.dumps({"group": {"family": "su3"}, "patch": patch}))
+    sample = ["sample", "--config", str(cfg_path), "--kind", "connection", "--out", str(out)]
+    assert cli_main(sample) == 0
+    assert cli_main(["inspect", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    back = read_field(out).value
+    assert back.spec == SU3 and np.max(np.abs(back.entries)) > 1e3
 
 
 def test_longest_legal_header_line_fits(tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from gaugejets.lie_core import (
     ATOL,
     _ad_kron,
+    _coords,
     _exp_eigh,
     _gemm_pays,
     _kron,
@@ -108,9 +109,10 @@ class TestStructuralChecks:
         st.sampled_from([(), (0,), (6,), (2, 3, 2)]),
         st.floats(-14.0, -10.0),
         st.integers(0, 2**16),
+        st.sampled_from([1.0, 1e4]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_defects_match_the_full_matrix_formulas(self, spec, shape, log_noise, seed):
+    def test_defects_match_the_full_matrix_formulas(self, spec, shape, log_noise, seed, scale):
         rng = seeded_rng(seed, "defects")
         n = spec.n
 
@@ -119,10 +121,11 @@ class TestStructuralChecks:
             return m + 10.0**log_noise * noise
 
         g = noisy(exp(AlgebraElement(spec, random_algebra_entries(rng, spec, shape))).entries)
-        x = noisy(random_algebra_entries(rng, spec, shape))
+        x = scale * noisy(random_algebra_entries(rng, spec, shape))
         cases = [
             (assert_unitary, g, frobenius(mm(dagger(g), g) - np.eye(n))),
-            (assert_antihermitian, x, frobenius(dagger(x) + x)),
+            # anti-hermitian defects are judged relative to max(1, ||x||_F)
+            (assert_antihermitian, x, frobenius(dagger(x) + x) / np.maximum(1.0, frobenius(x))),
         ]
         for check, m, reference in cases:
             want = float(np.max(reference, initial=0.0))
@@ -533,6 +536,17 @@ class TestStructureConstants:
         assert np.array_equal(f, -np.swapaxes(f, 0, 2))
         # (a, b) antisymmetry is ad-invariance of the inner product: only to roundoff
         assert np.max(np.abs(f + np.swapaxes(f, 1, 2))) <= rep_tol(spec)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_pair_products_build_the_mm_brackets_bit_for_bit(self, n):
+        """f is built from one ``pair_products`` of the basis; for a basis with at
+        most two non-zeros per row every product sum adds exact zeros, so it
+        equals the tensor built from ``mm(T_c, T_b) - mm(T_b, T_c)``."""
+        spec = group_spec("sun", n)
+        basis = algebra_basis(spec)
+        tc, tb = basis[:, None], basis[None, :]
+        f = np.swapaxes(_coords(spec, mm(tc, tb) - mm(tb, tc)), 1, 2)
+        assert np.array_equal(structure_constants(spec), 0.5 * (f - np.swapaxes(f, 0, 2)))
 
     @given(st.sampled_from(ADJOINT_SPECS), st.integers(0, 2**16))
     @settings(max_examples=30, deadline=None)
