@@ -1,7 +1,9 @@
 """Write the verdict ledger: one row per (config, suite) of a fixed config matrix.
 
 Each row pins the suite's status, its tolerance and its ``max_error``, both
-written as ``float.hex``; timing is dropped.  ``tests/test_ledger.py`` reruns
+written as ``float.hex``, and the sha256 of its ``details`` as sorted JSON;
+timing is dropped, so the ledger checks that reports stay byte-identical
+apart from timing.  ``tests/test_ledger.py`` reruns
 the matrix and names every row that moved.  The ledger is a record, not a
 gate: a change that moves a row regenerates the file with this script and
 lists the moved rows, and every pass-to-fail flip, in CHANGES.md.
@@ -20,6 +22,7 @@ Run from the root of a source checkout:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 import time
@@ -80,6 +83,7 @@ def rows(config: dict) -> list[dict]:
             "status": r.status,
             "tolerance": float.hex(r.tolerance),
             "max_error": float.hex(r.max_error),
+            "details": hashlib.sha256(json.dumps(r.details, sort_keys=True).encode()).hexdigest(),
         }
         for r in report.suites
     ]

@@ -1,5 +1,5 @@
 """The verdict ledger: each (config, suite) row of ``ledger.json`` reruns to the
-same status, tolerance and ``max_error`` bits.
+same status, tolerance and ``max_error`` bits, and the same ``details`` digest.
 
 ``make_ledger.py`` defines the matrix and writes the file; the configs
 outside its ``FAST`` set run under the ``slow`` marker (``pytest -m slow``).
