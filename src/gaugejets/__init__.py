@@ -55,16 +55,7 @@ from .actions import (
     gauge_to_zero_jet1,
     gauge_to_zero_jet2,
 )
-from .lagrangians import (
-    GaugeKind,
-    GaugeLagrangianSpec,
-    MatterKind,
-    MatterLagrangianSpec,
-    covariant_derivative,
-    gauge_density,
-    matter_density_vec,
-    utiyama_factor,
-)
+from .lagrangians import covariant_derivative, gauge_density, matter_density, utiyama_factor
 from .harness import Report, SuiteConfig, convergence_study, run
 
 __version__ = "0.1.0"

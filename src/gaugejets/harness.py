@@ -77,16 +77,11 @@ from .jets import (
     sym,
 )
 from .lagrangians import (
-    GaugeKind,
-    GaugeLagrangianSpec,
-    MatterKind,
-    MatterLagrangianSpec,
     _curvature_quadratic,
     _metric_signs,
     covariant_derivative,
-    gauge_densities,
     gauge_density,
-    matter_density_vec,
+    matter_density,
     utiyama_factor,
 )
 from .lie_core import (
@@ -174,6 +169,8 @@ class SuiteConfig:
             object.__setattr__(self, "seed", operator.index(self.seed))
         except TypeError:
             raise ConfigError(f"seed must be an integer, got {self.seed!r}") from None
+        if not 0 <= self.seed < 2**32:
+            raise ConfigError(f"seed must be in [0, 2**32), got {self.seed}")
         try:
             _metric_signs(1, self.metric)
         except ValueError as exc:
@@ -306,14 +303,8 @@ def _connection(rng, spec: GroupSpec, patch: Patch | Points, scale: float = 1.0)
     return analytic.sample_connection(patch, spec, fam)
 
 
-# the densities of the invariance suites; the broken kinds are the negative controls
-_INVARIANT_MATTER = {
-    "free": MatterLagrangianSpec(MatterKind.FREE),
-    "phi4": MatterLagrangianSpec(MatterKind.PHI4, lam=0.5, v=1.0),
-}
-_BROKEN_MATTER = MatterLagrangianSpec(MatterKind.BROKEN, c=1.0)
-_YANG_MILLS = GaugeLagrangianSpec(GaugeKind.YANG_MILLS, coupling=1.0)
-_BROKEN_GAUGE = GaugeLagrangianSpec(GaugeKind.BROKEN_GAUGE, coupling=1.0)
+# the matter densities of the invariance suites; "broken" is the negative control
+_INVARIANT_MATTER = ("free", "phi4")
 
 
 def _interior_max(err_grid: np.ndarray, patch: Patch, margin: int) -> float:
@@ -524,10 +515,9 @@ def _suite_minimal_coupling_invariance(cfg: SuiteConfig):
     phi2, dphi2 = covariant_derivative(act_connection(jets, A), act_jet_matter(jets, jm))
     g = jets.group_element()
     equiv = max(_max(distance(phi2, rep_act(g, phi))), _max(distance(dphi2, rep_act(g, dphi))))
+    moved, base = matter_density(phi2, dphi2, cfg.metric), matter_density(phi, dphi, cfg.metric)
     errs = {"equivariance": equiv}
-    for kind, spec in _INVARIANT_MATTER.items():
-        moved = matter_density_vec(spec, phi2, dphi2, cfg.metric)
-        errs[kind] = _max(np.abs(moved - matter_density_vec(spec, phi, dphi, cfg.metric)))
+    errs.update((k, _max(np.abs(moved[k] - base[k]))) for k in _INVARIANT_MATTER)
     return max(errs.values()), errs
 
 
@@ -538,9 +528,9 @@ def _suite_minimal_coupling_invariance(cfg: SuiteConfig):
 )
 def _suite_minimal_coupling_negative(cfg: SuiteConfig):
     jets, jm, A = _coupling_data(cfg)
-    base = matter_density_vec(_BROKEN_MATTER, *covariant_derivative(A, jm), cfg.metric)
+    base = matter_density(*covariant_derivative(A, jm), cfg.metric)["broken"]
     moved = covariant_derivative(act_connection(jets, A), act_jet_matter(jets, jm))
-    violation = _max(np.abs(matter_density_vec(_BROKEN_MATTER, *moved, cfg.metric) - base))
+    violation = _max(np.abs(matter_density(*moved, cfg.metric)["broken"] - base))
     shortfall = max(0.0, MATTER_VIOLATION - violation)
     return shortfall, {"violation": violation, "required": MATTER_VIOLATION}
 
@@ -574,8 +564,8 @@ def _suite_utiyama_level_sets(cfg: SuiteConfig):
 )
 def _suite_utiyama_negative(cfg: SuiteConfig):
     jc, jc_shifted = _utiyama_pairs(cfg)
-    shifted = gauge_density(_BROKEN_GAUGE, jc_shifted, cfg.metric)
-    violation = float(np.min(np.abs(gauge_density(_BROKEN_GAUGE, jc, cfg.metric) - shifted)))
+    shifted = gauge_density(jc_shifted, cfg.metric)["broken"]
+    violation = float(np.min(np.abs(gauge_density(jc, cfg.metric)["broken"] - shifted)))
     shortfall = max(0.0, GAUGE_VIOLATION - violation)
     return shortfall, {"min_violation": violation, "required": GAUGE_VIOLATION}
 
@@ -628,9 +618,8 @@ def _suite_theorem_ginv1(cfg: SuiteConfig):
 
     def densities(datum):
         """The invariant densities by name and the broken one, from one covariant derivative."""
-        phi, dphi = covariant_derivative(*datum)
-        vals = {k: matter_density_vec(s, phi, dphi, cfg.metric) for k, s in _INVARIANT_MATTER.items()}
-        return vals, matter_density_vec(_BROKEN_MATTER, phi, dphi, cfg.metric)
+        vals = matter_density(*covariant_derivative(*datum), cfg.metric)
+        return {k: vals[k] for k in _INVARIANT_MATTER}, vals["broken"]
 
     # generators: each transform is drawn from rng only when the study reaches it
     jets = (_gauge(rng, spec, points).jet1.value for _ in range(GINV_TRANSFORMS))
@@ -653,8 +642,8 @@ def _suite_theorem_ginv2(cfg: SuiteConfig):
     jc: JetConnection = _connection(rng, spec, points).jet.value
 
     def densities(jc):
-        ym, broken = gauge_densities((_YANG_MILLS, _BROKEN_GAUGE), jc, cfg.metric)
-        return {"yang_mills": ym}, broken
+        vals = gauge_density(jc, cfg.metric)
+        return {"yang_mills": vals["yang_mills"]}, vals["broken"]
 
     jets = (_gauge(rng, spec, points).jet2.value for _ in range(GINV_TRANSFORMS))
     study = _action_invariance(points, densities, jc, (act_jet_connection(jet, jc) for jet in jets))
@@ -698,14 +687,13 @@ def _suite_mechanics_reduction(cfg: SuiteConfig):
     jm = analytic.sample_matter(points, spec, analytic.random_matter_family(rng, spec, 1)).jet.value
     jet = _gauge(rng, spec, points).jet1.value
     A = _connection(rng, spec, points).values.value
-    free = _INVARIANT_MATTER["free"]
 
     def densities(datum):
         """The free density on (phi, D_A phi), and on the plain (phi, d phi) as the control."""
         A, jm = datum
         plain = (_trusted(RepVector, spec, jm.phi), _trusted(RepVector, spec, jm.dphi))
-        covariant = matter_density_vec(free, *covariant_derivative(A, jm), cfg.metric)
-        return {"free": covariant}, matter_density_vec(free, *plain, cfg.metric)
+        covariant = matter_density(*covariant_derivative(A, jm), cfg.metric)["free"]
+        return {"free": covariant}, matter_density(*plain, cfg.metric)["free"]
 
     moved = [(act_connection(jet, A), act_jet_matter(jet, jm))]
     study = _action_invariance(points, densities, (A, jm), moved)

@@ -1,5 +1,10 @@
 """Matter and gauge-field densities and the covariant derivative.
 
+The harness checks five densities, each spelled once: ``matter_density``
+returns the matter ones (free, phi4 and a broken control) from one kinetic
+term, ``gauge_density`` the gauge-field ones (Yang-Mills and a broken
+control) from one field strength.
+
 Index contractions use the Euclidean metric by default (densities stay
 positive and invariance tests unambiguous); a Minkowski flag flips the
 signs of the spatial contractions and affects nothing else.  The algebra
@@ -9,13 +14,12 @@ The covariant derivative is D_mu phi = d_mu phi + A_mu . phi (infinitesimal
 representation action).  With the affine potential transformation
 Ad(g) A - a this sign makes D equivariant: D_{g.A}(g.phi) = g . D_A phi,
 which is what turns a globally invariant density into a gauge invariant
-one under minimal coupling: evaluate ``matter_density_vec`` on
+one under minimal coupling: evaluate ``matter_density`` on
 ``covariant_derivative(A, jm)``.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,41 +46,6 @@ UTIYAMA_PROBES = 64  # random curvature samples in the conjugation-invariance pr
 UTIYAMA_TOL = 1e-10  # largest density change under conjugation the probe accepts
 
 
-class MatterKind(str, enum.Enum):
-    FREE = "free"
-    PHI4 = "phi4"
-    BROKEN = "broken"
-
-
-class GaugeKind(str, enum.Enum):
-    YANG_MILLS = "yang_mills"
-    BROKEN_GAUGE = "broken_gauge"
-
-
-@dataclass(frozen=True)
-class MatterLagrangianSpec:
-    kind: MatterKind
-    lam: float = 0.0
-    v: float = 0.0
-    c: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "kind", MatterKind(self.kind))
-        if self.lam < 0:
-            raise ValueError("quartic coupling must be non-negative")
-
-
-@dataclass(frozen=True)
-class GaugeLagrangianSpec:
-    kind: GaugeKind
-    coupling: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "kind", GaugeKind(self.kind))
-        if self.coupling <= 0:
-            raise ValueError("gauge coupling must be positive")
-
-
 def _metric_signs(n: int, metric: str) -> np.ndarray:
     if metric == "euclidean":
         return np.ones(n)
@@ -98,40 +67,35 @@ def covariant_derivative(A: AlgebraElement, jm: JetMatter) -> tuple[RepVector, R
     return phi, _trusted(RepVector, jm.spec, jm.dphi + fundamental_vector_field(A, phi).entries)
 
 
-def matter_density_vec(
-    spec: MatterLagrangianSpec, phi: RepVector, dphi: RepVector, metric: str = "euclidean"
-) -> np.ndarray:
-    """Density on (phi, velocity tuple); the globally invariant layer.
+def matter_density(phi: RepVector, dphi: RepVector, metric: str = "euclidean") -> dict:
+    """The matter densities on (phi, velocity tuple) by name; the globally invariant layer.
 
-    free: sum_mu <dphi_mu, dphi_mu>; phi4 adds lam (|phi|^2 - v^2)^2;
-    broken adds c Re(phi_1) and is the negative control.
+    All three share one kinetic term, sum_mu <dphi_mu, dphi_mu>: ``free`` is
+    that term, ``phi4`` adds (|phi|^2 - 1)^2 / 2, and ``broken`` adds Re(phi_1)
+    and is the negative control.
     """
     if dphi.entries.ndim < 2:
         raise DimensionError("expected a stacked velocity tuple (..., n_axes, k)")
     signs = _metric_signs(dphi.entries.shape[-2], metric)
-    kinetic = np.einsum(
-        "m,...mj->...", signs, (dphi.entries.conj() * dphi.entries).real
-    )
-    out = kinetic
-    if spec.kind is MatterKind.PHI4:
-        norm2 = np.sum((phi.entries.conj() * phi.entries).real, axis=-1)
-        out = out + spec.lam * (norm2 - spec.v**2) ** 2
-    elif spec.kind is MatterKind.BROKEN:
-        out = out + spec.c * phi.entries[..., 0].real
-    return out
+    kinetic = np.einsum("m,...mj->...", signs, (dphi.entries.conj() * dphi.entries).real)
+    norm2 = np.sum((phi.entries.conj() * phi.entries).real, axis=-1)
+    return {
+        "free": kinetic,
+        "phi4": kinetic + 0.5 * (norm2 - 1.0) ** 2,
+        "broken": kinetic + phi.entries[..., 0].real,
+    }
 
 
 # Nothing constructs this any more; it goes once the benchmark tracer drops it (ROADMAP item 2).
 @dataclass(frozen=True)
 class MinimallyCoupledDensity:
-    """Density on (A, phi, dphi) obtained by replacing d with D_A."""
+    """The ``matter_density`` named ``kind`` on (A, phi, dphi), with d replaced by D_A."""
 
-    spec: MatterLagrangianSpec
+    kind: str
     metric: str = "euclidean"
 
     def __call__(self, A: AlgebraElement, jm: JetMatter) -> np.ndarray:
-        phi, dphi = covariant_derivative(A, jm)
-        return matter_density_vec(self.spec, phi, dphi, metric=self.metric)
+        return matter_density(*covariant_derivative(A, jm), self.metric)[self.kind]
 
 
 # ---------------------------------------------------------------------------
@@ -146,40 +110,15 @@ def _curvature_quadratic(f: Curvature, metric: str) -> np.ndarray:
     return np.einsum("p,...p->...", weights, frobenius(f.comps) ** 2)
 
 
-def gauge_density(
-    spec: GaugeLagrangianSpec, jc: JetConnection, metric: str = "euclidean"
-) -> np.ndarray:
-    """First-order gauge-field density.
+def gauge_density(jc: JetConnection, metric: str = "euclidean") -> dict:
+    """The first-order gauge-field densities by name, from one field strength.
 
-    yang_mills reads the connection jet only through its field strength;
-    broken_gauge additionally reads the symmetric derivative and serves as
-    the negative control.
+    ``yang_mills`` reads the connection jet only through its field strength;
+    ``broken`` also reads the symmetric derivative and is the negative control.
     """
-    (density,) = gauge_densities((spec,), jc, metric)
-    return density
-
-
-def gauge_densities(specs, jc: JetConnection, metric: str = "euclidean") -> list[np.ndarray]:
-    """``gauge_density`` of each spec on one connection jet, from one field strength."""
     quad = _curvature_quadratic(curvature(jc), metric)
-    out = []
-    for spec in specs:
-        if spec.kind is GaugeKind.YANG_MILLS:
-            out.append(quad / (2.0 * spec.coupling**2))
-        else:
-            sym_term = np.sum(frobenius(sym(jc.dA)) ** 2, axis=(-2, -1))
-            out.append((quad + sym_term) / (2.0 * spec.coupling**2))
-    return out
-
-
-@dataclass(frozen=True)
-class FactoredGaugeDensity:
-    """Gauge-field density of the form L(A, dA) = L_curv(F_(A, dA))."""
-
-    curvature_density: Callable[[Curvature], np.ndarray]
-
-    def __call__(self, jc: JetConnection) -> np.ndarray:
-        return np.asarray(self.curvature_density(curvature(jc)))
+    sym_term = np.sum(frobenius(sym(jc.dA)) ** 2, axis=(-2, -1))
+    return {"yang_mills": quad / 2.0, "broken": (quad + sym_term) / 2.0}
 
 
 def utiyama_factor(
@@ -187,7 +126,7 @@ def utiyama_factor(
     spec: GroupSpec,
     n_axes: int,
     seed: int = 0,
-) -> FactoredGaugeDensity:
+) -> Callable[[JetConnection], np.ndarray]:
     """Lift a conjugation-invariant curvature density to the connection jet.
 
     Probes the invariance of ``curvature_density`` under conjugation on
@@ -207,19 +146,13 @@ def utiyama_factor(
             f"(defect {defect:.3e} > {UTIYAMA_TOL:g}); "
             "it does not define a gauge invariant density on connection jets"
         )
-    return FactoredGaugeDensity(curvature_density)
+    return lambda jc: np.asarray(curvature_density(curvature(jc)))
 
 
 __all__ = [
-    "MatterKind",
-    "GaugeKind",
-    "MatterLagrangianSpec",
-    "GaugeLagrangianSpec",
     "covariant_derivative",
-    "matter_density_vec",
+    "matter_density",
     "MinimallyCoupledDensity",
     "gauge_density",
-    "gauge_densities",
-    "FactoredGaugeDensity",
     "utiyama_factor",
 ]

@@ -769,7 +769,7 @@ def tangent_act(
 def seeded_rng(seed: int, *labels) -> np.random.Generator:
     """Generator derived deterministically from a seed plus string/int labels."""
     keys = [zlib.crc32(str(label).encode()) for label in labels]
-    return np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, *keys]))
+    return np.random.default_rng(np.random.SeedSequence([int(seed), *keys]))
 
 
 def random_algebra_entries(rng: np.random.Generator, spec: GroupSpec, shape: tuple[int, ...] = ()) -> np.ndarray:

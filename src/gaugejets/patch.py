@@ -52,15 +52,20 @@ class Patch:
             raise DimensionError(f"patch dimension must be in [1, {MAX_DIM}], got {n}")
         if any(e < 5 for e in extent):
             raise RegionError("each axis needs at least 5 points for interior differences")
-        spacing = _tuple_of(self.spacing, n, float)
-        if not all(0 < h < math.inf for h in spacing):
-            raise RegionError(f"spacing must be positive and finite, got {spacing}")
-        origin = _tuple_of(self.origin, n, float)
-        if not all(map(math.isfinite, origin)):
-            raise RegionError(f"origin must be finite, got {origin}")
         object.__setattr__(self, "extent", extent)
-        object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "spacing", _tuple_of(self.spacing, n, float))
+        object.__setattr__(self, "origin", _tuple_of(self.origin, n, float))
+        # the exact rule on the coordinates the samplers read: it refuses a non-finite
+        # origin or spacing, a spacing that is not positive, and points that coincide
+        # or overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            for mu in range(n):
+                x = self.axis_coords(mu)
+                if not (np.isfinite(x).all() and (x[1:] > x[:-1]).all()):
+                    raise RegionError(
+                        f"axis {mu}: the points {self.origin[mu]!r} + {self.spacing[mu]!r} * i "
+                        "must be finite and strictly increasing"
+                    )
 
     @property
     def dim(self) -> int:

@@ -125,6 +125,10 @@ class TestConfig:
             {"h_levels": ["0.04", "0.02"]},
             {"output": "no/such/dir/report.json"},
             {"output": "."},
+            {"patch": {"extent": [6, 6], "spacing": 0.2, "origin": [1e200, 0]}},
+            {"patch": {"extent": [5, 5], "spacing": 1e308}},
+            {"seed": 4294967297},
+            {"seed": -4294967295},
         ],
         ids=["metric", "seed", "tolerance-key", "tolerance-list", "group-string",
              "top-level-list", "top-level-string", "output-number", "suites-string",
@@ -132,7 +136,8 @@ class TestConfig:
              "rep-dim-float", "h-level-nan", "tolerance-nan", "seed-bool", "spacing-bool",
              "origin-bool", "h-level-bool", "tolerance-bool", "unknown-key",
              "unknown-group-key", "unknown-patch-key", "spacing-string", "origin-string",
-             "h-level-string", "output-dir-missing", "output-is-directory"],
+             "h-level-string", "output-dir-missing", "output-is-directory",
+             "points-coincide", "points-overflow", "seed-above-range", "seed-negative"],
     )
     def test_bad_values_rejected(self, bad, tmp_path, capsys):
         with pytest.raises(ConfigError):
@@ -142,6 +147,10 @@ class TestConfig:
         assert cli_main(["run", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_largest_seed_runs(self):
+        """Seeds span [0, 2**32); the ones outside are refused above, so none alias."""
+        assert run_suite(small_cfg(seed=2**32 - 1), "gauge_to_zero_1").status == "pass"
 
     def test_suites_string_is_not_split(self):
         # a bare string must not be read as a sequence of one-letter suite names

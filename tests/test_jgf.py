@@ -221,10 +221,12 @@ def _as_large_algebra(raw: bytes) -> bytes:
         lambda raw: raw.replace(b"family su2", b"family xyz", 1),
         lambda raw: raw.replace(b"dim 2", b"dim x", 1),
         lambda raw: raw.replace(b"spacing 0.1 0.1", b"spacing nan 0.1", 1),
+        lambda raw: raw.replace(b"spacing 0.1 0.1", b"spacing 1e308 0.1", 1),
         lambda raw: raw[: raw.index(b"spacing")],
     ],
     ids=[
-        "non-unitary", "large-not-antihermitian", "nan", "family", "dim", "spacing-nan", "header-cut"
+        "non-unitary", "large-not-antihermitian", "nan", "family", "dim", "spacing-nan",
+        "points-overflow", "header-cut",
     ],
 )
 def test_corrupt_file_is_format_error(tmp_path, patch, capsys, corrupt):

@@ -12,22 +12,14 @@ from gaugejets.analytic import (
     sample_gauge,
     sample_matter,
 )
-from gaugejets.jets import Jet1Gauge, JetConnection, JetMatter, curvature
-from gaugejets.lagrangians import (
-    GaugeKind,
-    GaugeLagrangianSpec,
-    MatterKind,
-    MatterLagrangianSpec,
-    covariant_derivative,
-    gauge_density,
-    matter_density_vec,
-    utiyama_factor,
-)
+from gaugejets.jets import Jet1Gauge, JetConnection, JetMatter, curvature, curvature_pairs, sym
+from gaugejets.lagrangians import covariant_derivative, gauge_density, matter_density, utiyama_factor
 from gaugejets.lie_core import (
     AlgebraElement,
     GroupElement,
     RepVector,
     exp,
+    frobenius,
     group_spec,
     random_algebra_entries,
     rep_act,
@@ -38,18 +30,14 @@ from gaugejets.patch import Field, Patch, Region, default_patch, integrate
 SU2 = group_spec("su2")
 U1 = group_spec("u1")
 
-FREE = MatterLagrangianSpec(MatterKind.FREE)
-PHI4 = MatterLagrangianSpec(MatterKind.PHI4, lam=0.5, v=1.0)
-BROKEN = MatterLagrangianSpec(MatterKind.BROKEN, c=1.0)
-
 
 def rnd(seed, label="x"):
     return seeded_rng(seed, "lagr-test", label)
 
 
-def coupled(spec, A, jm):
-    """The minimally coupled density: ``spec`` on (phi, D_A phi)."""
-    return matter_density_vec(spec, *covariant_derivative(A, jm))
+def coupled(kind, A, jm):
+    """The minimally coupled density named ``kind``: it on (phi, D_A phi)."""
+    return matter_density(*covariant_derivative(A, jm))[kind]
 
 
 def random_jm(rng, spec, n, shape=()):
@@ -100,7 +88,7 @@ class TestMatterDensity:
     def test_zero_data(self):
         phi = RepVector(SU2, np.zeros(2))
         dphi = RepVector(SU2, np.zeros((2, 2)))
-        assert matter_density_vec(FREE, phi, dphi) == 0.0
+        assert matter_density(phi, dphi)["free"] == 0.0
 
     def test_free_invariant_under_group(self):
         rng = rnd(3)
@@ -109,10 +97,9 @@ class TestMatterDensity:
         dphi = RepVector(SU2, rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2)))
         moved_phi = rep_act(g, phi)
         moved_dphi = RepVector(SU2, np.einsum("ij,mj->mi", g.entries, dphi.entries))
-        for spec in (FREE, PHI4):
-            a = matter_density_vec(spec, phi, dphi)
-            b = matter_density_vec(spec, moved_phi, moved_dphi)
-            assert abs(a - b) < 1e-12
+        a, b = matter_density(phi, dphi), matter_density(moved_phi, moved_dphi)
+        for kind in ("free", "phi4"):
+            assert abs(a[kind] - b[kind]) < 1e-12
 
     def test_broken_changes_under_generic_group_element(self):
         rng = rnd(4)
@@ -127,8 +114,8 @@ class TestMatterDensity:
             moved_dphi = RepVector(SU2, np.einsum("ij,mj->mi", g.entries, dphi.entries))
             violations.append(
                 abs(
-                    matter_density_vec(BROKEN, moved_phi, moved_dphi)
-                    - matter_density_vec(BROKEN, phi, dphi)
+                    matter_density(moved_phi, moved_dphi)["broken"]
+                    - matter_density(phi, dphi)["broken"]
                 )
             )
         assert max(violations) > 1e-3
@@ -137,7 +124,7 @@ class TestMatterDensity:
         rng = rnd(5)
         phi = RepVector(SU2, rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2))
         dphi = RepVector(SU2, rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2)))
-        val = matter_density_vec(FREE, phi, dphi)
+        val = matter_density(phi, dphi)["free"]
         assert np.isrealobj(val) and val >= 0
 
     def test_minkowski_flag_changes_contraction_only(self):
@@ -145,8 +132,8 @@ class TestMatterDensity:
         phi = RepVector(SU2, rng.uniform(-1, 1, 2) + 1j * rng.uniform(-1, 1, 2))
         dphi_e = rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2))
         dphi = RepVector(SU2, dphi_e)
-        e = matter_density_vec(FREE, phi, dphi, metric="euclidean")
-        m = matter_density_vec(FREE, phi, dphi, metric="minkowski")
+        e = matter_density(phi, dphi, metric="euclidean")["free"]
+        m = matter_density(phi, dphi, metric="minkowski")["free"]
         t = np.sum(np.abs(dphi_e[0]) ** 2)
         s = np.sum(np.abs(dphi_e[1]) ** 2)
         assert abs(e - (t + s)) < 1e-14
@@ -158,17 +145,17 @@ class TestMinimalCoupling:
         rng = rnd(7)
         jm = random_jm(rng, SU2, 2)
         A = AlgebraElement(SU2, np.zeros((2, 2, 2)))
-        plain = matter_density_vec(FREE, RepVector(SU2, jm.phi), RepVector(SU2, jm.dphi))
-        assert coupled(FREE, A, jm) == plain
+        plain = matter_density(RepVector(SU2, jm.phi), RepVector(SU2, jm.dphi))["free"]
+        assert coupled("free", A, jm) == plain
 
     def test_gauge_invariance_pointwise(self):
         rng = rnd(9)
         jm = random_jm(rng, SU2, 2, (512,))
         A = AlgebraElement(SU2, random_algebra_entries(rng, SU2, (512, 2)))
         jet = random_jet1(rng, SU2, 2, (512,))
-        for spec in (FREE, PHI4):
-            a = coupled(spec, A, jm)
-            b = coupled(spec, act_connection(jet, A), act_jet_matter(jet, jm))
+        for kind in ("free", "phi4"):
+            a = coupled(kind, A, jm)
+            b = coupled(kind, act_connection(jet, A), act_jet_matter(jet, jm))
             assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_broken_violates(self):
@@ -176,27 +163,24 @@ class TestMinimalCoupling:
         jm = random_jm(rng, SU2, 2, (512,))
         A = AlgebraElement(SU2, random_algebra_entries(rng, SU2, (512, 2)))
         jet = random_jet1(rng, SU2, 2, (512,))
-        moved = coupled(BROKEN, act_connection(jet, A), act_jet_matter(jet, jm))
-        gap = np.abs(coupled(BROKEN, A, jm) - moved)
+        moved = coupled("broken", act_connection(jet, A), act_jet_matter(jet, jm))
+        gap = np.abs(coupled("broken", A, jm) - moved)
         assert np.max(gap) > 1e-3
 
 
 class TestGaugeDensity:
     def test_flat_connection(self):
         jc = JetConnection(SU2, np.zeros((2, 2, 2)), np.zeros((2, 2, 2, 2)))
-        for kind in GaugeKind:
-            spec = GaugeLagrangianSpec(kind, coupling=1.3)
-            assert gauge_density(spec, jc) == 0.0
+        assert gauge_density(jc) == {"yang_mills": 0.0, "broken": 0.0}
 
     def test_u1_constant_field_strength_oracle(self):
-        # n = 2, F_12 = i b: yang-mills density is b^2 / (2 e^2)
-        b, e = 0.37, 1.3
+        # n = 2, F_12 = i b: yang-mills density is b^2 / 2 at coupling 1
+        b = 0.37
         dA = np.zeros((2, 2, 1, 1), dtype=complex)
         dA[0, 1] = 0.5j * b
         dA[1, 0] = -0.5j * b
         jc = JetConnection(U1, np.zeros((2, 1, 1)), dA)
-        spec = GaugeLagrangianSpec(GaugeKind.YANG_MILLS, coupling=e)
-        assert abs(gauge_density(spec, jc) - b * b / (2 * e * e)) < 1e-15
+        assert abs(gauge_density(jc)["yang_mills"] - b * b / 2) < 1e-15
 
     def test_yang_mills_nonnegative_and_real(self):
         rng = rnd(11)
@@ -205,7 +189,7 @@ class TestGaugeDensity:
             random_algebra_entries(rng, SU2, (64, 3)),
             random_algebra_entries(rng, SU2, (64, 3, 3)),
         )
-        val = gauge_density(GaugeLagrangianSpec(GaugeKind.YANG_MILLS), jc)
+        val = gauge_density(jc)["yang_mills"]
         assert np.isrealobj(val) and np.all(val >= 0)
 
     def test_broken_gauge_separates_equal_curvature(self):
@@ -219,16 +203,50 @@ class TestGaugeDensity:
         shift = 0.5 * (shift + np.swapaxes(shift, -4, -3))
         jc2 = JetConnection(SU2, jc.A, jc.dA + shift)
         assert np.max(np.abs(curvature(jc).comps - curvature(jc2).comps)) < 1e-15
-        spec = GaugeLagrangianSpec(GaugeKind.BROKEN_GAUGE)
-        assert abs(gauge_density(spec, jc) - gauge_density(spec, jc2)) > 1e-6
-        ym = GaugeLagrangianSpec(GaugeKind.YANG_MILLS)
-        assert abs(gauge_density(ym, jc) - gauge_density(ym, jc2)) < 1e-14
+        a, b = gauge_density(jc), gauge_density(jc2)
+        assert abs(a["broken"] - b["broken"]) > 1e-6
+        assert abs(a["yang_mills"] - b["yang_mills"]) < 1e-14
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "minkowski"])
+class TestClosedForms:
+    """Each density equals its closed form bit for bit on one batch, written with
+    the parameter values it is built with: quartic coupling 0.5, vacuum 1, linear
+    term 1 and gauge coupling 1."""
+
+    signs = {"euclidean": np.ones(3), "minkowski": np.array([1.0, -1.0, -1.0])}
+
+    def test_matter(self, metric):
+        jm = random_jm(rnd(30), SU2, 3, (64,))
+        kinetic = np.einsum("m,...mj->...", self.signs[metric], (jm.dphi.conj() * jm.dphi).real)
+        norm2 = np.sum((jm.phi.conj() * jm.phi).real, axis=-1)
+        lam, v, c = 0.5, 1.0, 1.0
+        vals = matter_density(RepVector(SU2, jm.phi), RepVector(SU2, jm.dphi), metric)
+        assert list(vals) == ["free", "phi4", "broken"]
+        assert np.array_equal(vals["free"], kinetic)
+        assert np.array_equal(vals["phi4"], kinetic + lam * (norm2 - v**2) ** 2)
+        assert np.array_equal(vals["broken"], kinetic + c * jm.phi[..., 0].real)
+
+    def test_gauge(self, metric):
+        rng = rnd(31)
+        jc = JetConnection(
+            SU2,
+            random_algebra_entries(rng, SU2, (64, 3)),
+            random_algebra_entries(rng, SU2, (64, 3, 3)),
+        )
+        signs = self.signs[metric]
+        weights = np.array([signs[mu] * signs[nu] for mu, nu in curvature_pairs(3)])
+        quad = np.einsum("p,...p->...", weights, frobenius(curvature(jc).comps) ** 2)
+        sym_term = np.sum(frobenius(sym(jc.dA)) ** 2, axis=(-2, -1))
+        coupling = 1.0
+        vals = gauge_density(jc, metric)
+        assert list(vals) == ["yang_mills", "broken"]
+        assert np.array_equal(vals["yang_mills"], quad / (2.0 * coupling**2))
+        assert np.array_equal(vals["broken"], (quad + sym_term) / (2.0 * coupling**2))
 
 
 class TestUtiyama:
     def _frob_density(self, f):
-        from gaugejets.lie_core import frobenius
-
         return np.sum(frobenius(f.comps) ** 2, axis=-1)
 
     def test_zero_density(self):
@@ -250,7 +268,7 @@ class TestUtiyama:
             random_algebra_entries(rng, SU2, (16, 3, 3)),
         )
         # yang_mills at coupling 1 halves the curvature quadratic; doubling is exact
-        direct = 2 * gauge_density(GaugeLagrangianSpec(GaugeKind.YANG_MILLS), jc)
+        direct = 2 * gauge_density(jc)["yang_mills"]
         assert np.max(np.abs(factored(jc) - direct)) < 1e-12
 
     def test_level_sets(self):
@@ -291,16 +309,16 @@ class TestActionFunctionals:
         gs = sample_gauge(p, spec, random_gauge_family(rng, spec, 2))
         region = p.interior(1)
         A, jm, jet = cs.values.value, ms.jet.value, gs.jet1.value
-        s0 = integrate(Field(p, coupled(FREE, A, jm)), region)
+        s0 = integrate(Field(p, coupled("free", A, jm)), region)
         s1 = integrate(
-            Field(p, coupled(FREE, act_connection(jet, A), act_jet_matter(jet, jm))), region
+            Field(p, coupled("free", act_connection(jet, A), act_jet_matter(jet, jm))), region
         )
         assert abs(s1 - s0) <= region.npoints * 1e-12
 
 
 def plain_action(line, interval, jm):
     """The free action of a matter jet on its plain (phi, d phi)."""
-    density = matter_density_vec(FREE, RepVector(jm.spec, jm.phi), RepVector(jm.spec, jm.dphi))
+    density = matter_density(RepVector(jm.spec, jm.phi), RepVector(jm.spec, jm.dphi))["free"]
     return integrate(Field(line, density), interval)
 
 
@@ -338,9 +356,9 @@ class TestMechanics:
         cs = sample_connection(line, SU2, random_connection_family(rng, SU2, 1))
         interval = line.interior(1)
         A, jm, jet = cs.values.value, ms.jet.value, gs.jet1.value
-        s0 = integrate(Field(line, coupled(FREE, A, jm)), interval)
+        s0 = integrate(Field(line, coupled("free", A, jm)), interval)
         s1 = integrate(
-            Field(line, coupled(FREE, act_connection(jet, A), act_jet_matter(jet, jm))),
+            Field(line, coupled("free", act_connection(jet, A), act_jet_matter(jet, jm))),
             interval,
         )
         assert abs(s1 - s0) <= 1e-10
