@@ -3,10 +3,10 @@
 Each row pins the suite's status, its tolerance and its ``max_error``, both
 written as ``float.hex``, and the sha256 of its ``details`` as sorted JSON;
 timing is dropped, so the ledger checks that reports stay byte-identical
-apart from timing.  ``tests/test_ledger.py`` reruns
-the matrix and names every row that moved.  The ledger is a record, not a
-gate: a change that moves a row regenerates the file with this script and
-lists the moved rows, and every pass-to-fail flip, in CHANGES.md.
+apart from timing.  ``tests/test_ledger.py`` reruns the matrix and names
+every row that moved.  The ledger is a record, not a gate: a change that
+moves a row regenerates the file with this script and lists the moved
+rows, and every pass-to-fail flip, in CHANGES.md.
 
 The matrix covers u1, su2, su3, the su3 adjoint and the su(4) adjoint on
 small patches (33 points at 0.1, 12^2 at 0.2, 7^3 at 0.2, 5^4 at 0.15)

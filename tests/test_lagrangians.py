@@ -36,7 +36,7 @@ def rnd(seed, label="x"):
 
 
 def coupled(kind, A, jm):
-    """The minimally coupled density named ``kind``: it on (phi, D_A phi)."""
+    """The density named ``kind`` on (phi, D_A phi): minimally coupled."""
     return matter_density(*covariant_derivative(A, jm))[kind]
 
 
