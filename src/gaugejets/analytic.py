@@ -145,9 +145,10 @@ class GaugeSample:
     the same roundoff at every point, and action integrals would sum it
     coherently.  Every generator is conjugated once and every pair
     bracketed once, the brackets only for ``jet2``.  Every coefficient of
-    s is exactly symmetric, so s is.  A lower order read after a higher one
-    is cut from the cached higher order, so the three always agree bit for
-    bit.  Only the checked descriptors are kept between reads.
+    s is exactly symmetric, so s is.  ``_orders`` forms g and a by the same
+    operations whatever the order asked for, so the three agree bit for
+    bit; ``values`` read after ``jet1`` is cut from it.  Only the checked
+    descriptors are kept between reads.
     """
 
     patch: Patch | Points
@@ -192,15 +193,12 @@ class GaugeSample:
 
     @cached_property
     def jet1(self) -> Field:
-        if "jet2" in self.__dict__:
-            return Field(self.patch, self.jet2.value.truncate())
         return Field(self.patch, _trusted(Jet1Gauge, self.spec, *self._orders(1)))
 
     @cached_property
     def values(self) -> Field:
-        for higher in ("jet1", "jet2"):
-            if higher in self.__dict__:
-                return Field(self.patch, getattr(self, higher).value.group_element())
+        if "jet1" in self.__dict__:
+            return Field(self.patch, self.jet1.value.group_element())
         return Field(self.patch, _trusted(GroupElement, self.spec, *self._orders(0)))
 
 
@@ -278,7 +276,7 @@ class ConnectionSample:
 
     ``values`` (Field[AlgebraElement], components on axis -3) and ``jet``
     (Field[JetConnection]) are each built on first read and then cached;
-    ``values`` read after ``jet`` is cut from the cached jet.  A real
+    ``_slots`` forms A by the same operations for both.  A real
     combination of the checked basis is anti-hermitian entry by entry, so
     the grids are built unchecked: a check could fail only on the rounded
     trace, which grows with the coefficients (far from the origin).
@@ -324,8 +322,6 @@ class ConnectionSample:
 
     @cached_property
     def values(self) -> Field:
-        if "jet" in self.__dict__:
-            return Field(self.patch, self.jet.value.potential())
         return Field(self.patch, _trusted(AlgebraElement, self.spec, *self._slots(0)))
 
 

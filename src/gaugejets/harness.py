@@ -151,7 +151,6 @@ class SuiteConfig:
     seed: int = 20250810
     suites: tuple[str, ...] = ()
     h_levels: tuple[float, ...] = (0.04, 0.02, 0.01)
-    tolerances: dict = dc_field(default_factory=dict)
     output: str | None = None
     metric: str = "euclidean"
 
@@ -181,11 +180,6 @@ class SuiteConfig:
         if any(b >= a for a, b in zip(levels, levels[1:])):
             raise ConfigError("h_levels must be strictly decreasing")
         object.__setattr__(self, "h_levels", levels)
-        for name, tol in self.tolerances.items():
-            if name not in SUITES:
-                raise UnknownSuiteError(f"tolerance given for unknown suite {name!r}")
-            if not 0 < tol < math.inf:
-                raise ConfigError(f"tolerance for {name} must be positive and finite, got {tol!r}")
         for name in self.suites:
             _lookup(name)
 
@@ -307,8 +301,9 @@ def _connection(rng, spec: GroupSpec, patch: Patch | Points, scale: float = 1.0)
 _INVARIANT_MATTER = ("free", "phi4")
 
 
-def _interior_max(err_grid: np.ndarray, patch: Patch, margin: int) -> float:
-    region = patch.interior(max(1, margin))
+def _interior_max(err_grid: np.ndarray, *fields: Field) -> float:
+    """Largest error where every field it came from is valid: inside the widest margin."""
+    region = fields[0].patch.interior(max(f.margin for f in fields))
     return _max(err_grid[region.slices()])
 
 
@@ -383,10 +378,10 @@ def _suite_jet_functoriality(cfg: SuiteConfig):
     prod = Field(patch, multiply(s1.values.value, s2.values.value))
     lhs1 = jet1_of(prod)
     rhs1 = jet1_mul(jet1_of(s1.values).value, jet1_of(s2.values).value)
-    err1 = _interior_max(distance(lhs1.value, rhs1), patch, 1)
+    err1 = _interior_max(distance(lhs1.value, rhs1), lhs1)
     lhs2 = jet2_of(prod)
     rhs2 = jet2_mul(jet2_of(s1.values).value, jet2_of(s2.values).value)
-    err2 = _interior_max(distance(lhs2.value, rhs2), patch, 2)
+    err2 = _interior_max(distance(lhs2.value, rhs2), lhs2)
     return max(err1, err2), {"order1": err1, "order2": err2}
 
 
@@ -434,7 +429,7 @@ def _suite_chain_rule_matter(cfg: SuiteConfig):
     ms = analytic.sample_matter(patch, spec, mfam)
     lhs = jet_matter_of(Field(patch, rep_act(gs.values.value, ms.values.value)))
     rhs = act_jet_matter(jet1_of(gs.values).value, jet_matter_of(ms.values).value)
-    return _interior_max(distance(lhs.value, rhs), patch, 1), {}
+    return _interior_max(distance(lhs.value, rhs), lhs), {}
 
 
 @_suite(
@@ -449,8 +444,9 @@ def _suite_chain_rule_connection(cfg: SuiteConfig):
     cs = _connection(rng, spec, patch, scale=0.5)
     moved = act_connection(gs.jet1.value, cs.values.value)
     lhs = jet_connection_of(Field(patch, moved))
-    rhs = act_jet_connection(jet2_of(gs.values).value, jet_connection_of(cs.values).value)
-    return _interior_max(distance(lhs.value, rhs), patch, 2), {}
+    jet = jet2_of(gs.values)
+    rhs = act_jet_connection(jet.value, jet_connection_of(cs.values).value)
+    return _interior_max(distance(lhs.value, rhs), lhs, jet), {}
 
 
 @_suite("the curvature of a transformed connection jet is the conjugated curvature", 1e-10)
@@ -717,7 +713,7 @@ def _suite_maurer_cartan(cfg: SuiteConfig):
     rng = seeded_rng(cfg.seed, "maurer_cartan", spec.label())
     gs = _gauge(rng, spec, patch, scale=0.6)
     defect = maurer_cartan_defect(jet1_of(gs.values))
-    return _interior_max(defect.value, patch, 2), {}
+    return _interior_max(defect.value, defect), {}
 
 
 def _lookup(name: str) -> SuiteDef:
@@ -743,7 +739,7 @@ def _result(
     exact at machine epsilon or ``max_error`` is within the tolerance.
     """
     runtime = (time.perf_counter() - start) * 1000.0
-    tol = float(cfg.tolerances[name]) if name in cfg.tolerances else SUITES[name].tol(h)
+    tol = SUITES[name].tol(h)
     passed = ok and (mode == "exact" or max_error <= tol)
     return SuiteResult(
         name=name,

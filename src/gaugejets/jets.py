@@ -103,9 +103,6 @@ class Jet2Gauge(_GaugeJet, Fiber):
         if np.any(self.s != np.swapaxes(self.s, -4, -3)):
             raise InvariantError("second-order component must be stored exactly symmetric")
 
-    def truncate(self) -> Jet1Gauge:
-        return _trusted(Jet1Gauge, self.spec, self.g, self.a)
-
 
 @dataclass(frozen=True, eq=False)
 class JetMatter(_Jet, Fiber):

@@ -19,19 +19,19 @@ Layout (documented contract):
 
 * Binary payload: little-endian float64 pairs (re, im) for every complex
   entry, in lexicographic grid order (C order), row-major within each
-  matrix.  Real scalar fields store (value, 0.0) pairs.
+  matrix.
 
 Per-point entry order: a ``Fiber`` value stores its arrays in ``LAYOUT``
 order, each row-major over its trailing axes (``KINDS`` gives each kind's
 fiber type).  ``connection`` is one ``AlgebraElement`` with a leading axis
 for mu, A_1 .. A_n.  The symmetric ``s`` of ``jet2-gauge`` is stored
 packed: s_munu for mu <= nu, in lexicographic order (n(n+1)/2 matrices).
-``curvature`` holds F_munu for mu < nu, and ``scalar`` one pair per point.
+``curvature`` holds F_munu for mu < nu.
 
-The writer rejects any value the reader cannot rebuild: an unknown type,
-a batch shape other than the patch extent (plus (n,) for ``connection``),
-a jet whose n is not the patch dimension, and a complex or non-finite
-scalar array.  ``gaugejets sample --fd`` needs a jet kind.
+The writer rejects any value the reader cannot rebuild: a type without a
+kind (a raw array among them), a batch shape other than the patch extent
+(plus (n,) for ``connection``), and a jet whose n is not the patch
+dimension.  ``gaugejets sample --fd`` needs a jet kind.
 
 The header carries no margin or origin: files describe whole-grid-valid
 data on an origin-zero patch, which is what the analytic samplers emit.
@@ -40,6 +40,7 @@ data on an origin-zero patch, which is what the analytic samplers emit.
 from __future__ import annotations
 
 import io
+import math
 import os
 from functools import partial
 from pathlib import Path
@@ -88,10 +89,6 @@ def _shapes(kind: str, spec: GroupSpec, n: int) -> dict[str, tuple[int, ...]]:
 def value_kind(field: Field) -> str:
     """The kind a field is stored as; FormatError if the reader could not rebuild it."""
     v, p = field.value, field.patch
-    if isinstance(v, np.ndarray):
-        if v.shape != p.extent or np.iscomplexobj(v) or not np.all(np.isfinite(v)):
-            raise FormatError(f"a raw array must be a finite real scalar field of shape {p.extent}")
-        return "scalar"
     for kind, (cls, _) in KINDS.items():
         if type(v) is cls and all(
             getattr(v, name).shape == p.extent + shape
@@ -104,8 +101,6 @@ def value_kind(field: Field) -> str:
 def _flatten(field: Field, kind: str) -> np.ndarray:
     """Per-point complex payload, shape (npoints, entries_per_point)."""
     v, npts = field.value, field.patch.npoints
-    if kind == "scalar":
-        return np.asarray(v, dtype=np.complex128).reshape(npts, 1)
     parts = [getattr(v, name) for name in v.LAYOUT]
     if kind == "jet2-gauge":  # s is stored packed, mu <= nu only
         n = field.patch.dim
@@ -122,8 +117,7 @@ def write_field(field: Field, path: str | Path) -> None:
     value the reader could not rebuild."""
     kind = value_kind(field)
     payload = _flatten(field, kind)
-    p = field.patch
-    spec = GroupSpec(GroupFamily.U1) if kind == "scalar" else field.value.spec
+    p, spec = field.patch, field.value.spec
     family = spec.family.value
     family_line = f"family {family} {spec.n}" if spec.family is GroupFamily.SUN else f"family {family}"
     header = "\n".join(
@@ -203,26 +197,25 @@ def _decode(hdr: dict, payload: bytearray) -> Field:
     kind = hdr["value_kind"]
     if len(extent) != dim or len(spacing) != dim:
         raise FormatError("extent/spacing do not match dim")
-    if kind != "scalar" and kind not in KINDS:
+    if kind not in KINDS:
         raise FormatError(f"unknown value kind {kind!r}")
     spec = GroupSpec(family, n_mat, rep_dim)
-    patch = Patch(extent, spacing)
     data = np.frombuffer(payload, dtype="<c16")
     if not np.all(np.isfinite(data)):
         raise FormatError("payload contains non-finite entries")
-    shapes = {"value": ()} if kind == "scalar" else _shapes(kind, spec, dim)
+    shapes = _shapes(kind, spec, dim)
     upper = np.triu_indices(dim)
     if kind == "jet2-gauge":  # s is stored packed, mu <= nu only
         shapes["s"] = (len(upper[0]),) + shapes["s"][2:]
-    sizes = [int(np.prod(shape)) for shape in shapes.values()]
-    expected = patch.npoints * sum(sizes)
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    # compared before the Patch is built: the header's extent is not yet known to fit memory
+    expected = math.prod(extent) * sum(sizes)
     if data.size != expected:
         raise FormatError(f"payload holds {data.size} entries, expected {expected}")
+    patch = Patch(extent, spacing)
     flat = data.reshape(extent + (sum(sizes),))
     parts = np.split(flat, np.cumsum(sizes)[:-1], axis=-1)
     arrays = [part.reshape(extent + shape) for part, shape in zip(parts, shapes.values())]
-    if kind == "scalar":
-        return Field(patch, arrays[0].real.copy())
     if kind == "jet2-gauge":
         s = np.empty(extent + (dim, dim, spec.n, spec.n), dtype=np.complex128)
         s[..., upper[0], upper[1], :, :] = arrays[-1]
@@ -244,19 +237,16 @@ def describe(path: str | Path) -> str:
         f"spacing {', '.join(repr(h) for h in p.spacing)}",
     ]
     v = field.value
-    if isinstance(v, np.ndarray):
-        lines.append(f"  scalar range: [{v.min():.6g}, {v.max():.6g}], mean {v.mean():.6g}")
-    else:
-        lines.append(f"  group: {v.spec.label()}, rep_dim {v.spec.rep_dim}")
-        for name in v.LAYOUT:
-            arr = getattr(v, name)
-            mag = np.abs(arr)
-            if mag.size == 0:
-                lines.append(f"  {name}: empty")
-                continue
-            lines.append(
-                f"  {name}: shape {arr.shape}, |entry| max {mag.max():.6g}, mean {mag.mean():.6g}"
-            )
+    lines.append(f"  group: {v.spec.label()}, rep_dim {v.spec.rep_dim}")
+    for name in v.LAYOUT:
+        arr = getattr(v, name)
+        mag = np.abs(arr)
+        if mag.size == 0:
+            lines.append(f"  {name}: empty")
+            continue
+        lines.append(
+            f"  {name}: shape {arr.shape}, |entry| max {mag.max():.6g}, mean {mag.mean():.6g}"
+        )
     return "\n".join(lines)
 
 

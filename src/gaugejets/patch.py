@@ -1,10 +1,11 @@
 """Discretized rectangular coordinate patch with sampled fields.
 
 A Patch is an n-dimensional grid (1 <= n <= 4) with per-axis spacing.  A
-Field ties a batched fiber value (grid axes leading) to a patch together
-with a ``margin``: the number of boundary layers whose values are invalid,
-as produced by interior-only central differences.  The spacing a
-finite-difference value was computed at is the patch's own.
+Field ties a batched fiber value (grid axes leading) to a patch, or to the
+``Points`` of a region of one, together with a ``margin``: the number of
+boundary layers whose values are invalid, as produced by interior-only
+central differences.  The spacing a finite-difference value was computed
+at is the patch's own.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import numpy as np
 from .lie_core import DimensionError
 
 MAX_DIM = 4
+TINY = float(np.finfo(float).tiny)
 
 
 class RegionError(ValueError):
@@ -56,15 +58,15 @@ class Patch:
         object.__setattr__(self, "spacing", _tuple_of(self.spacing, n, float))
         object.__setattr__(self, "origin", _tuple_of(self.origin, n, float))
         # the exact rule on the coordinates the samplers read: it refuses a non-finite
-        # origin or spacing, a spacing that is not positive, and points that coincide
-        # or overflow
+        # origin or spacing, points that coincide or overflow, and a spacing below the
+        # smallest normal float, where the 1 / 2h of a central difference overflows
         with np.errstate(over="ignore", invalid="ignore"):
             for mu in range(n):
                 x = self.axis_coords(mu)
-                if not (np.isfinite(x).all() and (x[1:] > x[:-1]).all()):
+                if not (self.spacing[mu] >= TINY and np.isfinite(x).all() and (x[1:] > x[:-1]).all()):
                     raise RegionError(
                         f"axis {mu}: the points {self.origin[mu]!r} + {self.spacing[mu]!r} * i "
-                        "must be finite and strictly increasing"
+                        f"must be finite and strictly increasing, at a spacing of at least {TINY!r}"
                     )
 
     @property
@@ -132,17 +134,6 @@ class Region:
     def slices(self) -> tuple[slice, ...]:
         return tuple(slice(a, b) for a, b in zip(self.lo, self.hi))
 
-    def validate(self, patch: Patch, margin: int = 1) -> None:
-        """Regions must sit strictly inside the interior (margin >= 1)."""
-        margin = max(1, margin)
-        if len(self.lo) != patch.dim:
-            raise DimensionError("region dimension does not match patch")
-        for a, b, e in zip(self.lo, self.hi, patch.extent):
-            if a < margin or b > e - margin:
-                raise RegionError(
-                    f"region [{a},{b}) leaves the valid interior (margin {margin})"
-                )
-
 
 class Points:
     """The points of a region of a patch, a grid of the region's shape for the closed-form
@@ -204,26 +195,22 @@ def central_diff(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
 
 
 def integrate(density: Field, region: Region) -> float:
-    """Riemann sum of a real scalar density over a region, times h^n.
+    """Riemann sum, times h^n, of a real scalar density sampled on the ``Points`` of
+    ``region`` alone.
 
     Accumulation walks the region in lexicographic index order through an
     exact (compensated) sum with a single final rounding, so the result is
     bit-reproducible and independent of any worker partitioning.
     """
-    vals, grid = np.asarray(density.value), density.patch
-    if vals.shape != grid.extent:
+    vals, points = np.asarray(density.value), density.patch
+    if not isinstance(points, Points) or region != points.region:
+        raise RegionError(f"integrate expects a density on the points of {region}")
+    if vals.shape != points.extent:
         raise DimensionError("integrate expects a real scalar density field")
-    if isinstance(grid, Points):
-        if region != grid.region:
-            raise RegionError(f"a density on the points of {grid.region} covers that region only")
-        grid = grid.patch
-    else:
-        region.validate(grid, density.margin)
-        vals = vals[region.slices()]
     block = np.ascontiguousarray(vals, dtype=np.float64)
     if not np.all(np.isfinite(block)):
         raise ValueError("density contains non-finite values on the region")
-    return math.fsum(block.ravel(order="C").tolist()) * grid.cell_volume
+    return math.fsum(block.ravel(order="C").tolist()) * points.patch.cell_volume
 
 
 def default_patch(dim: int) -> Patch:

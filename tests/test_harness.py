@@ -4,6 +4,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -68,16 +69,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_cfg(h_levels=(0.01, 0.02))
 
-    def test_tolerances_positive(self):
-        with pytest.raises(ConfigError):
-            small_cfg(tolerances={"action_axioms": 0.0})
-
     def test_unknown_suite_rejected(self):
         with pytest.raises(UnknownSuiteError):
             small_cfg(suites=("not_a_suite",))
 
     def test_dict_round_trip(self):
-        cfg = small_cfg(suites=("action_axioms",), tolerances={"action_axioms": 1e-11})
+        cfg = small_cfg(suites=("action_axioms",), h_levels=(0.1, 0.05))
         back = SuiteConfig.from_dict(cfg.to_dict())
         assert back == cfg
         assert back.config_hash() == cfg.config_hash()
@@ -129,6 +126,9 @@ class TestConfig:
             {"patch": {"extent": [5, 5], "spacing": 1e308}},
             {"seed": 4294967297},
             {"seed": -4294967295},
+            {"patch": {"extent": [5, 5], "spacing": 1e-310}, "suites": ["chain_rule_matter"]},
+            {"patch": {"extent": [5, 5], "spacing": 1e-320}, "suites": ["chain_rule_matter"]},
+            {"tolerances": {"action_axioms": 1e-11}, "suites": ["action_axioms"]},
         ],
         ids=["metric", "seed", "tolerance-key", "tolerance-list", "group-string",
              "top-level-list", "top-level-string", "output-number", "suites-string",
@@ -137,7 +137,8 @@ class TestConfig:
              "origin-bool", "h-level-bool", "tolerance-bool", "unknown-key",
              "unknown-group-key", "unknown-patch-key", "spacing-string", "origin-string",
              "h-level-string", "output-dir-missing", "output-is-directory",
-             "points-coincide", "points-overflow", "seed-above-range", "seed-negative"],
+             "points-coincide", "points-overflow", "seed-above-range", "seed-negative",
+             "spacing-subnormal", "spacing-deep-subnormal", "tolerances-override"],
     )
     def test_bad_values_rejected(self, bad, tmp_path, capsys):
         with pytest.raises(ConfigError):
@@ -147,6 +148,12 @@ class TestConfig:
         assert cli_main(["run", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_smallest_normal_spacing_runs(self):
+        """The spacing floor is the smallest normal float: there 1 / 2h is finite, so
+        a central difference of bounded data is too."""
+        cfg = small_cfg(patch=Patch((5, 5), spacing=np.finfo(float).tiny), suites=tuple(SUITES))
+        assert len(run(cfg).suites) == len(SUITES)
 
     def test_largest_seed_runs(self):
         """Seeds span [0, 2**32); the ones outside are refused above, so none alias."""
@@ -175,11 +182,9 @@ class TestRun:
         for res in report.suites:
             assert (res.status == "pass") == (res.max_error <= res.tolerance)
 
-    def test_tolerance_override_forces_failure(self):
-        cfg = small_cfg(
-            suites=("action_axioms",), tolerances={"action_axioms": 1e-30}
-        )
-        report = run(cfg)
+    def test_tolerance_override_forces_failure(self, monkeypatch):
+        monkeypatch.setitem(SUITES, "action_axioms", replace(SUITES["action_axioms"], bound=1e-30))
+        report = run(small_cfg(suites=("action_axioms",)))
         assert report.overall == "fail"
         assert report.suites[0].status == "fail"
 
@@ -571,17 +576,10 @@ class TestCli:
             "utiyama_negative",
         ]
 
-    def test_failing_suite_exit_code_1(self, tmp_path):
+    def test_failing_suite_exit_code_1(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(SUITES, "action_axioms", replace(SUITES["action_axioms"], bound=1e-30))
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(
-            json.dumps(
-                {
-                    "patch": {"extent": [16, 16]},
-                    "suites": ["action_axioms"],
-                    "tolerances": {"action_axioms": 1e-30},
-                }
-            )
-        )
+        cfg_path.write_text(json.dumps({"patch": {"extent": [16, 16]}, "suites": ["action_axioms"]}))
         assert cli_main(["run", "--config", str(cfg_path)]) == 1
 
     def test_unknown_suite_exit_code_2(self, capsys):

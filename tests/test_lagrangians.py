@@ -25,7 +25,7 @@ from gaugejets.lie_core import (
     rep_act,
     seeded_rng,
 )
-from gaugejets.patch import Field, Patch, Region, default_patch, integrate
+from gaugejets.patch import Field, Patch, Points, Region, default_patch, integrate
 
 SU2 = group_spec("su2")
 U1 = group_spec("u1")
@@ -295,71 +295,76 @@ class TestUtiyama:
 
 
 class TestActionFunctionals:
+    """Action integrals over a region, of densities sampled on its ``Points`` alone."""
+
     def test_zero_density(self):
-        p = Patch((8, 8))
-        region = Region((1, 1), (7, 7))
-        assert integrate(Field(p, np.zeros(p.extent)), region) == 0.0
+        points = Points(Patch((8, 8)), Region((1, 1), (7, 7)))
+        assert integrate(Field(points, np.zeros(points.extent)), points.region) == 0.0
 
     def test_matter_action_gauge_invariant_on_grid(self):
         p = Patch((24, 24), spacing=0.05)
+        points = Points(p, p.interior(1))
         spec = SU2
         rng = rnd(17)
-        cs = sample_connection(p, spec, random_connection_family(rng, spec, 2))
-        ms = sample_matter(p, spec, random_matter_family(rng, spec, 2))
-        gs = sample_gauge(p, spec, random_gauge_family(rng, spec, 2))
-        region = p.interior(1)
+        cs = sample_connection(points, spec, random_connection_family(rng, spec, 2))
+        ms = sample_matter(points, spec, random_matter_family(rng, spec, 2))
+        gs = sample_gauge(points, spec, random_gauge_family(rng, spec, 2))
+        region = points.region
         A, jm, jet = cs.values.value, ms.jet.value, gs.jet1.value
-        s0 = integrate(Field(p, coupled("free", A, jm)), region)
+        s0 = integrate(Field(points, coupled("free", A, jm)), region)
         s1 = integrate(
-            Field(p, coupled("free", act_connection(jet, A), act_jet_matter(jet, jm))), region
+            Field(points, coupled("free", act_connection(jet, A), act_jet_matter(jet, jm))), region
         )
         assert abs(s1 - s0) <= region.npoints * 1e-12
 
 
-def plain_action(line, interval, jm):
+def plain_action(points, jm):
     """The free action of a matter jet on its plain (phi, d phi)."""
     density = matter_density(RepVector(jm.spec, jm.phi), RepVector(jm.spec, jm.dphi))["free"]
-    return integrate(Field(line, density), interval)
+    return integrate(Field(points, density), points.region)
+
+
+def interval():
+    """The points of the interior of the default line."""
+    line = default_patch(1)
+    return Points(line, line.interior(1))
 
 
 class TestMechanics:
     def test_free_particle_constant_group_invariance(self):
-        line = default_patch(1)
+        points = interval()
         rng = rnd(18)
-        ms = sample_matter(line, SU2, random_matter_family(rng, SU2, 1))
-        interval = line.interior(1)
-        s0 = plain_action(line, interval, ms.jet.value)
+        ms = sample_matter(points, SU2, random_matter_family(rng, SU2, 1))
+        s0 = plain_action(points, ms.jet.value)
         g0 = exp(AlgebraElement(SU2, random_algebra_entries(rng, SU2)))
         const_jet = Jet1Gauge(
             SU2,
-            np.broadcast_to(g0.entries, line.extent + (2, 2)).copy(),
-            np.zeros(line.extent + (1, 2, 2)),
+            np.broadcast_to(g0.entries, points.extent + (2, 2)).copy(),
+            np.zeros(points.extent + (1, 2, 2)),
         )
-        s1 = plain_action(line, interval, act_jet_matter(const_jet, ms.jet.value))
-        assert abs(s1 - s0) <= 1e-12 * interval.npoints
+        s1 = plain_action(points, act_jet_matter(const_jet, ms.jet.value))
+        assert abs(s1 - s0) <= 1e-12 * points.npoints
 
     def test_time_dependent_group_breaks_plain_action(self):
-        line = default_patch(1)
+        points = interval()
         rng = rnd(19)
-        ms = sample_matter(line, SU2, random_matter_family(rng, SU2, 1))
-        gs = sample_gauge(line, SU2, random_gauge_family(rng, SU2, 1, factors=2))
-        interval = line.interior(1)
-        s0 = plain_action(line, interval, ms.jet.value)
-        s1 = plain_action(line, interval, act_jet_matter(gs.jet1.value, ms.jet.value))
+        ms = sample_matter(points, SU2, random_matter_family(rng, SU2, 1))
+        gs = sample_gauge(points, SU2, random_gauge_family(rng, SU2, 1, factors=2))
+        s0 = plain_action(points, ms.jet.value)
+        s1 = plain_action(points, act_jet_matter(gs.jet1.value, ms.jet.value))
         assert abs(s1 - s0) > 1e-3
 
     def test_covariantized_action_survives(self):
-        line = default_patch(1)
+        points = interval()
         rng = rnd(20)
-        ms = sample_matter(line, SU2, random_matter_family(rng, SU2, 1))
-        gs = sample_gauge(line, SU2, random_gauge_family(rng, SU2, 1, factors=2))
-        cs = sample_connection(line, SU2, random_connection_family(rng, SU2, 1))
-        interval = line.interior(1)
+        ms = sample_matter(points, SU2, random_matter_family(rng, SU2, 1))
+        gs = sample_gauge(points, SU2, random_gauge_family(rng, SU2, 1, factors=2))
+        cs = sample_connection(points, SU2, random_connection_family(rng, SU2, 1))
         A, jm, jet = cs.values.value, ms.jet.value, gs.jet1.value
-        s0 = integrate(Field(line, coupled("free", A, jm)), interval)
+        s0 = integrate(Field(points, coupled("free", A, jm)), points.region)
         s1 = integrate(
-            Field(line, coupled("free", act_connection(jet, A), act_jet_matter(jet, jm))),
-            interval,
+            Field(points, coupled("free", act_connection(jet, A), act_jet_matter(jet, jm))),
+            points.region,
         )
         assert abs(s1 - s0) <= 1e-10
 
