@@ -2,14 +2,13 @@
 
 Built-in families:
 
-* constant group elements;
-* single-generator fields exp(f(x) X) with f polynomial (degree <= 2) or
+* single-generator factors exp(f(x) X) with f polynomial (degree <= 2) or
   sinusoidal and X a fixed algebra element -- all values commute, so
   a_mu = (d_mu f) X and s_munu = (d_mu d_nu f) X exactly;
-* pointwise products of up to three single-generator/constant factors,
-  whose jets have a closed form in the conjugated generators and their
-  brackets (see ``GaugeSample``), giving non-abelian test data without
-  symbolic differentiation;
+* gauge families: ``ProductGauge``s, pointwise products of one to three
+  such factors, whose jets have a closed form in the conjugated
+  generators and their brackets (see ``GaugeSample``), giving non-abelian
+  test data without symbolic differentiation;
 * plane-wave matter fields and polynomial/sinusoidal gauge potentials.
 
 Exact jets are valid at every grid point (margin 0), so the
@@ -94,11 +93,6 @@ class Sinusoid:
 # gauge transformation families
 
 @dataclass(frozen=True)
-class ConstantGauge:
-    g0: np.ndarray  # (N, N) unitary
-
-
-@dataclass(frozen=True)
 class SingleGenerator:
     fn: Polynomial | Sinusoid
     generator: np.ndarray  # (N, N) algebra element
@@ -137,10 +131,9 @@ class GaugeSample:
 
         a_mu   = sum_i d_mu f_i Y_i
         s_munu = sum_i d_mu d_nu f_i Y_i
-                 + sum_{i<j} sym(d_mu f_i d_nu f_j) [Y_i, Y_j];
+                 + sum_{i<j} sym(d_mu f_i d_nu f_j) [Y_i, Y_j].
 
-    a constant factor contributes to the products g_1 ... g_{i-1} only.  g
-    is the ``mm`` fold of the factor values, each ``exp`` taken per point:
+    g is the ``mm`` fold of the factor values, each ``exp`` taken per point:
     one eigendecomposition shared by all points of a factor would repeat
     the same roundoff at every point, and action integrals would sum it
     coherently.  Every generator is conjugated once and every pair
@@ -153,27 +146,20 @@ class GaugeSample:
 
     patch: Patch | Points
     spec: GroupSpec
-    factors: tuple  # checked ConstantGauge / SingleGenerator descriptors
+    factors: tuple  # checked SingleGenerator descriptors
 
     def _orders(self, order: int) -> list[np.ndarray]:
         """g, then a and s up to ``order``, of the product of the factors."""
         n, nn = self.patch.dim, self.spec.n
         x = self.patch.coords()
-        g, terms = None, []  # terms: (Y_i, d f_i, dd f_i) per generator factor
+        g, terms = None, []  # terms: (Y_i, d f_i, dd f_i) per factor
         for factor in self.factors:
-            if isinstance(factor, ConstantGauge):
-                value = factor.g0
-            else:
-                f, grad, hess = factor.fn.evaluate(x)
-                value = exp(
-                    _trusted(AlgebraElement, self.spec, f[..., None, None] * factor.generator)
-                ).entries
-                if order:
-                    y = factor.generator if g is None else ad(g, factor.generator)
-                    terms.append((_trusted(AlgebraElement, self.spec, y), grad, hess))
+            f, grad, hess = factor.fn.evaluate(x)
+            value = exp(_trusted(AlgebraElement, self.spec, f[..., None, None] * factor.generator)).entries
+            if order:
+                y = factor.generator if g is None else ad(g, factor.generator)
+                terms.append((_trusted(AlgebraElement, self.spec, y), grad, hess))
             g = value if g is None else mm(g, value)
-        if g.ndim == 2:  # constant factors only
-            g = np.broadcast_to(g, self.patch.extent + (nn, nn)).copy()
         if not order:
             return [g]
         a = _combine(self.patch.extent + (n, nn, nn), 1, ((grad, y) for y, grad, _ in terms))
@@ -204,8 +190,6 @@ class GaugeSample:
 
 def _checked_factor(spec: GroupSpec, factor):
     # the descriptor's (N, N) matrix is checked; the grid inherits its structure
-    if isinstance(factor, ConstantGauge):
-        return ConstantGauge(GroupElement(spec, factor.g0).entries)
     if isinstance(factor, SingleGenerator):
         return SingleGenerator(factor.fn, AlgebraElement(spec, factor.generator).entries)
     raise UnknownFamilyError(f"unknown gauge factor {type(factor).__name__}")
@@ -217,14 +201,11 @@ def sample_gauge(patch: Patch | Points, spec: GroupSpec, family) -> GaugeSample:
     The family and each descriptor are checked here; the grids of each
     order are built when the sample's attribute is first read.
     """
-    if isinstance(family, (ConstantGauge, SingleGenerator)):
-        factors = (family,)
-    elif isinstance(family, ProductGauge):
-        factors = tuple(family.factors)
-        if not 1 <= len(factors) <= 3:
-            raise UnknownFamilyError("products support 1 to 3 factors")
-    else:
+    if not isinstance(family, ProductGauge):
         raise UnknownFamilyError(f"unknown gauge family {type(family).__name__}")
+    factors = tuple(family.factors)
+    if not 1 <= len(factors) <= 3:
+        raise UnknownFamilyError("products support 1 to 3 factors")
     return GaugeSample(patch, spec, tuple(_checked_factor(spec, f) for f in factors))
 
 
@@ -396,7 +377,6 @@ __all__ = [
     "UnknownFamilyError",
     "Polynomial",
     "Sinusoid",
-    "ConstantGauge",
     "SingleGenerator",
     "ProductGauge",
     "GaugeSample",

@@ -240,6 +240,14 @@ class SuiteResult:
     details: dict = dc_field(default_factory=dict)
 
 
+def _strict(data):
+    if isinstance(data, float) and not math.isfinite(data):
+        return repr(data)
+    if isinstance(data, dict):
+        return {k: _strict(v) for k, v in data.items()}
+    return [_strict(v) for v in data] if isinstance(data, (list, tuple)) else data
+
+
 @dataclass
 class Report:
     seed: int
@@ -251,7 +259,8 @@ class Report:
         return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        """Strict JSON (RFC 8259): a non-finite float is the string "inf", "-inf" or "nan"."""
+        return json.dumps(_strict(self.to_dict()), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     def write(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json())
@@ -676,10 +685,8 @@ def _suite_mechanics_reduction(cfg: SuiteConfig):
     line = cfg.patch if cfg.patch.dim == 1 else default_patch(1)
     points = Points(line, line.interior(1))
     rng = seeded_rng(cfg.seed, "mechanics", spec.label())
-    jc = _random(JetConnection, rng, spec, 1, 8)
-    components = curvature(jc).comps.size
-    if components != 0:
-        return float("inf"), {"curvature_components": components}
+    # a 1-axis jet has no curvature (curvature_pairs(1) is empty); the draw keeps the later ones
+    _random(JetConnection, rng, spec, 1, 8)
     jm = analytic.sample_matter(points, spec, analytic.random_matter_family(rng, spec, 1)).jet.value
     jet = _gauge(rng, spec, points).jet1.value
     A = _connection(rng, spec, points).values.value
@@ -736,11 +743,16 @@ def _result(
     """Judge ``max_error`` against the suite's tolerance at spacing ``h``.
 
     A suite passes when its ratio study (if any) is ``ok`` and either it is
-    exact at machine epsilon or ``max_error`` is within the tolerance.
+    exact at machine epsilon or ``max_error`` is within the tolerance.  A
+    tolerance that is not positive and finite checks nothing: the suite
+    fails, and ``details`` says why.
     """
     runtime = (time.perf_counter() - start) * 1000.0
     tol = SUITES[name].tol(h)
-    passed = ok and (mode == "exact" or max_error <= tol)
+    valid = 0 < tol < math.inf
+    if not valid:
+        details = {**details, "invalid_tolerance": f"{tol!r} at spacing {h!r} is not positive and finite"}
+    passed = ok and valid and (mode == "exact" or max_error <= tol)
     return SuiteResult(
         name=name,
         status="pass" if passed else "fail",
@@ -813,8 +825,8 @@ def _report(cfg: SuiteConfig, results: list[SuiteResult]) -> Report:
 
 
 def run(cfg: SuiteConfig) -> Report:
-    """Execute the configured suites deterministically and build a report."""
-    return _report(cfg, [run_suite(cfg, n) for n in cfg.suites])
+    """Run the configured suites, or every registered suite if none is set."""
+    return _report(cfg, [run_suite(cfg, n) for n in cfg.suites or SUITES])
 
 
 def converge(cfg: SuiteConfig) -> Report:

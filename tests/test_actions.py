@@ -15,7 +15,14 @@ from gaugejets.actions import (
     gauge_to_zero_jet1,
     gauge_to_zero_jet2,
 )
-from gaugejets.analytic import Polynomial, SingleGenerator, sample_gauge, sample_matter, PlaneWaveMatter
+from gaugejets.analytic import (
+    Polynomial,
+    PlaneWaveMatter,
+    ProductGauge,
+    SingleGenerator,
+    sample_gauge,
+    sample_matter,
+)
 from gaugejets.jets import (
     Jet1Gauge,
     Jet2Gauge,
@@ -191,9 +198,8 @@ class TestJetMatterAction:
         h = 0.05
         p = Patch((20, 20), spacing=h)
         rng = rnd(8)
-        gs = sample_gauge(
-            p, SU2, SingleGenerator(Polynomial(0.1, (0.4, -0.3)), random_algebra_entries(rng, SU2))
-        )
+        factor = SingleGenerator(Polynomial(0.1, (0.4, -0.3)), random_algebra_entries(rng, SU2))
+        gs = sample_gauge(p, SU2, ProductGauge((factor,)))
         ms = sample_matter(
             p,
             SU2,
@@ -235,7 +241,7 @@ class TestConnectionAction:
         # g = exp(i chi(x)): A -> A - i dchi
         p = Patch((16, 16), spacing=0.1)
         chi = Polynomial(0.3, (0.7, -0.2), ((0.4, 0.1), (0.1, -0.5)))
-        gs = sample_gauge(p, U1, SingleGenerator(chi, np.array([[1j]])))
+        gs = sample_gauge(p, U1, ProductGauge((SingleGenerator(chi, np.array([[1j]])),)))
         rng = rnd(11)
         alpha = rng.uniform(-1, 1, (2,))
         A = AlgebraElement(

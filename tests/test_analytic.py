@@ -18,8 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 from gaugejets import analytic
 from gaugejets.analytic import (
-    ConstantGauge,
+    Polynomial,
     ProductGauge,
+    SingleGenerator,
     random_connection_family,
     random_gauge_family,
     sample_connection,
@@ -40,7 +41,7 @@ from gaugejets.lie_core import (
     seeded_rng,
 )
 from gaugejets.patch import Field, Patch
-from sampling import random_group_element
+from sampling import random_algebra_element
 
 U1 = group_spec("u1")
 SU2 = group_spec("su2")
@@ -50,12 +51,13 @@ ORDERS = ("values", "jet1", "jet2")
 
 
 def family(spec, n, seed, constant):
-    """A product of 1-3 factors; ``constant`` marks the factors that are ConstantGauge."""
+    """A product of 1-3 factors; ``constant`` marks the factors exp(X) of a constant
+    polynomial, whose derivatives are zero."""
     rng = seeded_rng(seed, "lazy", spec.label())
     factors = list(random_gauge_family(rng, spec, n, factors=len(constant)).factors)
     for i, const in enumerate(constant):
         if const:
-            factors[i] = ConstantGauge(random_group_element(seed + i, spec).entries)
+            factors[i] = SingleGenerator(Polynomial(1.0), random_algebra_element(seed + i, spec).entries)
     return ProductGauge(tuple(factors))
 
 
@@ -91,16 +93,9 @@ EPS = np.finfo(np.float64).eps
 
 
 def factor_jets(patch, spec, fam):
-    """Each factor's second jet, built by hand: (exp(f X), df X, ddf X), or
-    (g0, 0, 0) for a constant factor."""
-    n, nn = patch.dim, spec.n
+    """Each factor's second jet, built by hand: (exp(f X), df X, ddf X)."""
     out = []
     for factor in fam.factors:
-        if isinstance(factor, ConstantGauge):
-            g = np.broadcast_to(factor.g0, patch.extent + (nn, nn)).copy()
-            zeros = np.zeros(patch.extent + (n, n, nn, nn), dtype=np.complex128)
-            out.append(Jet2Gauge(spec, g, zeros[..., 0, :, :], zeros))
-            continue
         f, grad, hess = factor.fn.evaluate(patch.coords())
         g = exp(AlgebraElement(spec, f[..., None, None] * factor.generator)).entries
         x = factor.generator
@@ -173,7 +168,7 @@ def test_low_orders_never_build_the_second_jet(monkeypatch):
         peak = traced_peak(lambda: [getattr(sample, name) for name in names])
         assert calls == [] and peak < s_nbytes, names
     sample.jet2
-    assert len(calls) == 1  # two generator factors around a constant one
+    assert len(calls) == 3  # each pair of the three factors once
 
 
 def test_lower_orders_reuse_a_cached_higher_one(monkeypatch):
@@ -188,13 +183,12 @@ def test_lower_orders_reuse_a_cached_higher_one(monkeypatch):
     monkeypatch.setattr(analytic, "exp", counting)
     patch = Patch((5, 5), spacing=0.1)
     fam = family(SU2, 2, 8, [False, False, True])
-    generators = 2  # the constant factor needs no exp
 
     sample = sample_gauge(patch, SU2, fam)
     sample.jet1
-    assert len(calls) == generators
+    assert len(calls) == 3  # one per factor
     sample.values
-    assert len(calls) == generators
+    assert len(calls) == 3
     assert np.array_equal(sample.values.value.entries, sample.jet1.value.g)
 
 

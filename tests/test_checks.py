@@ -16,8 +16,9 @@ import pytest
 from gaugejets import lie_core
 from gaugejets.actions import act_jet_connection
 from gaugejets.analytic import (
-    ConstantGauge,
+    Polynomial,
     ProductGauge,
+    SingleGenerator,
     random_connection_family,
     random_gauge_family,
     random_matter_family,
@@ -107,7 +108,9 @@ def make_inputs(spec, seed=0):
         x=AlgebraElement(spec, random_algebra_entries(rng, spec, (BATCH,))),
         gfield=Field(patch, group(patch.extent)),
         patch=patch,
-        family=ProductGauge((ConstantGauge(group(()).entries), *family.factors)),
+        family=ProductGauge(
+            (SingleGenerator(Polynomial(1.0), random_algebra_entries(rng, spec)), *family.factors)
+        ),
         g=group((BATCH,)),
         var=RepVector(spec, rng.uniform(-1, 1, (BATCH, spec.rep_dim)) + 0j),
         connection=random_connection_family(rng, spec, N_AXES),

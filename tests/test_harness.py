@@ -167,9 +167,33 @@ class TestConfig:
 
 class TestRun:
     def test_empty_suite_list_passes(self):
+        # no suites named: every registered suite runs, so a pass checked something
         report = run(small_cfg())
         assert report.overall == "pass"
-        assert report.suites == []
+        assert [r.name for r in report.suites] == list(SUITES)
+
+    def test_zero_tolerance_fails(self):
+        """At the smallest normal spacing h^2 underflows, so an fd tolerance is 0.0:
+        an error of 0.0 within it checks nothing, and the verdict says why."""
+        fd = ("jet_functoriality", "chain_rule_matter", "maurer_cartan")
+        report = run(small_cfg(patch=Patch((5, 5), spacing=np.finfo(float).tiny), suites=fd))
+        for res in report.suites:
+            assert (res.status, res.tolerance) == ("fail", 0.0), res.name
+            assert "not positive and finite" in res.details["invalid_tolerance"]
+
+    def test_report_json_is_strict(self, tmp_path):
+        """A non-finite float is written as a string, never as a bare NaN or
+        Infinity token, which strict (RFC 8259) parsers refuse."""
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        out = tmp_path / "report.json"
+        suites = ("theorem_ginv1", "theorem_ginv2")
+        report = run(SuiteConfig(patch=Patch((6, 6), spacing=1e-4), suites=suites, output=str(out)))
+        assert [r.max_error for r in report.suites] == [math.inf, math.inf]
+        data = json.loads(out.read_text(), parse_constant=refuse)
+        assert [s["max_error"] for s in data["suites"]] == ["inf", "inf"]
+        assert report.to_dict()["suites"][0]["max_error"] == math.inf  # the digests' form is unchanged
 
     def test_deterministic_reports(self, tmp_path):
         cfg = small_cfg(suites=FAST_SUITES)
@@ -541,8 +565,10 @@ def test_random_batches_keep_their_draws(cls, spec, n):
 
 class TestCli:
     def test_run_default_config_empty(self, capsys):
+        # no --suite and no suites key: every registered suite runs
         assert cli_main(["run"]) == 0
-        assert "overall: pass" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert out.count("PASS ") == len(SUITES) and "overall: pass" in out
 
     def test_run_with_config_and_suite(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -352,6 +352,7 @@ def test_traced_names_resolve(monkeypatch):
 BENCH = sorted((ROOT / "bench").glob("*.py"))
 # called by name from nowhere: the ``@_suite`` decorator registers ``_suite_*``,
 # and ``algebra_from_coords`` stays for the adjoint coordinates of ROADMAP item 6
+# (the same reason ``test_reach.ALLOWED`` gives)
 UNCALLED = {"algebra_from_coords"}
 
 

@@ -315,7 +315,7 @@ class TestJetsOfSampledFields:
         def err(h):
             p = Patch((int(round(2.0 / h)) + 1,) * 2, spacing=h)
             sample = sample_gauge(
-                p, U1, SingleGenerator(Polynomial(0.0, k), np.array([[1j]]))
+                p, U1, ProductGauge((SingleGenerator(Polynomial(0.0, k), np.array([[1j]])),))
             )
             jf = jet1_of(sample.values)
             inner = p.interior(1).slices()
@@ -330,8 +330,8 @@ class TestJetsOfSampledFields:
     def test_su2_single_generator_fd_matches_exact(self):
         p = Patch((20, 20), spacing=0.05)
         rng = seeded_rng(11, "sg")
-        fam = SingleGenerator(
-            Sinusoid(0.8, (0.6, -0.2), 0.3), random_algebra_entries(rng, SU2)
+        fam = ProductGauge(
+            (SingleGenerator(Sinusoid(0.8, (0.6, -0.2), 0.3), random_algebra_entries(rng, SU2)),)
         )
         sample = sample_gauge(p, SU2, fam)
         j2 = jet2_of(sample.values)
@@ -348,8 +348,8 @@ class TestJetsOfSampledFields:
             SingleGenerator(Polynomial(0.1, (0.4, -0.2), ((0.2, 0.1), (0.1, 0.0))),
                             random_algebra_entries(rng, spec)),
         ]
-        s1 = sample_gauge(p, spec, fams[0])
-        s2 = sample_gauge(p, spec, fams[1])
+        s1 = sample_gauge(p, spec, ProductGauge(fams[:1]))
+        s2 = sample_gauge(p, spec, ProductGauge(fams[1:]))
         prod_vals = Field(p, GroupElement(spec, s1.values.value.entries @ s2.values.value.entries))
         lhs = jet1_of(prod_vals).value
         rhs = jet1_mul(jet1_of(s1.values).value, jet1_of(s2.values).value)
@@ -371,7 +371,7 @@ class TestJetsOfSampledFields:
             random_algebra_entries(rng, SU2),
         )
         s1 = sample_gauge(p, SU2, fams)
-        s2 = sample_gauge(p, SU2, single)
+        s2 = sample_gauge(p, SU2, ProductGauge((single,)))
         prod_vals = Field(p, GroupElement(SU2, s1.values.value.entries @ s2.values.value.entries))
         lhs = jet2_of(prod_vals).value
         rhs = jet2_mul(jet2_of(s1.values).value, jet2_of(s2.values).value)

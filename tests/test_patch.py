@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from gaugejets.analytic import (
     CoefficientConnection,
-    ConstantGauge,
     Polynomial,
+    ProductGauge,
     SingleGenerator,
     Sinusoid,
     UnknownFamilyError,
@@ -18,7 +18,7 @@ from gaugejets.analytic import (
     sample_matter,
     PlaneWaveMatter,
 )
-from gaugejets.lie_core import group_spec
+from gaugejets.lie_core import exp, group_spec
 from gaugejets.patch import (
     Field,
     Patch,
@@ -276,18 +276,20 @@ class TestPoints:
 
 class TestSampleAnalytic:
     def test_constant_family(self):
+        # exp(c X) of a constant polynomial c: the same group element at every point
         p = Patch((6, 6))
-        g0 = random_group_element(9, SU2)
-        sample = sample_gauge(p, SU2, ConstantGauge(g0.entries))
+        x = random_algebra_element(9, SU2)
+        sample = sample_gauge(p, SU2, ProductGauge((SingleGenerator(Polynomial(1.0), x.entries),)))
         jet2 = sample.jet2.value
-        assert np.max(np.abs(jet2.g - g0.entries)) == 0.0
+        assert np.array_equal(jet2.g, np.broadcast_to(jet2.g[0, 0], jet2.g.shape))
+        assert np.max(np.abs(jet2.g[0, 0] - exp(x).entries)) < 1e-15
         assert np.max(np.abs(jet2.a)) == 0.0
         assert np.max(np.abs(jet2.s)) == 0.0
 
     def test_u1_plane_wave_jets(self):
         p = Patch((12, 12), spacing=0.1)
         k = (0.8, -0.3)
-        fam = SingleGenerator(Polynomial(0.0, k), np.array([[1j]]))
+        fam = ProductGauge((SingleGenerator(Polynomial(0.0, k), np.array([[1j]])),))
         sample = sample_gauge(p, U1, fam)
         jet = sample.jet1.value
         x = p.coords()
@@ -300,7 +302,7 @@ class TestSampleAnalytic:
         p = Patch((10, 10), spacing=0.1)
         x_gen = random_algebra_element(3, SU2)
         fn = Polynomial(0.2, (0.5, -0.7), ((0.0, 1.0), (1.0, 0.0)))  # f = ... + x1 x2
-        sample = sample_gauge(p, SU2, SingleGenerator(fn, x_gen.entries))
+        sample = sample_gauge(p, SU2, ProductGauge((SingleGenerator(fn, x_gen.entries),)))
         jet2 = sample.jet2.value
         x = p.coords()
         grad0 = 0.5 + x[..., 1]
@@ -314,6 +316,8 @@ class TestSampleAnalytic:
         p = Patch((6, 6))
         with pytest.raises(UnknownFamilyError):
             sample_gauge(p, SU2, object())
+        with pytest.raises(UnknownFamilyError):  # a family is a product, even of one factor
+            sample_gauge(p, SU2, SingleGenerator(Polynomial(1.0), random_algebra_element(1, SU2).entries))
 
     def test_matter_plane_wave_derivatives(self):
         p = Patch((8, 8), spacing=0.1)
