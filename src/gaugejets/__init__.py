@@ -3,8 +3,7 @@
 Fiber algebra for compact matrix groups, first- and second-order gauge
 jets with their group laws, the local action laws on matter fields,
 gauge potentials, and curvature, gauge-invariant densities with the
-covariant derivative and curvature factorization, and a config-driven
-verification harness.
+covariant derivative, and a config-driven verification harness.
 """
 
 from .lie_core import (
@@ -55,7 +54,7 @@ from .actions import (
     gauge_to_zero_jet1,
     gauge_to_zero_jet2,
 )
-from .lagrangians import covariant_derivative, gauge_density, matter_density, utiyama_factor
+from .lagrangians import covariant_derivative, gauge_density, matter_density
 from .harness import Report, SuiteConfig, convergence_study, run
 
 __version__ = "0.1.0"

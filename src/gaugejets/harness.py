@@ -22,7 +22,8 @@ per potential and matter jet.  The three action suites, ``theorem_ginv1``
 (matter on a line), share one study, ``_action_invariance``, which
 integrates each density over the patch interior, sampled there alone,
 before and after every transformation and tracks the worst change; each
-suite judges that study itself.
+suite judges that study itself, and fails with a NaN error when a density
+is not finite, naming it in ``details.non_finite``.
 
 ``run`` checks each configured suite once on the configured patch;
 ``converge`` repeats each across ``cfg.h_levels`` and judges the error
@@ -37,6 +38,7 @@ runtime_ms fields).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import operator
@@ -82,7 +84,6 @@ from .lagrangians import (
     covariant_derivative,
     gauge_density,
     matter_density,
-    utiyama_factor,
 )
 from .lie_core import (
     AlgebraElement,
@@ -306,10 +307,6 @@ def _connection(rng, spec: GroupSpec, patch: Patch | Points, scale: float = 1.0)
     return analytic.sample_connection(patch, spec, fam)
 
 
-# the matter densities of the invariance suites; "broken" is the negative control
-_INVARIANT_MATTER = ("free", "phi4")
-
-
 def _interior_max(err_grid: np.ndarray, *fields: Field) -> float:
     """Largest error where every field it came from is valid: inside the widest margin."""
     region = fields[0].patch.interior(max(f.margin for f in fields))
@@ -522,7 +519,7 @@ def _suite_minimal_coupling_invariance(cfg: SuiteConfig):
     equiv = max(_max(distance(phi2, rep_act(g, phi))), _max(distance(dphi2, rep_act(g, dphi))))
     moved, base = matter_density(phi2, dphi2, cfg.metric), matter_density(phi, dphi, cfg.metric)
     errs = {"equivariance": equiv}
-    errs.update((k, _max(np.abs(moved[k] - base[k]))) for k in _INVARIANT_MATTER)
+    errs.update((k, _max(np.abs(moved[k] - base[k]))) for k in ("free", "phi4"))
     return max(errs.values()), errs
 
 
@@ -552,13 +549,11 @@ def _utiyama_pairs(cfg: SuiteConfig):
 
 @_suite("densities factored through the curvature map are constant on equal-curvature jets", 1e-12)
 def _suite_utiyama_level_sets(cfg: SuiteConfig):
-    n = cfg.patch.dim
     jc, jc_shifted = _utiyama_pairs(cfg)
-    factored = utiyama_factor(
-        lambda f: _curvature_quadratic(f, cfg.metric), cfg.group, n, seed=cfg.seed
-    )
-    gap = _max(np.abs(factored(jc) - factored(jc_shifted)))
-    same_f = _max(distance(curvature(jc), curvature(jc_shifted)))
+    f, f_shifted = curvature(jc), curvature(jc_shifted)
+    quad, quad_shifted = _curvature_quadratic(f, cfg.metric), _curvature_quadratic(f_shifted, cfg.metric)
+    gap = _max(np.abs(quad - quad_shifted))
+    same_f = _max(distance(f, f_shifted))
     return max(gap, same_f), {"level_set_gap": gap, "curvature_match": same_f}
 
 
@@ -578,28 +573,34 @@ def _suite_utiyama_negative(cfg: SuiteConfig):
 def _action_invariance(points: Points, densities, base, moved) -> dict:
     """Worst change of each density and of its action under the moved data.
 
-    ``densities`` maps a datum to (invariant density grids by name, broken
-    density grid); ``base`` is the datum and ``moved`` yields its transforms,
-    all sampled on ``points``, the points of the integration region alone.
-    Returns the largest pointwise change of an invariant density there
-    (``pointwise``), of its action (``action_err``) and the largest base
-    action an invariant density has (``scale``, as |S|), the region's
-    ``points``, and the largest action change of the broken density
-    (``broken_violation``).
+    ``densities`` maps a datum to its density grids by name, the one named
+    ``broken`` being the negative control; ``base`` is the datum and
+    ``moved`` yields its transforms, all sampled on ``points``, the points
+    of the integration region alone.  Returns the largest pointwise change
+    of an invariant density there (``pointwise``), of its action
+    (``action_err``) and the largest base action an invariant density has
+    (``scale``, as |S|), the region's ``points``, and the largest action
+    change of the broken density (``broken_violation``).  A density with a
+    non-finite value ends the study: it returns the ``points`` and, as
+    ``non_finite``, the name of the first such density.
     """
     def action(vals: np.ndarray) -> float:
         return integrate(Field(points, vals), points.region)
 
-    base_vals, base_broken = densities(base)
-    base_actions = {k: action(vals) for k, vals in base_vals.items()}
-    s_broken = action(base_broken)
+    base_vals = None
     pointwise = action_err = broken_violation = 0.0
-    for datum in moved:
-        vals_by_name, broken = densities(datum)
-        for k, vals in vals_by_name.items():
-            pointwise = max(pointwise, _max(np.abs(vals - base_vals[k])))
-            action_err = max(action_err, abs(action(vals) - base_actions[k]))
-        broken_violation = max(broken_violation, abs(action(broken) - s_broken))
+    for vals_by_name in map(densities, itertools.chain([base], moved)):
+        if bad := next((k for k, v in vals_by_name.items() if not np.isfinite(v).all()), None):
+            return {"non_finite": bad, "points": points.npoints}
+        actions = {k: action(vals) for k, vals in vals_by_name.items()}
+        broken = actions.pop("broken")
+        if base_vals is None:
+            base_vals, base_actions, s_broken = vals_by_name, actions, broken
+            continue
+        broken_violation = max(broken_violation, abs(broken - s_broken))
+        for k, s in actions.items():
+            pointwise = max(pointwise, _max(np.abs(vals_by_name[k] - base_vals[k])))
+            action_err = max(action_err, abs(s - base_actions[k]))
     return {
         "pointwise": pointwise,
         "action_err": action_err,
@@ -622,14 +623,14 @@ def _suite_theorem_ginv1(cfg: SuiteConfig):
     jm = analytic.sample_matter(points, spec, family).jet.value
 
     def densities(datum):
-        """The invariant densities by name and the broken one, from one covariant derivative."""
-        vals = matter_density(*covariant_derivative(*datum), cfg.metric)
-        return {k: vals[k] for k in _INVARIANT_MATTER}, vals["broken"]
+        return matter_density(*covariant_derivative(*datum), cfg.metric)
 
     # generators: each transform is drawn from rng only when the study reaches it
     jets = (_gauge(rng, spec, points).jet1.value for _ in range(GINV_TRANSFORMS))
     moved = ((act_connection(jet, A), act_jet_matter(jet, jm)) for jet in jets)
     study = _action_invariance(points, densities, (A, jm), moved)
+    if "non_finite" in study:
+        return math.nan, study
     err = max(study["pointwise"], study["action_err"] / study["points"])
     if study["broken_violation"] <= MATTER_VIOLATION:
         err = float("inf")
@@ -646,12 +647,11 @@ def _suite_theorem_ginv2(cfg: SuiteConfig):
     rng = seeded_rng(cfg.seed, "theorem_ginv2", spec.label())
     jc: JetConnection = _connection(rng, spec, points).jet.value
 
-    def densities(jc):
-        vals = gauge_density(jc, cfg.metric)
-        return {"yang_mills": vals["yang_mills"]}, vals["broken"]
-
     jets = (_gauge(rng, spec, points).jet2.value for _ in range(GINV_TRANSFORMS))
-    study = _action_invariance(points, densities, jc, (act_jet_connection(jet, jc) for jet in jets))
+    moved = (act_jet_connection(jet, jc) for jet in jets)
+    study = _action_invariance(points, lambda jc: gauge_density(jc, cfg.metric), jc, moved)
+    if "non_finite" in study:
+        return math.nan, study
     # the invariance bound is on the action integral; the pointwise defect
     # (pure roundoff, scaling with the density magnitude) is informational
     err = study["action_err"] / study["points"]
@@ -696,10 +696,12 @@ def _suite_mechanics_reduction(cfg: SuiteConfig):
         A, jm = datum
         plain = (_trusted(RepVector, spec, jm.phi), _trusted(RepVector, spec, jm.dphi))
         covariant = matter_density(*covariant_derivative(A, jm), cfg.metric)["free"]
-        return {"free": covariant}, matter_density(*plain, cfg.metric)["free"]
+        return {"free": covariant, "broken": matter_density(*plain, cfg.metric)["free"]}
 
     moved = [(act_connection(jet, A), act_jet_matter(jet, jm))]
     study = _action_invariance(points, densities, (A, jm), moved)
+    if "non_finite" in study:
+        return math.nan, study
     scale, violation = max(1.0, study["scale"]), study["broken_violation"]
     err = study["action_err"] / scale if violation > MATTER_VIOLATION else float("inf")
     return err, {

@@ -3,7 +3,10 @@
 The harness checks five densities, each spelled once: ``matter_density``
 returns the matter ones (free, phi4 and a broken control) from one kinetic
 term, ``gauge_density`` the gauge-field ones (Yang-Mills and a broken
-control) from one field strength.
+control) from one field strength.  ``yang_mills`` reads a connection jet
+through its curvature alone, the form Utiyama's theorem gives every
+gauge-invariant first-order density; the harness checks it is constant on
+jets of equal curvature (``utiyama_level_sets``).
 
 Index contractions use the Euclidean metric by default (densities stay
 positive and invariance tests unambiguous); a Minkowski flag flips the
@@ -21,29 +24,20 @@ one under minimal coupling: evaluate ``matter_density`` on
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .lie_core import (
     AlgebraElement,
     DimensionError,
-    GroupSpec,
     RepVector,
     check_same_group,
     _check_potential,
     _trusted,
-    exp,
     frobenius,
     fundamental_vector_field,
-    random_algebra_entries,
-    seeded_rng,
 )
-from .actions import act_curvature
 from .jets import Curvature, JetConnection, JetMatter, curvature, curvature_pairs, sym
-
-UTIYAMA_PROBES = 64  # random curvature samples in the conjugation-invariance probe
-UTIYAMA_TOL = 1e-10  # largest density change under conjugation the probe accepts
 
 
 def _metric_signs(n: int, metric: str) -> np.ndarray:
@@ -103,8 +97,6 @@ class MinimallyCoupledDensity:
 
 def _curvature_quadratic(f: Curvature, metric: str) -> np.ndarray:
     pairs = curvature_pairs(f.n_axes)
-    if not pairs:
-        return np.zeros(f.batch_shape)
     signs = _metric_signs(f.n_axes, metric)
     weights = np.array([signs[mu] * signs[nu] for mu, nu in pairs])
     return np.einsum("p,...p->...", weights, frobenius(f.comps) ** 2)
@@ -121,38 +113,9 @@ def gauge_density(jc: JetConnection, metric: str = "euclidean") -> dict:
     return {"yang_mills": quad / 2.0, "broken": (quad + sym_term) / 2.0}
 
 
-def utiyama_factor(
-    curvature_density: Callable[[Curvature], np.ndarray],
-    spec: GroupSpec,
-    n_axes: int,
-    seed: int = 0,
-) -> Callable[[JetConnection], np.ndarray]:
-    """Lift a conjugation-invariant curvature density to the connection jet.
-
-    Probes the invariance of ``curvature_density`` under conjugation on
-    random samples first and refuses non-invariant input, since the lift
-    would then not be gauge invariant.
-    """
-    n_pairs = len(curvature_pairs(n_axes))
-    rng = seeded_rng(seed, "utiyama-probe", spec.label(), n_axes)
-    comps = random_algebra_entries(rng, spec, (UTIYAMA_PROBES, max(n_pairs, 0)))
-    f = Curvature(spec, n_axes, comps)
-    g = exp(AlgebraElement(spec, random_algebra_entries(rng, spec, (UTIYAMA_PROBES,))))
-    moved = act_curvature(g, f)
-    defect = np.max(np.abs(np.asarray(curvature_density(moved)) - np.asarray(curvature_density(f))))
-    if defect > UTIYAMA_TOL:
-        raise ValueError(
-            "curvature density is not conjugation invariant "
-            f"(defect {defect:.3e} > {UTIYAMA_TOL:g}); "
-            "it does not define a gauge invariant density on connection jets"
-        )
-    return lambda jc: np.asarray(curvature_density(curvature(jc)))
-
-
 __all__ = [
     "covariant_derivative",
     "matter_density",
     "MinimallyCoupledDensity",
     "gauge_density",
-    "utiyama_factor",
 ]

@@ -6,11 +6,12 @@ user runs the verifier, on real input:
 
 * ``harness.run`` of every suite on each ``FAST`` ledger config;
 * the CLI: refused configs and JGF1 files, a run whose negative controls
-  fall under their margins (spacing 1e-4), every suite at the smallest
-  normal spacing, ``converge`` of the fd suites and of an exact one,
-  ``sample`` of every kind with and without ``--fd`` and ``inspect`` of each
-  file written, far from the origin too, and ``inspect`` of a 1-D curvature
-  file, whose payload is empty.
+  fall under their margins (spacing 1e-4), action suites whose densities
+  overflow (spacing 1e150 at origin 1e160, and 1e300 on a line), every
+  suite at the smallest normal spacing, ``converge`` of the fd suites and
+  of an exact one, ``sample`` of every kind with and without ``--fd`` and
+  ``inspect`` of each file written, far from the origin too, and
+  ``inspect`` of a 1-D curvature file, whose payload is empty.
 
 It returns the ledger rows, which ``test_ledger.py`` compares, and the lines
 each source file executed, which ``test_reach.py`` reads.  The tests
@@ -38,6 +39,8 @@ SAMPLE_CONFIG = {"group": {"family": "su3"}, "patch": {"extent": [6, 6, 6], "spa
 FAR_CONFIG = {"group": {"family": "su3"}, "patch": {"extent": [16, 16], "spacing": 0.2, "origin": [300, 0]}}
 LINE_CONFIG = {"patch": {"extent": [5], "spacing": 0.2}}
 CONVERGE_CONFIG = {"patch": {"extent": [12, 12], "spacing": 0.2}, "h_levels": [0.2, 0.1, 0.05]}
+OVERFLOW_CONFIG = {"patch": {"extent": [6, 6], "spacing": 1e150, "origin": [1e160, 0]}}
+OVERFLOW_LINE_CONFIG = {"patch": {"extent": [6], "spacing": 1e300}}
 
 
 def cli_programs(tmp: Path):
@@ -51,6 +54,9 @@ def cli_programs(tmp: Path):
     small = config("small.json", {"patch": {"extent": [6, 6], "spacing": 1e-4}})
     out = str(tmp / "small-report.json")
     yield ["run", "--config", small, "--suite", "theorem_ginv1", "--suite", "theorem_ginv2", "--out", out]
+    overflow = config("overflow.json", OVERFLOW_CONFIG)
+    yield ["run", "--config", overflow, "--suite", "theorem_ginv1", "--suite", "theorem_ginv2"]
+    yield ["run", "--config", config("overflow-line.json", OVERFLOW_LINE_CONFIG), "--suite", "mechanics_reduction"]
     tiny = config("tiny.json", {"patch": {"extent": [5, 5], "spacing": np.finfo(float).tiny}})
     yield ["run", "--config", tiny]  # no suites named: every suite runs
     converge = config("converge.json", CONVERGE_CONFIG)
@@ -112,7 +118,8 @@ def program_trace(tmp_path_factory):
             for obj in vars(module).values():
                 getattr(obj, "cache_clear", lambda: None)()
     quiet = contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO())
-    with line_trace(str(SRC)) as executed, quiet[0], quiet[1]:
+    overflow_ok = np.errstate(over="ignore", invalid="ignore")  # the overflow config's samples overflow
+    with line_trace(str(SRC)) as executed, quiet[0], quiet[1], overflow_ok:
         ledger = {label: rows(config) for label, config in configs().items() if label in FAST}
         for argv in cli_programs(tmp):
             cli(argv)

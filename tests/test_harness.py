@@ -35,6 +35,7 @@ from gaugejets.lie_core import (
     seeded_rng,
 )
 from gaugejets.patch import Patch, default_patch
+from conftest import OVERFLOW_CONFIG, OVERFLOW_LINE_CONFIG
 
 FAST_SUITES = (
     "action_axioms",
@@ -194,6 +195,29 @@ class TestRun:
         data = json.loads(out.read_text(), parse_constant=refuse)
         assert [s["max_error"] for s in data["suites"]] == ["inf", "inf"]
         assert report.to_dict()["suites"][0]["max_error"] == math.inf  # the digests' form is unchanged
+
+    @pytest.mark.parametrize(
+        "config, names",
+        [
+            (OVERFLOW_CONFIG, {"theorem_ginv1": "free", "theorem_ginv2": "yang_mills"}),
+            (OVERFLOW_LINE_CONFIG, {"mechanics_reduction": "free"}),
+        ],
+        ids=["plane", "line"],
+    )
+    def test_non_finite_density_fails_and_names_it(self, config, names, tmp_path):
+        """Where the sampled densities overflow, each action suite fails with a NaN
+        error whose details name the first non-finite density, and the CLI exits
+        1 instead of raising."""
+        path, out = tmp_path / "overflow.json", tmp_path / "report.json"
+        path.write_text(json.dumps(config))
+        suites = [arg for name in names for arg in ("--suite", name)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli_main(["run", "--config", str(path), *suites, "--out", str(out)]) == 1
+        verdicts = {
+            s["name"]: (s["status"], s["max_error"], s["details"]["non_finite"])
+            for s in json.loads(out.read_text())["suites"]
+        }
+        assert verdicts == {name: ("fail", "nan", density) for name, density in names.items()}
 
     def test_deterministic_reports(self, tmp_path):
         cfg = small_cfg(suites=FAST_SUITES)

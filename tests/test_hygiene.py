@@ -1,13 +1,13 @@
 """Source hygiene: every module uses each name it imports, the fiber
 modules multiply matrices through the ``lie_core`` kernels and bracket
 stacks through ``pair_products``, one study takes every action integral,
-only ``lie_core`` builds representation matrices, every fiber type
-declares its arrays in one ``Fiber.LAYOUT``, no two of them alike, every
-fiber type has a JGF1 kind, only ``jets`` symmetrizes in (mu, nu) or
-differences fields beside ``patch``, every suite is registered by the
-``@_suite`` decorator on its function, every function the benchmark
-tracer wraps still exists, and every definition has a caller outside the
-tests.
+the densities import no layer above ``jets``, only ``lie_core`` builds
+representation matrices, every fiber type declares its arrays in one
+``Fiber.LAYOUT``, no two of them alike, every fiber type has a JGF1 kind,
+only ``jets`` symmetrizes in (mu, nu) or differences fields beside
+``patch``, every suite is registered by the ``@_suite`` decorator on its
+function, every function the benchmark tracer wraps still exists, and
+every definition has a caller outside the tests.
 
 No linter ships with the test dependencies, so this AST scan stands in for
 the unused-import check: a name counts as used when the module reads it
@@ -165,6 +165,25 @@ def test_only_the_action_study_integrates():
         for where in _callers(ast.parse(path.read_text(), filename=str(path)), "integrate")
     }
     assert callers == {"harness.py:_action_invariance"}
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """The ``gaugejets`` modules a module imports from, relatively or by absolute name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("gaugejets")):
+            module = (node.module or "").removeprefix("gaugejets").lstrip(".")
+            found |= {module} if module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name.removeprefix("gaugejets.") for a in node.names if a.name.startswith("gaugejets")}
+    return found
+
+
+def test_densities_sit_below_the_actions():
+    """``lagrangians`` imports from ``lie_core`` and ``jets`` alone: the densities
+    read fibers and jets, never the action laws that move them."""
+    tree = ast.parse((SRC / "lagrangians.py").read_text(), filename="lagrangians.py")
+    assert _package_imports(tree) <= {"lie_core", "jets"}
 
 
 REP_BUILDERS = {"rep_matrix", "rep_algebra_matrix"}

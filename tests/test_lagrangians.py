@@ -1,4 +1,4 @@
-"""Densities, the covariant derivative, curvature factorization, action integrals."""
+"""Densities, the covariant derivative, action integrals."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from gaugejets.analytic import (
     sample_matter,
 )
 from gaugejets.jets import Jet1Gauge, JetConnection, JetMatter, curvature, curvature_pairs, sym
-from gaugejets.lagrangians import covariant_derivative, gauge_density, matter_density, utiyama_factor
+from gaugejets.lagrangians import covariant_derivative, gauge_density, matter_density
 from gaugejets.lie_core import (
     AlgebraElement,
     GroupElement,
@@ -243,55 +243,6 @@ class TestClosedForms:
         assert list(vals) == ["yang_mills", "broken"]
         assert np.array_equal(vals["yang_mills"], quad / (2.0 * coupling**2))
         assert np.array_equal(vals["broken"], (quad + sym_term) / (2.0 * coupling**2))
-
-
-class TestUtiyama:
-    def _frob_density(self, f):
-        return np.sum(frobenius(f.comps) ** 2, axis=-1)
-
-    def test_zero_density(self):
-        factored = utiyama_factor(lambda f: np.zeros(f.batch_shape), SU2, 2)
-        rng = rnd(13)
-        jc = JetConnection(
-            SU2,
-            random_algebra_entries(rng, SU2, (2,)),
-            random_algebra_entries(rng, SU2, (2, 2)),
-        )
-        assert factored(jc) == 0.0
-
-    def test_reproduces_frobenius_gauge_density(self):
-        factored = utiyama_factor(self._frob_density, SU2, 3)
-        rng = rnd(14)
-        jc = JetConnection(
-            SU2,
-            random_algebra_entries(rng, SU2, (16, 3)),
-            random_algebra_entries(rng, SU2, (16, 3, 3)),
-        )
-        # yang_mills at coupling 1 halves the curvature quadratic; doubling is exact
-        direct = 2 * gauge_density(jc)["yang_mills"]
-        assert np.max(np.abs(factored(jc) - direct)) < 1e-12
-
-    def test_level_sets(self):
-        factored = utiyama_factor(self._frob_density, SU2, 2)
-        rng = rnd(15)
-        jc = JetConnection(
-            SU2,
-            random_algebra_entries(rng, SU2, (100, 2)),
-            random_algebra_entries(rng, SU2, (100, 2, 2)),
-        )
-        shift = random_algebra_entries(rng, SU2, (100, 2, 2))
-        shift = 0.5 * (shift + np.swapaxes(shift, -4, -3))
-        jc2 = JetConnection(SU2, jc.A, jc.dA + shift)
-        assert np.max(np.abs(factored(jc) - factored(jc2))) <= 1e-12
-
-    def test_rejects_noninvariant_curvature_density(self):
-        def lopsided(f):
-            # reads a single diagonal entry (imaginary for anti-hermitian
-            # matrices): not conjugation invariant
-            return f.comps[..., 0, 0, 0].imag if f.comps.size else np.zeros(f.batch_shape)
-
-        with pytest.raises(ValueError):
-            utiyama_factor(lopsided, SU2, 2)
 
 
 class TestActionFunctionals:
