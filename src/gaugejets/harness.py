@@ -23,7 +23,9 @@ per potential and matter jet.  The three action suites, ``theorem_ginv1``
 integrates each density over the patch interior, sampled there alone,
 before and after every transformation and tracks the worst change; each
 suite judges that study itself, and fails with a NaN error when a density
-is not finite, naming it in ``details.non_finite``.
+is not finite, naming it in ``details.non_finite``.  The other suites that
+read sampled fields name there, for a NaN error, the first stage of their
+data that is not finite (``_with_cause``).
 
 ``run`` checks each configured suite once on the configured patch;
 ``converge`` repeats each across ``cfg.h_levels`` and judges the error
@@ -313,6 +315,30 @@ def _interior_max(err_grid: np.ndarray, *fields: Field) -> float:
     return _max(err_grid[region.slices()])
 
 
+def _worst(*errors: float) -> float:
+    """The largest of ``errors``, NaN if any is: Python's ``max(1.0, nan)`` is 1.0."""
+    return float(np.max(errors))
+
+
+def _with_cause(err: float, details: dict, stages: dict) -> dict:
+    """``details``, plus for a NaN ``err`` the name of the first of ``stages``
+    whose data is not finite, as ``non_finite`` ("comparison" if all are).
+
+    ``stages`` maps names to the suite's data (fields, fiber values or
+    arrays) in the order it computes them; they are searched only for NaN.
+    """
+    if not math.isnan(err):
+        return details
+
+    def finite(x) -> bool:
+        x = x.value if isinstance(x, Field) else x
+        arrays = [getattr(x, name) for name in x.LAYOUT] if hasattr(x, "LAYOUT") else [x]
+        return all(np.isfinite(a).all() for a in arrays)
+
+    bad = next((name for name, x in stages.items() if not finite(x)), "comparison")
+    return {**details, "non_finite": bad}
+
+
 # ---------------------------------------------------------------------------
 # suite implementations (each takes the config and returns (max_error, details))
 
@@ -388,7 +414,12 @@ def _suite_jet_functoriality(cfg: SuiteConfig):
     lhs2 = jet2_of(prod)
     rhs2 = jet2_mul(jet2_of(s1.values).value, jet2_of(s2.values).value)
     err2 = _interior_max(distance(lhs2.value, rhs2), lhs2)
-    return max(err1, err2), {"order1": err1, "order2": err2}
+    err = _worst(err1, err2)
+    stages = {
+        "gauge_1": s1.values, "gauge_2": s2.values, "product": prod, "jet1_of_product": lhs1,
+        "jet1_product": rhs1, "jet2_of_product": lhs2, "jet2_product": rhs2,
+    }
+    return err, _with_cause(err, {"order1": err1, "order2": err2}, stages)
 
 
 @_suite("unit jets act trivially and jet products act by composition on every carrier", 1e-12)
@@ -452,7 +483,12 @@ def _suite_chain_rule_connection(cfg: SuiteConfig):
     lhs = jet_connection_of(Field(patch, moved))
     jet = jet2_of(gs.values)
     rhs = act_jet_connection(jet.value, jet_connection_of(cs.values).value)
-    return _interior_max(distance(lhs.value, rhs), lhs, jet), {}
+    err = _interior_max(distance(lhs.value, rhs), lhs, jet)
+    stages = {
+        "gauge": gs.values, "connection": cs.values, "moved_connection": moved,
+        "jet_of_moved": lhs, "gauge_jet2": jet, "moved_jet": rhs,
+    }
+    return err, _with_cause(err, {}, stages)
 
 
 @_suite("the curvature of a transformed connection jet is the conjugated curvature", 1e-10)
@@ -475,7 +511,12 @@ def _suite_gauge_to_zero_1(cfg: SuiteConfig):
     err = _max(witness.residual)
     back = act_connection(jet1_inv(witness.jet), witness.transformed)
     round_trip = _max(distance(back, A))
-    return max(err, round_trip), {"round_trip": round_trip, "points": cfg.patch.npoints}
+    worst = _worst(err, round_trip)
+    stages = {
+        "connection": A, "witness_jet": witness.jet, "transformed": witness.transformed,
+        "residual": witness.residual, "round_trip": back,
+    }
+    return worst, _with_cause(worst, {"round_trip": round_trip, "points": cfg.patch.npoints}, stages)
 
 
 @_suite(
@@ -490,8 +531,14 @@ def _suite_gauge_to_zero_2(cfg: SuiteConfig):
     witness = gauge_to_zero_jet2(jc)
     err = _max(witness.residual)
     # the witness moves A to exactly zero, so the bracket term adds exact zeros
-    curv_err = _max(distance(curvature(witness.transformed), curvature(jc)))
-    return max(err, curv_err), {"residual": err, "antisym_vs_curvature": curv_err}
+    f_moved, f = curvature(witness.transformed), curvature(jc)
+    curv_err = _max(distance(f_moved, f))
+    worst = _worst(err, curv_err)
+    stages = {
+        "connection_jet": jc, "witness_jet": witness.jet, "transformed": witness.transformed,
+        "residual": witness.residual, "curvature_of_transformed": f_moved, "curvature": f,
+    }
+    return worst, _with_cause(worst, {"residual": err, "antisym_vs_curvature": curv_err}, stages)
 
 
 def _coupling_data(cfg: SuiteConfig):
@@ -721,8 +768,10 @@ def _suite_maurer_cartan(cfg: SuiteConfig):
     spec, patch = cfg.group, cfg.patch
     rng = seeded_rng(cfg.seed, "maurer_cartan", spec.label())
     gs = _gauge(rng, spec, patch, scale=0.6)
-    defect = maurer_cartan_defect(jet1_of(gs.values))
-    return _interior_max(defect.value, defect), {}
+    jet = jet1_of(gs.values)
+    defect = maurer_cartan_defect(jet)
+    err = _interior_max(defect.value, defect)
+    return err, _with_cause(err, {}, {"gauge": gs.values, "jet1": jet, "defect": defect})
 
 
 def _lookup(name: str) -> SuiteDef:

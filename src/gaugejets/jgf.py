@@ -19,7 +19,9 @@ Layout (documented contract):
 
 * Binary payload: little-endian float64 pairs (re, im) for every complex
   entry, in lexicographic grid order (C order), row-major within each
-  matrix.
+  matrix.  Both directions stream it through one buffer of whole points,
+  at most ``BLOCK_BYTES`` (256 KiB, or one point where that is larger):
+  a write holds that block, a read the arrays it returns plus the block.
 
 Per-point entry order: a ``Fiber`` value stores its arrays in ``LAYOUT``
 order, each row-major over its trailing axes (``KINDS`` gives each kind's
@@ -98,25 +100,38 @@ def value_kind(field: Field) -> str:
     raise FormatError(f"cannot store {type(v).__name__} on a {p.dim}-D patch of extent {p.extent}")
 
 
-def _flatten(field: Field, kind: str) -> np.ndarray:
-    """Per-point complex payload, shape (npoints, entries_per_point)."""
-    v, npts = field.value, field.patch.npoints
-    parts = [getattr(v, name) for name in v.LAYOUT]
+BLOCK_BYTES = 256 << 10
+
+
+def _columns(arrays: list, kind: str, n: int, npts: int) -> list[np.ndarray]:
+    """The payload's columns, in order, as (npoints, entries) views of a value's
+    LAYOUT arrays: one per array, and for the packed s of ``jet2-gauge`` one
+    per row mu, whose slots nu >= mu lie side by side in s as in the file."""
+    columns = [x.reshape(npts, -1) for x in arrays]
     if kind == "jet2-gauge":  # s is stored packed, mu <= nu only
-        n = field.patch.dim
-        # np.take along the flat (mu, nu) axis returns a contiguous array, so
-        # the reshape below copies nothing; indexing s[..., mu, nu, :, :] would not
-        upper = np.ravel_multi_index(np.triu_indices(n), (n, n))
-        parts[-1] = np.take(v.s.reshape(npts, n * n, -1), upper, axis=1)
-    payload = np.concatenate([x.reshape(npts, -1) for x in parts], axis=1)
-    return np.ascontiguousarray(payload, dtype=np.complex128)
+        s = arrays[-1].reshape(npts, n, -1)
+        columns[-1:] = [s[:, mu, mu * s.shape[-1] // n :] for mu in range(n)]
+    return columns
+
+
+def _blocks(columns: list[np.ndarray], npts: int):
+    """Walk the payload in blocks of whole points through one reused buffer:
+    yield each block's rows, the block, and its (block column, array column) pairs."""
+    widths = [column.shape[1] for column in columns]
+    step = max(1, BLOCK_BYTES // max(16 * sum(widths), 1))  # 1-D curvature has no entries
+    buf = np.empty((min(step, npts), sum(widths)), dtype="<c16")
+    edges = np.cumsum([0] + widths).tolist()
+    for start in range(0, npts, step):
+        rows = slice(start, min(start + step, npts))
+        block = buf[: rows.stop - start]
+        spans = zip(edges, edges[1:], columns)
+        yield rows, block, [(block[:, lo:hi], column[rows]) for lo, hi, column in spans]
 
 
 def write_field(field: Field, path: str | Path) -> None:
     """Write a field as JGF1; FormatError, before the file is opened, for a
     value the reader could not rebuild."""
     kind = value_kind(field)
-    payload = _flatten(field, kind)
     p, spec = field.patch, field.value.spec
     family = spec.family.value
     family_line = f"family {family} {spec.n}" if spec.family is GroupFamily.SUN else f"family {family}"
@@ -131,11 +146,13 @@ def write_field(field: Field, path: str | Path) -> None:
             f"value_kind {kind}",
         ]
     )
+    columns = _columns([getattr(field.value, name) for name in field.value.LAYOUT], kind, p.dim, p.npoints)
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
-        # through the buffer protocol: no bytes copy of the payload, and an
-        # empty payload (1-D curvature) writes nothing
-        fh.write(np.ascontiguousarray(payload, dtype="<c16"))
+        for _, block, parts in _blocks(columns, p.npoints):
+            for dst, src in parts:
+                dst[...] = src
+            fh.write(block)  # through the buffer protocol: no bytes copy
 
 
 # longest legal header line: "spacing" and four repr floats, each after a
@@ -167,26 +184,24 @@ def read_field(path: str | Path) -> Field:
     """Reconstruct a field from a JGF1 file on an origin-zero patch.
 
     Any malformed header value or payload raises FormatError.  The payload
-    is checked for finiteness once; the group, algebra, connection, matter
-    and jet-matter kinds then go through their strict public constructors,
-    while the gauge and connection jets and curvature are taken as stored
-    (finite-difference jets sit off the algebra by O(h^2)).  The payload is
-    read into one writable buffer, and the stored arrays are views of it.
+    size is compared with the header before anything is allocated; each
+    returned array is allocated once, writable, and filled block by block,
+    every block checked for finiteness.  The group, algebra, connection,
+    matter and jet-matter kinds then go through their strict public
+    constructors, while the gauge and connection jets and curvature are
+    taken as stored (finite-difference jets sit off the algebra by O(h^2)).
     """
     with open(path, "rb") as fh:
         try:
             hdr = _read_header(fh)
-            payload = bytearray(os.fstat(fh.fileno()).st_size - fh.tell())
-            if fh.readinto(payload) != len(payload):
-                raise FormatError("payload shorter than the file size")
-            return _decode(hdr, payload)
+            return _decode(hdr, fh, os.fstat(fh.fileno()).st_size - fh.tell())
         except FormatError:
             raise
         except ValueError as exc:  # bad header values, or payloads off the group or algebra
             raise FormatError(f"invalid JGF1 field: {exc}") from exc
 
 
-def _decode(hdr: dict, payload: bytearray) -> Field:
+def _decode(hdr: dict, fh: io.BufferedReader, nbytes: int) -> Field:
     family_tokens = hdr["family"].split()
     family = GroupFamily(family_tokens[0])
     n_mat = int(family_tokens[1]) if len(family_tokens) > 1 else 0
@@ -200,27 +215,29 @@ def _decode(hdr: dict, payload: bytearray) -> Field:
     if kind not in KINDS:
         raise FormatError(f"unknown value kind {kind!r}")
     spec = GroupSpec(family, n_mat, rep_dim)
-    data = np.frombuffer(payload, dtype="<c16")
-    if not np.all(np.isfinite(data)):
-        raise FormatError("payload contains non-finite entries")
     shapes = _shapes(kind, spec, dim)
-    upper = np.triu_indices(dim)
+    packed = dict(shapes)
     if kind == "jet2-gauge":  # s is stored packed, mu <= nu only
-        shapes["s"] = (len(upper[0]),) + shapes["s"][2:]
-    sizes = [math.prod(shape) for shape in shapes.values()]
+        packed["s"] = (dim * (dim + 1) // 2,) + shapes["s"][2:]
     # compared before the Patch is built: the header's extent is not yet known to fit memory
-    expected = math.prod(extent) * sum(sizes)
-    if data.size != expected:
-        raise FormatError(f"payload holds {data.size} entries, expected {expected}")
+    expected = 16 * math.prod(extent) * sum(math.prod(shape) for shape in packed.values())
+    if nbytes != expected:
+        raise FormatError(f"payload holds {nbytes} bytes, expected {expected}")
     patch = Patch(extent, spacing)
-    flat = data.reshape(extent + (sum(sizes),))
-    parts = np.split(flat, np.cumsum(sizes)[:-1], axis=-1)
-    arrays = [part.reshape(extent + shape) for part, shape in zip(parts, shapes.values())]
+    arrays = [np.empty(extent + shape, dtype=np.complex128) for shape in shapes.values()]
+    mirror = []  # (s_numu for nu > mu, the stored s_munu) of jet2-gauge, row by row
     if kind == "jet2-gauge":
-        s = np.empty(extent + (dim, dim, spec.n, spec.n), dtype=np.complex128)
-        s[..., upper[0], upper[1], :, :] = arrays[-1]
-        s[..., upper[1], upper[0], :, :] = arrays[-1]
-        arrays[-1] = s
+        s = arrays[-1].reshape(patch.npoints, dim, dim, -1)
+        mirror = [(s[:, mu + 1 :, mu], s[:, mu, mu + 1 :]) for mu in range(dim)]
+    for rows, block, parts in _blocks(_columns(arrays, kind, dim, patch.npoints), patch.npoints):
+        if fh.readinto(block) != block.nbytes:
+            raise FormatError("payload shorter than the file size")
+        if not np.isfinite(block.view("<f8")).all():
+            raise FormatError("payload contains non-finite entries")
+        for src, dst in parts:
+            dst[...] = src
+        for dst, src in mirror:  # from the block just written, still in cache
+            dst[rows] = src[rows]
     cls, _ = KINDS[kind]
     build = partial(_trusted, cls) if cls in _UNCHECKED else cls
     return Field(patch, build(*_head(cls, spec, dim), *arrays))

@@ -62,7 +62,10 @@ class Patch:
         # smallest normal float, where the 1 / 2h of a central difference overflows
         with np.errstate(over="ignore", invalid="ignore"):
             for mu in range(n):
-                x = self.axis_coords(mu)
+                try:
+                    x = self.axis_coords(mu)
+                except MemoryError:
+                    raise RegionError(f"axis {mu}: {extent[mu]} points do not fit in memory") from None
                 if not (self.spacing[mu] >= TINY and np.isfinite(x).all() and (x[1:] > x[:-1]).all()):
                     raise RegionError(
                         f"axis {mu}: the points {self.origin[mu]!r} + {self.spacing[mu]!r} * i "

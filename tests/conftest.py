@@ -6,12 +6,13 @@ user runs the verifier, on real input:
 
 * ``harness.run`` of every suite on each ``FAST`` ledger config;
 * the CLI: refused configs and JGF1 files, a run whose negative controls
-  fall under their margins (spacing 1e-4), action suites whose densities
-  overflow (spacing 1e150 at origin 1e160, and 1e300 on a line), every
-  suite at the smallest normal spacing, ``converge`` of the fd suites and
-  of an exact one, ``sample`` of every kind with and without ``--fd`` and
-  ``inspect`` of each file written, far from the origin too, and
-  ``inspect`` of a 1-D curvature file, whose payload is empty.
+  fall under their margins (spacing 1e-4), suites whose samples or
+  densities overflow (spacing 1e150 at origin 1e160, and 1e300 on a
+  line), every suite at the smallest normal spacing, ``converge`` of the
+  fd suites and of an exact one, ``sample`` of every kind with and
+  without ``--fd`` and ``inspect`` of each file written, far from the
+  origin too, and ``inspect`` of a 1-D curvature file, whose payload is
+  empty.
 
 It returns the ledger rows, which ``test_ledger.py`` compares, and the lines
 each source file executed, which ``test_reach.py`` reads.  The tests
@@ -41,6 +42,16 @@ LINE_CONFIG = {"patch": {"extent": [5], "spacing": 0.2}}
 CONVERGE_CONFIG = {"patch": {"extent": [12, 12], "spacing": 0.2}, "h_levels": [0.2, 0.1, 0.05]}
 OVERFLOW_CONFIG = {"patch": {"extent": [6, 6], "spacing": 1e150, "origin": [1e160, 0]}}
 OVERFLOW_LINE_CONFIG = {"patch": {"extent": [6], "spacing": 1e300}}
+# suite -> the first non-finite stage (a density, for the action suites) on OVERFLOW_CONFIG
+OVERFLOW_STAGES = {
+    "jet_functoriality": "gauge_2",
+    "chain_rule_connection": "connection",
+    "gauge_to_zero_1": "connection",
+    "gauge_to_zero_2": "connection_jet",
+    "theorem_ginv1": "free",
+    "theorem_ginv2": "yang_mills",
+    "maurer_cartan": "gauge",
+}
 
 
 def cli_programs(tmp: Path):
@@ -55,7 +66,7 @@ def cli_programs(tmp: Path):
     out = str(tmp / "small-report.json")
     yield ["run", "--config", small, "--suite", "theorem_ginv1", "--suite", "theorem_ginv2", "--out", out]
     overflow = config("overflow.json", OVERFLOW_CONFIG)
-    yield ["run", "--config", overflow, "--suite", "theorem_ginv1", "--suite", "theorem_ginv2"]
+    yield ["run", "--config", overflow] + [arg for name in OVERFLOW_STAGES for arg in ("--suite", name)]
     yield ["run", "--config", config("overflow-line.json", OVERFLOW_LINE_CONFIG), "--suite", "mechanics_reduction"]
     tiny = config("tiny.json", {"patch": {"extent": [5, 5], "spacing": np.finfo(float).tiny}})
     yield ["run", "--config", tiny]  # no suites named: every suite runs

@@ -35,7 +35,7 @@ from gaugejets.lie_core import (
     seeded_rng,
 )
 from gaugejets.patch import Patch, default_patch
-from conftest import OVERFLOW_CONFIG, OVERFLOW_LINE_CONFIG
+from conftest import OVERFLOW_CONFIG, OVERFLOW_LINE_CONFIG, OVERFLOW_STAGES
 
 FAST_SUITES = (
     "action_axioms",
@@ -150,6 +150,15 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_unallocatable_extent_exits_2(self, tmp_path, capsys):
+        """numpy refuses a 10^15-point axis at once, without allocating any of it;
+        the patch's grid rule reports the axis, and the CLI exits 2."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"patch": {"extent": [10**15, 5]}}))
+        assert cli_main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "axis 0" in err and err.count("\n") == 1
+
     def test_smallest_normal_spacing_runs(self):
         """The spacing floor is the smallest normal float: there 1 / 2h is finite, so
         a central difference of bounded data is too."""
@@ -199,15 +208,15 @@ class TestRun:
     @pytest.mark.parametrize(
         "config, names",
         [
-            (OVERFLOW_CONFIG, {"theorem_ginv1": "free", "theorem_ginv2": "yang_mills"}),
+            (OVERFLOW_CONFIG, OVERFLOW_STAGES),
             (OVERFLOW_LINE_CONFIG, {"mechanics_reduction": "free"}),
         ],
         ids=["plane", "line"],
     )
     def test_non_finite_density_fails_and_names_it(self, config, names, tmp_path):
-        """Where the sampled densities overflow, each action suite fails with a NaN
-        error whose details name the first non-finite density, and the CLI exits
-        1 instead of raising."""
+        """Where the sampled data overflow, each suite that reads them fails with a
+        NaN error whose details name the first non-finite stage (the density, for
+        the action suites), and the CLI exits 1 instead of raising."""
         path, out = tmp_path / "overflow.json", tmp_path / "report.json"
         path.write_text(json.dumps(config))
         suites = [arg for name in names for arg in ("--suite", name)]
@@ -218,6 +227,9 @@ class TestRun:
             for s in json.loads(out.read_text())["suites"]
         }
         assert verdicts == {name: ("fail", "nan", density) for name, density in names.items()}
+
+    def test_sub_errors_combine_to_nan(self):
+        assert math.isnan(harness._worst(1.0, math.nan)) and harness._worst(1.0, 2.0) == 2.0
 
     def test_deterministic_reports(self, tmp_path):
         cfg = small_cfg(suites=FAST_SUITES)

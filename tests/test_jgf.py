@@ -1,5 +1,6 @@
 """JGF1 field file round trips and header handling."""
 
+import itertools
 import json
 import tracemalloc
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gaugejets import jgf
 from gaugejets.analytic import (
     random_connection_family,
     random_gauge_family,
@@ -103,25 +105,42 @@ def test_curvature_round_trip(tmp_path, patch):
     assert np.array_equal(back.value.comps, f.value.comps)
 
 
-def test_read_peak_memory(tmp_path):
-    """A su3 4-D jet2-gauge read holds the payload once, plus the unpacked s
-    (144 entries per point, against 135 stored), and returns writable arrays
-    equal bit for bit to the written ones."""
-    field = gauge_sample(Patch((5, 5, 5, 5), spacing=0.1), SU3, seed=6).jet2
-    path = tmp_path / "jet2.jgf1"
-    write_field(field, path)
-    read_field(path)
+def traced(fn):
+    """``fn()``, and the ``tracemalloc`` peak of that call."""
     tracemalloc.start()
     try:
-        back = read_field(path)
-        _, peak = tracemalloc.get_traced_memory()
+        return fn(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.2 * path.stat().st_size
-    for name, arr in arrays_of(field.value):
-        got = getattr(back.value, name)
-        assert got.flags.writeable, name
-        assert got.tobytes() == arr.tobytes(), name
+
+
+def test_read_peak_memory(tmp_path):
+    """A su3 4-D jet2-gauge read, at 5^4 and 10^4, holds the arrays it returns,
+    each allocated once (189 entries per point with the whole s, against 135
+    stored), plus one block.  The arrays are writable, equal the written ones
+    bit for bit, and lie in disjoint memory: none is a view into a buffer that
+    holds the others."""
+    for side in (5, 10):
+        field = gauge_sample(Patch((side,) * 4, spacing=0.1), SU3, seed=6).jet2
+        path = tmp_path / "jet2.jgf1"
+        write_field(field, path)
+        read_field(path)
+        back, peak = traced(lambda: read_field(path))
+        arrays = [getattr(back.value, name) for name in field.value.LAYOUT]
+        assert peak <= sum(x.nbytes for x in arrays) + 2 * jgf.BLOCK_BYTES, side
+        assert not any(np.may_share_memory(x, y) for x, y in itertools.combinations(arrays, 2))
+        for (name, arr), got in zip(arrays_of(field.value), arrays):
+            assert got.flags.writeable, name
+            assert got.tobytes() == arr.tobytes(), name
+
+
+def test_write_peak_memory(tmp_path):
+    """A write holds one block, at 5^4 as at 10^4."""
+    for side in (5, 10):
+        field = gauge_sample(Patch((side,) * 4, spacing=0.1), SU3, seed=6).jet2
+        path = tmp_path / "jet2.jgf1"
+        write_field(field, path)
+        assert traced(lambda: write_field(field, path))[1] <= 2 * jgf.BLOCK_BYTES, side
 
 
 def test_fd_jets_round_trip(tmp_path, patch):
@@ -333,6 +352,21 @@ def same_bits(x, y):
     return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
+def payload_of(path) -> bytes:
+    return path.read_bytes().split(b"\n", 7)[7]
+
+
+def encoding(field) -> bytes:
+    """The JGF1 payload of ``field``, built from the format's description alone:
+    per point, each LAYOUT array row-major, s packed to mu <= nu."""
+    v, npts, n = field.value, field.patch.npoints, field.patch.dim
+    parts = {name: getattr(v, name).reshape(npts, -1) for name in v.LAYOUT}
+    if isinstance(v, Jet2Gauge):
+        mu, nu = np.triu_indices(n)
+        parts["s"] = v.s.reshape(npts, n, n, -1)[:, mu, nu].reshape(npts, -1)
+    return np.concatenate(list(parts.values()), axis=1).astype("<c16").tobytes()
+
+
 @pytest.mark.parametrize("kind, fd", ROUND_TRIP_KINDS)
 @given(
     st.sampled_from(SPECS),
@@ -347,6 +381,7 @@ def test_every_kind_round_trips_bit_exactly(tmp_path_factory, kind, fd, spec, ex
     tmp = tmp_path_factory.mktemp("kinds")
     first, second = tmp / "a.jgf1", tmp / "b.jgf1"
     write_field(field, first)
+    assert payload_of(first) == encoding(field)
     back = read_field(first)
     assert value_kind(back) == kind
     assert back.patch.extent == patch.extent and back.patch.spacing == patch.spacing
@@ -355,6 +390,38 @@ def test_every_kind_round_trips_bit_exactly(tmp_path_factory, kind, fd, spec, ex
         assert same_bits(arr, getattr(back.value, name)), name
     write_field(back, second)
     assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("kind, fd", ROUND_TRIP_KINDS)
+@pytest.mark.parametrize("points_per_block", [0, 7], ids=["16-bytes", "7-points"])
+def test_block_size_moves_no_bit(tmp_path, monkeypatch, kind, fd, points_per_block):
+    """Below one point (a 16-byte block) and at 7 points per block, which divides
+    no point count here, files equal the encoding and read back bit for bit."""
+    field = field_of(kind, fd, SU3, Patch((5, 6, 5), spacing=0.1), 17)
+    point_bytes = len(encoding(field)) // field.patch.npoints
+    monkeypatch.setattr(jgf, "BLOCK_BYTES", max(16, points_per_block * point_bytes + 8))
+    path = tmp_path / "f.jgf1"
+    write_field(field, path)
+    assert payload_of(path) == encoding(field)
+    back = read_field(path)
+    for name, arr in arrays_of(field.value):
+        assert same_bits(arr, getattr(back.value, name)), name
+
+
+@pytest.mark.parametrize("points_per_block", [None, 7], ids=["default", "7-points"])
+def test_non_finite_entry_in_last_block_refused(tmp_path, monkeypatch, points_per_block):
+    """The last entry of the last block, a partial one at 7 points per block, is
+    checked like the first; a jet1-gauge is read without invariant checks, so
+    the block check is all that refuses it."""
+    field = gauge_sample(Patch((5, 6, 5), spacing=0.1), SU3, seed=14).jet1
+    if points_per_block:
+        point_bytes = len(encoding(field)) // field.patch.npoints
+        monkeypatch.setattr(jgf, "BLOCK_BYTES", points_per_block * point_bytes + 8)
+    path = tmp_path / "last.jgf1"
+    write_field(field, path)
+    path.write_bytes(path.read_bytes()[:-16] + np.array([complex("nan")], dtype="<c16").tobytes())
+    with pytest.raises(FormatError, match="payload contains non-finite entries"):
+        read_field(path)
 
 
 def _jet1_on_axes(spec, extent, n):
