@@ -21,11 +21,11 @@ per potential and matter jet.  The three action suites, ``theorem_ginv1``
 (matter), ``theorem_ginv2`` (gauge fields) and ``mechanics_reduction``
 (matter on a line), share one study, ``_action_invariance``, which
 integrates each density over the patch interior, sampled there alone,
-before and after every transformation and tracks the worst change; each
-suite judges that study itself, and fails with a NaN error when a density
-is not finite, naming it in ``details.non_finite``.  The other suites that
-read sampled fields name there, for a NaN error, the first stage of their
-data that is not finite (``_with_cause``).
+before and after every transformation and tracks the worst change, judged
+by each suite's verdict, or ends in a NaN error naming the first non-finite
+density in ``details.non_finite``.  The other suites that read sampled
+fields name there, for a NaN error, the first non-finite stage of their data
+(``_with_cause``).  Suites run with numpy's overflow warnings off.
 
 ``run`` checks each configured suite once on the configured patch;
 ``converge`` repeats each across ``cfg.h_levels`` and judges the error
@@ -617,7 +617,7 @@ def _suite_utiyama_negative(cfg: SuiteConfig):
     return shortfall, {"min_violation": violation, "required": GAUGE_VIOLATION}
 
 
-def _action_invariance(points: Points, densities, base, moved) -> dict:
+def _action_invariance(points: Points, densities, base, moved, verdict) -> tuple[float, dict]:
     """Worst change of each density and of its action under the moved data.
 
     ``densities`` maps a datum to its density grids by name, the one named
@@ -627,9 +627,9 @@ def _action_invariance(points: Points, densities, base, moved) -> dict:
     of an invariant density there (``pointwise``), of its action
     (``action_err``) and the largest base action an invariant density has
     (``scale``, as |S|), the region's ``points``, and the largest action
-    change of the broken density (``broken_violation``).  A density with a
-    non-finite value ends the study: it returns the ``points`` and, as
-    ``non_finite``, the name of the first such density.
+    change of the broken density (``broken_violation``): ``verdict`` turns
+    these into the suite's (error, details).  A non-finite density ends the
+    study with a NaN error, the ``points`` and its name as ``non_finite``.
     """
     def action(vals: np.ndarray) -> float:
         return integrate(Field(points, vals), points.region)
@@ -638,7 +638,7 @@ def _action_invariance(points: Points, densities, base, moved) -> dict:
     pointwise = action_err = broken_violation = 0.0
     for vals_by_name in map(densities, itertools.chain([base], moved)):
         if bad := next((k for k, v in vals_by_name.items() if not np.isfinite(v).all()), None):
-            return {"non_finite": bad, "points": points.npoints}
+            return math.nan, {"non_finite": bad, "points": points.npoints}
         actions = {k: action(vals) for k, vals in vals_by_name.items()}
         broken = actions.pop("broken")
         if base_vals is None:
@@ -648,13 +648,13 @@ def _action_invariance(points: Points, densities, base, moved) -> dict:
         for k, s in actions.items():
             pointwise = max(pointwise, _max(np.abs(vals_by_name[k] - base_vals[k])))
             action_err = max(action_err, abs(s - base_actions[k]))
-    return {
+    return verdict({
         "pointwise": pointwise,
         "action_err": action_err,
         "scale": max(map(abs, base_actions.values())),
         "points": points.npoints,
         "broken_violation": broken_violation,
-    }
+    })
 
 
 @_suite(
@@ -675,13 +675,14 @@ def _suite_theorem_ginv1(cfg: SuiteConfig):
     # generators: each transform is drawn from rng only when the study reaches it
     jets = (_gauge(rng, spec, points).jet1.value for _ in range(GINV_TRANSFORMS))
     moved = ((act_connection(jet, A), act_jet_matter(jet, jm)) for jet in jets)
-    study = _action_invariance(points, densities, (A, jm), moved)
-    if "non_finite" in study:
-        return math.nan, study
-    err = max(study["pointwise"], study["action_err"] / study["points"])
-    if study["broken_violation"] <= MATTER_VIOLATION:
-        err = float("inf")
-    return err, {**study, "transforms": GINV_TRANSFORMS}
+
+    def verdict(study):
+        err = max(study["pointwise"], study["action_err"] / study["points"])
+        if study["broken_violation"] <= MATTER_VIOLATION:
+            err = float("inf")
+        return err, {**study, "transforms": GINV_TRANSFORMS}
+
+    return _action_invariance(points, densities, (A, jm), moved, verdict)
 
 
 @_suite(
@@ -696,15 +697,16 @@ def _suite_theorem_ginv2(cfg: SuiteConfig):
 
     jets = (_gauge(rng, spec, points).jet2.value for _ in range(GINV_TRANSFORMS))
     moved = (act_jet_connection(jet, jc) for jet in jets)
-    study = _action_invariance(points, lambda jc: gauge_density(jc, cfg.metric), jc, moved)
-    if "non_finite" in study:
-        return math.nan, study
-    # the invariance bound is on the action integral; the pointwise defect
-    # (pure roundoff, scaling with the density magnitude) is informational
-    err = study["action_err"] / study["points"]
-    if study["broken_violation"] <= GAUGE_VIOLATION:
-        err = float("inf")
-    return err, study
+
+    def verdict(study):
+        # the invariance bound is on the action integral; the pointwise defect
+        # (pure roundoff, scaling with the density magnitude) is informational
+        err = study["action_err"] / study["points"]
+        if study["broken_violation"] <= GAUGE_VIOLATION:
+            err = float("inf")
+        return err, study
+
+    return _action_invariance(points, lambda jc: gauge_density(jc, cfg.metric), jc, moved, verdict)
 
 
 @_suite(
@@ -746,17 +748,18 @@ def _suite_mechanics_reduction(cfg: SuiteConfig):
         return {"free": covariant, "broken": matter_density(*plain, cfg.metric)["free"]}
 
     moved = [(act_connection(jet, A), act_jet_matter(jet, jm))]
-    study = _action_invariance(points, densities, (A, jm), moved)
-    if "non_finite" in study:
-        return math.nan, study
-    scale, violation = max(1.0, study["scale"]), study["broken_violation"]
-    err = study["action_err"] / scale if violation > MATTER_VIOLATION else float("inf")
-    return err, {
-        "noncovariant_violation": violation,
-        "covariant_err": study["action_err"],
-        "scale": scale,
-        "curvature_components": 0,
-    }
+
+    def verdict(study):
+        scale, violation = max(1.0, study["scale"]), study["broken_violation"]
+        err = study["action_err"] / scale if violation > MATTER_VIOLATION else float("inf")
+        return err, {
+            "noncovariant_violation": violation,
+            "covariant_err": study["action_err"],
+            "scale": scale,
+            "curvature_components": 0,
+        }
+
+    return _action_invariance(points, densities, (A, jm), moved, verdict)
 
 
 @_suite(
@@ -820,7 +823,8 @@ def _result(
 def run_suite(cfg: SuiteConfig, name: str) -> SuiteResult:
     suite = _lookup(name)
     start = time.perf_counter()
-    err, details = suite.fn(cfg)
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN error names its cause in details
+        err, details = suite.fn(cfg)
     return _result(cfg, name, max(cfg.patch.spacing), start, float(err), details)
 
 
@@ -856,7 +860,8 @@ def convergence_study(cfg: SuiteConfig, name: str) -> SuiteResult:
     except RegionError as exc:
         raise ConfigError(f"h levels too coarse for the patch domain: {exc}") from None
     start = time.perf_counter()
-    errors = [float(suite.fn(replace(cfg, patch=patch))[0]) for patch in patches]
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors = [float(suite.fn(replace(cfg, patch=patch))[0]) for patch in patches]
     mode, ratios, ok = ratio_study(errors)
     details = {
         "errors": errors,

@@ -164,6 +164,14 @@ def _require_field(f: Field, types, what: str):
     return f.value
 
 
+def _derivative(arr: np.ndarray, p, axis: int) -> np.ndarray:
+    """Central differences along each patch axis, written into one zeroed stack on ``axis``."""
+    d = np.zeros(np.insert(arr.shape, arr.ndim + 1 + axis, p.dim), arr.dtype)
+    for mu in range(p.dim):
+        central_diff(arr, mu, p.spacing[mu], np.moveaxis(d, axis, 0)[mu])
+    return d
+
+
 def jet1_of(gfield: Field) -> Field:
     """First-order jet of a group-valued field via central differences.
 
@@ -173,7 +181,7 @@ def jet1_of(gfield: Field) -> Field:
     v = _require_field(gfield, GroupElement, "jet1_of")
     p = gfield.patch
     g = v.entries
-    dg = np.stack([central_diff(g, mu, p.spacing[mu]) for mu in range(p.dim)], axis=-3)
+    dg = _derivative(g, p, -3)
     a = mm(dg, dagger(g)[..., None, :, :])
     jet = _trusted(Jet1Gauge, v.spec, g, a)
     return Field(p, jet, margin=gfield.margin + 1)
@@ -191,10 +199,7 @@ def jet_matter_of(phifield: Field) -> Field:
     """First-order jet (phi, d phi) of a sampled matter field."""
     v = _require_field(phifield, RepVector, "jet_matter_of")
     p = phifield.patch
-    dphi = np.stack(
-        [central_diff(v.entries, mu, p.spacing[mu]) for mu in range(p.dim)], axis=-2
-    )
-    jet = JetMatter(v.spec, v.entries, dphi)
+    jet = JetMatter(v.spec, v.entries, _derivative(v.entries, p, -2))
     return Field(p, jet, margin=phifield.margin + 1)
 
 
@@ -208,10 +213,7 @@ def jet_connection_of(afield: Field) -> Field:
     v = _require_field(afield, AlgebraElement, "jet_connection_of")
     p = afield.patch
     _check_potential(v.entries, p.dim)
-    dA = np.stack(
-        [central_diff(v.entries, mu, p.spacing[mu]) for mu in range(p.dim)], axis=-4
-    )
-    jet = _trusted(JetConnection, v.spec, v.entries, dA)
+    jet = _trusted(JetConnection, v.spec, v.entries, _derivative(v.entries, p, -4))
     return Field(p, jet, margin=afield.margin + 1)
 
 

@@ -180,20 +180,16 @@ class Field:
         return Field(self.patch, value, self.margin)
 
 
-def central_diff(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Second-order central difference along a grid axis.
-
-    The boundary layer along ``axis`` is zero-filled; callers track validity
-    through the field margin.
+def central_diff(arr: np.ndarray, axis: int, h: float, out: np.ndarray) -> np.ndarray:
+    """Second-order central difference along a grid axis, written into the
+    interior layers along ``axis`` of ``out`` (the shape of ``arr``), which is
+    returned; its boundary layer stays as the caller allocated it (zeros, in
+    the jet builders), and callers track validity through the field margin.
     """
-    out = np.zeros_like(arr)
-    mid = [slice(None)] * arr.ndim
-    plus = [slice(None)] * arr.ndim
-    minus = [slice(None)] * arr.ndim
-    mid[axis] = slice(1, -1)
-    plus[axis] = slice(2, None)
-    minus[axis] = slice(None, -2)
-    out[tuple(mid)] = (arr[tuple(plus)] - arr[tuple(minus)]) / (2.0 * h)
+    mid, plus, minus = ([slice(None)] * arr.ndim for _ in range(3))
+    mid[axis], plus[axis], minus[axis] = slice(1, -1), slice(2, None), slice(None, -2)
+    inner = np.subtract(arr[tuple(plus)], arr[tuple(minus)], out=out[tuple(mid)])
+    inner /= 2.0 * h
     return out
 
 

@@ -129,8 +129,7 @@ def program_trace(tmp_path_factory):
             for obj in vars(module).values():
                 getattr(obj, "cache_clear", lambda: None)()
     quiet = contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO())
-    overflow_ok = np.errstate(over="ignore", invalid="ignore")  # the overflow config's samples overflow
-    with line_trace(str(SRC)) as executed, quiet[0], quiet[1], overflow_ok:
+    with line_trace(str(SRC)) as executed, quiet[0], quiet[1]:
         ledger = {label: rows(config) for label, config in configs().items() if label in FAST}
         for argv in cli_programs(tmp):
             cli(argv)

@@ -249,7 +249,7 @@ class TestConnectionAction:
         )
         out = act_connection(gs.jet1.value, A)
         x = p.coords()
-        _, grad, _ = chi.evaluate(x)
+        _, grad = chi.evaluate(x, 1)
         expected = 1j * (alpha - grad)
         assert np.max(np.abs(out.entries[..., 0, 0] - expected[..., :])) < 1e-14
 

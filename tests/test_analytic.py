@@ -29,7 +29,7 @@ from gaugejets.analytic import (
 from gaugejets.cli import main as cli_main
 from gaugejets.harness import SuiteConfig
 from gaugejets.jgf import write_field
-from gaugejets.jets import Jet1Gauge, Jet2Gauge, jet1_mul, jet2_mul
+from gaugejets.jets import Jet1Gauge, Jet2Gauge, jet1_mul, jet2_mul, jet2_of
 from gaugejets.lie_core import (
     AlgebraElement,
     algebra_basis,
@@ -96,7 +96,7 @@ def factor_jets(patch, spec, fam):
     """Each factor's second jet, built by hand: (exp(f X), df X, ddf X)."""
     out = []
     for factor in fam.factors:
-        f, grad, hess = factor.fn.evaluate(patch.coords())
+        f, grad, hess = factor.fn.evaluate(patch.coords(), 2)
         g = exp(AlgebraElement(spec, f[..., None, None] * factor.generator)).entries
         x = factor.generator
         a, s = grad[..., :, None, None] * x, hess[..., :, :, None, None] * x
@@ -214,13 +214,13 @@ def traced_peak(build):
 @pytest.mark.parametrize(
     "name, ratio",
     [
-        # the values alone never hold an array the size of s
-        ("values", 1.0),
-        # the closed-form jets read 0.691 (jet1) and 2.052 (jet2) s.nbytes
-        # on this patch and family, against 1.590 and 6.339 for the products
-        # of per-factor jets they replace
-        ("jet1", 0.72),
-        ("jet2", 2.1),
+        # on this patch and family the values read 0.594 s.nbytes, and the
+        # closed-form jets 0.621 (jet1) and 1.845 (jet2), against 1.590 and
+        # 6.339 for the products of per-factor jets they replace; each sum is
+        # built in its result through one block of scratch
+        ("values", 0.61),
+        ("jet1", 0.64),
+        ("jet2", 1.9),
     ],
 )
 def test_peak_memory_per_order(su3_4d, name, ratio):
@@ -228,6 +228,15 @@ def test_peak_memory_per_order(su3_4d, name, ratio):
     s_nbytes = patch.npoints * 4 * 4 * SU3.n * SU3.n * 16
     peak = traced_peak(lambda: getattr(sample_gauge(patch, SU3, fam), name))
     assert peak < ratio * s_nbytes
+
+
+def test_fd_jet2_peak_memory(su3_4d):
+    """The fd second jet reads 2.294 s.nbytes: dA and its symmetric part s at
+    once, with a and g; no per-axis stencil is held beside its stack."""
+    patch, fam = su3_4d
+    values = sample_gauge(patch, SU3, fam).values
+    s_nbytes = patch.npoints * 4 * 4 * SU3.n * SU3.n * 16
+    assert traced_peak(lambda: jet2_of(values)) < 2.3 * s_nbytes
 
 
 def test_connection_jet_peak_memory():
@@ -280,7 +289,7 @@ def test_connection_jet_is_the_basis_sum(spec):
     jet = sample_connection(patch, spec, fam).jet.value
     basis, x, d = algebra_basis(spec), patch.coords(), spec.algebra_dim
     for nu, row in enumerate(fam.fns):
-        vals = [fn.evaluate(x) for fn in row]
+        vals = [fn.evaluate(x, 2) for fn in row]
         want = sum(v[..., None, None] * t for (v, _, _), t in zip(vals, basis))
         dwant = sum(g[..., :, None, None] * t for (_, g, _), t in zip(vals, basis))
         tol = 2 * d * EPS * sum(np.abs(v) for v, _, _ in vals)

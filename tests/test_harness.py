@@ -2,7 +2,9 @@
 
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -35,7 +37,7 @@ from gaugejets.lie_core import (
     seeded_rng,
 )
 from gaugejets.patch import Patch, default_patch
-from conftest import OVERFLOW_CONFIG, OVERFLOW_LINE_CONFIG, OVERFLOW_STAGES
+from conftest import OVERFLOW_CONFIG, OVERFLOW_LINE_CONFIG, OVERFLOW_STAGES, SRC
 
 FAST_SUITES = (
     "action_axioms",
@@ -220,13 +222,25 @@ class TestRun:
         path, out = tmp_path / "overflow.json", tmp_path / "report.json"
         path.write_text(json.dumps(config))
         suites = [arg for name in names for arg in ("--suite", name)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert cli_main(["run", "--config", str(path), *suites, "--out", str(out)]) == 1
+        assert cli_main(["run", "--config", str(path), *suites, "--out", str(out)]) == 1
         verdicts = {
             s["name"]: (s["status"], s["max_error"], s["details"]["non_finite"])
             for s in json.loads(out.read_text())["suites"]
         }
         assert verdicts == {name: ("fail", "nan", density) for name, density in names.items()}
+
+    @pytest.mark.parametrize("config", [OVERFLOW_CONFIG, OVERFLOW_LINE_CONFIG], ids=["plane", "line"])
+    def test_overflow_prints_no_warning(self, config, tmp_path):
+        """Every suite runs on the overflowing data and the CLI exits 1; numpy's
+        overflow and invalid warnings stay off stderr, since each NaN error
+        already names its cause in its details."""
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(config))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+        argv = [sys.executable, "-m", "gaugejets.cli", "run", "--config", str(path)]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 1 and "overall: fail" in done.stdout
+        assert "Warning" not in done.stderr, done.stderr
 
     def test_sub_errors_combine_to_nan(self):
         assert math.isnan(harness._worst(1.0, math.nan)) and harness._worst(1.0, 2.0) == 2.0

@@ -88,12 +88,25 @@ class TestRegion:
         assert p.interior(2) == Region((2, 2), (6, 4))
 
 
+def stencil(arr, axis, h):
+    """``central_diff`` into a fresh zeroed array, as the jet builders use it."""
+    return central_diff(arr, axis, h, np.zeros_like(arr))
+
+
 class TestPartial:
     """``central_diff``, the one finite-difference stencil every jet is built from."""
 
+    def test_writes_only_the_interior_of_out(self):
+        p = Patch((7, 6))
+        x = p.coords()[..., 0] ** 2
+        out = np.full(p.extent + (2,), 9.0)[..., 1]  # a strided slot, as in a stacked derivative
+        assert central_diff(x, 0, p.spacing[0], out) is out
+        assert np.all(out[0] == 9.0) and np.all(out[-1] == 9.0)
+        assert np.array_equal(out[1:-1], (x[2:] - x[:-2]) / (2.0 * p.spacing[0]))
+
     def test_constant_field_zero(self):
         p = Patch((9, 9))
-        d = central_diff(np.full(p.extent, 2.5), 0, p.spacing[0])
+        d = stencil(np.full(p.extent, 2.5), 0, p.spacing[0])
         inner = d[p.interior(1).slices()]
         assert np.max(np.abs(inner)) == 0.0
 
@@ -101,7 +114,7 @@ class TestPartial:
         # dyadic spacing makes the affine case bit-exact, not just accurate
         p = Patch((17, 17), spacing=0.0625)
         x = p.coords()[..., 0]
-        d = central_diff(x, 0, p.spacing[0])
+        d = stencil(x, 0, p.spacing[0])
         assert np.all(d[p.interior(1).slices()] == 1.0)
 
     def test_sin_oracle_and_convergence(self):
@@ -110,7 +123,7 @@ class TestPartial:
             p = Patch((n,), spacing=h)
             x = p.coords()[..., 0]
             inner = p.interior(1).slices()
-            return float(np.max(np.abs(central_diff(np.sin(x), 0, h)[inner] - np.cos(x)[inner])))
+            return float(np.max(np.abs(stencil(np.sin(x), 0, h)[inner] - np.cos(x)[inner])))
 
         err = max_err(0.01)
         assert err <= 2e-5
@@ -123,8 +136,8 @@ class TestPartial:
         f = np.sin(x[..., 0] * x[..., 1])
         g = np.cos(x[..., 0])
         h = p.spacing[1]
-        lhs = central_diff(2.0 * f + 3.0 * g, 1, h)
-        rhs = 2.0 * central_diff(f, 1, h) + 3.0 * central_diff(g, 1, h)
+        lhs = stencil(2.0 * f + 3.0 * g, 1, h)
+        rhs = 2.0 * stencil(f, 1, h) + 3.0 * stencil(g, 1, h)
         assert np.max(np.abs(lhs - rhs)) < 1e-13
 
     def test_commutes_with_constant_conjugation(self):
@@ -141,8 +154,8 @@ class TestPartial:
         )
         conj = g0.entries @ m @ g0.entries.conj().T
         h = p.spacing[0]
-        lhs = central_diff(conj, 0, h)
-        rhs = g0.entries @ central_diff(m, 0, h) @ g0.entries.conj().T
+        lhs = stencil(conj, 0, h)
+        rhs = g0.entries @ stencil(m, 0, h) @ g0.entries.conj().T
         assert np.max(np.abs(lhs - rhs)) < 1e-14
 
     def test_mixed_partials_commute_to_h2(self):
@@ -150,8 +163,8 @@ class TestPartial:
         x = p.coords()
         f = np.sin(x[..., 0]) * np.cos(2 * x[..., 1])
         h = p.spacing
-        d01 = central_diff(central_diff(f, 0, h[0]), 1, h[1])
-        d10 = central_diff(central_diff(f, 1, h[1]), 0, h[0])
+        d01 = stencil(stencil(f, 0, h[0]), 1, h[1])
+        d10 = stencil(stencil(f, 1, h[1]), 0, h[0])
         inner = p.interior(2).slices()
         diff = np.max(np.abs(d01[inner] - d10[inner]))
         # third derivatives of f are O(1); both stencils approximate the
