@@ -35,7 +35,6 @@ from .lie_core import (
     ad,
     ad_stacks,
     check_same_group,
-    distance,
     frobenius,
     identities,
     pair_products,
@@ -48,7 +47,6 @@ from .jets import (
     JetConnection,
     JetMatter,
     _check_jets,
-    curvature,
     sym,
 )
 
@@ -137,13 +135,6 @@ def gauge_to_zero_jet2(jc: JetConnection) -> TransitivityWitness:
     return TransitivityWitness(jet=jet, residual=residual, transformed=transformed)
 
 
-def curvature_equivariance_defect(jet: Jet2Gauge, jc: JetConnection) -> np.ndarray:
-    """Per-sample norm of curvature(jet . jc) - g . curvature(jc)."""
-    left = curvature(act_jet_connection(jet, jc))
-    right = act_curvature(jet.group_element(), curvature(jc))
-    return distance(left, right)
-
-
 __all__ = [
     "act_jet_matter",
     "act_connection",
@@ -152,5 +143,4 @@ __all__ = [
     "TransitivityWitness",
     "gauge_to_zero_jet1",
     "gauge_to_zero_jet2",
-    "curvature_equivariance_defect",
 ]

@@ -15,9 +15,11 @@ Exact jets are valid at every grid point (margin 0), so the
 finite-difference pipeline can be checked against them independently, and
 a sampler given the ``Points`` of a region samples those points alone.
 
-The gauge and connection samplers check a family when they are called,
-and build each order (the values, the first jet, the second jet) on first
-read: a caller that reads only a low order never pays for a higher one.
+Every sampler checks its family when called and builds its grids
+unchecked: a non-finite sample is named by the suite that reads it.  The
+gauge and connection samplers build each order (the values, the first
+jet, the second jet) on first read: a caller that reads only a low order
+never pays for a higher one.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .lie_core import (
     random_algebra_entries,
 )
 from .jets import Jet1Gauge, Jet2Gauge, JetConnection, JetMatter
-from .patch import Field, Patch, Points
+from .patch import Field, Patch, Points, point_blocks
 
 
 class UnknownFamilyError(ValueError):
@@ -109,22 +111,16 @@ class ProductGauge:
     factors: tuple
 
 
-# Scratch bytes per block of ``_combine``: on su3, 10^4 points, n = 4, the s sum took
-# 25.4 ms at 16 KiB, 18.1 at 128 KiB, 17.6 at 256 KiB and 19.1 at 1 MiB (2-vCPU Xeon).
-COMBINE_BLOCK_BYTES = 256 << 10
-
-
 def _combine(shape: tuple[int, ...], stack: int, terms) -> np.ndarray:
     """sum_t c_t Y_t of real coefficients c_t (..., n) or (..., n, n), as
     ``stack`` is 1 or 2, and algebra elements Y_t (..., N, N) or (N, N),
     written once into a new complex array of ``shape``.
 
     c_t multiplies the (re, im) pairs of Y_t on the float64 views, never
-    promoted to complex, in blocks of points through one reused scratch
-    block of at most ``COMBINE_BLOCK_BYTES`` (one point where that is
-    larger).  Each entry is the same sum, in term order, with the bits of
-    one complex product per term where Y_t is finite, so coefficients that
-    are exactly symmetric give a result that is.
+    promoted to complex, in blocks of points (``point_blocks``) through one
+    reused scratch block.  Each entry is the same sum, in term order, with
+    the bits of one complex product per term where Y_t is finite, so
+    coefficients that are exactly symmetric give a result that is.
     """
     out = np.zeros(shape, dtype=np.complex128)
     nn, rows = shape[-1], shape[-2 - stack : -2]
@@ -133,12 +129,12 @@ def _combine(shape: tuple[int, ...], stack: int, terms) -> np.ndarray:
     for c, y in terms:
         ys = y.entries.reshape((-1,) + (1,) * stack + (nn, nn)).view(np.float64)
         pairs.append((c.reshape((npts,) + rows + (1, 1)), np.broadcast_to(ys, (npts,) + ys.shape[1:])))
-    step = max(1, COMBINE_BLOCK_BYTES // flat[0].nbytes)
-    scratch = np.empty((min(step, npts),) + flat.shape[1:])
-    for lo in range(0, npts, step):
-        dst = flat[lo : lo + step]
+    blocks = point_blocks(npts, flat[0].nbytes)
+    scratch = np.empty((blocks[0].stop,) + flat.shape[1:])
+    for rows in blocks:
+        dst = flat[rows]
         for c, ys in pairs:
-            dst += np.multiply(c[lo : lo + step], ys[lo : lo + step], out=scratch[: len(dst)])
+            dst += np.multiply(c[rows], ys[rows], out=scratch[: len(dst)])
     return out
 
 
@@ -246,7 +242,7 @@ class PlaneWaveMatter:
 
 @dataclass(frozen=True)
 class MatterSample:
-    values: Field  # Field[RepVector], cut from the checked jet
+    values: Field  # Field[RepVector]
     jet: Field  # Field[JetMatter]
 
 
@@ -263,8 +259,8 @@ def sample_matter(patch: Patch | Points, spec: GroupSpec, family: PlaneWaveMatte
     arg = np.einsum("...m,jm->...j", x, waves) + phases
     phi = amps * np.exp(1j * arg)
     dphi = 1j * np.einsum("jm,...j->...mj", waves, phi)
-    jet = Field(patch, JetMatter(spec, phi, dphi))
-    return MatterSample(values=Field(patch, _trusted(RepVector, spec, jet.value.phi)), jet=jet)
+    jet = _trusted(JetMatter, spec, phi, dphi)
+    return MatterSample(Field(patch, _trusted(RepVector, spec, phi)), Field(patch, jet))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Command-line harness: run suites, convergence studies, sample/inspect fields.
 
 Exit codes: 0 all checks passed, 1 at least one suite failed, 2 usage or
-configuration errors.
+configuration errors.  Commands run with numpy's overflow warnings off.
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import analytic, jgf
 from .harness import ConfigError, Report, SUITES, SuiteConfig, check_output_path, converge, run
@@ -40,7 +42,7 @@ def _load_config(args) -> SuiteConfig:
             data = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    flags = {"seed": args.seed, "suites": args.suite, "output": args.out}
+    flags = {"seed": args.seed, "suites": getattr(args, "suite", None), "output": args.out}
     if isinstance(data, dict):
         data.update((k, v) for k, v in flags.items() if v is not None)
     return SuiteConfig.from_dict(data)
@@ -110,15 +112,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_default=None):
+    def common(p, out_default=None, suites=True):
         p.add_argument("--config", help="JSON config path (defaults are built in)")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument(
-            "--suite",
-            action="append",
-            metavar="NAME",
-            help=f"suite to run (repeatable); known: {', '.join(sorted(SUITES))}",
-        )
+        if suites:
+            p.add_argument(
+                "--suite",
+                action="append",
+                metavar="NAME",
+                help=f"suite to run (repeatable); known: {', '.join(sorted(SUITES))}",
+            )
         p.add_argument("--out", default=out_default, help="report/field output path")
 
     p_run = sub.add_parser("run", help="run verification suites")
@@ -131,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.set_defaults(fn=_cmd_converge)
 
     p_sample = sub.add_parser("sample", help="emit a sampled field as a JGF1 file")
-    common(p_sample, out_default="field.jgf1")
+    common(p_sample, out_default="field.jgf1", suites=False)
     p_sample.add_argument("--kind", choices=SAMPLES, default="jet1-gauge")
     p_sample.add_argument(
         "--fd", action="store_true", help="store finite-difference jets instead of exact ones"
@@ -148,7 +151,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     except (ConfigError, jgf.FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

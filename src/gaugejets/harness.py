@@ -11,6 +11,7 @@ suites at grid spacing h.
 
 Negative-control suites (broken densities) must *violate* invariance by a
 stated margin; they report the shortfall ``max(0, margin - observed_violation)``
+(NaN for a NaN violation: every suite combines its sub-errors by ``_worst``)
 against the bound 1e-15, so the uniform rule "pass iff max_error <=
 tolerance" holds for every suite: a negative control passes when its
 violation reaches the margin to within 1e-15.  Positive suites whose
@@ -57,7 +58,6 @@ from .actions import (
     act_curvature,
     act_jet_connection,
     act_jet_matter,
-    curvature_equivariance_defect,
     gauge_to_zero_jet1,
     gauge_to_zero_jet2,
 )
@@ -103,9 +103,7 @@ from .lie_core import (
 )
 from .patch import Field, Patch, Points, RegionError, default_patch, integrate
 
-AXIOM_BATCH = 1000
-EQUIVARIANCE_BATCH = 1000
-COUPLING_BATCH = 1000
+BATCH = 1000  # random fiber values per draw of the algebraic suites
 GINV_TRANSFORMS = 20
 UTIYAMA_PAIRS = 100
 MATTER_VIOLATION = 1e-3
@@ -370,7 +368,7 @@ def _group_law_defect(mul, inv, unit, j, k, l) -> float:
     the inverse is taken once, after the associativity products that set the peak."""
     associativity = _max(distance(mul(mul(j, k), l), mul(j, mul(k, l))))
     j_inv = inv(j)
-    return max(
+    return _worst(
         associativity,
         _max(distance(mul(unit, j), j)),
         _max(distance(mul(j, unit), j)),
@@ -391,10 +389,10 @@ def _suite_jet_group_axioms(cfg: SuiteConfig):
     rng = seeded_rng(cfg.seed, "jet_group_axioms", spec.label())
     errors = {}
     for order, cls, mul, inv, unit_of in laws:
-        j, k, l = (_random(cls, rng, spec, n, AXIOM_BATCH) for _ in range(3))
-        unit = unit_of(spec, n, (AXIOM_BATCH,))
+        j, k, l = (_random(cls, rng, spec, n, BATCH) for _ in range(3))
+        unit = unit_of(spec, n, (BATCH,))
         errors[order] = _group_law_defect(mul, inv, unit, j, k, l)
-    return max(errors.values()), {spec.label(): errors}
+    return _worst(*errors.values()), {spec.label(): errors}
 
 
 @_suite(
@@ -427,7 +425,7 @@ def _suite_action_axioms(cfg: SuiteConfig):
     spec = cfg.group
     n = cfg.patch.dim
     rng = seeded_rng(cfg.seed, "action_axioms", spec.label())
-    b = AXIOM_BATCH
+    b = BATCH
     j1, k1 = _random(Jet1Gauge, rng, spec, n, b), _random(Jet1Gauge, rng, spec, n, b)
     j2, k2 = _random(Jet2Gauge, rng, spec, n, b), _random(Jet2Gauge, rng, spec, n, b)
     g, h = j1.group_element(), k1.group_element()
@@ -450,7 +448,7 @@ def _suite_action_axioms(cfg: SuiteConfig):
     for name, act, unit, x, mul, left, right in carriers:
         errs[f"{name}_unit"] = _max(distance(act(unit, x), x))
         errs[f"{name}_compose"] = _max(distance(act(mul(left, right), x), act(left, act(right, x))))
-    return max(errs.values()), errs
+    return _worst(*errs.values()), errs
 
 
 @_suite(
@@ -464,9 +462,16 @@ def _suite_chain_rule_matter(cfg: SuiteConfig):
     gs = _gauge(rng, spec, patch, scale=0.5)
     mfam = analytic.random_matter_family(rng, spec, patch.dim, scale=0.8, wave_scale=0.6)
     ms = analytic.sample_matter(patch, spec, mfam)
-    lhs = jet_matter_of(Field(patch, rep_act(gs.values.value, ms.values.value)))
-    rhs = act_jet_matter(jet1_of(gs.values).value, jet_matter_of(ms.values).value)
-    return _interior_max(distance(lhs.value, rhs), lhs), {}
+    moved = rep_act(gs.values.value, ms.values.value)
+    lhs = jet_matter_of(Field(patch, moved))
+    jet, jm = jet1_of(gs.values), jet_matter_of(ms.values)
+    rhs = act_jet_matter(jet.value, jm.value)
+    err = _interior_max(distance(lhs.value, rhs), lhs)
+    stages = {
+        "gauge": gs.values, "matter": ms.values, "moved_matter": moved, "jet_of_moved": lhs,
+        "gauge_jet1": jet, "matter_jet": jm, "moved_jet": rhs,
+    }
+    return err, _with_cause(err, {}, stages)
 
 
 @_suite(
@@ -496,10 +501,11 @@ def _suite_curvature_equivariance(cfg: SuiteConfig):
     spec = cfg.group
     n = cfg.patch.dim
     rng = seeded_rng(cfg.seed, "curvature_equivariance", spec.label(), n)
-    jets = _random(Jet2Gauge, rng, spec, n, EQUIVARIANCE_BATCH)
-    jcs = _random(JetConnection, rng, spec, n, EQUIVARIANCE_BATCH)
-    defect = curvature_equivariance_defect(jets, jcs)
-    return _max(defect), {"samples": EQUIVARIANCE_BATCH}
+    jets = _random(Jet2Gauge, rng, spec, n, BATCH)
+    jcs = _random(JetConnection, rng, spec, n, BATCH)
+    moved = curvature(act_jet_connection(jets, jcs))
+    conjugated = act_curvature(jets.group_element(), curvature(jcs))
+    return _max(distance(moved, conjugated)), {"samples": BATCH}
 
 
 @_suite("a first-order jet gauges any potential value to zero at every fiber", 1e-12)
@@ -546,7 +552,7 @@ def _coupling_data(cfg: SuiteConfig):
     spec = cfg.group
     n = cfg.patch.dim
     rng = seeded_rng(cfg.seed, "minimal_coupling", spec.label())
-    b = COUPLING_BATCH
+    b = BATCH
     jets = _random(Jet1Gauge, rng, spec, n, b)
     jm = _random(JetMatter, rng, spec, n, b)
     A = AlgebraElement(spec, random_algebra_entries(rng, spec, (b, n)))
@@ -563,11 +569,11 @@ def _suite_minimal_coupling_invariance(cfg: SuiteConfig):
     phi, dphi = covariant_derivative(A, jm)
     phi2, dphi2 = covariant_derivative(act_connection(jets, A), act_jet_matter(jets, jm))
     g = jets.group_element()
-    equiv = max(_max(distance(phi2, rep_act(g, phi))), _max(distance(dphi2, rep_act(g, dphi))))
+    equiv = _worst(_max(distance(phi2, rep_act(g, phi))), _max(distance(dphi2, rep_act(g, dphi))))
     moved, base = matter_density(phi2, dphi2, cfg.metric), matter_density(phi, dphi, cfg.metric)
     errs = {"equivariance": equiv}
     errs.update((k, _max(np.abs(moved[k] - base[k]))) for k in ("free", "phi4"))
-    return max(errs.values()), errs
+    return _worst(*errs.values()), errs
 
 
 @_suite(
@@ -580,7 +586,7 @@ def _suite_minimal_coupling_negative(cfg: SuiteConfig):
     base = matter_density(*covariant_derivative(A, jm), cfg.metric)["broken"]
     moved = covariant_derivative(act_connection(jets, A), act_jet_matter(jets, jm))
     violation = _max(np.abs(matter_density(*moved, cfg.metric)["broken"] - base))
-    shortfall = max(0.0, MATTER_VIOLATION - violation)
+    shortfall = _worst(0.0, MATTER_VIOLATION - violation)
     return shortfall, {"violation": violation, "required": MATTER_VIOLATION}
 
 
@@ -601,7 +607,7 @@ def _suite_utiyama_level_sets(cfg: SuiteConfig):
     quad, quad_shifted = _curvature_quadratic(f, cfg.metric), _curvature_quadratic(f_shifted, cfg.metric)
     gap = _max(np.abs(quad - quad_shifted))
     same_f = _max(distance(f, f_shifted))
-    return max(gap, same_f), {"level_set_gap": gap, "curvature_match": same_f}
+    return _worst(gap, same_f), {"level_set_gap": gap, "curvature_match": same_f}
 
 
 @_suite(
@@ -613,7 +619,7 @@ def _suite_utiyama_negative(cfg: SuiteConfig):
     jc, jc_shifted = _utiyama_pairs(cfg)
     shifted = gauge_density(jc_shifted, cfg.metric)["broken"]
     violation = float(np.min(np.abs(gauge_density(jc, cfg.metric)["broken"] - shifted)))
-    shortfall = max(0.0, GAUGE_VIOLATION - violation)
+    shortfall = _worst(0.0, GAUGE_VIOLATION - violation)
     return shortfall, {"min_violation": violation, "required": GAUGE_VIOLATION}
 
 
@@ -631,15 +637,12 @@ def _action_invariance(points: Points, densities, base, moved, verdict) -> tuple
     these into the suite's (error, details).  A non-finite density ends the
     study with a NaN error, the ``points`` and its name as ``non_finite``.
     """
-    def action(vals: np.ndarray) -> float:
-        return integrate(Field(points, vals), points.region)
-
     base_vals = None
     pointwise = action_err = broken_violation = 0.0
     for vals_by_name in map(densities, itertools.chain([base], moved)):
         if bad := next((k for k, v in vals_by_name.items() if not np.isfinite(v).all()), None):
             return math.nan, {"non_finite": bad, "points": points.npoints}
-        actions = {k: action(vals) for k, vals in vals_by_name.items()}
+        actions = {k: integrate(vals, points) for k, vals in vals_by_name.items()}
         broken = actions.pop("broken")
         if base_vals is None:
             base_vals, base_actions, s_broken = vals_by_name, actions, broken
@@ -784,7 +787,6 @@ def _lookup(name: str) -> SuiteDef:
 
 
 def _result(
-    cfg: SuiteConfig,
     name: str,
     h: float,
     start: float,
@@ -825,7 +827,7 @@ def run_suite(cfg: SuiteConfig, name: str) -> SuiteResult:
     start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN error names its cause in details
         err, details = suite.fn(cfg)
-    return _result(cfg, name, max(cfg.patch.spacing), start, float(err), details)
+    return _result(name, max(cfg.patch.spacing), start, float(err), details)
 
 
 def ratio_study(errors: list[float]) -> tuple[str, list[float], bool]:
@@ -858,7 +860,7 @@ def convergence_study(cfg: SuiteConfig, name: str) -> SuiteResult:
     try:
         patches = [cfg.patch.refined(h) for h in cfg.h_levels]
     except RegionError as exc:
-        raise ConfigError(f"h levels too coarse for the patch domain: {exc}") from None
+        raise ConfigError(f"h levels do not fit the patch domain: {exc}") from None
     start = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore"):
         errors = [float(suite.fn(replace(cfg, patch=patch))[0]) for patch in patches]
@@ -869,7 +871,7 @@ def convergence_study(cfg: SuiteConfig, name: str) -> SuiteResult:
         "extents": [list(patch.extent) for patch in patches],
         "lengths": [list(patch.lengths) for patch in patches],
     }
-    return _result(cfg, name, cfg.h_levels[0], start, max(errors), details, ok, mode, ratios)
+    return _result(name, cfg.h_levels[0], start, _worst(*errors), details, ok, mode, ratios)
 
 
 def _report(cfg: SuiteConfig, results: list[SuiteResult]) -> Report:

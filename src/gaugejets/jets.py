@@ -165,7 +165,8 @@ def _require_field(f: Field, types, what: str):
 
 
 def _derivative(arr: np.ndarray, p, axis: int) -> np.ndarray:
-    """Central differences along each patch axis, written into one zeroed stack on ``axis``."""
+    """Central differences along each patch axis, written into one zeroed stack on ``axis``:
+    the one derivative of every finite-difference jet, whose values it leaves unchecked."""
     d = np.zeros(np.insert(arr.shape, arr.ndim + 1 + axis, p.dim), arr.dtype)
     for mu in range(p.dim):
         central_diff(arr, mu, p.spacing[mu], np.moveaxis(d, axis, 0)[mu])
@@ -189,17 +190,16 @@ def jet1_of(gfield: Field) -> Field:
 
 def jet2_of(gfield: Field) -> Field:
     """Second-order jet: adds the symmetrized derivative of the a-field."""
-    j1field = jet1_of(gfield)
-    jet1: Jet1Gauge = j1field.value
-    jet = _trusted(Jet2Gauge, jet1.spec, jet1.g, jet1.a, sym(_da(j1field)))
-    return Field(gfield.patch, jet, margin=gfield.margin + 2)
+    jet1: Jet1Gauge = jet1_of(gfield).value
+    s = sym(_derivative(jet1.a, gfield.patch, -4))
+    return Field(gfield.patch, _trusted(Jet2Gauge, jet1.spec, jet1.g, jet1.a, s), margin=gfield.margin + 2)
 
 
 def jet_matter_of(phifield: Field) -> Field:
     """First-order jet (phi, d phi) of a sampled matter field."""
     v = _require_field(phifield, RepVector, "jet_matter_of")
     p = phifield.patch
-    jet = JetMatter(v.spec, v.entries, _derivative(v.entries, p, -2))
+    jet = _trusted(JetMatter, v.spec, v.entries, _derivative(v.entries, p, -2))
     return Field(p, jet, margin=phifield.margin + 1)
 
 
@@ -215,14 +215,6 @@ def jet_connection_of(afield: Field) -> Field:
     _check_potential(v.entries, p.dim)
     jet = _trusted(JetConnection, v.spec, v.entries, _derivative(v.entries, p, -4))
     return Field(p, jet, margin=afield.margin + 1)
-
-
-def _da(j1field: Field) -> np.ndarray:
-    """d_mu a_nu of a first-jet field, (..., n, n, N, N): the connection-jet
-    derivative of its a-field, valid one layer inside the jet's margin."""
-    jet = j1field.value
-    afield = j1field.with_value(_trusted(AlgebraElement, jet.spec, jet.a))
-    return jet_connection_of(afield).value.dA
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +341,7 @@ def maurer_cartan_defect(j1field: Field) -> Field:
     field of the max Frobenius norm over the n(n-1)/2 axis pairs.
     """
     jet = _require_field(j1field, Jet1Gauge, "maurer_cartan_defect")
-    d = _antisym(_da(j1field))
+    d = _antisym(_derivative(jet.a, j1field.patch, -4))
     d -= _antisym(pair_products(jet.a, jet.a))
     defect = np.max(frobenius(d), axis=-1, initial=0.0)
     return Field(j1field.patch, defect, margin=j1field.margin + 1)

@@ -20,8 +20,9 @@ Layout (documented contract):
 * Binary payload: little-endian float64 pairs (re, im) for every complex
   entry, in lexicographic grid order (C order), row-major within each
   matrix.  Both directions stream it through one buffer of whole points,
-  at most ``BLOCK_BYTES`` (256 KiB, or one point where that is larger):
-  a write holds that block, a read the arrays it returns plus the block.
+  at most ``patch.BLOCK_BYTES`` (256 KiB, or one point where that is
+  larger): a write holds that block, a read the arrays it returns plus the
+  block.  Each block is checked for non-finite entries on either side.
 
 Per-point entry order: a ``Fiber`` value stores its arrays in ``LAYOUT``
 order, each row-major over its trailing axes (``KINDS`` gives each kind's
@@ -32,8 +33,8 @@ packed: s_munu for mu <= nu, in lexicographic order (n(n+1)/2 matrices).
 
 The writer rejects any value the reader cannot rebuild: a type without a
 kind (a raw array among them), a batch shape other than the patch extent
-(plus (n,) for ``connection``), and a jet whose n is not the patch
-dimension.  ``gaugejets sample --fd`` needs a jet kind.
+(plus (n,) for ``connection``), a jet whose n is not the patch dimension,
+and a non-finite entry.  ``gaugejets sample --fd`` needs a jet kind.
 
 The header carries no margin or origin: files describe whole-grid-valid
 data on an origin-zero patch, which is what the analytic samplers emit.
@@ -51,7 +52,7 @@ import numpy as np
 
 from .jets import Curvature, Jet1Gauge, Jet2Gauge, JetConnection, JetMatter
 from .lie_core import AlgebraElement, GroupElement, GroupFamily, GroupSpec, RepVector, _trusted
-from .patch import Field, Patch
+from .patch import Field, Patch, point_blocks
 
 
 class FormatError(ValueError):
@@ -100,9 +101,6 @@ def value_kind(field: Field) -> str:
     raise FormatError(f"cannot store {type(v).__name__} on a {p.dim}-D patch of extent {p.extent}")
 
 
-BLOCK_BYTES = 256 << 10
-
-
 def _columns(arrays: list, kind: str, n: int, npts: int) -> list[np.ndarray]:
     """The payload's columns, in order, as (npoints, entries) views of a value's
     LAYOUT arrays: one per array, and for the packed s of ``jet2-gauge`` one
@@ -118,19 +116,19 @@ def _blocks(columns: list[np.ndarray], npts: int):
     """Walk the payload in blocks of whole points through one reused buffer:
     yield each block's rows, the block, and its (block column, array column) pairs."""
     widths = [column.shape[1] for column in columns]
-    step = max(1, BLOCK_BYTES // max(16 * sum(widths), 1))  # 1-D curvature has no entries
-    buf = np.empty((min(step, npts), sum(widths)), dtype="<c16")
+    blocks = point_blocks(npts, 16 * sum(widths))  # 1-D curvature has no entries
+    buf = np.empty((blocks[0].stop, sum(widths)), dtype="<c16")
     edges = np.cumsum([0] + widths).tolist()
-    for start in range(0, npts, step):
-        rows = slice(start, min(start + step, npts))
-        block = buf[: rows.stop - start]
+    for rows in blocks:
+        block = buf[: rows.stop - rows.start]
         spans = zip(edges, edges[1:], columns)
         yield rows, block, [(block[:, lo:hi], column[rows]) for lo, hi, column in spans]
 
 
 def write_field(field: Field, path: str | Path) -> None:
-    """Write a field as JGF1; FormatError, before the file is opened, for a
-    value the reader could not rebuild."""
+    """Write a field as JGF1; FormatError for a value the reader could not
+    rebuild: before the file is opened, or, for a non-finite entry, once its
+    block is gathered, after removing the partly written file."""
     kind = value_kind(field)
     p, spec = field.patch, field.value.spec
     family = spec.family.value
@@ -152,7 +150,13 @@ def write_field(field: Field, path: str | Path) -> None:
         for _, block, parts in _blocks(columns, p.npoints):
             for dst, src in parts:
                 dst[...] = src
+            if not np.isfinite(block.view("<f8")).all():  # as the reader checks it
+                break
             fh.write(block)  # through the buffer protocol: no bytes copy
+        else:
+            return
+    os.remove(path)
+    raise FormatError(f"cannot store non-finite entries; {path} is removed")
 
 
 # longest legal header line: "spacing" and four repr floats, each after a

@@ -121,10 +121,6 @@ def frobenius(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(m) ** 2, axis=(-2, -1)))
 
 
-def _c128(a) -> np.ndarray:
-    return np.asarray(a, dtype=np.complex128)
-
-
 def identities(n: int, batch_shape: tuple[int, ...]) -> np.ndarray:
     """A writable batch of N x N identity matrices, shape (*batch_shape, N, N)."""
     return np.broadcast_to(np.eye(n, dtype=np.complex128), batch_shape + (n, n)).copy()
@@ -250,7 +246,7 @@ class Fiber:
     def __post_init__(self):
         sizes, batch, what = self._sizes(), None, type(self).__name__
         for name, (axes, _) in self.LAYOUT.items():
-            arr = _c128(getattr(self, name))
+            arr = np.asarray(getattr(self, name), dtype=np.complex128)
             object.__setattr__(self, name, arr)
             lead = arr.ndim - len(axes)
             if "n" in axes and "n" not in sizes and lead >= 0:
@@ -440,7 +436,8 @@ def exp(x: AlgebraElement) -> GroupElement:
     """Matrix exponential of an algebra element, evaluated point by point.
 
     The method follows the matrix size N of ``x``.  Nothing is shared
-    between points, so each point carries its own roundoff.  nu = ||X||_F.
+    between points, so each point carries its own roundoff, and a matrix
+    that is not finite comes back NaN on every path.  nu = ||X||_F.
 
     * N = 1, u(1): X = i t and exp(X) = exp(i t), elementwise.
     * N = 2, su(2), Rodrigues: X^2 = -r^2 1 with r^2 = nu^2 / 2, so
@@ -503,10 +500,13 @@ def exp(x: AlgebraElement) -> GroupElement:
 
 def _exp_eigh(m: np.ndarray) -> np.ndarray:
     """exp(X) = V diag(exp(i lam)) V^dag from the eigendecomposition of -iX;
-    batched LAPACK, one decomposition per matrix."""
-    lam, v = np.linalg.eigh(-1j * m)
-    phases = np.exp(1j * lam)
-    return mm(v * phases[..., None, :], dagger(v))
+    batched LAPACK, one decomposition per matrix.  A matrix that is not
+    finite is decomposed as 0 and comes back NaN, as the closed forms give."""
+    bad = ~np.isfinite(m).all(axis=(-2, -1))
+    lam, v = np.linalg.eigh(-1j * np.where(bad[..., None, None], 0.0, m))
+    out = mm(v * np.exp(1j * lam)[..., None, :], dagger(v))
+    out[bad] = np.nan
+    return out
 
 
 def _with_diagonal(out: np.ndarray, d: np.ndarray) -> np.ndarray:

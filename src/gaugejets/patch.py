@@ -21,6 +21,10 @@ from .lie_core import DimensionError
 
 MAX_DIM = 4
 TINY = float(np.finfo(float).tiny)
+# Bytes per block of every walk over the points of a grid (``point_blocks``): on su3,
+# 10^4 points, n = 4, the s sum of ``analytic._combine`` took 25.4 ms at 16 KiB, 18.1 at
+# 128 KiB, 17.6 at 256 KiB and 19.1 at 1 MiB (2-vCPU Xeon).
+BLOCK_BYTES = 256 << 10
 
 
 class RegionError(ValueError):
@@ -64,7 +68,7 @@ class Patch:
             for mu in range(n):
                 try:
                     x = self.axis_coords(mu)
-                except MemoryError:
+                except (MemoryError, ValueError):  # numpy refuses an arange it cannot size
                     raise RegionError(f"axis {mu}: {extent[mu]} points do not fit in memory") from None
                 if not (self.spacing[mu] >= TINY and np.isfinite(x).all() and (x[1:] > x[:-1]).all()):
                     raise RegionError(
@@ -176,9 +180,6 @@ class Field:
                 f"field value batch shape {batch} does not match patch extent {self.patch.extent}"
             )
 
-    def with_value(self, value) -> "Field":
-        return Field(self.patch, value, self.margin)
-
 
 def central_diff(arr: np.ndarray, axis: int, h: float, out: np.ndarray) -> np.ndarray:
     """Second-order central difference along a grid axis, written into the
@@ -193,18 +194,24 @@ def central_diff(arr: np.ndarray, axis: int, h: float, out: np.ndarray) -> np.nd
     return out
 
 
-def integrate(density: Field, region: Region) -> float:
-    """Riemann sum, times h^n, of a real scalar density sampled on the ``Points`` of
-    ``region`` alone.
+def point_blocks(npoints: int, point_bytes: int) -> list[slice]:
+    """The points 0 .. npoints - 1 cut into consecutive blocks of at most
+    ``BLOCK_BYTES`` at ``point_bytes`` a point (one point where that is larger);
+    the first block is the largest."""
+    step = max(1, BLOCK_BYTES // max(point_bytes, 1))
+    return [slice(lo, min(lo + step, npoints)) for lo in range(0, npoints, step)]
+
+
+def integrate(vals: np.ndarray, points: Points) -> float:
+    """Riemann sum, times h^n, of a real scalar density ``vals`` sampled on ``points``.
 
     Accumulation walks the region in lexicographic index order through an
     exact (compensated) sum with a single final rounding, so the result is
     bit-reproducible and independent of any worker partitioning.
     """
-    vals, points = np.asarray(density.value), density.patch
-    if not isinstance(points, Points) or region != points.region:
-        raise RegionError(f"integrate expects a density on the points of {region}")
-    if vals.shape != points.extent:
+    if not isinstance(points, Points):
+        raise RegionError(f"integrate takes the points of a region, got {type(points).__name__}")
+    if np.shape(vals) != points.extent:
         raise DimensionError("integrate expects a real scalar density field")
     block = np.ascontiguousarray(vals, dtype=np.float64)
     if not np.all(np.isfinite(block)):
@@ -225,6 +232,7 @@ __all__ = [
     "RegionError",
     "Field",
     "central_diff",
+    "point_blocks",
     "integrate",
     "default_patch",
 ]

@@ -11,8 +11,9 @@ user runs the verifier, on real input:
   line), every suite at the smallest normal spacing, ``converge`` of the
   fd suites and of an exact one, ``sample`` of every kind with and
   without ``--fd`` and ``inspect`` of each file written, far from the
-  origin too, and ``inspect`` of a 1-D curvature file, whose payload is
-  empty.
+  origin too, a ``sample`` on the overflow config, which the JGF1 writer
+  refuses and removes, and ``inspect`` of a 1-D curvature file, whose
+  payload is empty.
 
 It returns the ledger rows, which ``test_ledger.py`` compares, and the lines
 each source file executed, which ``test_reach.py`` reads.  The tests
@@ -33,6 +34,7 @@ import gaugejets
 from gaugejets import jgf
 from gaugejets.cli import SAMPLES, main as cli
 from gaugejets.jets import curvature
+from gaugejets.patch import Field
 from make_ledger import FAST, configs, rows
 
 SRC = Path(gaugejets.__file__).parent
@@ -80,12 +82,13 @@ def cli_programs(tmp: Path):
         yield ["sample", "--config", path, "--kind", kind, *fd, "--out", out]
         if Path(out).exists():  # --fd of a kind without a jet exits 2 and writes nothing
             yield ["inspect", out]
+    yield ["sample", "--config", overflow, "--kind", "jet2-gauge", "--out", str(tmp / "overflow.jgf1")]
     (tmp / "long.jgf1").write_bytes(b"JGF1\nspacing " + b"1" * jgf.HEADER_LINE_LIMIT + b"\n")
     yield ["inspect", str(tmp / "long.jgf1")]
     line = str(tmp / "line.jgf1")
     yield ["sample", "--config", config("line.json", LINE_CONFIG), "--kind", "jet-connection", "--out", line]
     jc = jgf.read_field(line)
-    jgf.write_field(jc.with_value(curvature(jc.value)), tmp / "curvature.jgf1")
+    jgf.write_field(Field(jc.patch, curvature(jc.value), jc.margin), tmp / "curvature.jgf1")
     yield ["inspect", str(tmp / "curvature.jgf1")]
 
 

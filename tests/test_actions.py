@@ -11,7 +11,6 @@ from gaugejets.actions import (
     act_curvature,
     act_jet_connection,
     act_jet_matter,
-    curvature_equivariance_defect,
     gauge_to_zero_jet1,
     gauge_to_zero_jet2,
 )
@@ -44,6 +43,7 @@ from gaugejets.lie_core import (
     AlgebraElement,
     GroupElement,
     RepVector,
+    distance,
     exp,
     frobenius,
     group_spec,
@@ -398,8 +398,9 @@ class TestCurvatureAction:
         rng = rnd(21, spec.label() + str(n))
         jets = random_jet2(rng, spec, n, (200,))
         jcs = random_jc(rng, spec, n, (200,))
-        defect = curvature_equivariance_defect(jets, jcs)
-        assert np.max(defect) <= 1e-10
+        moved = curvature(act_jet_connection(jets, jcs))
+        conjugated = act_curvature(jets.group_element(), curvature(jcs))
+        assert np.max(distance(moved, conjugated)) <= 1e-10
 
 
 class TestTransitivity:

@@ -200,8 +200,8 @@ def test_matter_sampler_checks_each_slot_once(checked):
     family = random_matter_family(seeded_rng(4, "checks"), spec, N_AXES)
     checked.clear()
     sample = sample_matter(patch, spec, family)
-    # phi and dphi, each finite; the values are cut from the checked jet
-    assert checked == [patch.extent + (spec.rep_dim,), patch.extent + (N_AXES, spec.rep_dim)]
+    # like every sampled grid, phi and dphi are built unchecked; the values share the jet's phi
+    assert checked == []
     assert np.array_equal(sample.values.value.entries, sample.jet.value.phi)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from gaugejets import analytic, harness, lie_core
 from gaugejets.cli import main as cli_main
@@ -36,8 +36,11 @@ from gaugejets.lie_core import (
     random_algebra_entries,
     seeded_rng,
 )
-from gaugejets.patch import Patch, default_patch
+from gaugejets.patch import Patch, RegionError, default_patch
 from conftest import OVERFLOW_CONFIG, OVERFLOW_LINE_CONFIG, OVERFLOW_STAGES, SRC
+
+# a line near the largest float: the plane waves of the matter sampler overflow there
+WIDE_LINE_CONFIG = {"patch": {"extent": [6], "spacing": 1e294, "origin": 1.6e308}}
 
 FAST_SUITES = (
     "action_axioms",
@@ -48,6 +51,14 @@ FAST_SUITES = (
     "utiyama_negative",
     "mechanics_reduction",
 )
+
+
+def cli_process(argv):
+    """``gaugejets`` run in a fresh interpreter, so its stderr shows numpy's warnings."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "gaugejets.cli", *argv], capture_output=True, text=True, env=env, timeout=300
+    )
 
 
 def small_cfg(**kw):
@@ -236,14 +247,48 @@ class TestRun:
         already names its cause in its details."""
         path = tmp_path / "overflow.json"
         path.write_text(json.dumps(config))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])}
-        argv = [sys.executable, "-m", "gaugejets.cli", "run", "--config", str(path)]
-        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+        done = cli_process(["run", "--config", str(path)])
         assert done.returncode == 1 and "overall: fail" in done.stdout
         assert "Warning" not in done.stderr, done.stderr
 
     def test_sub_errors_combine_to_nan(self):
         assert math.isnan(harness._worst(1.0, math.nan)) and harness._worst(1.0, 2.0) == 2.0
+
+    @pytest.mark.parametrize(
+        "config, seed, suite, stage",
+        [
+            ({**OVERFLOW_CONFIG, "group": {"family": "sun", "n": 4}}, None, "jet_functoriality", "gauge_1"),
+            ({**OVERFLOW_CONFIG, "group": {"family": "sun", "n": 4}}, None, "maurer_cartan", "gauge"),
+            (OVERFLOW_CONFIG, 1, "chain_rule_matter", "gauge"),
+            (WIDE_LINE_CONFIG, 1, "theorem_ginv1", "free"),
+            (WIDE_LINE_CONFIG, 1, "mechanics_reduction", "free"),
+        ],
+        ids=["su4-functoriality", "su4-maurer-cartan", "chain-rule-matter", "ginv1-line", "mechanics-line"],
+    )
+    def test_non_finite_samples_end_in_a_named_nan(self, config, seed, suite, stage):
+        """Non-finite samples, through ``eigh`` (su(4)) or the plane-wave matter
+        sampler, give a NaN verdict naming its first non-finite stage, never an error."""
+        cfg = SuiteConfig.from_dict({**config, "seed": seed} if seed is not None else config)
+        res = run_suite(cfg, suite)
+        assert (res.status, math.isnan(res.max_error), res.details["non_finite"]) == ("fail", True, stage)
+
+    @pytest.mark.parametrize(
+        "suite, density, violation",
+        [
+            ("minimal_coupling_negative", "matter_density", "violation"),
+            ("utiyama_negative", "gauge_density", "min_violation"),
+        ],
+    )
+    def test_nan_violation_fails_a_negative_control(self, suite, density, violation, monkeypatch):
+        """A NaN violation is no violation: ``max(0.0, nan)`` would be 0.0 and pass."""
+        original = getattr(harness, density)
+
+        def nan_broken(*args):
+            return {**original(*args), "broken": np.full(args[0].batch_shape, math.nan)}
+
+        monkeypatch.setattr(harness, density, nan_broken)
+        res = run_suite(small_cfg(), suite)
+        assert res.status == "fail" and math.isnan(res.max_error) and math.isnan(res.details[violation])
 
     def test_deterministic_reports(self, tmp_path):
         cfg = small_cfg(suites=FAST_SUITES)
@@ -312,7 +357,7 @@ ACTION_CARRIERS = ["matter", "variation", "jet_matter", "connection", "jet_conne
 def test_action_laws_hold_for_every_group(spec, n, monkeypatch):
     """Unit and composition laws of every ``act_*`` at the suite's 1e-12 bound;
     on one base axis there is no curvature to act on."""
-    monkeypatch.setattr(harness, "AXIOM_BATCH", 16)
+    monkeypatch.setattr(harness, "BATCH", 16)
     res = run_suite(small_cfg(group=spec, patch=Patch((5,) * n, spacing=0.2)), "action_axioms")
     carriers = ACTION_CARRIERS if n > 1 else ACTION_CARRIERS[:-1]
     assert list(res.details) == [f"{c}_{law}" for c in carriers for law in ("unit", "compose")]
@@ -372,7 +417,7 @@ def test_every_suite_draws_for_the_configured_group(spec, monkeypatch):
     spy(harness, "random_algebra_entries")
     for name in ("random_gauge_family", "random_matter_family", "random_connection_family"):
         spy(analytic, name)
-    monkeypatch.setattr(harness, "AXIOM_BATCH", 16)
+    monkeypatch.setattr(harness, "BATCH", 16)
     cfg = small_cfg(group=spec, patch=Patch((5, 5), spacing=0.2))
     for suite in SUITES:
         seen.clear()
@@ -417,43 +462,60 @@ def _schema_groups(max_n):
     return out
 
 
+# m * 10^k, m in [1, 10): log-uniform over the positive floats, from the subnormals
+# to past the largest (inf), whose draws ``Patch`` refuses
+LOG_UNIFORM = st.builds(lambda m, k: m * 10.0**k, st.floats(1.0, 10.0, exclude_max=True), st.integers(-323, 308))
+
+
 @st.composite
 def accepted_configs(draw, max_n):
     """A config the schema accepts: 1-4-D, extents 5-9 (at most 2,000 points),
-    per-axis spacing 1e-4 to 2, origin within +-1e3, either metric."""
+    per-axis spacing and origin magnitude log-uniform over the floats (an
+    origin may also be 0 or negative), either metric.  Draws that ``Patch``
+    refuses, points that coincide or overflow, are rejected."""
     dim = draw(st.integers(1, 4))
 
     def per_axis(values):
         return st.lists(values, min_size=dim, max_size=dim).map(tuple)
 
     extent = draw(per_axis(st.integers(5, 9)).filter(lambda e: math.prod(e) <= 2000))
-    spacing = draw(per_axis(st.floats(-4.0, math.log10(2.0)).map(lambda e: 10.0**e)))
+    spacing = draw(per_axis(LOG_UNIFORM))
+    origin = draw(per_axis(st.one_of(st.just(0.0), LOG_UNIFORM, LOG_UNIFORM.map(lambda x: -x))))
+    try:
+        patch = Patch(extent, spacing, origin)
+    except RegionError:
+        reject()
     return SuiteConfig(
         group=draw(st.sampled_from(_schema_groups(max_n))),
-        patch=Patch(extent, spacing, draw(per_axis(st.floats(-1e3, 1e3)))),
+        patch=patch,
         seed=draw(st.integers(0, 2**31 - 1)),
         metric=draw(st.sampled_from(["euclidean", "minkowski"])),
     )
 
 
 def _every_suite_ends_in_a_verdict(cfg):
+    """Each suite returns a verdict; a NaN error names its first non-finite
+    stage, and a tolerance that is not positive and finite says so."""
     for suite in SUITES:
         result = run_suite(cfg, suite)
         assert isinstance(result, SuiteResult) and result.status in ("pass", "fail"), suite
-        assert not math.isnan(result.max_error), suite
+        if math.isnan(result.max_error):
+            assert result.status == "fail" and "non_finite" in result.details, (suite, result.details)
+        if not 0 < result.tolerance < math.inf:
+            assert result.status == "fail" and "invalid_tolerance" in result.details, suite
 
 
 @given(accepted_configs(max_n=4))
-@settings(max_examples=4, derandomize=True, deadline=None)
+@settings(max_examples=6, derandomize=True, deadline=None)
 def test_every_accepted_config_ends_in_a_verdict(cfg):
-    """Every suite returns a verdict, pass or fail, finite or ``inf``, and never
-    raises, for any config the schema accepts."""
+    """Every suite returns a verdict, pass or fail, and never raises, for any
+    config the schema accepts, from the smallest spacing to the largest origin."""
     _every_suite_ends_in_a_verdict(cfg)
 
 
 @pytest.mark.slow
 @given(accepted_configs(max_n=6))
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=40, deadline=None)
 def test_every_accepted_config_ends_in_a_verdict_up_to_su6(cfg):
     _every_suite_ends_in_a_verdict(cfg)
 
@@ -490,7 +552,7 @@ def test_only_n_from_4_exponentiates_through_eigh(spec, uses_eigh, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
-    monkeypatch.setattr(harness, "AXIOM_BATCH", 16)
+    monkeypatch.setattr(harness, "BATCH", 16)
     cfg = small_cfg(group=spec, patch=Patch((5, 5), spacing=0.2))
     for suite in SUITES:
         run_suite(cfg, suite)
@@ -526,7 +588,7 @@ def test_only_large_stacks_take_the_gemm(spec, patch, conjugates_by_gemm, monkey
 
     spy("_ad_kron")
     spy("_gemm")
-    monkeypatch.setattr(harness, "AXIOM_BATCH", 16)
+    monkeypatch.setattr(harness, "BATCH", 16)
     cfg = small_cfg(group=spec, patch=patch)
     for suite in SUITES:
         run_suite(cfg, suite)
@@ -717,6 +779,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert ran == []
+
+    @pytest.mark.parametrize(
+        "argv", [["converge"], ["sample", "--kind", "jet2-gauge"]], ids=["converge", "sample"]
+    )
+    def test_overflow_config_exits_2_in_one_line(self, tmp_path, argv):
+        """``converge`` cannot refine the overflowing patch, and the JGF1 writer
+        refuses its non-finite jets and removes the file: each exits 2 with one
+        stderr line and no warning."""
+        path, out = tmp_path / "overflow.json", tmp_path / "out.jgf1"
+        path.write_text(json.dumps(OVERFLOW_CONFIG))
+        done = cli_process([*argv, "--config", str(path), "--out", str(out)])
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1, done.stderr
+        assert not out.exists()
+
+    def test_sample_takes_no_suite(self, tmp_path, capsys):
+        """``sample`` runs no suite, so it refuses ``--suite`` instead of ignoring it."""
+        out = tmp_path / "field.jgf1"
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["sample", "--kind", "group", "--suite", "maurer_cartan", "--out", str(out)])
+        assert exit_info.value.code == 2 and "--suite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_inspect_missing_file_exit_code_2(self):
         assert cli_main(["inspect", "/nonexistent/file.jgf1"]) == 2

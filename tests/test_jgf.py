@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaugejets import jgf
+from gaugejets import jgf, patch as patch_module
 from gaugejets.analytic import (
     random_connection_family,
     random_gauge_family,
@@ -31,6 +31,7 @@ from gaugejets.jgf import (
 from gaugejets.lie_core import (
     AlgebraElement,
     RepVector,
+    _trusted,
     exp,
     group_spec,
     random_algebra_entries,
@@ -127,7 +128,7 @@ def test_read_peak_memory(tmp_path):
         read_field(path)
         back, peak = traced(lambda: read_field(path))
         arrays = [getattr(back.value, name) for name in field.value.LAYOUT]
-        assert peak <= sum(x.nbytes for x in arrays) + 2 * jgf.BLOCK_BYTES, side
+        assert peak <= sum(x.nbytes for x in arrays) + 2 * patch_module.BLOCK_BYTES, side
         assert not any(np.may_share_memory(x, y) for x, y in itertools.combinations(arrays, 2))
         for (name, arr), got in zip(arrays_of(field.value), arrays):
             assert got.flags.writeable, name
@@ -140,7 +141,7 @@ def test_write_peak_memory(tmp_path):
         field = gauge_sample(Patch((side,) * 4, spacing=0.1), SU3, seed=6).jet2
         path = tmp_path / "jet2.jgf1"
         write_field(field, path)
-        assert traced(lambda: write_field(field, path))[1] <= 2 * jgf.BLOCK_BYTES, side
+        assert traced(lambda: write_field(field, path))[1] <= 2 * patch_module.BLOCK_BYTES, side
 
 
 def test_fd_jets_round_trip(tmp_path, patch):
@@ -399,7 +400,7 @@ def test_block_size_moves_no_bit(tmp_path, monkeypatch, kind, fd, points_per_blo
     no point count here, files equal the encoding and read back bit for bit."""
     field = field_of(kind, fd, SU3, Patch((5, 6, 5), spacing=0.1), 17)
     point_bytes = len(encoding(field)) // field.patch.npoints
-    monkeypatch.setattr(jgf, "BLOCK_BYTES", max(16, points_per_block * point_bytes + 8))
+    monkeypatch.setattr(patch_module, "BLOCK_BYTES", max(16, points_per_block * point_bytes + 8))
     path = tmp_path / "f.jgf1"
     write_field(field, path)
     assert payload_of(path) == encoding(field)
@@ -416,7 +417,7 @@ def test_non_finite_entry_in_last_block_refused(tmp_path, monkeypatch, points_pe
     field = gauge_sample(Patch((5, 6, 5), spacing=0.1), SU3, seed=14).jet1
     if points_per_block:
         point_bytes = len(encoding(field)) // field.patch.npoints
-        monkeypatch.setattr(jgf, "BLOCK_BYTES", points_per_block * point_bytes + 8)
+        monkeypatch.setattr(patch_module, "BLOCK_BYTES", points_per_block * point_bytes + 8)
     path = tmp_path / "last.jgf1"
     write_field(field, path)
     path.write_bytes(path.read_bytes()[:-16] + np.array([complex("nan")], dtype="<c16").tobytes())
@@ -458,4 +459,24 @@ def test_writer_refuses_what_the_reader_cannot_rebuild(tmp_path, patch, case):
     path = tmp_path / "refused.jgf1"
     with pytest.raises(FormatError):
         write_field(Field(patch, UNREADABLE[case](patch.extent)), path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("points_per_block", [None, 7], ids=["default", "7-points"])
+@pytest.mark.parametrize("where", [0, -1], ids=["first-entry", "last-entry"])
+def test_writer_refuses_non_finite_entries(tmp_path, monkeypatch, points_per_block, where):
+    """The writer checks each gathered block as the reader does: a NaN in the
+    first or the last block (at 7 points per block, after the others were
+    written) refuses the value and leaves no file, not even one that was
+    there before."""
+    field = gauge_sample(Patch((5, 6, 5), spacing=0.1), SU3, seed=14).jet1
+    if points_per_block:
+        point_bytes = len(encoding(field)) // field.patch.npoints
+        monkeypatch.setattr(patch_module, "BLOCK_BYTES", points_per_block * point_bytes + 8)
+    a = field.value.a.copy()
+    a.reshape(-1)[where] = np.nan
+    path = tmp_path / "nan.jgf1"
+    path.write_bytes(b"an older file")
+    with pytest.raises(FormatError, match="non-finite"):
+        write_field(Field(field.patch, _trusted(Jet1Gauge, SU3, field.value.g, a)), path)
     assert not path.exists()

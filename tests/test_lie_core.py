@@ -14,6 +14,7 @@ from gaugejets.lie_core import (
     _exp_eigh,
     _gemm_pays,
     _kron,
+    _trusted,
     AlgebraElement,
     DimensionError,
     GroupElement,
@@ -147,6 +148,24 @@ class TestExp:
             got = exp(AlgebraElement(spec, np.zeros((4, spec.n, spec.n)))).entries
             assert np.array_equal(got, np.broadcast_to(np.eye(spec.n), got.shape))
             assert not np.any(np.signbit(got.real)) and not np.any(np.signbit(got.imag))
+
+    @pytest.mark.parametrize("spec", [U1, SU2, SU3, SU4, group_spec("sun", 5)], ids=lambda s: s.label())
+    def test_non_finite_matrix_gives_nan(self, spec):
+        """A matrix that is not finite comes back with NaN entries on every path,
+        all NaN from ``eigh``, which would otherwise raise, and the finite matrices
+        of the batch keep their bits."""
+        x = random_algebra_entries(seeded_rng(5, "non-finite", spec.label()), spec, (6,))
+        bad = x.copy()
+        with np.errstate(invalid="ignore", over="ignore"):
+            bad[1] *= np.inf  # inf entries, and NaN where x is 0
+            bad[4, 0, 0] = complex(np.nan, np.nan)
+            got = exp(_trusted(AlgebraElement, spec, bad)).entries
+        want = exp(AlgebraElement(spec, x)).entries
+        finite = [0, 2, 3, 5]
+        assert got[finite].tobytes() == want[finite].tobytes()
+        assert np.isnan(got[1]).any() and np.isnan(got[4]).any()
+        if spec.n >= 4:
+            assert np.isnan(got[[1, 4]]).all()
 
     def test_u1_scalar_oracle(self):
         theta = 0.7

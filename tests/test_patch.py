@@ -20,7 +20,7 @@ from gaugejets.analytic import (
 )
 from gaugejets.lie_core import exp, group_spec
 from gaugejets.patch import (
-    Field,
+    BLOCK_BYTES,
     Patch,
     Points,
     Region,
@@ -28,6 +28,7 @@ from gaugejets.patch import (
     central_diff,
     default_patch,
     integrate,
+    point_blocks,
 )
 from sampling import random_algebra_element, random_group_element
 
@@ -50,6 +51,14 @@ class TestPatch:
         for spacing in (1e-310, 5e-324):  # below the smallest normal float 1 / 2h overflows
             with pytest.raises(RegionError, match="at a spacing of at least"):
                 Patch((8, 8), spacing=(0.1, spacing))
+
+    def test_unsizable_axis_refused(self):
+        """numpy refuses to size a 10^20-point arange (ValueError, not MemoryError) and
+        allocates none of it; the patch refuses the axis as it refuses one too large."""
+        with pytest.raises(RegionError, match="axis 1"):
+            Patch((5, 10**20))
+        with pytest.raises(RegionError, match="axis 0"):  # converge refines to such an axis
+            Patch((6, 6), 1e150, (1e160, 0.0)).refined(0.04)
 
     def test_coords(self):
         p = Patch((5, 6), spacing=(0.5, 0.25), origin=(1.0, -1.0))
@@ -174,7 +183,19 @@ class TestPartial:
 
 def _integral(patch: Patch, vals: np.ndarray, region: Region) -> float:
     """The integral over ``region`` of grid data on ``patch``, taken on the region's points."""
-    return integrate(Field(Points(patch, region), vals[region.slices()]), region)
+    return integrate(vals[region.slices()], Points(patch, region))
+
+
+class TestPointBlocks:
+    @pytest.mark.parametrize("npoints, point_bytes", [(10, 1 << 20), (100_000, 16), (5, 0), (7, 300)])
+    def test_blocks_cover_the_points_in_order(self, npoints, point_bytes):
+        """Consecutive blocks of at most ``BLOCK_BYTES`` (one point where a point is
+        larger, all points where a point has no bytes), the first the largest."""
+        blocks = point_blocks(npoints, point_bytes)
+        assert [i for rows in blocks for i in range(npoints)[rows]] == list(range(npoints))
+        widths = [rows.stop - rows.start for rows in blocks]
+        assert widths[0] == max(widths)
+        assert all(w == 1 or w * point_bytes <= BLOCK_BYTES for w in widths)
 
 
 class TestIntegrate:
@@ -195,13 +216,13 @@ class TestIntegrate:
         h = 2 * math.pi / n
         p = Patch((n + 2,), spacing=h, origin=-h)
         points = Points(p, Region((1,), (n + 1,)))  # exactly one period of sample points
-        val = integrate(Field(points, np.sin(points.coords()[..., 0])), points.region)
+        val = integrate(np.sin(points.coords()[..., 0]), points)
         assert abs(val) <= 1e-3
 
     def test_density_on_the_whole_patch_refused(self):
         p = Patch((8, 8))
         with pytest.raises(RegionError, match="points of"):
-            integrate(Field(p, np.zeros(p.extent)), p.interior(1))
+            integrate(np.zeros(p.extent), p)
 
     def test_additive_over_disjoint_split_dyadic(self):
         # dyadic data: the compensated sum makes the split exact
@@ -278,13 +299,7 @@ class TestPoints:
         )
         assert np.array_equal(part, whole[region.slices()])
         want = math.fsum(whole[region.slices()].ravel().tolist()) * patch.cell_volume
-        assert integrate(Field(points, part), region) == want
-
-    def test_integrate_refuses_another_region(self):
-        patch = Patch((8, 8))
-        points = Points(patch, patch.interior(1))
-        with pytest.raises(RegionError):
-            integrate(Field(points, np.zeros(points.extent)), patch.interior(2))
+        assert integrate(part, points) == want
 
 
 class TestSampleAnalytic:

@@ -15,7 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from gaugejets import analytic, jets
+from gaugejets import analytic, jets, patch as patch_module
 from gaugejets.analytic import (
     random_connection_family,
     random_gauge_family,
@@ -86,8 +86,8 @@ def test_closed_form_jets_match_the_whole_grid_sum(monkeypatch, label, n, where)
     with monkeypatch.context() as m:
         m.setattr(analytic, "_combine", combine_reference)
         want = sample_gauge(points, spec, fam).jet2.value
-    for block in (analytic.COMBINE_BLOCK_BYTES, 7 * point_bytes(spec, n), 1):
-        monkeypatch.setattr(analytic, "COMBINE_BLOCK_BYTES", block)
+    for block in (patch_module.BLOCK_BYTES, 7 * point_bytes(spec, n), 1):
+        monkeypatch.setattr(patch_module, "BLOCK_BYTES", block)
         got = sample_gauge(points, spec, fam)
         for slot in ("g", "a", "s"):
             assert same_bits(getattr(got.jet2.value, slot), getattr(want, slot)), (block, slot)
