@@ -6,7 +6,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,12 +31,13 @@ from gaugejets.jets import Jet1Gauge, Jet2Gauge, JetConnection, JetMatter
 from gaugejets.lie_core import (
     AlgebraElement,
     GroupSpec,
+    _trusted,
     exp,
     group_spec,
     random_algebra_entries,
     seeded_rng,
 )
-from gaugejets.patch import Patch, RegionError, default_patch
+from gaugejets.patch import Field, Patch, RegionError, default_patch
 from conftest import OVERFLOW_CONFIG, OVERFLOW_LINE_CONFIG, OVERFLOW_STAGES, SRC
 
 # a line near the largest float: the plane waves of the matter sampler overflow there
@@ -270,6 +271,48 @@ class TestRun:
         sampler, give a NaN verdict naming its first non-finite stage, never an error."""
         cfg = SuiteConfig.from_dict({**config, "seed": seed} if seed is not None else config)
         res = run_suite(cfg, suite)
+        assert (res.status, math.isnan(res.max_error), res.details["non_finite"]) == ("fail", True, stage)
+
+    @pytest.mark.parametrize(
+        "producer, call, suite, stage",
+        [
+            ("jet2_mul", 1, "jet_functoriality", "jet2_product"),
+            ("act_jet_matter", 1, "chain_rule_matter", "moved_jet"),
+            ("act_jet_connection", 1, "chain_rule_connection", "moved_jet"),
+            ("jet1_inv", 1, "gauge_to_zero_1", "round_trip"),
+            ("curvature", 2, "gauge_to_zero_2", "curvature"),
+            ("maurer_cartan_defect", 1, "maurer_cartan", "defect"),
+        ]
+        + [
+            ("distance", 1, suite, "comparison")
+            for suite in (
+                "jet_functoriality", "chain_rule_matter", "chain_rule_connection",
+                "gauge_to_zero_1", "gauge_to_zero_2",
+            )
+        ],
+    )
+    def test_a_later_nan_stage_is_named(self, producer, call, suite, stage, monkeypatch):
+        """On finite samples, a NaN made by a later stage is named by that stage:
+        every stage before it is searched and found finite, in the order the suite
+        computes them; a NaN made only by the comparison names ``comparison``."""
+        original, calls = getattr(harness, producer), []
+
+        def nan_like(x):
+            if isinstance(x, Field):
+                return Field(x.patch, nan_like(x.value), x.margin)
+            if hasattr(x, "LAYOUT"):
+                values = (getattr(x, f.name) for f in fields(x))
+                return _trusted(type(x), *(nan_like(v) if isinstance(v, np.ndarray) else v for v in values))
+            return np.full_like(x, math.nan)
+
+        def poisoned(*args):
+            calls.append(producer)
+            out = original(*args)
+            return nan_like(out) if len(calls) == call else out
+
+        monkeypatch.setattr(harness, producer, poisoned)
+        res = run_suite(small_cfg(), suite)
+        assert len(calls) >= call
         assert (res.status, math.isnan(res.max_error), res.details["non_finite"]) == ("fail", True, stage)
 
     @pytest.mark.parametrize(
