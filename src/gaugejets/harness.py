@@ -25,8 +25,8 @@ integrates each density over the patch interior, sampled there alone,
 before and after every transformation and tracks the worst change, judged
 by each suite's verdict, or ends in a NaN error naming the first non-finite
 density in ``details.non_finite``.  The other suites that read sampled
-fields name there, for a NaN error, the first non-finite stage of their data
-(``_with_cause``).  Suites run with numpy's overflow warnings off.
+fields name there, for a NaN error, the first non-finite stage they record
+as they compute it (``_Stages``).  Suites run with numpy's overflow warnings off.
 
 ``run`` checks each configured suite once on the configured patch;
 ``converge`` repeats each across ``cfg.h_levels`` and judges the error
@@ -318,23 +318,26 @@ def _worst(*errors: float) -> float:
     return float(np.max(errors))
 
 
-def _with_cause(err: float, details: dict, stages: dict) -> dict:
-    """``details``, plus for a NaN ``err`` the name of the first of ``stages``
-    whose data is not finite, as ``non_finite`` ("comparison" if all are).
+class _Stages(dict):
+    """A suite's data by stage name, in computing order: ``stage(name, x)`` records and returns x."""
 
-    ``stages`` maps names to the suite's data (fields, fiber values or
-    arrays) in the order it computes them; they are searched only for NaN.
-    """
-    if not math.isnan(err):
-        return details
+    def __call__(self, name: str, x):
+        self[name] = x
+        return x
 
-    def finite(x) -> bool:
-        x = x.value if isinstance(x, Field) else x
-        arrays = [getattr(x, name) for name in x.LAYOUT] if hasattr(x, "LAYOUT") else [x]
-        return all(np.isfinite(a).all() for a in arrays)
+    def details(self, err: float, details: dict) -> dict:
+        """``details``, plus for a NaN ``err`` alone the first stage whose data
+        is not finite, as ``non_finite`` ("comparison" if all are)."""
+        if not math.isnan(err):
+            return details
 
-    bad = next((name for name, x in stages.items() if not finite(x)), "comparison")
-    return {**details, "non_finite": bad}
+        def finite(x) -> bool:
+            x = x.value if isinstance(x, Field) else x
+            arrays = [getattr(x, name) for name in x.LAYOUT] if hasattr(x, "LAYOUT") else [x]
+            return all(np.isfinite(a).all() for a in arrays)
+
+        bad = next((name for name, x in self.items() if not finite(x)), "comparison")
+        return {**details, "non_finite": bad}
 
 
 # ---------------------------------------------------------------------------
@@ -402,22 +405,18 @@ def _suite_jet_group_axioms(cfg: SuiteConfig):
 )
 def _suite_jet_functoriality(cfg: SuiteConfig):
     spec, patch = cfg.group, cfg.patch
-    rng = seeded_rng(cfg.seed, "jet_functoriality", spec.label())
-    s1 = _gauge(rng, spec, patch, scale=0.6)
-    s2 = _gauge(rng, spec, patch, scale=0.6)
-    prod = Field(patch, multiply(s1.values.value, s2.values.value))
-    lhs1 = jet1_of(prod)
-    rhs1 = jet1_mul(jet1_of(s1.values).value, jet1_of(s2.values).value)
+    rng, stage = seeded_rng(cfg.seed, "jet_functoriality", spec.label()), _Stages()
+    s1, s2 = _gauge(rng, spec, patch, scale=0.6), _gauge(rng, spec, patch, scale=0.6)
+    g1, g2 = stage("gauge_1", s1.values), stage("gauge_2", s2.values)
+    prod = stage("product", Field(patch, multiply(g1.value, g2.value)))
+    lhs1 = stage("jet1_of_product", jet1_of(prod))
+    rhs1 = stage("jet1_product", jet1_mul(jet1_of(g1).value, jet1_of(g2).value))
     err1 = _interior_max(distance(lhs1.value, rhs1), lhs1)
-    lhs2 = jet2_of(prod)
-    rhs2 = jet2_mul(jet2_of(s1.values).value, jet2_of(s2.values).value)
+    lhs2 = stage("jet2_of_product", jet2_of(prod))
+    rhs2 = stage("jet2_product", jet2_mul(jet2_of(g1).value, jet2_of(g2).value))
     err2 = _interior_max(distance(lhs2.value, rhs2), lhs2)
     err = _worst(err1, err2)
-    stages = {
-        "gauge_1": s1.values, "gauge_2": s2.values, "product": prod, "jet1_of_product": lhs1,
-        "jet1_product": rhs1, "jet2_of_product": lhs2, "jet2_product": rhs2,
-    }
-    return err, _with_cause(err, {"order1": err1, "order2": err2}, stages)
+    return err, stage.details(err, {"order1": err1, "order2": err2})
 
 
 @_suite("unit jets act trivially and jet products act by composition on every carrier", 1e-12)
@@ -458,20 +457,17 @@ def _suite_action_axioms(cfg: SuiteConfig):
 )
 def _suite_chain_rule_matter(cfg: SuiteConfig):
     spec, patch = cfg.group, cfg.patch
-    rng = seeded_rng(cfg.seed, "chain_rule_matter", spec.label())
+    rng, stage = seeded_rng(cfg.seed, "chain_rule_matter", spec.label()), _Stages()
     gs = _gauge(rng, spec, patch, scale=0.5)
     mfam = analytic.random_matter_family(rng, spec, patch.dim, scale=0.8, wave_scale=0.6)
-    ms = analytic.sample_matter(patch, spec, mfam)
-    moved = rep_act(gs.values.value, ms.values.value)
-    lhs = jet_matter_of(Field(patch, moved))
-    jet, jm = jet1_of(gs.values), jet_matter_of(ms.values)
-    rhs = act_jet_matter(jet.value, jm.value)
+    g = stage("gauge", gs.values)
+    phi = stage("matter", analytic.sample_matter(patch, spec, mfam).values)
+    moved = stage("moved_matter", rep_act(g.value, phi.value))
+    lhs = stage("jet_of_moved", jet_matter_of(Field(patch, moved)))
+    jet, jm = stage("gauge_jet1", jet1_of(g)), stage("matter_jet", jet_matter_of(phi))
+    rhs = stage("moved_jet", act_jet_matter(jet.value, jm.value))
     err = _interior_max(distance(lhs.value, rhs), lhs)
-    stages = {
-        "gauge": gs.values, "matter": ms.values, "moved_matter": moved, "jet_of_moved": lhs,
-        "gauge_jet1": jet, "matter_jet": jm, "moved_jet": rhs,
-    }
-    return err, _with_cause(err, {}, stages)
+    return err, stage.details(err, {})
 
 
 @_suite(
@@ -481,19 +477,17 @@ def _suite_chain_rule_matter(cfg: SuiteConfig):
 )
 def _suite_chain_rule_connection(cfg: SuiteConfig):
     spec, patch = cfg.group, cfg.patch
-    rng = seeded_rng(cfg.seed, "chain_rule_connection", spec.label())
+    rng, stage = seeded_rng(cfg.seed, "chain_rule_connection", spec.label()), _Stages()
     gs = _gauge(rng, spec, patch, scale=0.4)
     cs = _connection(rng, spec, patch, scale=0.5)
-    moved = act_connection(gs.jet1.value, cs.values.value)
-    lhs = jet_connection_of(Field(patch, moved))
-    jet = jet2_of(gs.values)
-    rhs = act_jet_connection(jet.value, jet_connection_of(cs.values).value)
+    jet1 = gs.jet1.value  # read first: the values are cut from it
+    g, a = stage("gauge", gs.values), stage("connection", cs.values)
+    moved = stage("moved_connection", act_connection(jet1, a.value))
+    lhs = stage("jet_of_moved", jet_connection_of(Field(patch, moved)))
+    jet = stage("gauge_jet2", jet2_of(g))
+    rhs = stage("moved_jet", act_jet_connection(jet.value, jet_connection_of(a).value))
     err = _interior_max(distance(lhs.value, rhs), lhs, jet)
-    stages = {
-        "gauge": gs.values, "connection": cs.values, "moved_connection": moved,
-        "jet_of_moved": lhs, "gauge_jet2": jet, "moved_jet": rhs,
-    }
-    return err, _with_cause(err, {}, stages)
+    return err, stage.details(err, {})
 
 
 @_suite("the curvature of a transformed connection jet is the conjugated curvature", 1e-10)
@@ -511,18 +505,15 @@ def _suite_curvature_equivariance(cfg: SuiteConfig):
 @_suite("a first-order jet gauges any potential value to zero at every fiber", 1e-12)
 def _suite_gauge_to_zero_1(cfg: SuiteConfig):
     spec = cfg.group
-    rng = seeded_rng(cfg.seed, "gauge_to_zero_1", spec.label())
-    A = _connection(rng, spec, cfg.patch).values.value
+    rng, stage = seeded_rng(cfg.seed, "gauge_to_zero_1", spec.label()), _Stages()
+    A = stage("connection", _connection(rng, spec, cfg.patch).values.value)
     witness = gauge_to_zero_jet1(A)
+    stage.update(witness_jet=witness.jet, transformed=witness.transformed, residual=witness.residual)
     err = _max(witness.residual)
-    back = act_connection(jet1_inv(witness.jet), witness.transformed)
+    back = stage("round_trip", act_connection(jet1_inv(witness.jet), witness.transformed))
     round_trip = _max(distance(back, A))
     worst = _worst(err, round_trip)
-    stages = {
-        "connection": A, "witness_jet": witness.jet, "transformed": witness.transformed,
-        "residual": witness.residual, "round_trip": back,
-    }
-    return worst, _with_cause(worst, {"round_trip": round_trip, "points": cfg.patch.npoints}, stages)
+    return worst, stage.details(worst, {"round_trip": round_trip, "points": cfg.patch.npoints})
 
 
 @_suite(
@@ -532,19 +523,17 @@ def _suite_gauge_to_zero_1(cfg: SuiteConfig):
 )
 def _suite_gauge_to_zero_2(cfg: SuiteConfig):
     spec = cfg.group
-    rng = seeded_rng(cfg.seed, "gauge_to_zero_2", spec.label())
-    jc: JetConnection = _connection(rng, spec, cfg.patch).jet.value
+    rng, stage = seeded_rng(cfg.seed, "gauge_to_zero_2", spec.label()), _Stages()
+    jc: JetConnection = stage("connection_jet", _connection(rng, spec, cfg.patch).jet.value)
     witness = gauge_to_zero_jet2(jc)
+    stage.update(witness_jet=witness.jet, transformed=witness.transformed, residual=witness.residual)
     err = _max(witness.residual)
     # the witness moves A to exactly zero, so the bracket term adds exact zeros
-    f_moved, f = curvature(witness.transformed), curvature(jc)
+    f_moved = stage("curvature_of_transformed", curvature(witness.transformed))
+    f = stage("curvature", curvature(jc))
     curv_err = _max(distance(f_moved, f))
     worst = _worst(err, curv_err)
-    stages = {
-        "connection_jet": jc, "witness_jet": witness.jet, "transformed": witness.transformed,
-        "residual": witness.residual, "curvature_of_transformed": f_moved, "curvature": f,
-    }
-    return worst, _with_cause(worst, {"residual": err, "antisym_vs_curvature": curv_err}, stages)
+    return worst, stage.details(worst, {"residual": err, "antisym_vs_curvature": curv_err})
 
 
 def _coupling_data(cfg: SuiteConfig):
@@ -772,12 +761,11 @@ def _suite_mechanics_reduction(cfg: SuiteConfig):
 )
 def _suite_maurer_cartan(cfg: SuiteConfig):
     spec, patch = cfg.group, cfg.patch
-    rng = seeded_rng(cfg.seed, "maurer_cartan", spec.label())
-    gs = _gauge(rng, spec, patch, scale=0.6)
-    jet = jet1_of(gs.values)
-    defect = maurer_cartan_defect(jet)
+    rng, stage = seeded_rng(cfg.seed, "maurer_cartan", spec.label()), _Stages()
+    g = stage("gauge", _gauge(rng, spec, patch, scale=0.6).values)
+    defect = stage("defect", maurer_cartan_defect(stage("jet1", jet1_of(g))))
     err = _interior_max(defect.value, defect)
-    return err, _with_cause(err, {}, {"gauge": gs.values, "jet1": jet, "defect": defect})
+    return err, stage.details(err, {})
 
 
 def _lookup(name: str) -> SuiteDef:
