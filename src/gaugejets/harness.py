@@ -206,7 +206,7 @@ class SuiteConfig:
                 p = data["patch"]
                 kwargs["patch"] = Patch(**{**p, "extent": tuple(p["extent"])})
             return SuiteConfig(**kwargs)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"malformed config: {exc}") from exc

@@ -13,9 +13,11 @@ Layout (documented contract):
       value_kind <kind>
 
   Spacings are written with ``repr`` (shortest round-trip form), so
-  read-write cycles are bit-exact.  A header line, newline included, is
-  at most ``HEADER_LINE_LIMIT`` (108) bytes; the reader rejects a longer
-  one without reading past it.
+  read-write cycles are bit-exact.  The reader takes each line only in
+  this order and form, so a header it accepts is written back byte for
+  byte.  A header line, newline included, is at most
+  ``HEADER_LINE_LIMIT`` (108) bytes; the reader rejects a longer one
+  without reading past it.
 
 * Binary payload: little-endian float64 pairs (re, im) for every complex
   entry, in lexicographic grid order (C order), row-major within each
@@ -46,6 +48,7 @@ import io
 import math
 import os
 from functools import partial
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -164,24 +167,35 @@ def write_field(field: Field, path: str | Path) -> None:
 HEADER_LINE_LIMIT = len("spacing") + 4 * (1 + 24) + len("\n")
 
 
-def _read_header(fh: io.BufferedReader) -> dict:
-    lines = []
-    for _ in range(7):
+def _read_header(fh: io.BufferedReader) -> list[tuple]:
+    """The values of the seven header lines, in their documented order: each
+    line is its key, then its tokens in the form the writer gives them (``str``
+    of an int or a name, ``repr`` of a float; N after ``sun`` alone, one extent
+    and one spacing per axis).  Any other line is a FormatError naming its field."""
+    values = []
+    for key in ("JGF1", "family", "rep_dim", "dim", "extent", "spacing", "value_kind"):
         line = fh.readline(HEADER_LINE_LIMIT)
         if not line.endswith(b"\n"):
             cut = len(line) == HEADER_LINE_LIMIT
             raise FormatError(f"header line over {HEADER_LINE_LIMIT} bytes" if cut else "truncated header")
-        lines.append(line[:-1].decode("ascii"))
-    if lines[0] != "JGF1":
-        raise FormatError(f"bad magic {lines[0]!r}")
-    fields = {}
-    for line in lines[1:]:
-        key, _, rest = line.partition(" ")
-        fields[key] = rest
-    for key in ("family", "rep_dim", "dim", "extent", "spacing", "value_kind"):
-        if key not in fields:
-            raise FormatError(f"missing header field {key!r}")
-    return fields
+        name, *tokens = line[:-1].decode("ascii", "replace").split(" ")
+        dim = values[3][0] if len(values) > 3 else 0
+        count, casts = {
+            "JGF1": (0, ()),
+            "family": (1 + (tokens[:1] == ["sun"]), (str, int)),
+            "extent": (dim, repeat(int)),
+            "spacing": (dim, repeat(float)),
+            "value_kind": (1, (str,)),
+        }.get(key, (1, (int,)))
+        try:
+            read = tuple(cast(t) for cast, t in zip(casts, tokens))
+            canonical = [repr(x) if isinstance(x, float) else str(x) for x in read] == tokens
+        except ValueError:
+            canonical = False
+        if name != key or len(tokens) != count or not canonical:
+            raise FormatError(f"header field {key!r} is missing or not in its canonical form")
+        values.append(read)
+    return values
 
 
 def read_field(path: str | Path) -> Field:
@@ -205,20 +219,13 @@ def read_field(path: str | Path) -> Field:
             raise FormatError(f"invalid JGF1 field: {exc}") from exc
 
 
-def _decode(hdr: dict, fh: io.BufferedReader, nbytes: int) -> Field:
-    family_tokens = hdr["family"].split()
-    family = GroupFamily(family_tokens[0])
-    n_mat = int(family_tokens[1]) if len(family_tokens) > 1 else 0
-    rep_dim = int(hdr["rep_dim"])
-    dim = int(hdr["dim"])
-    extent = tuple(int(t) for t in hdr["extent"].split())
-    spacing = tuple(float(t) for t in hdr["spacing"].split())
-    kind = hdr["value_kind"]
-    if len(extent) != dim or len(spacing) != dim:
-        raise FormatError("extent/spacing do not match dim")
+def _decode(hdr: list[tuple], fh: io.BufferedReader, nbytes: int) -> Field:
+    _, (family, *n_mat), (rep_dim,), (dim,), extent, spacing, (kind,) = hdr
     if kind not in KINDS:
         raise FormatError(f"unknown value kind {kind!r}")
-    spec = GroupSpec(family, n_mat, rep_dim)
+    spec = GroupSpec(family, *n_mat, rep_dim=rep_dim)
+    if spec.rep_dim != rep_dim:  # 0 would select the fundamental, written back as N
+        raise FormatError(f"rep_dim {rep_dim} is not a representation dimension")
     shapes = _shapes(kind, spec, dim)
     packed = dict(shapes)
     if kind == "jet2-gauge":  # s is stored packed, mu <= nu only

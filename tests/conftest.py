@@ -12,8 +12,9 @@ user runs the verifier, on real input:
   fd suites and of an exact one, ``sample`` of every kind with and
   without ``--fd`` and ``inspect`` of each file written, far from the
   origin too, a ``sample`` on the overflow config, which the JGF1 writer
-  refuses and removes, and ``inspect`` of a 1-D curvature file, whose
-  payload is empty.
+  refuses and removes, ``inspect`` of files whose header has a line over
+  the limit or a value that is not a number, and ``inspect`` of a 1-D
+  curvature file, whose payload is empty.
 
 It returns the ledger rows, which ``test_ledger.py`` compares, and the lines
 each source file executed, which ``test_reach.py`` reads.  The tests
@@ -85,6 +86,8 @@ def cli_programs(tmp: Path):
     yield ["sample", "--config", overflow, "--kind", "jet2-gauge", "--out", str(tmp / "overflow.jgf1")]
     (tmp / "long.jgf1").write_bytes(b"JGF1\nspacing " + b"1" * jgf.HEADER_LINE_LIMIT + b"\n")
     yield ["inspect", str(tmp / "long.jgf1")]
+    (tmp / "bad-value.jgf1").write_bytes(b"JGF1\nfamily su2\nrep_dim two\n")
+    yield ["inspect", str(tmp / "bad-value.jgf1")]
     line = str(tmp / "line.jgf1")
     yield ["sample", "--config", config("line.json", LINE_CONFIG), "--kind", "jet-connection", "--out", line]
     jc = jgf.read_field(line)

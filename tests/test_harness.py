@@ -164,6 +164,26 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"patch": {"extent": [6, 6], "spacing": 10**400}},
+            {"patch": {"extent": [6, 6], "origin": [0, 10**400]}},
+            {"h_levels": [10**400, 0.02]},
+        ],
+        ids=["spacing", "origin", "h-levels"],
+    )
+    def test_integer_beyond_the_floats_exits_2(self, bad, tmp_path, capsys):
+        """An integer that no float holds, where the schema reads a float, is a
+        config error: ``float`` raises ``OverflowError`` for it, not ``ValueError``."""
+        with pytest.raises(ConfigError):
+            SuiteConfig.from_dict(bad)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(bad))
+        assert cli_main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_unallocatable_extent_exits_2(self, tmp_path, capsys):
         """numpy refuses a 10^15-point axis at once, without allocating any of it;
         the patch's grid rule reports the axis, and the CLI exits 2."""
@@ -561,6 +581,63 @@ def test_every_accepted_config_ends_in_a_verdict(cfg):
 @settings(max_examples=40, deadline=None)
 def test_every_accepted_config_ends_in_a_verdict_up_to_su6(cfg):
     _every_suite_ends_in_a_verdict(cfg)
+
+
+VALID_CONFIG = {
+    "group": {"family": "su2", "n": 2, "rep_dim": 2},
+    "patch": {"extent": [6, 6], "spacing": 0.2, "origin": [0.0, 0.0]},
+    "seed": 1,
+    "suites": ["gauge_to_zero_1"],
+    "h_levels": [0.04, 0.02],
+    "output": None,
+    "metric": "euclidean",
+}
+CONFIG_KEYS = [
+    ("group",), ("group", "family"), ("group", "n"), ("group", "rep_dim"), ("patch",),
+    ("patch", "extent"), ("patch", "spacing"), ("patch", "origin"), ("seed",), ("suites",),
+    ("h_levels",), ("output",), ("metric",), ("extra",), ("patch", "extra"),
+]
+ODD_JSON = [
+    None, True, False, 0, -1, 3, 2**32, 2**64, 10**400, 0.0, -0.0, 1e-320, 0.5, 1e308,
+    math.nan, math.inf, -math.inf, "", "su2", "sun", "minkowski", "/", "0.2", [], [[]],
+    [5, 5], [5, 5, 5, 5, 5, 5, 5], [0.2, "0.2"], [1e308, -1e308], [math.nan, 0.1],
+    [10**15, 5], [True, 5], ["gauge_to_zero_1", 5], {}, {"family": "sun"}, {"extent": [5]},
+    {"n": 10**400},
+]
+
+
+def _only_config_errors(changes):
+    data = json.loads(json.dumps(VALID_CONFIG))
+    for path, value in changes:
+        *parents, key = path
+        section = data
+        for name in parents:
+            section = section.get(name) if isinstance(section, dict) else None
+        if isinstance(section, dict):
+            section[key] = json.loads(json.dumps(value))  # a copy: pool values are shared
+    try:
+        SuiteConfig.from_dict(data)
+    except ConfigError:
+        pass
+
+
+ODD_CHANGES = st.lists(st.tuples(st.sampled_from(CONFIG_KEYS), st.sampled_from(ODD_JSON)), min_size=1, max_size=3)
+
+
+@given(ODD_CHANGES)
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_odd_config_values_raise_only_config_errors(changes):
+    """A valid config with 1-3 keys set to odd JSON values (non-finite or huge
+    numbers, booleans, strings, nested lists and objects) is accepted or
+    refused with ``ConfigError``, never another exception."""
+    _only_config_errors(changes)
+
+
+@pytest.mark.slow
+@given(ODD_CHANGES)
+@settings(max_examples=5000, deadline=None)
+def test_odd_config_values_raise_only_config_errors_many(changes):
+    _only_config_errors(changes)
 
 
 def test_jet_group_axioms_ignore_the_representation():

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from gaugejets.cli import SAMPLES, main as cli_main
 from gaugejets.jets import Curvature, Jet1Gauge, Jet2Gauge, curvature, jet2_of
 from gaugejets.jgf import (
     HEADER_LINE_LIMIT,
+    KINDS,
     FormatError,
     _read_header,
     describe,
@@ -480,3 +482,96 @@ def test_writer_refuses_non_finite_entries(tmp_path, monkeypatch, points_per_blo
     with pytest.raises(FormatError, match="non-finite"):
         write_field(Field(field.patch, _trusted(Jet1Gauge, SU3, field.value.g, a)), path)
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "spec, extent, line, bad",
+    [
+        (SU2, (64, 64), b"family su2\n", b"family\n"),
+        (group_spec("sun", n=4), (6, 6), b"family sun 4\n", b"family sun 4 5\n"),
+        (SU2, (64, 64), b"family su2\n", b"family su2 2\n"),
+        (SU2, (64, 64), b"extent 64 64\n", b"extent 064 64\n"),
+        (SU2, (64, 64), b"spacing 0.05 0.05\n", b"spacing 0.050 5e-2\n"),
+        (SU2, (64, 64), b"rep_dim 2\n", b"rep_dim 0\n"),
+    ],
+    ids=["family-no-value", "sun-two-n", "su2-with-n", "extent-leading-zero", "spacing-not-repr", "rep-dim-0"],
+)
+def test_header_not_as_written_exits_2(tmp_path, capsys, spec, extent, line, bad):
+    """A header line that the writer would not write is refused, naming its
+    field, with exit 2 and one line: one without its value once raised
+    IndexError, and the others were read and then written back as other bytes."""
+    path = tmp_path / "bad.jgf1"
+    write_field(gauge_sample(Patch(extent), spec=spec).values, path)
+    raw = path.read_bytes()
+    assert line in raw
+    path.write_bytes(raw.replace(line, bad, 1))
+    with pytest.raises(FormatError, match=line.split()[0].decode()):
+        read_field(path)
+    assert cli_main(["inspect", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+# one valid file of every kind, su2 on a plane and su(4) adjoint on a line
+MUTATION_BASES = [(kind, SU2, (5, 6)) for kind in KINDS] + [
+    (kind, group_spec("sun", n=4, rep_dim=15), (5,)) for kind in ("group", "jet2-gauge", "matter")
+]
+HEADER_BYTES = st.one_of(st.sampled_from(list(b"0159 \n-.+enau\t\x80")).map(lambda b: bytes([b])), st.binary(min_size=1, max_size=3))
+
+
+@pytest.fixture(scope="module")
+def mutation_files(tmp_path_factory):
+    """(bytes, header length) of each base file, and a scratch path for the mutants."""
+    tmp = tmp_path_factory.mktemp("mutation")
+    bases = []
+    for i, (kind, spec, extent) in enumerate(MUTATION_BASES):
+        write_field(field_of(kind, False, spec, Patch(extent, spacing=0.1), i), tmp / "base.jgf1")
+        raw = (tmp / "base.jgf1").read_bytes()
+        bases.append((raw, len(b"\n".join(raw.split(b"\n", 7)[:7])) + 1))
+    return bases, tmp
+
+
+@st.composite
+def mutants(draw, bases):
+    """A base file with its header bytes replaced, deleted or inserted, or its
+    payload cut, extended or poisoned with a NaN or an infinity."""
+    raw, head = draw(st.sampled_from(bases))
+    how = draw(st.sampled_from(["replace", "delete", "insert", "cut", "extend", "poison"]))
+    if how in ("replace", "delete", "insert"):
+        at = draw(st.integers(0, head - 1))
+        cut = {"replace": 1, "delete": draw(st.integers(1, 4)), "insert": 0}[how]
+        return raw[:at] + (b"" if how == "delete" else draw(HEADER_BYTES)) + raw[at + cut :]
+    if how == "cut":
+        return raw[: draw(st.integers(head, len(raw) - 1))]
+    if how == "extend":
+        return raw + draw(st.binary(min_size=1, max_size=40))
+    at = head + 8 * draw(st.integers(0, (len(raw) - head) // 8 - 1))
+    value = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    return raw[:at] + np.array([value], dtype="<f8").tobytes() + raw[at + 8 :]
+
+
+def _inspect_exits_0_or_2_and_writes_back(tmp, raw):
+    path, back = tmp / "mutant.jgf1", tmp / "back.jgf1"
+    path.write_bytes(raw)
+    code = cli_main(["inspect", str(path)])
+    assert code in (0, 2)
+    if code == 0:
+        write_field(read_field(path), back)
+        assert back.read_bytes() == raw
+
+
+@given(st.data())
+@settings(max_examples=120, derandomize=True, deadline=None)
+def test_mutated_files_exit_0_or_2(mutation_files, data):
+    """``inspect`` of a mutated file never raises: it exits 2, or 0 for a file
+    that then writes back to the same bytes."""
+    bases, tmp = mutation_files
+    _inspect_exits_0_or_2_and_writes_back(tmp, data.draw(mutants(bases)))
+
+
+@pytest.mark.slow
+@given(st.data())
+@settings(max_examples=3000, deadline=None)
+def test_mutated_files_exit_0_or_2_many(mutation_files, data):
+    bases, tmp = mutation_files
+    _inspect_exits_0_or_2_and_writes_back(tmp, data.draw(mutants(bases)))
