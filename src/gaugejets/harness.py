@@ -175,7 +175,10 @@ class SuiteConfig:
             _metric_signs(1, self.metric)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        levels = tuple(float(h) for h in self.h_levels)
+        try:
+            levels = tuple(float(h) for h in self.h_levels)
+        except OverflowError:  # an integer no float holds
+            raise ConfigError("h_levels must be positive and finite: an integer exceeds the floats") from None
         if not all(0 < h < math.inf for h in levels):
             raise ConfigError(f"h_levels must be positive and finite, got {list(levels)}")
         if any(b >= a for a, b in zip(levels, levels[1:])):

@@ -69,7 +69,8 @@ class _GaugeJet(_Jet):
     """Gauge jets carry the group value g as their first field."""
 
     def group_element(self) -> GroupElement:
-        return _trusted(GroupElement, self.spec, self.g)
+        """g as one ``GroupElement`` per jet, so every action by it shares one R(g)."""
+        return self.__dict__.setdefault("_group_element", _trusted(GroupElement, self.spec, self.g))
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,7 +20,7 @@ import math
 import operator
 import zlib
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -139,9 +139,9 @@ def mm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     matrix as ``@`` makes on stacked inputs.  Every fiber-matrix product
     goes through this kernel except the pair products of jet stacks
     (``pair_products``) and the conjugation of large stacks (``ad_stacks``,
-    ``GEMM_MIN_STACK``), which take one GEMM per point; the adjoint r(X)
-    makes no matrix product, being a contraction with the structure
-    constants.
+    ``GEMM_MIN_STACK``), which take one GEMM per point, and the adjoint R(g),
+    which forms only the products here with no exact zero (``rep_matrix``);
+    the adjoint r(X) is a contraction with the structure constants.
     """
     out = a[..., :, 0, None] * b[..., None, 0, :]
     for j in range(1, a.shape[-1]):
@@ -302,6 +302,20 @@ class GroupElement(Fiber):
 
     LAYOUT = {"entries": (("N", "N"), "group")}
 
+    @cached_property
+    def _adjoint(self) -> np.ndarray:
+        # R(g): Ad(g) T_b sums, in ascending m, (column j of g) T_b[j, m] conj(column m of g)^T
+        j, m, t, starts = _basis_nonzeros(self.spec.family, self.spec.n)
+        n, dim = self.spec.n, self.spec.algebra_dim
+        gc = np.ascontiguousarray(self.entries.reshape((-1, n, n)).transpose(2, 1, 0))  # [j, i, p]
+        left, right = (gc[j] * t[:, None, None])[:, :, None, :], np.conj(gc[m])[:, None, :, :]
+        cols, ends = left[:dim] * right[:dim], np.cumsum([dim - start for start in starts])
+        for start, lo, hi in zip(starts[1:], ends, ends[1:]):  # slot by slot
+            cols[start:] += left[lo:hi] * right[lo:hi]
+        del left, right  # before the contraction copies cols: a smaller peak
+        cols = np.moveaxis(cols, -1, 0).reshape(self.batch_shape + (dim, n, n))
+        return _read_only(np.swapaxes(_coords(self.spec, cols), -1, -2))
+
 
 @dataclass(frozen=True, eq=False)
 class AlgebraElement(Fiber):
@@ -386,6 +400,20 @@ def _basis_matrices(family: GroupFamily, n: int) -> np.ndarray:
         d[l] = -1j * l
         out.append(np.diag(d) / np.sqrt(l * (l + 1)))
     return _read_only(np.stack(out))
+
+
+@lru_cache(maxsize=None)
+def _basis_nonzeros(family: GroupFamily, n: int) -> tuple:
+    """The nonzeros t = T_b[j, m] of the basis as flat j, m, t, slot by slot: slot s holds the
+    s-th, in ascending m, of each T_b with b >= starts[s] (the diagonal T_b, listed last)."""
+    basis = _basis_matrices(family, n)
+    per_b = [np.nonzero(t.T)[::-1] for t in basis]  # (j, m) of each T_b, in ascending m
+    bjm, starts = [], []
+    for s in range(max(len(j) for j, _ in per_b)):
+        starts.append(next(b for b, (j, _) in enumerate(per_b) if len(j) > s))
+        bjm += [(b, j[s], m[s]) for b, (j, m) in enumerate(per_b) if b >= starts[-1]]
+    b, j, m = _read_only(np.array(bjm)).T
+    return j, m, _read_only(basis[b, j, m]), tuple(starts)
 
 
 @lru_cache(maxsize=None)
@@ -706,11 +734,16 @@ def pair_products(x: np.ndarray, y: np.ndarray, reverse: bool = False) -> np.nda
 
 
 def rep_matrix(g: GroupElement) -> np.ndarray:
-    """Representation matrix R(g), shape (..., k, k); adjoint column b is Ad(g) T_b."""
+    """Representation matrix R(g), shape (..., k, k); adjoint column b is Ad(g) T_b.
+
+    Built once per ``GroupElement`` and kept on it, read-only.  The adjoint forms only the
+    products of ``_coords(ad(g, T_b))`` that are not exact zeros, with their bits: an su(N) T_b
+    has at most one nonzero per column, real or imaginary, so ``mm`` adds only +-0 to nonzero
+    sums.  A non-finite g forms no NaN * 0, yet R stays non-finite: every row meets a T_b[j, m].
+    """
     if g.spec.rep_kind == "fundamental":
         return g.entries
-    cols = ad(g.entries[..., None, :, :], algebra_basis(g.spec))
-    return np.swapaxes(_coords(g.spec, cols), -1, -2)
+    return g._adjoint
 
 
 def rep_algebra_matrix(x: AlgebraElement) -> np.ndarray:

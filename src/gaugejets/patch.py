@@ -59,8 +59,11 @@ class Patch:
         if any(e < 5 for e in extent):
             raise RegionError("each axis needs at least 5 points for interior differences")
         object.__setattr__(self, "extent", extent)
-        object.__setattr__(self, "spacing", _tuple_of(self.spacing, n, float))
-        object.__setattr__(self, "origin", _tuple_of(self.origin, n, float))
+        try:
+            object.__setattr__(self, "spacing", _tuple_of(self.spacing, n, float))
+            object.__setattr__(self, "origin", _tuple_of(self.origin, n, float))
+        except OverflowError:  # an integer no float holds
+            raise RegionError("spacing and origin must be finite: an integer exceeds the floats") from None
         # the exact rule on the coordinates the samplers read: it refuses a non-finite
         # origin or spacing, points that coincide or overflow, and a spacing below the
         # smallest normal float, where the 1 / 2h of a central difference overflows

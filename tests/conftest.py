@@ -36,7 +36,7 @@ from gaugejets import jgf
 from gaugejets.cli import SAMPLES, main as cli
 from gaugejets.jets import curvature
 from gaugejets.patch import Field
-from make_ledger import FAST, configs, rows
+from make_ledger import FAST, configs, host_signature, rows
 
 SRC = Path(gaugejets.__file__).parent
 SAMPLE_CONFIG = {"group": {"family": "su3"}, "patch": {"extent": [6, 6, 6], "spacing": 0.2}}
@@ -55,6 +55,11 @@ OVERFLOW_STAGES = {
     "theorem_ginv2": "yang_mills",
     "maurer_cartan": "gauge",
 }
+
+
+def pytest_report_header(config):
+    """The CPU code paths behind the pinned bits of the ledger and the sample files."""
+    return "host: " + " ".join(f"{k}={v}" for k, v in host_signature().items())
 
 
 def cli_programs(tmp: Path):

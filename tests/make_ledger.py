@@ -22,11 +22,19 @@ Run from the root of a source checkout:
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 from gaugejets.harness import SUITES, SuiteConfig, run
 
@@ -49,6 +57,21 @@ DEFAULT_PATCHES = {
     "su3/2d-default/euclidean": {"group": GROUPS["su3"]},
     "u1/1d-default/euclidean": {"group": GROUPS["u1"], "patch": {"extent": [257]}},
 }
+
+
+def host_signature() -> dict[str, str]:
+    """The CPU-chosen code paths that the pinned bits depend on: the kernel core
+    OpenBLAS picked at load (its GEMMs), and the highest SIMD target numpy
+    dispatches its loops to here (its ``exp``, ``log``, ``arccos`` ...).
+    "unknown" when numpy links no scipy-openblas."""
+    core = "unknown"
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = [], ctypes.c_char_p
+            core = corename().decode()
+    targets = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+    return {"blas_core": core, "numpy_simd": targets[-1] if targets else "baseline"}
 
 
 def configs() -> dict[str, dict]:
@@ -90,14 +113,16 @@ def rows(config: dict) -> list[dict]:
 
 
 def main(path: str = str(Path(__file__).with_name("ledger.json"))) -> None:
-    """Write the ledger as JSON with one config and one row per line."""
+    """Write the ledger as JSON with one config and one row per line, after the
+    ``host`` whose CPU code paths gave its bits."""
     head, body = [], []
     for label, config in configs().items():
         start = time.perf_counter()
         head.append(f"  {json.dumps(label)}: {json.dumps(config)}")
         body += (json.dumps({"config": label, **row}) for row in rows(config))
         print(f"{label}: {time.perf_counter() - start:.2f} s", file=sys.stderr)
-    text = '{"configs": {\n' + ",\n".join(head) + '\n},\n"rows": [\n' + ",\n".join(body)
+    text = f'{{"host": {json.dumps(host_signature())},\n"configs": {{\n' + ",\n".join(head)
+    text += '\n},\n"rows": [\n' + ",\n".join(body)
     Path(path).write_text(text + "\n]}\n")
 
 

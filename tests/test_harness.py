@@ -84,6 +84,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_cfg(h_levels=(0.01, 0.02))
 
+    def test_h_level_beyond_the_floats_refused_like_inf(self):
+        """Built directly, not through ``from_dict``: the ``ConfigError`` that inf gets."""
+        with pytest.raises(ConfigError):
+            SuiteConfig(h_levels=(math.inf, 0.1))
+        with pytest.raises(ConfigError):
+            SuiteConfig(h_levels=(10**400, 0.1))
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(UnknownSuiteError):
             small_cfg(suites=("not_a_suite",))

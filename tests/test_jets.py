@@ -118,6 +118,12 @@ class TestJetTypes:
         assert curvature(jc).n_axes == n
         assert np.array_equal(j2.group_element().entries, j1.group_element().entries)
 
+    def test_group_element_is_one_object_per_jet(self):
+        """Every action by one jet reads one ``GroupElement``, so they share its R(g)."""
+        j2 = random_jet2(0, SU2, 2, (4,))
+        for jet in (j2, Jet1Gauge(SU2, j2.g, j2.a)):
+            assert jet.group_element() is jet.group_element()
+
     def test_curvature_packed_antisymmetry(self):
         # one component per pair mu < nu; swapping two base axes negates F_01
         jc = random_jet_connection(2, SU2, 3)

@@ -33,6 +33,7 @@ from gaugejets.lie_core import (
     frobenius,
     fundamental_vector_field,
     group_spec,
+    identities,
     mm,
     multiply,
     pair_products,
@@ -540,6 +541,51 @@ class TestRepresentationProperties:
         assert np.max(np.abs(moved - algebra_coords(conjugated))) <= rep_tol(spec)
         drift = fundamental_vector_field(x, RepVector(spec, algebra_coords(y))).entries
         assert np.max(np.abs(drift - algebra_coords(bracket(x, y)))) <= rep_tol(spec)
+
+
+def ad_rep_matrix(g: GroupElement) -> np.ndarray:
+    """The oracle: R(g) with every basis matrix conjugated through ``ad``, then read
+    in coordinates; column b is Ad(g) T_b."""
+    cols = ad(g.entries[..., None, :, :], algebra_basis(g.spec))
+    return np.swapaxes(_coords(g.spec, cols), -1, -2)
+
+
+ORACLE_SPECS = [
+    group_spec("su2", rep_dim=3), group_spec("su3", rep_dim=8),
+    group_spec("sun", 4, rep_dim=15), group_spec("sun", 5, rep_dim=24),
+]
+
+
+@pytest.mark.parametrize("spec", ORACLE_SPECS, ids=lambda s: s.label())
+class TestAdjointRepMatrix:
+    """R(g) is built from the basis' nonzeros, once per group element, with the bits
+    of the conjugation through ``ad``."""
+
+    @pytest.mark.parametrize("shape", [(), (196,), (2, 3, 5)], ids=["single", "batch", "stack-axes"])
+    def test_bits_match_conjugation(self, spec, shape):
+        for g in (random_group_element(41, spec, shape), GroupElement(spec, identities(spec.n, shape))):
+            got, want = rep_matrix(g), ad_rep_matrix(g)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_built_once_and_read_only(self, spec):
+        g = random_group_element(42, spec, (3,))
+        r = rep_matrix(g)
+        assert rep_matrix(g) is r and not r.flags.writeable
+        with pytest.raises(ValueError):
+            r[...] = 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "-i-inf"])
+    def test_non_finite_entry_gives_non_finite_matrix(self, spec, bad):
+        """No NaN * 0 is formed, but every row of g meets a nonzero T_b[j, m]."""
+        g = random_group_element(43, spec)
+        for i in range(spec.n):
+            for k in range(spec.n):
+                entries = g.entries.copy()
+                entries[i, k] = bad
+                with np.errstate(invalid="ignore", over="ignore"):
+                    r = rep_matrix(_trusted(GroupElement, spec, entries))
+                assert not np.isfinite(r).all(), (i, k)
 
 
 ADJOINT_SPECS = [s for s in REP_SPECS if s.rep_kind == "adjoint"]

@@ -52,6 +52,18 @@ class TestPatch:
             with pytest.raises(RegionError, match="at a spacing of at least"):
                 Patch((8, 8), spacing=(0.1, spacing))
 
+    @pytest.mark.parametrize(
+        "inf, huge",
+        [({"spacing": math.inf}, {"spacing": 10**400}), ({"origin": (math.inf, 0)}, {"origin": (10**400, 0)})],
+        ids=["spacing", "origin"],
+    )
+    def test_integer_beyond_the_floats_refused_like_inf(self, inf, huge):
+        """``float`` raises ``OverflowError`` for an integer no float holds; the patch
+        refuses it with the ``RegionError`` that inf gets."""
+        for kwargs in (inf, huge):
+            with pytest.raises(RegionError):
+                Patch((6, 6), **kwargs)
+
     def test_unsizable_axis_refused(self):
         """numpy refuses to size a 10^20-point arange (ValueError, not MemoryError) and
         allocates none of it; the patch refuses the axis as it refuses one too large."""

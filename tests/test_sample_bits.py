@@ -127,6 +127,8 @@ def test_fd_jets_match_the_stacked_stencils(monkeypatch, label, n):
 
 
 SAMPLE_CONFIG = {"group": {"family": "su3"}, "patch": {"extent": [5, 5, 5, 5], "spacing": 0.07}, "seed": 29}
+# the host the pins below were taken on (``make_ledger.host_signature``); no test compares it yet
+SAMPLE_HOST = {"blas_core": "SkylakeX", "numpy_simd": "AVX512_SPR"}
 # sha256 of the file bytes ``gaugejets sample --kind <kind> [--fd]`` writes for SAMPLE_CONFIG
 SAMPLE_SHA256 = {
     ("group", False): "3c51a1ed5db07c17dd5327de7dad8e67e3b5f32fe872035a3db02b44b4f3426d",
