@@ -47,7 +47,9 @@ from .jets import (
     JetConnection,
     JetMatter,
     _check_jets,
+    _unpacked,
     sym,
+    sym_pairs,
 )
 
 
@@ -79,7 +81,7 @@ def act_jet_connection(jet: Jet2Gauge, jc: JetConnection) -> JetConnection:
     half = adA - 0.5 * jet.a
     dA_out += pair_products(jet.a, half)
     dA_out -= pair_products(jet.a, half, reverse=True)
-    dA_out -= jet.s
+    dA_out -= _unpacked(jet.s, jet.n_axes)
     return _trusted(JetConnection, jc.spec, A_out, dA_out)
 
 
@@ -127,7 +129,7 @@ def gauge_to_zero_jet2(jc: JetConnection) -> TransitivityWitness:
     strength, which the curvature map sends to F itself.
     """
     eye = identities(jc.spec.n, jc.batch_shape)
-    jet = _trusted(Jet2Gauge, jc.spec, eye, jc.A, sym(jc.dA))
+    jet = _trusted(Jet2Gauge, jc.spec, eye, jc.A, sym_pairs(jc.dA))
     transformed = act_jet_connection(jet, jc)
     residual = np.sum(frobenius(transformed.A), axis=-1) + np.sum(
         frobenius(sym(transformed.dA)), axis=(-2, -1)

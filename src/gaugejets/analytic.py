@@ -4,7 +4,8 @@ Built-in families:
 
 * single-generator factors exp(f(x) X) with f polynomial (degree <= 2) or
   sinusoidal and X a fixed algebra element -- all values commute, so
-  a_mu = (d_mu f) X and s_munu = (d_mu d_nu f) X exactly;
+  a_mu = (d_mu f) X and s_munu = (d_mu d_nu f) X exactly, s for mu <= nu
+  as ``Jet2Gauge`` stores it;
 * gauge families: ``ProductGauge``s, pointwise products of one to three
   such factors, whose jets have a closed form in the conjugated
   generators and their brackets (see ``GaugeSample``), giving non-abelian
@@ -64,7 +65,8 @@ class Polynomial:
     c2: tuple[tuple[float, ...], ...] = ()
 
     def evaluate(self, x: np.ndarray, order: int) -> list[np.ndarray]:
-        """The value at x (..., n), then the gradient and hessian up to ``order``."""
+        """The value at x (..., n), then the gradient and hessian up to ``order``;
+        the hessian (..., n(n+1)/2) on the pairs mu <= nu, as ``Jet2Gauge.s``."""
         n = x.shape[-1]
         c1 = np.zeros(n) if not self.c1 else np.asarray(self.c1, dtype=float)
         c2 = np.zeros((n, n)) if not len(self.c2) else np.asarray(self.c2, dtype=float)
@@ -73,7 +75,8 @@ class Polynomial:
         if order:
             out.append(c1 + np.einsum("ij,...j->...i", c2, x))
         if order > 1:
-            out.append(np.broadcast_to(c2, x.shape[:-1] + (n, n)))
+            mu, nu = np.triu_indices(n)
+            out.append(np.broadcast_to(c2[mu, nu], x.shape[:-1] + mu.shape))
         return out
 
 
@@ -93,7 +96,8 @@ class Sinusoid:
         if order:
             out.append(self.amp * np.cos(arg)[..., None] * k)
         if order > 1:
-            out.append(-out[0][..., None, None] * np.outer(k, k))
+            mu, nu = np.triu_indices(len(k))
+            out.append(-out[0][..., None] * (k[mu] * k[nu]))
         return out
 
 
@@ -111,30 +115,29 @@ class ProductGauge:
     factors: tuple
 
 
-def _combine(shape: tuple[int, ...], stack: int, terms) -> np.ndarray:
-    """sum_t c_t Y_t of real coefficients c_t (..., n) or (..., n, n), as
-    ``stack`` is 1 or 2, and algebra elements Y_t (..., N, N) or (N, N),
-    written once into a new complex array of ``shape``.
+def _combine(shape: tuple[int, ...], terms) -> np.ndarray:
+    """sum_t c_t Y_t of real coefficients c_t (..., m) and algebra elements
+    Y_t (..., N, N) or (N, N), written once into a new complex array of
+    ``shape`` (..., m, N, N).
 
     c_t multiplies the (re, im) pairs of Y_t on the float64 views, never
     promoted to complex, in blocks of points (``point_blocks``) through one
     reused scratch block.  Each entry is the same sum, in term order, with
-    the bits of one complex product per term where Y_t is finite, so
-    coefficients that are exactly symmetric give a result that is.
+    the bits of one complex product per term where Y_t is finite.
     """
     out = np.zeros(shape, dtype=np.complex128)
-    nn, rows = shape[-1], shape[-2 - stack : -2]
-    flat = out.reshape((-1,) + rows + (nn, nn)).view(np.float64)  # (P, *rows, N, 2N)
+    rows, nn = shape[-3:-1]
+    flat = out.reshape((-1, rows, nn, nn)).view(np.float64)  # (P, m, N, 2N)
     npts, pairs = flat.shape[0], []
     for c, y in terms:
-        ys = y.entries.reshape((-1,) + (1,) * stack + (nn, nn)).view(np.float64)
-        pairs.append((c.reshape((npts,) + rows + (1, 1)), np.broadcast_to(ys, (npts,) + ys.shape[1:])))
+        ys = y.entries.reshape((-1, 1, nn, nn)).view(np.float64)
+        pairs.append((c.reshape((npts, rows, 1, 1)), np.broadcast_to(ys, (npts,) + ys.shape[1:])))
     blocks = point_blocks(npts, flat[0].nbytes)
     scratch = np.empty((blocks[0].stop,) + flat.shape[1:])
-    for rows in blocks:
-        dst = flat[rows]
+    for block in blocks:
+        dst = flat[block]
         for c, ys in pairs:
-            dst += np.multiply(c[rows], ys[rows], out=scratch[: len(dst)])
+            dst += np.multiply(c[block], ys[block], out=scratch[: len(dst)])
     return out
 
 
@@ -149,7 +152,7 @@ class GaugeSample:
 
         a_mu   = sum_i d_mu f_i Y_i
         s_munu = sum_i d_mu d_nu f_i Y_i
-                 + sum_{i<j} sym(d_mu f_i d_nu f_j) [Y_i, Y_j].
+                 + sum_{i<j} sym(d_mu f_i d_nu f_j) [Y_i, Y_j],   mu <= nu.
 
     g is the ``mm`` fold of the factor values, each ``exp`` taken per point:
     one eigendecomposition shared by all points of a factor would repeat
@@ -157,7 +160,7 @@ class GaugeSample:
     coherently.  Every generator is conjugated once and every pair
     bracketed once, the brackets only for ``jet2``; no derivative beyond
     the order asked for is formed, and a and s are written once
-    (``_combine``).  Every coefficient of s is exactly symmetric, so s is.
+    (``_combine``), s only for mu <= nu, as ``Jet2Gauge`` stores it.
     ``_orders`` forms g and a by the same operations whatever the order, so
     the three agree bit for bit; ``values`` read after ``jet1`` is cut from
     it.  Only the checked descriptors are kept between reads.
@@ -181,15 +184,16 @@ class GaugeSample:
             g = value if g is None else mm(g, value)
         if not order:
             return [g]
-        a = _combine(self.patch.extent + (n, nn, nn), 1, ((grad, y) for y, grad, *_ in terms))
+        a = _combine(self.patch.extent + (n, nn, nn), ((grad, y) for y, grad, *_ in terms))
         if order == 1:
             return [g, a]
-        brackets = []
-        for (yi, gi, _), (yj, gj, _) in itertools.combinations(terms, 2):
-            outer = gi[..., :, None] * gj[..., None, :]
-            brackets.append((0.5 * (outer + np.swapaxes(outer, -1, -2)), bracket(yi, yj)))
+        mu, nu = np.triu_indices(n)
+        brackets = [
+            (0.5 * (gi[..., mu] * gj[..., nu] + gi[..., nu] * gj[..., mu]), bracket(yi, yj))
+            for (yi, gi, _), (yj, gj, _) in itertools.combinations(terms, 2)
+        ]
         hessians = [(hess, y) for y, _, hess in terms]
-        s = _combine(self.patch.extent + (n, n, nn, nn), 2, hessians + brackets)
+        s = _combine(self.patch.extent + (len(mu), nn, nn), hessians + brackets)
         return [g, a, s]
 
     @cached_property

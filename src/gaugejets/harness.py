@@ -79,6 +79,7 @@ from .jets import (
     jet_matter_of,
     maurer_cartan_defect,
     sym,
+    sym_pairs,
 )
 from .lagrangians import (
     _curvature_quadratic,
@@ -282,19 +283,21 @@ def _random(cls, rng, spec: GroupSpec, n: int, batch: int):
 
     A group field is exp of a random algebra batch, an algebra field
     ``random_algebra_entries``, a vector field a uniform real and then imaginary
-    part in [-1, 1]; ``Jet2Gauge.s`` is symmetrized, as its constructor requires.
+    part in [-1, 1]; the packed ``Jet2Gauge.s`` is drawn as its full (n, n)
+    stack, whose symmetric part it keeps (``sym_pairs``).
     """
-    sizes = {**_trusted(cls, spec)._sizes(), "n": n}
+    sizes = _trusted(cls, spec)._sizes(n)
     arrays = []
     for axes, invariant in cls.LAYOUT.values():
         shape = (batch, *(sizes[a] for a in axes))
         if invariant is None:
             arrays.append(rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
             continue
+        if axes[0] == "S":
+            arrays.append(sym_pairs(random_algebra_entries(rng, spec, (batch, n, n))))
+            continue
         x = random_algebra_entries(rng, spec, shape[:-2])
         arrays.append(exp(AlgebraElement(spec, x)).entries if invariant == "group" else x)
-    if cls is Jet2Gauge:
-        arrays[-1] = sym(arrays[-1])
     return cls(spec, *arrays)
 
 

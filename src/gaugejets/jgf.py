@@ -29,9 +29,9 @@ Layout (documented contract):
 Per-point entry order: a ``Fiber`` value stores its arrays in ``LAYOUT``
 order, each row-major over its trailing axes (``KINDS`` gives each kind's
 fiber type).  ``connection`` is one ``AlgebraElement`` with a leading axis
-for mu, A_1 .. A_n.  The symmetric ``s`` of ``jet2-gauge`` is stored
-packed: s_munu for mu <= nu, in lexicographic order (n(n+1)/2 matrices).
-``curvature`` holds F_munu for mu < nu.
+for mu, A_1 .. A_n.  The symmetric ``s`` of ``jet2-gauge`` holds s_munu
+for mu <= nu, in lexicographic order (n(n+1)/2 matrices), and
+``curvature`` F_munu for mu < nu, as in memory.
 
 The writer rejects any value the reader cannot rebuild: a type without a
 kind (a raw array among them), a batch shape other than the patch extent
@@ -88,7 +88,7 @@ def _shapes(kind: str, spec: GroupSpec, n: int) -> dict[str, tuple[int, ...]]:
     """Per-point shape of each array of ``kind`` on an n-D patch, in LAYOUT order,
     from the axis sizes the type's constructor binds (``Fiber._sizes``)."""
     cls, stack = KINDS[kind]
-    sizes = {**_trusted(cls, *_head(cls, spec, n))._sizes(), "n": n}
+    sizes = _trusted(cls, *_head(cls, spec, n))._sizes(n)
     return {name: tuple(sizes[a] for a in stack + axes) for name, (axes, _) in cls.LAYOUT.items()}
 
 
@@ -104,20 +104,11 @@ def value_kind(field: Field) -> str:
     raise FormatError(f"cannot store {type(v).__name__} on a {p.dim}-D patch of extent {p.extent}")
 
 
-def _columns(arrays: list, kind: str, n: int, npts: int) -> list[np.ndarray]:
-    """The payload's columns, in order, as (npoints, entries) views of a value's
-    LAYOUT arrays: one per array, and for the packed s of ``jet2-gauge`` one
-    per row mu, whose slots nu >= mu lie side by side in s as in the file."""
-    columns = [x.reshape(npts, -1) for x in arrays]
-    if kind == "jet2-gauge":  # s is stored packed, mu <= nu only
-        s = arrays[-1].reshape(npts, n, -1)
-        columns[-1:] = [s[:, mu, mu * s.shape[-1] // n :] for mu in range(n)]
-    return columns
-
-
-def _blocks(columns: list[np.ndarray], npts: int):
+def _blocks(arrays: list[np.ndarray], npts: int):
     """Walk the payload in blocks of whole points through one reused buffer:
-    yield each block's rows, the block, and its (block column, array column) pairs."""
+    yield each block and its (block column, array column) pairs, the array
+    columns (npoints, entries) views of a value's LAYOUT arrays."""
+    columns = [x.reshape(npts, -1) for x in arrays]
     widths = [column.shape[1] for column in columns]
     blocks = point_blocks(npts, 16 * sum(widths))  # 1-D curvature has no entries
     buf = np.empty((blocks[0].stop, sum(widths)), dtype="<c16")
@@ -125,7 +116,7 @@ def _blocks(columns: list[np.ndarray], npts: int):
     for rows in blocks:
         block = buf[: rows.stop - rows.start]
         spans = zip(edges, edges[1:], columns)
-        yield rows, block, [(block[:, lo:hi], column[rows]) for lo, hi, column in spans]
+        yield block, [(block[:, lo:hi], column[rows]) for lo, hi, column in spans]
 
 
 def write_field(field: Field, path: str | Path) -> None:
@@ -147,10 +138,10 @@ def write_field(field: Field, path: str | Path) -> None:
             f"value_kind {kind}",
         ]
     )
-    columns = _columns([getattr(field.value, name) for name in field.value.LAYOUT], kind, p.dim, p.npoints)
+    arrays = [getattr(field.value, name) for name in field.value.LAYOUT]
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii") + b"\n")
-        for _, block, parts in _blocks(columns, p.npoints):
+        for block, parts in _blocks(arrays, p.npoints):
             for dst, src in parts:
                 dst[...] = src
             if not np.isfinite(block.view("<f8")).all():  # as the reader checks it
@@ -227,28 +218,19 @@ def _decode(hdr: list[tuple], fh: io.BufferedReader, nbytes: int) -> Field:
     if spec.rep_dim != rep_dim:  # 0 would select the fundamental, written back as N
         raise FormatError(f"rep_dim {rep_dim} is not a representation dimension")
     shapes = _shapes(kind, spec, dim)
-    packed = dict(shapes)
-    if kind == "jet2-gauge":  # s is stored packed, mu <= nu only
-        packed["s"] = (dim * (dim + 1) // 2,) + shapes["s"][2:]
     # compared before the Patch is built: the header's extent is not yet known to fit memory
-    expected = 16 * math.prod(extent) * sum(math.prod(shape) for shape in packed.values())
+    expected = 16 * math.prod(extent) * sum(math.prod(shape) for shape in shapes.values())
     if nbytes != expected:
         raise FormatError(f"payload holds {nbytes} bytes, expected {expected}")
     patch = Patch(extent, spacing)
     arrays = [np.empty(extent + shape, dtype=np.complex128) for shape in shapes.values()]
-    mirror = []  # (s_numu for nu > mu, the stored s_munu) of jet2-gauge, row by row
-    if kind == "jet2-gauge":
-        s = arrays[-1].reshape(patch.npoints, dim, dim, -1)
-        mirror = [(s[:, mu + 1 :, mu], s[:, mu, mu + 1 :]) for mu in range(dim)]
-    for rows, block, parts in _blocks(_columns(arrays, kind, dim, patch.npoints), patch.npoints):
+    for block, parts in _blocks(arrays, patch.npoints):
         if fh.readinto(block) != block.nbytes:
             raise FormatError("payload shorter than the file size")
         if not np.isfinite(block.view("<f8")).all():
             raise FormatError("payload contains non-finite entries")
         for src, dst in parts:
             dst[...] = src
-        for dst, src in mirror:  # from the block just written, still in cache
-            dst[rows] = src[rows]
     cls, _ = KINDS[kind]
     build = partial(_trusted, cls) if cls in _UNCHECKED else cls
     return Field(patch, build(*_head(cls, spec, dim), *arrays))

@@ -229,19 +229,21 @@ class Fiber:
 
     ``LAYOUT`` maps each array field, in field order, to (trailing axes,
     invariant).  Axis symbols: ``N`` = ``spec.n``, ``k`` = ``spec.rep_dim``,
-    ``n`` = the number of base axes, bound where it first occurs; a type
-    supplies any other symbol through ``_sizes``.  The invariant is
-    ``"group"`` (unitary, special for SU), ``"algebra"`` (anti-hermitian,
-    traceless for SU) or None.  The leading axes are batch axes, shared by
-    every field.  The constructor converts each field to complex128, then
+    ``n`` = the number of base axes, bound where it first occurs, and
+    ``S`` = n(n+1)/2, the pairs mu <= nu; a type supplies any other symbol
+    through ``_sizes``.  The invariant is ``"group"`` (unitary, special for
+    SU), ``"algebra"`` (anti-hermitian, traceless for SU) or None.  The
+    leading axes are batch axes, shared by every field.  The constructor converts each field to complex128, then
     checks trailing sizes and batch shape (``DimensionError``), finiteness,
     and the invariants (``InvariantError``).
     """
 
     LAYOUT = {}
 
-    def _sizes(self) -> dict:
-        return {"N": self.spec.n, "k": self.spec.rep_dim}
+    def _sizes(self, n: int | None = None) -> dict:
+        """The size of each axis symbol; those of ``n`` and ``S`` given n."""
+        sizes = {"N": self.spec.n, "k": self.spec.rep_dim}
+        return sizes if n is None else {**sizes, "n": n, "S": n * (n + 1) // 2}
 
     def __post_init__(self):
         sizes, batch, what = self._sizes(), None, type(self).__name__
@@ -250,7 +252,7 @@ class Fiber:
             object.__setattr__(self, name, arr)
             lead = arr.ndim - len(axes)
             if "n" in axes and "n" not in sizes and lead >= 0:
-                sizes["n"] = arr.shape[lead + axes.index("n")]
+                sizes = self._sizes(arr.shape[lead + axes.index("n")])
             want = tuple(sizes.get(a) for a in axes)
             if lead < 0 or arr.shape[lead:] != want:
                 raise DimensionError(f"{what}.{name} must end in {want}, got {arr.shape}")
@@ -620,28 +622,16 @@ def ad(g: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 # Fewest matrices per point that ``ad_stacks`` conjugates by one GEMM per
-# point; smaller stacks, and N = 1, stay on ``ad``.
+# point (for N >= 2).  A batched ``np.matmul`` makes one BLAS call per
+# point, whose fixed cost, with the K(g) build, only a large stack repays;
+# ``ad`` makes 2N broadcast steps over the whole batch.  Speed of the GEMM
+# over ``ad``, K(g) included, conjugating c components at 625 and 1000
+# points (2-vCPU Xeon KVM guest, one OpenBLAS thread, best of 9, in two
+# runs): c = 2 0.3-0.8x, c = 4 1.0-1.3x, c = 8 1.4-2.7x, c = 20 2.8-6.9x
+# (su2, su3); u(1) 0.5-1.1x at every size.  Small stacks are also lighter
+# on ``ad``, which builds no K(g).  In the jet laws the GEMM conjugates from
+# n >= 3; pair products take it at every size (``pair_products``).
 GEMM_MIN_STACK = 8
-
-
-def _gemm_pays(n: int, count: int) -> bool:
-    """Whether conjugating ``count`` N x N matrices per point takes the GEMM.
-
-    A batched ``np.matmul`` makes one BLAS call per point, whose fixed cost,
-    with the K(g) build, only a large stack repays; ``ad`` makes 2N
-    broadcast steps over the whole batch.  Speed of ``ad_stacks`` over
-    ``ad``, K(g) included, conjugating c components at 625 and 1000 points
-    (2-vCPU Xeon KVM guest, one OpenBLAS thread, best of 9, in two runs):
-    c = 2 0.3-0.8x, c = 4 1.0-1.3x, c = 8 1.4-2.7x, c = 20 2.8-6.9x (su2,
-    su3); u(1) 0.5-1.1x at every size.  Small stacks are also lighter on
-    ``ad``: at n = 2 (6 matrices per point) K(g) alone is 2.25 s.nbytes, and
-    taking it lifted the peaks of ``jet2_inv`` and ``jet2_mul`` to 4.00 and
-    4.75 s.nbytes (su3, 1000 points), against 3.46 and 3.75 on ``ad``.  So
-    the GEMM conjugates for N >= 2 and count >= 8, which in the jet laws
-    means n >= 3.  Pair products take the GEMM at every size
-    (``pair_products``).
-    """
-    return n >= 2 and count >= GEMM_MIN_STACK
 
 
 def _gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -699,7 +689,7 @@ def ad_stacks(g: np.ndarray, *xs: np.ndarray) -> list[np.ndarray]:
     """
     lead = g.ndim - 2
     count = sum(math.prod(x.shape[lead:-2]) for x in xs)
-    if not _gemm_pays(g.shape[-1], count):
+    if g.shape[-1] < 2 or count < GEMM_MIN_STACK:
         return [ad(g, x) for x in xs]
     kt = _kron(g)
     return [_ad_kron(kt, x, lead) for x in xs]
@@ -715,7 +705,7 @@ def pair_products(x: np.ndarray, y: np.ndarray, reverse: bool = False) -> np.nda
     ``curvature`` and of ``maurer_cartan_defect`` are P[mu, nu] - P[nu, mu].
     There is no ``mm`` fallback: against ``mm`` the GEMM ran at 0.7-0.9x
     for su2 at n = 2, 1.1-1.7x for su3 at n = 2 and 1.3-5.7x from n = 3
-    (625 and 1000 points, as in ``_gemm_pays``), needs no K(g), and one
+    (625 and 1000 points, as at ``GEMM_MIN_STACK``), needs no K(g), and one
     path gives every bracket the same rounding.
 
     Error: each entry is an inner product of length N here and in ``mm``,

@@ -38,6 +38,7 @@ from gaugejets.jets import (
     jet2_unit,
     jet_matter_of,
     sym,
+    sym_pairs,
 )
 from gaugejets.lie_core import (
     AlgebraElement,
@@ -54,6 +55,7 @@ from gaugejets.lie_core import (
     tangent_act,
 )
 from gaugejets.patch import Field, Patch
+from test_packed_s import unpack
 
 SU2 = group_spec("su2")
 SU3 = group_spec("su3")
@@ -79,8 +81,7 @@ def random_jet1(rng, spec, n, shape=()):
 
 def random_jet2(rng, spec, n, shape=()):
     j1 = random_jet1(rng, spec, n, shape)
-    s = random_algebra_entries(rng, spec, shape + (n, n))
-    s = 0.5 * (s + np.swapaxes(s, -4, -3))
+    s = sym_pairs(random_algebra_entries(rng, spec, shape + (n, n)))
     return Jet2Gauge(spec, j1.g, j1.a, s)
 
 
@@ -273,7 +274,7 @@ class TestJetConnectionAction:
     def test_constant_jet_conjugates(self):
         rng = rnd(14)
         g = random_group(rng, SU2)
-        jet = Jet2Gauge(SU2, g.entries, np.zeros((2, 2, 2)), np.zeros((2, 2, 2, 2)))
+        jet = Jet2Gauge(SU2, g.entries, np.zeros((2, 2, 2)), np.zeros((3, 2, 2)))
         jc = random_jc(rng, SU2, 2)
         out = act_jet_connection(jet, jc)
         gd = g.entries.conj().T
@@ -344,7 +345,7 @@ class TestJetConnectionAction:
         out = act_jet_connection(jet, jc)
         g, gd = jet.g, jet.g.conj().T
         adA = g @ jc.A @ gd
-        sym_out = sym(out.dA)
+        sym_out, s = sym(out.dA), unpack(jet.s, 2)
         for mu in range(2):
             for nu in range(2):
                 br_mn = jet.a[mu] @ adA[nu] - adA[nu] @ jet.a[mu]
@@ -352,7 +353,7 @@ class TestJetConnectionAction:
                 expect = (
                     0.5 * (g @ (jc.dA[mu, nu] + jc.dA[nu, mu]) @ gd)
                     + 0.5 * (br_mn + br_nm)
-                    - jet.s[mu, nu]
+                    - s[mu, nu]
                 )
                 assert np.max(np.abs(sym_out[mu, nu] - expect)) < 1e-13
 

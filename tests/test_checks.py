@@ -35,6 +35,7 @@ from gaugejets.jets import (
     curvature,
     jet1_of,
     jet2_mul,
+    sym_pairs,
 )
 from gaugejets.lie_core import (
     ATOL,
@@ -92,7 +93,7 @@ def make_inputs(spec, seed=0):
             spec,
             group((BATCH,)).entries,
             random_algebra_entries(rng, spec, (BATCH, N_AXES)),
-            0.5 * (s + np.swapaxes(s, -4, -3)),
+            sym_pairs(s),
         )
 
     patch = Patch((5,) * N_AXES, spacing=0.1)
@@ -173,8 +174,8 @@ def test_public_constructors_check(checked):
     rng = seeded_rng(1, "constructors")
     g = exp(AlgebraElement(spec, random_algebra_entries(rng, spec, (BATCH,)))).entries
     a = random_algebra_entries(rng, spec, (BATCH, N_AXES))
-    s = random_algebra_entries(rng, spec, (BATCH, N_AXES, N_AXES))
-    s = 0.5 * (s + np.swapaxes(s, -4, -3))
+    s = sym_pairs(random_algebra_entries(rng, spec, (BATCH, N_AXES, N_AXES)))
+    dA = random_algebra_entries(rng, spec, (BATCH, N_AXES, N_AXES))
     comps = random_algebra_entries(rng, spec, (BATCH, N_AXES))
     v = rng.uniform(-1, 1, (BATCH, N_AXES, spec.rep_dim)) + 0j
     # (constructor, invariant checks): each field is also checked finite
@@ -183,7 +184,7 @@ def test_public_constructors_check(checked):
         (lambda: AlgebraElement(spec, a), 1),
         (lambda: Jet1Gauge(spec, g, a), 2),
         (lambda: Jet2Gauge(spec, g, a, s), 3),
-        (lambda: JetConnection(spec, a, s), 2),
+        (lambda: JetConnection(spec, a, dA), 2),
         (lambda: Curvature(spec, N_AXES, comps), 1),
         (lambda: RepVector(spec, v[:, 0]), 0),
         (lambda: JetMatter(spec, v[:, 0], v), 0),

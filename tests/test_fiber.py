@@ -9,6 +9,7 @@ from gaugejets.jets import (
     Jet2Gauge,
     JetConnection,
     JetMatter,
+    sym_pairs,
 )
 from gaugejets.lie_core import (
     AlgebraElement,
@@ -16,7 +17,6 @@ from gaugejets.lie_core import (
     GroupElement,
     InvariantError,
     RepVector,
-    algebra_basis,
     distance,
     exp,
     group_spec,
@@ -38,8 +38,7 @@ def cases(seed=0):
 
     g = exp(AlgebraElement(SPEC, random_algebra_entries(rng, SPEC, BATCH))).entries
     a = random_algebra_entries(rng, SPEC, BATCH + (N_AXES,))
-    s = random_algebra_entries(rng, SPEC, BATCH + (N_AXES, N_AXES))
-    s = 0.5 * (s + np.swapaxes(s, -4, -3))
+    s = sym_pairs(random_algebra_entries(rng, SPEC, BATCH + (N_AXES, N_AXES)))
     dA = random_algebra_entries(rng, SPEC, BATCH + (N_AXES, N_AXES))
     comps = random_algebra_entries(rng, SPEC, BATCH + (N_AXES * (N_AXES - 1) // 2,))
     k = SPEC.rep_dim
@@ -91,21 +90,28 @@ def test_constructor_checks(name):
 
 
 def test_base_axes_must_agree():
-    """``n`` is bound by its first use; ``P`` follows from ``Curvature.n_axes``."""
-    s = cases()["Jet2Gauge"][2]["s"]
+    """``n`` is bound by its first use; ``S`` follows from it, ``P`` from ``Curvature.n_axes``."""
+    s, dA = cases()["Jet2Gauge"][2]["s"], cases()["JetConnection"][2]["dA"]
     with pytest.raises(DimensionError):
-        build("Jet2Gauge", s=s[..., :2, :2, :, :])
+        build("Jet2Gauge", s=s[..., :3, :, :])
     with pytest.raises(DimensionError):
-        build("JetConnection", dA=s[..., :2, :, :, :])
+        build("JetConnection", dA=dA[..., :2, :, :, :])
     with pytest.raises(DimensionError):
         build("Curvature", n_axes=N_AXES + 1)
 
 
-def test_asymmetric_s_rejected():
-    s = cases()["Jet2Gauge"][2]["s"].copy()
-    s[..., 0, 1, :, :] += 1e-3 * algebra_basis(SPEC)[0]  # stays in the algebra
-    with pytest.raises(InvariantError, match="symmetric"):
-        build("Jet2Gauge", s=s)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_full_s_rejected(n):
+    """s holds one slot per pair mu <= nu; a full (n, n) stack, whose two
+    halves could disagree, is a stack of n^2 slots and is refused."""
+    g = cases()["Jet2Gauge"][2]["g"]
+    a = random_algebra_entries(seeded_rng(n, "full-s"), SPEC, BATCH + (n,))
+    full = random_algebra_entries(seeded_rng(n, "full-s"), SPEC, BATCH + (n * n,))
+    assert Jet2Gauge(SPEC, g, a, full[..., : n * (n + 1) // 2, :, :]).s.shape[-3] == n * (n + 1) // 2
+    with pytest.raises(DimensionError, match=r"Jet2Gauge\.s must end in"):
+        Jet2Gauge(SPEC, g, a, full)
+    with pytest.raises(DimensionError):
+        Jet2Gauge(SPEC, g, a, full.reshape(BATCH + (n, n, SPEC.n, SPEC.n)))
 
 
 @pytest.mark.parametrize("name", sorted(cases()))

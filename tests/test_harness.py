@@ -39,6 +39,7 @@ from gaugejets.lie_core import (
 )
 from gaugejets.patch import Field, Patch, RegionError, default_patch
 from conftest import OVERFLOW_CONFIG, OVERFLOW_LINE_CONFIG, OVERFLOW_STAGES, SRC
+from test_packed_s import packed
 
 # a line near the largest float: the plane waves of the matter sampler overflow there
 WIDE_LINE_CONFIG = {"patch": {"extent": [6], "spacing": 1e294, "origin": 1.6e308}}
@@ -723,6 +724,23 @@ def test_only_large_stacks_take_the_gemm(spec, patch, conjugates_by_gemm, monkey
     assert seen["_gemm"] > seen["_ad_kron"]
 
 
+def test_chain_rule_matter_builds_one_adjoint(monkeypatch):
+    """The sampled g moves the matter, and its jet (``jet1_of``) moves the
+    matter jet; the jet's ``group_element()`` is the field's own, so both read
+    one adjoint R(g).  Each build reads the basis' nonzero entries once."""
+    builds = []
+    nonzeros = lie_core._basis_nonzeros
+
+    def counting(*args):
+        builds.append(args)
+        return nonzeros(*args)
+
+    monkeypatch.setattr(lie_core, "_basis_nonzeros", counting)
+    cfg = small_cfg(group=group_spec("su3", rep_dim=8), patch=Patch((16, 16), spacing=0.2))
+    run_suite(cfg, "chain_rule_matter")
+    assert len(builds) == 1
+
+
 class TestConvergence:
     def test_ratio_study_classification(self):
         mode, ratios, ok = ratio_study([1e-15, 3e-16, 1e-16])
@@ -761,7 +779,8 @@ class TestConvergence:
 
 
 def reference_draws(cls, rng, spec, n, batch):
-    """The arrays of a random jet batch as hand-written per-type builders drew them."""
+    """The arrays of a random jet batch as hand-written per-type builders drew them;
+    s on the full (n, n) stack, symmetrized, then its slots mu <= nu kept."""
 
     def algebra(*stack):
         return random_algebra_entries(rng, spec, (batch, *stack))
@@ -778,7 +797,7 @@ def reference_draws(cls, rng, spec, n, batch):
     if cls is Jet1Gauge:
         return g, algebra(n)
     a, s = algebra(n), algebra(n, n)
-    return g, a, 0.5 * (s + np.swapaxes(s, -4, -3))
+    return g, a, packed(0.5 * (s + np.swapaxes(s, -4, -3)))
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ the densities import no layer above ``jets``, only ``lie_core`` builds
 representation matrices, every fiber type declares its arrays in one
 ``Fiber.LAYOUT``, no two of them alike, every fiber type has a JGF1 kind,
 only ``jets`` symmetrizes in (mu, nu) or differences fields beside
-``patch``, every suite is registered by the ``@_suite`` decorator on its
+``patch``, only ``lie_core`` chooses the conjugation kernel, every suite is registered by the ``@_suite`` decorator on its
 function, every function the benchmark tracer wraps still exists, and
 every definition has a caller outside the tests.
 
@@ -205,10 +205,6 @@ def test_rep_matrices_stay_in_lie_core(path):
     assert not lines, f"{path.name} references rep_matrix/rep_algebra_matrix on lines {lines}"
 
 
-# fiber types whose constructor adds a check the layout cannot state
-EXTRA_CHECKS = {"Jet2Gauge"}  # s must be stored exactly symmetric
-
-
 @pytest.mark.parametrize("module", [lie_core, jets], ids=lambda m: m.__name__)
 def test_fiber_types_declare_layout(module):
     """A dataclass with array fields is a ``Fiber`` whose ``LAYOUT`` lists exactly
@@ -223,8 +219,7 @@ def test_fiber_types_declare_layout(module):
         found.append(cls.__name__)
         assert issubclass(cls, lie_core.Fiber), f"{cls.__name__} is not a Fiber"
         assert list(cls.LAYOUT) == arrays, f"{cls.__name__}.LAYOUT does not list {arrays}"
-        if cls.__name__ not in EXTRA_CHECKS:
-            assert "__post_init__" not in vars(cls), f"{cls.__name__} writes its own constructor"
+        assert "__post_init__" not in vars(cls), f"{cls.__name__} writes its own constructor"
     assert found, f"no fiber types found in {module.__name__}"
 
 
@@ -298,6 +293,14 @@ def test_central_diff_stays_in_patch_and_jets():
     """Finite differences of sampled fields come from the jets' ``*_of`` builders."""
     users = {path.name for path in sorted(SRC.glob("*.py")) if _references(path, "central_diff")}
     assert users == {"patch.py", "jets.py"}
+
+
+@pytest.mark.parametrize("name", ["GEMM_MIN_STACK", "_gemm", "_kron", "_ad_kron"])
+def test_kernel_choice_stays_in_lie_core(name):
+    """``ad_stacks`` alone chooses between ``ad`` and the GEMM: no other module
+    reads ``GEMM_MIN_STACK`` or calls a GEMM kernel to choose for itself."""
+    users = {path.name for path in sorted(SRC.glob("*.py")) if _references(path, name)}
+    assert users == {"lie_core.py"}
 
 
 MUTATORS = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"}

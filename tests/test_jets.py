@@ -16,7 +16,6 @@ from gaugejets.analytic import (
     sample_gauge,
 )
 from gaugejets.jets import (
-    InvariantError,
     Jet1Gauge,
     Jet2Gauge,
     JetConnection,
@@ -34,6 +33,7 @@ from gaugejets.jets import (
     jet_connection_of,
     maurer_cartan_defect,
     sym,
+    sym_pairs,
 )
 from gaugejets.lie_core import (
     AlgebraElement,
@@ -51,6 +51,7 @@ from gaugejets.lie_core import (
 )
 from gaugejets.patch import Field, Patch
 from test_lie_core import gamma
+from test_packed_s import packed, unpack
 
 SU2 = group_spec("su2")
 SU3 = group_spec("su3")
@@ -71,8 +72,7 @@ def random_jet2(seed, spec, n, batch=()):
     rng = seeded_rng(seed, "test-jet2", spec.label())
     g = exp(AlgebraElement(spec, random_algebra_entries(rng, spec, batch))).entries
     a = random_algebra_entries(rng, spec, batch + (n,))
-    s = random_algebra_entries(rng, spec, batch + (n, n))
-    s = 0.5 * (s + np.swapaxes(s, -4, -3))
+    s = sym_pairs(random_algebra_entries(rng, spec, batch + (n, n)))
     return Jet2Gauge(spec, g, a, s)
 
 
@@ -84,13 +84,6 @@ def random_jet_connection(seed, spec, n, batch=()):
 
 
 class TestJetTypes:
-    def test_second_order_symmetry_enforced(self):
-        j = random_jet2(0, SU2, 2)
-        s_bad = j.s.copy()
-        s_bad[0, 1] += 1e-3
-        with pytest.raises(InvariantError):
-            Jet2Gauge(SU2, j.g, j.a, s_bad)
-
     def test_flatness_recovery(self):
         # the connection law takes d_mu a_nu = s + (1/2)[a_mu, a_nu] from the
         # flatness identity, so on zero connection data it returns -d a:
@@ -98,7 +91,7 @@ class TestJetTypes:
         j = random_jet2(1, SU2, 3)
         zero = JetConnection(SU2, np.zeros((3, 2, 2)), np.zeros((3, 3, 2, 2)))
         da = -act_jet_connection(j, zero).dA
-        assert np.max(np.abs(sym(da) - j.s)) < 1e-15
+        assert np.max(np.abs(sym_pairs(da) - j.s)) < 1e-15
         anti = da - np.swapaxes(da, -4, -3)
         for mu in range(3):
             for nu in range(3):
@@ -232,33 +225,34 @@ class TestJetGroupLaws:
     @given(st.sampled_from([U1, SU2, SU3, SU4]), st.integers(1, 4), st.integers(0, 2**16))
     @settings(max_examples=30, deadline=None)
     def test_second_order_results_exactly_symmetric(self, spec, n, seed):
+        """Products, inverses and samples hold s on the n(n+1)/2 pairs mu <= nu,
+        symmetric by construction, and the public constructor accepts them."""
         x = random_jet2(seed, spec, n, (8,))
         y = random_jet2(seed + 1, spec, n, (8,))
         family = random_gauge_family(seeded_rng(seed, "test-sym", spec.label()), spec, n, factors=3)
         sampled = sample_gauge(Patch((5,) * n, spacing=0.2), spec, family).jet2.value
         for jet in (jet2_mul(x, y), jet2_inv(x), sampled):
-            assert np.array_equal(jet.s, np.swapaxes(jet.s, -4, -3))
-            Jet2Gauge(spec, jet.g, jet.a, jet.s)  # the public constructor accepts it
+            assert jet.s.shape[-3] == n * (n + 1) // 2
+            Jet2Gauge(spec, jet.g, jet.a, jet.s)
 
     @given(st.sampled_from(AD_PATH), st.integers(0, 2**16))
     @settings(max_examples=30, deadline=None)
     def test_pair_conjugation_matches_full_stack(self, case, seed):
-        """Where conjugation runs on ``ad``, conjugating each slot mu <= nu once
-        and mirroring it gives the bits of ``ad`` over all n^2 slots, in the
-        inverse and in the product's g and a.  The product's bracket takes the
-        GEMM of ``pair_products``, so its s is held to the ``mm`` formula
-        within that kernel's bound (``pair_tol``), plus 2 eps of the summands'
-        size for each of the three roundings that follow the products: the
-        two additions and the symmetrization.  The GEMM conjugation (N >= 2,
-        n >= 3) is checked in ``test_lie_core``."""
+        """Where conjugation runs on ``ad``, the inverse and the product's g and
+        a have the bits of ``ad``.  The product's bracket takes the GEMM of
+        ``pair_products``, so its s is held to the ``mm`` formula on the full
+        stack within that kernel's bound (``pair_tol``), plus 2 eps of the
+        summands' size for each of the three roundings that follow the
+        products: the two additions and the symmetrization.  The GEMM
+        conjugation (N >= 2, n >= 3) is checked in ``test_lie_core``."""
         spec, n = case
         x = random_jet2(seed, spec, n, (8,))
         y = random_jet2(seed + 1, spec, n, (8,))
-        adb, ads = ad(x.g, y.a), ad(x.g, y.s)
+        adb, ads, xs = ad(x.g, y.a), unpack(ad(x.g, y.s), n), unpack(x.s, n)
         am, bn = x.a[..., :, None, :, :], adb[..., None, :, :, :]
-        t = ads + x.s + mm(am, bn) - mm(bn, am)
+        t = ads + xs + mm(am, bn) - mm(bn, am)
         tol, mag = pair_tol(am, bn)
-        tol += 6 * EPS * (np.abs(ads) + np.abs(x.s) + mag)
+        tol += 6 * EPS * (np.abs(ads) + np.abs(xs) + mag)
         prod, ginv = jet2_mul(x, y), dagger(x.g)
         expected = (
             (prod, (mm(x.g, y.g), x.a + adb)),
@@ -267,15 +261,14 @@ class TestJetGroupLaws:
         for jet, fields in expected:
             for got, want in zip((jet.g, jet.a, jet.s), fields):
                 assert np.array_equal(got, want)
-            assert np.array_equal(jet.s, np.swapaxes(jet.s, -4, -3))
-        sym_tol = 0.5 * (tol + np.swapaxes(tol, -4, -3))
-        assert np.all(np.abs(prod.s - 0.5 * (t + np.swapaxes(t, -4, -3))) <= sym_tol)
+        sym_t, sym_tol = (packed(0.5 * (z + np.swapaxes(z, -4, -3))) for z in (t, tol))
+        assert np.all(np.abs(prod.s - sym_t) <= sym_tol)
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_jet2_inv_peak_memory(self, n):
-        # su3, 1000 points.  n = 4 (GEMM path) reads 1.876 s.nbytes: the result,
-        # one K(g) and -Ad(g^-1) a, with the full stack of s read in place.
-        # n = 2 (``ad`` path) reads 3.459: a product and a temporary per mm step
+        # su3, 1000 points, in bytes of the packed s.  n = 4 (GEMM path) reads
+        # 2.401: the result, one K(g) and -Ad(g^-1) a.  n = 2 (``ad`` path)
+        # reads 4.945: a product and a temporary per mm step
         x = random_jet2(10, SU3, n, (1000,))
         jet2_inv(x)
         tracemalloc.start()
@@ -284,12 +277,13 @@ class TestJetGroupLaws:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= {2: 3.46, 4: 1.9}[n] * out.s.nbytes
+        assert peak <= {2: 4.95, 4: 2.41}[n] * out.s.nbytes
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_jet2_mul_peak_memory(self, n):
-        # su3, 1000 points: at n = 4 (GEMM conjugation) at most four s-sized
-        # arrays; n = 2 (``ad`` conjugation, GEMM bracket) reads 3.753 s.nbytes
+        # su3, 1000 points, in bytes of the packed s: n = 4 (GEMM conjugation)
+        # reads 4.501, n = 2 (``ad`` conjugation, GEMM bracket) 5.004; both are
+        # 2.813 and 3.753 bytes of the full (n, n) stack that sums the brackets
         x = random_jet2(10, SU3, n, (1000,))
         y = random_jet2(11, SU3, n, (1000,))
         jet2_mul(x, y)
@@ -299,7 +293,7 @@ class TestJetGroupLaws:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= {2: 3.8, 4: 4}[n] * out.s.nbytes
+        assert peak <= {2: 5.01, 4: 4.51}[n] * out.s.nbytes
 
 
 class TestJetsOfSampledFields:

@@ -321,6 +321,17 @@ def test_describe_mentions_kind_and_extent(tmp_path, patch):
     assert "8x8" in text
 
 
+def test_inspect_prints_the_stored_s(tmp_path, patch, capsys):
+    """``inspect`` shows s as stored: its n(n+1)/2 slots and the mean modulus
+    over them, so an off-diagonal s_munu counts once."""
+    field, path = gauge_sample(patch, seed=11).jet2, tmp_path / "s.jgf1"
+    write_field(field, path)
+    assert cli_main(["inspect", str(path)]) == 0
+    mag = np.abs(field.value.s)
+    line = f"  s: shape (8, 8, 3, 2, 2), |entry| max {mag.max():.6g}, mean {mag.mean():.6g}"
+    assert line in capsys.readouterr().out.splitlines()
+
+
 SPECS = [
     group_spec("u1"),
     SU2,
@@ -361,13 +372,10 @@ def payload_of(path) -> bytes:
 
 def encoding(field) -> bytes:
     """The JGF1 payload of ``field``, built from the format's description alone:
-    per point, each LAYOUT array row-major, s packed to mu <= nu."""
-    v, npts, n = field.value, field.patch.npoints, field.patch.dim
-    parts = {name: getattr(v, name).reshape(npts, -1) for name in v.LAYOUT}
-    if isinstance(v, Jet2Gauge):
-        mu, nu = np.triu_indices(n)
-        parts["s"] = v.s.reshape(npts, n, n, -1)[:, mu, nu].reshape(npts, -1)
-    return np.concatenate(list(parts.values()), axis=1).astype("<c16").tobytes()
+    per point, each LAYOUT array row-major."""
+    v, npts = field.value, field.patch.npoints
+    parts = [getattr(v, name).reshape(npts, -1) for name in v.LAYOUT]
+    return np.concatenate(parts, axis=1).astype("<c16").tobytes()
 
 
 @pytest.mark.parametrize("kind, fd", ROUND_TRIP_KINDS)
@@ -434,7 +442,7 @@ def _jet1_on_axes(spec, extent, n):
 
 def _jet2_on_axes(spec, extent, n):
     j = _jet1_on_axes(spec, extent, n)
-    return Jet2Gauge(spec, j.g, j.a, np.zeros(extent + (n, n, spec.n, spec.n)))
+    return Jet2Gauge(spec, j.g, j.a, np.zeros(extent + (n * (n + 1) // 2, spec.n, spec.n)))
 
 
 UNREADABLE = {

@@ -9,10 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from gaugejets.lie_core import (
     ATOL,
+    GEMM_MIN_STACK,
     _ad_kron,
     _coords,
     _exp_eigh,
-    _gemm_pays,
     _kron,
     _trusted,
     AlgebraElement,
@@ -414,7 +414,7 @@ class TestGemmKernels:
         big = spec.n
         c = np.sqrt(2) * (gamma(2 * big * big + 3) + gamma(4 * big + 1)) * (1 + gamma(2 * big + 6))
         kt = _kron(g)
-        gemm = _gemm_pays(big, n + n * n)
+        gemm = big >= 2 and n + n * n >= GEMM_MIN_STACK
         for x, got in zip(stacks, ad_stacks(g, *stacks)):
             want = ad(g, x)
             absg = np.abs(g).reshape(g.shape[:-2] + (1,) * (x.ndim - g.ndim) + g.shape[-2:])

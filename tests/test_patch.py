@@ -347,10 +347,10 @@ class TestSampleAnalytic:
         x = p.coords()
         grad0 = 0.5 + x[..., 1]
         assert np.max(np.abs(jet2.a[..., 0, :, :] - grad0[..., None, None] * x_gen.entries)) < 1e-14
-        # s_12 = s_21 = X, diagonal components vanish
-        assert np.max(np.abs(jet2.s[..., 0, 1, :, :] - x_gen.entries)) < 1e-15
-        assert np.array_equal(jet2.s[..., 0, 1, :, :], jet2.s[..., 1, 0, :, :])
-        assert np.max(np.abs(jet2.s[..., 0, 0, :, :])) == 0.0
+        # s holds s_11, s_12, s_22: s_12 = X, diagonal components vanish
+        assert jet2.s.shape == p.extent + (3, 2, 2)
+        assert np.max(np.abs(jet2.s[..., 1, :, :] - x_gen.entries)) < 1e-15
+        assert np.max(np.abs(jet2.s[..., [0, 2], :, :])) == 0.0
 
     def test_unknown_family_rejected(self):
         p = Patch((6, 6))

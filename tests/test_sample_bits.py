@@ -1,8 +1,9 @@
 """Every sampled bit is pinned.
 
 The closed-form samplers sum their jets in blocks of points on the float64
-view of the result, and the finite-difference jets write each stencil into
-its slot of one stacked derivative.  The whole-grid formulas they replace
+view of the result, with s on the pairs mu <= nu, and the finite-difference
+jets write each stencil into its slot of one stacked derivative.  The
+whole-grid formulas they replace, s on the full (n, n) stack among them,
 are kept here as references, and every grid must equal its reference bit
 for bit (compared as bytes, so signed zeros and NaN payloads count too).
 The bytes ``gaugejets sample`` writes are pinned by sha256 for every kind,
@@ -17,6 +18,7 @@ import pytest
 
 from gaugejets import analytic, jets, patch as patch_module
 from gaugejets.analytic import (
+    Polynomial,
     random_connection_family,
     random_gauge_family,
     random_matter_family,
@@ -25,8 +27,9 @@ from gaugejets.analytic import (
     sample_matter,
 )
 from gaugejets.cli import SAMPLES, main as cli_main
-from gaugejets.lie_core import group_spec, seeded_rng
+from gaugejets.lie_core import AlgebraElement, _trusted, ad, bracket, exp, group_spec, mm, seeded_rng
 from gaugejets.patch import Patch, Points
+from test_packed_s import packed
 
 SPECS = {
     "u1": group_spec("u1"),
@@ -37,15 +40,45 @@ SPECS = {
 }
 
 
-def combine_reference(shape, stack, terms):
+def combine_reference(shape, terms, stack=1):
     """The whole-grid sum: one complex temporary per term and row, the real
-    coefficient promoted to complex."""
+    coefficient (..., m) or, when ``stack`` is 2, (..., n, n) promoted to complex."""
     out = np.zeros(shape, dtype=np.complex128)
     for c, y in terms:
         ys = y.entries.reshape(y.entries.shape[:-2] + (1,) * (stack - 1) + y.entries.shape[-2:])
         for row, crow in zip(np.moveaxis(out, -2 - stack, 0), np.moveaxis(c, -stack, 0)):
             row += crow[..., None, None] * ys
     return out
+
+
+def hessian_reference(fn, x):
+    """A coefficient function's hessian on the full (n, n) stack."""
+    n = x.shape[-1]
+    if isinstance(fn, Polynomial):
+        c2 = np.zeros((n, n)) if not len(fn.c2) else np.asarray(fn.c2, dtype=float)
+        return np.broadcast_to(0.5 * (c2 + c2.T), x.shape[:-1] + (n, n))
+    k = np.asarray(fn.wave, dtype=float)
+    return -fn.evaluate(x, 0)[0][..., None, None] * np.outer(k, k)
+
+
+def s_reference(points, spec, fam):
+    """s of a gauge family on the full (n, n) stack: each factor's hessian,
+    then the symmetrized outer product of each pair's gradients, in term order."""
+    x, n, nn = points.coords(), points.dim, spec.n
+    g, terms = None, []
+    for factor in fam.factors:
+        _, grad = factor.fn.evaluate(x, 1)
+        y = factor.generator if g is None else ad(g, factor.generator)
+        terms.append((_trusted(AlgebraElement, spec, y), grad, hessian_reference(factor.fn, x)))
+        value = exp(_trusted(AlgebraElement, spec, factor.fn.evaluate(x, 0)[0][..., None, None] * factor.generator))
+        g = value.entries if g is None else mm(g, value.entries)
+    brackets = []
+    for i, (yi, gi, _) in enumerate(terms):
+        for yj, gj, _ in terms[i + 1 :]:
+            outer = gi[..., :, None] * gj[..., None, :]
+            brackets.append((0.5 * (outer + np.swapaxes(outer, -1, -2)), bracket(yi, yj)))
+    hessians = [(hess, y) for y, _, hess in terms]
+    return combine_reference(points.extent + (n, n, nn, nn), hessians + brackets, stack=2)
 
 
 def central_diff_reference(arr, axis, h):
@@ -68,7 +101,7 @@ def same_bits(x, y):
 
 def point_bytes(spec, n):
     """Scratch bytes per point of the second-order sum, whose block is the larger."""
-    return n * n * spec.n * 2 * spec.n * 8
+    return n * (n + 1) // 2 * spec.n * 2 * spec.n * 8
 
 
 @pytest.mark.parametrize("where", ["grid", "points"])
@@ -76,9 +109,9 @@ def point_bytes(spec, n):
 @pytest.mark.parametrize("label", SPECS)
 def test_closed_form_jets_match_the_whole_grid_sum(monkeypatch, label, n, where):
     """a and s of three-factor products (two brackets, one unbatched generator)
-    equal the whole-grid sum for the default block, a block of 7 points for s
-    (7n for a), which divides no point count here, and a block smaller than one
-    point."""
+    equal the whole-grid sum for the default block, a block of 7 points for s,
+    which divides no point count here, and a block smaller than one point;
+    s equals the slots mu <= nu of the full-stack sum."""
     spec = SPECS[label]
     patch = Patch((5 if where == "grid" else 6,) * n, spacing=0.2, origin=0.3)
     points = patch if where == "grid" else Points(patch, patch.interior(1))
@@ -86,6 +119,7 @@ def test_closed_form_jets_match_the_whole_grid_sum(monkeypatch, label, n, where)
     with monkeypatch.context() as m:
         m.setattr(analytic, "_combine", combine_reference)
         want = sample_gauge(points, spec, fam).jet2.value
+    assert same_bits(want.s, packed(s_reference(points, spec, fam)))
     for block in (patch_module.BLOCK_BYTES, 7 * point_bytes(spec, n), 1):
         monkeypatch.setattr(patch_module, "BLOCK_BYTES", block)
         got = sample_gauge(points, spec, fam)
